@@ -58,3 +58,19 @@ def test_write_bench_accepts_finite_payload(tmp_path):
     target = tmp_path / "BENCH_test.json"
     write_bench(target, {"rows": [{"qps": 1e6, "n": 3}], "note": "ok"})
     assert json.loads(target.read_text())["rows"][0]["qps"] == 1e6
+
+
+def test_write_bench_skips_repo_artifacts_unless_enabled(tmp_path, monkeypatch):
+    import benchmarks.bench_io as bench_io
+
+    monkeypatch.setattr(bench_io, "REPO_ROOT", tmp_path)
+    target = tmp_path / "BENCH_test.json"
+    monkeypatch.delenv("REPRO_WRITE_BENCH", raising=False)
+    write_bench(target, {"metric": 1.0})
+    assert not target.exists()
+    # The non-finite check still runs when nothing is written.
+    with pytest.raises(ValueError, match="non-finite"):
+        write_bench(target, {"metric": float("nan")})
+    monkeypatch.setenv("REPRO_WRITE_BENCH", "1")
+    write_bench(target, {"metric": 2.0})
+    assert json.loads(target.read_text())["metric"] == 2.0

@@ -48,18 +48,17 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentScale
 from repro.faults import FaultPlan
-from repro.graph.datasets import dataset_names, load_dataset
+from repro.graph.datasets import dataset_names, load_dataset, load_dataset_csr
 from repro.graph.io import (
     DEFAULT_RUN_HALF_EDGES,
     ingest_edge_list,
     read_directed_edge_list,
     read_undirected_edge_list,
-    write_partitioning,
     write_partitioning_array,
 )
-from repro.metrics.quality import locality, max_normalized_load
 from repro.metrics.reporting import format_table
 from repro.pregel.checkpoint import load_latest_snapshot, resume_from_checkpoint
+from repro.partitioners.base import PartitioningOutput
 from repro.partitioners.registry import (
     SPINNER_PARTITIONERS,
     available_partitioners,
@@ -90,6 +89,15 @@ _PREGEL_PARTITIONERS = frozenset({"spinner-pregel", "spinner-pregel-vector"})
 # FastSpinner-backed partitioners: the only ones whose kernels honour the
 # storage tier knobs (--storage / --storage-dir / --storage-chunk).
 _FAST_PARTITIONERS = frozenset({"spinner", "spinner-mmap"})
+
+# Partitioners whose array path (``partition_array``) gives the same
+# assignment as their dictionary path on the dataset proxies: with
+# --dataset they run on the proxy's CSR view end to end.  The others
+# (metis and the Pregel runtimes) keep the dictionary graph, because
+# their output depends on the DiGraph input or on its insertion order.
+_CSR_PARTITIONERS = frozenset(
+    {"spinner", "spinner-mmap", "ldg", "fennel", "wang", "hash", "modulo", "random"}
+)
 
 
 def _fail(message: str) -> None:
@@ -138,8 +146,15 @@ _EXPERIMENTS = {
 }
 
 
-def _load_graph(args: argparse.Namespace):
+def _load_graph(args: argparse.Namespace, csr: bool = False):
+    """The input graph: a dataset proxy (as CSR when ``csr``) or an edge list.
+
+    Edge lists always load as a dictionary :class:`DiGraph`, whose vertex
+    insertion order follows the file.
+    """
     if args.dataset is not None:
+        if csr:
+            return load_dataset_csr(args.dataset, scale=args.scale)
         return load_dataset(args.dataset, scale=args.scale)
     if args.edge_list is not None:
         return read_directed_edge_list(args.edge_list)
@@ -505,12 +520,27 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         if args.stream_order is not None:
             kwargs["stream_order"] = args.stream_order
         partitioner = make_partitioner(args.partitioner, **kwargs)
+    elif args.partitioner == "random":
+        partitioner = make_partitioner("random", seed=args.seed)
     else:
         partitioner = make_partitioner(args.partitioner)
-    if args.edge_store is not None:
-        return _partition_store(args, partitioner)
-    graph = _load_graph(args)
-    output = partitioner.run(graph, args.num_partitions)
+    if args.edge_store is None:
+        graph = _load_graph(args, csr=args.partitioner in _CSR_PARTITIONERS)
+        return _report_partitioning(args, partitioner.run(graph, args.num_partitions))
+    if not os.path.isdir(args.edge_store):
+        _fail(f"edge store {args.edge_store!r} does not exist or is not a directory")
+    from repro.graph.mmap_store import open_store
+
+    # An opened store is a CSRGraph: the run streams its edge arrays
+    # chunk by chunk and never copies them whole.
+    with open_store(args.edge_store) as store:
+        return _report_partitioning(args, partitioner.run(store, args.num_partitions))
+
+
+def _report_partitioning(
+    args: argparse.Namespace, output: PartitioningOutput
+) -> int:
+    """Print the quality table and write the assignment from its arrays."""
     print(
         format_table(
             [
@@ -525,42 +555,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         )
     )
     if args.output:
-        write_partitioning(output.assignment, args.output)
+        write_partitioning_array(output.original_ids, output.labels, args.output)
         print(f"assignment written to {args.output}")
-    return 0
-
-
-def _partition_store(args: argparse.Namespace, partitioner) -> int:
-    """Partition an on-disk CSR store end to end out-of-core.
-
-    The store is opened memory-mapped, the partitioner runs through its
-    array interface, the quality metrics stream the edge arrays chunk by
-    chunk, and the assignment (if requested) is written from the label
-    array — no dictionary graph and no full-length edge copy is ever
-    materialized.
-    """
-    from repro.graph.mmap_store import open_store
-
-    if not os.path.isdir(args.edge_store):
-        _fail(f"edge store {args.edge_store!r} does not exist or is not a directory")
-    with open_store(args.edge_store) as store:
-        labels = partitioner.partition_array(store, args.num_partitions)
-        print(
-            format_table(
-                [
-                    {
-                        "partitioner": partitioner.name,
-                        "k": args.num_partitions,
-                        "phi": locality(store, labels),
-                        "rho": max_normalized_load(store, labels, args.num_partitions),
-                    }
-                ],
-                title="Partitioning quality",
-            )
-        )
-        if args.output:
-            write_partitioning_array(store.original_ids, labels, args.output)
-            print(f"assignment written to {args.output}")
     return 0
 
 
@@ -595,14 +591,19 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    graph = _load_graph(args)
+    # Each graph form is loaded at most once, and only if some requested
+    # partitioner runs on it.
+    graphs: dict[bool, object] = {}
     rows = []
     for name in args.partitioners:
         if name in SPINNER_PARTITIONERS:
             partitioner = make_partitioner(name, config=SpinnerConfig())
         else:
             partitioner = make_partitioner(name)
-        output = partitioner.run(graph, args.num_partitions)
+        csr = args.dataset is not None and name in _CSR_PARTITIONERS
+        if csr not in graphs:
+            graphs[csr] = _load_graph(args, csr=csr)
+        output = partitioner.run(graphs[csr], args.num_partitions)
         rows.append(
             {"partitioner": name, "phi": output.phi, "rho": output.rho}
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,14 +24,26 @@ from repro.metrics.quality import locality, max_normalized_load
 
 @dataclass
 class PartitioningOutput:
-    """Assignment plus the metadata a comparison needs."""
+    """Assignment plus the metadata a comparison needs.
 
-    assignment: dict[int, int]
+    The assignment is held as two aligned ``int64`` arrays: vertex
+    ``original_ids[i]`` lives in partition ``labels[i]``.  The
+    ``{vertex: partition}`` dictionary is only built when
+    :attr:`assignment` is read.
+    """
+
+    original_ids: np.ndarray
+    labels: np.ndarray
     num_partitions: int
     partitioner: str
     phi: float = 0.0
     rho: float = 1.0
     metadata: dict = field(default_factory=dict)
+
+    @cached_property
+    def assignment(self) -> dict[int, int]:
+        """The ``{vertex: partition}`` mapping (built on first access)."""
+        return dict(zip(self.original_ids.tolist(), self.labels.tolist()))
 
 
 class Partitioner:
@@ -68,17 +81,39 @@ class Partitioner:
         )
 
     def run(
-        self, graph: UndirectedGraph | DiGraph, num_partitions: int
+        self, graph: UndirectedGraph | DiGraph | CSRGraph, num_partitions: int
     ) -> PartitioningOutput:
-        """Partition ``graph`` and report locality and balance."""
+        """Partition ``graph`` and report locality and balance.
+
+        A :class:`~repro.graph.csr.CSRGraph` (including an opened on-disk
+        store) stays on arrays throughout: the labels come from
+        :meth:`partition_array` and the metrics run on the CSR arrays.  A
+        dictionary graph goes through :meth:`partition`, with the metrics
+        on its undirected view.
+        """
         if num_partitions <= 0:
             raise InvalidPartitionCountError(num_partitions, "must be positive")
-        assignment = dict(self.partition(graph, num_partitions))
-        undirected = ensure_undirected(graph)
+        if isinstance(graph, CSRGraph):
+            labels = np.asarray(
+                self.partition_array(graph, num_partitions), dtype=np.int64
+            )
+            original_ids = graph.original_ids
+            phi = locality(graph, labels)
+            rho = max_normalized_load(graph, labels, num_partitions)
+        else:
+            assignment = dict(self.partition(graph, num_partitions))
+            undirected = ensure_undirected(graph)
+            phi = locality(undirected, assignment)
+            rho = max_normalized_load(undirected, assignment, num_partitions)
+            original_ids = np.fromiter(assignment, dtype=np.int64, count=len(assignment))
+            labels = np.fromiter(
+                assignment.values(), dtype=np.int64, count=len(assignment)
+            )
         return PartitioningOutput(
-            assignment=assignment,
+            original_ids=original_ids,
+            labels=labels,
             num_partitions=num_partitions,
             partitioner=self.name,
-            phi=locality(undirected, assignment),
-            rho=max_normalized_load(undirected, assignment, num_partitions),
+            phi=phi,
+            rho=rho,
         )

@@ -19,6 +19,9 @@ one JSON object on one line.  Operations:
 ``{"op": "ingest", "edges": [[u, v], [u, v, w], ...], "vertices": [...]}``
     Feed a churn delta into the pipeline; may trigger a background
     repartition (the response says whether one was started or running).
+    The whole delta is validated first (non-negative integer ids,
+    positive integer weights): a bad one gets an error response and
+    changes nothing.
 ``{"op": "stats"}``
     Counters, gauges, latency quantiles and pipeline signals
     (pending edges, estimated phi, in-flight flag, last migration
@@ -66,7 +69,7 @@ import time
 
 import numpy as np
 
-from repro.errors import ServingError
+from repro.errors import ReproError, ServingError
 from repro.graph.dynamic import GraphDelta
 from repro.graph.undirected import UndirectedGraph
 from repro.serving.churn import ChurnPipeline, ServingConfig
@@ -78,9 +81,13 @@ logger = logging.getLogger("repro.serving")
 #: StreamReader line limit — batched lookups of ~100k vertices fit.
 _LINE_LIMIT = 1 << 22
 
+#: Largest value an ``int64`` vertex id or edge weight can hold.
+_INT64_MAX = 2**63 - 1
+
 #: Exceptions a request is allowed to fail with (rendered as an error
-#: response instead of killing the connection).
-_REQUEST_ERRORS = (json.JSONDecodeError, ServingError, ValueError, TypeError)
+#: response instead of killing the connection).  ``ReproError`` covers
+#: every library error (``ServingError`` included).
+_REQUEST_ERRORS = (json.JSONDecodeError, ReproError, ValueError, TypeError)
 
 
 def _encode(response: dict) -> bytes:
@@ -93,20 +100,41 @@ def _is_single_lookup(payload: dict) -> bool:
     return payload.get("op") == "lookup" and "vertex" in payload
 
 
+def _wire_int(value, what: str, minimum: int) -> int:
+    """An integer field of a request, in ``[minimum, 2**63 - 1]``.
+
+    JSON numbers with a fractional part, booleans and strings are
+    refused rather than truncated or coerced; the upper bound keeps the
+    value representable in the ``int64`` arrays it ends up in.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ServingError(f"{what} must be an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ServingError(f"{what} must be an integer, got {value!r}")
+    if not minimum <= value <= _INT64_MAX:
+        raise ServingError(
+            f"{what} must lie in [{minimum}, {_INT64_MAX}], got {value!r}"
+        )
+    return int(value)
+
+
 def _parse_delta(payload: dict) -> GraphDelta:
-    """Build a :class:`GraphDelta` from an ``ingest`` request payload."""
+    """Build a :class:`GraphDelta` from an ``ingest`` request payload.
+
+    The whole delta is validated before anything is applied: vertex ids
+    must be non-negative integers and weights positive integers, so a bad
+    request leaves the live graph and the churn signals untouched.
+    """
     delta = GraphDelta()
     for vertex in payload.get("vertices", []):
-        delta.added_vertices.add(int(vertex))
+        delta.added_vertices.add(_wire_int(vertex, "vertex id", 0))
     for edge in payload.get("edges", []):
-        if len(edge) == 2:
-            u, v = edge
-            weight = 1
-        elif len(edge) == 3:
-            u, v, weight = edge
-        else:
+        if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
             raise ServingError(f"edges must be [u, v] or [u, v, w], got {edge!r}")
-        delta.added_edges.append((int(u), int(v), int(weight)))
+        u = _wire_int(edge[0], "vertex id", 0)
+        v = _wire_int(edge[1], "vertex id", 0)
+        weight = _wire_int(edge[2], "edge weight", 1) if len(edge) == 3 else 1
+        delta.added_edges.append((u, v, weight))
     return delta
 
 

@@ -1,10 +1,27 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
+import repro.cli as cli_module
+import repro.partitioners.base as base_module
 from repro.cli import build_parser, main
-from repro.graph.io import read_partitioning, write_directed_edge_list
+from repro.core.config import SpinnerConfig
+from repro.core.fast import FastSpinnerResult
+from repro.graph.conversion import ensure_undirected
+from repro.graph.datasets import load_dataset
 from repro.graph.digraph import DiGraph
+from repro.graph.io import (
+    read_directed_edge_list,
+    read_partitioning,
+    write_directed_edge_list,
+    write_partitioning,
+    write_partitioning_array,
+)
+from repro.graph.mmap_store import open_store
+from repro.metrics.quality import locality, max_normalized_load
+from repro.metrics.reporting import format_table
+from repro.partitioners.registry import SPINNER_PARTITIONERS, make_partitioner
 
 
 def test_parser_subcommands():
@@ -269,3 +286,168 @@ def test_recover_rejects_missing_directory(tmp_path):
 
 def test_recover_rejects_empty_directory(tmp_path):
     _exits_with_code_2(["recover", str(tmp_path)])
+
+
+# ----------------------------------------------------------------------
+# dataset runs on CSR arrays: byte-identical to the dictionary pipeline
+# ----------------------------------------------------------------------
+# Every partitioner the CLI runs on CSR arrays is pinned against the
+# dictionary pipeline below.
+CSR_PATH_PARTITIONERS = sorted(cli_module._CSR_PARTITIONERS)
+ORACLE_SCALE = 0.05
+ORACLE_SEED = 11
+
+
+def _oracle_partitioner(name, seed):
+    """The partitioner the CLI builds for ``partition --partitioner name``."""
+    if name in SPINNER_PARTITIONERS:
+        storage = "mmap" if name == "spinner-mmap" else "ram"
+        return make_partitioner(name, config=SpinnerConfig(seed=seed, storage=storage))
+    if name in ("ldg", "fennel", "random"):
+        return make_partitioner(name, seed=seed)
+    return make_partitioner(name)
+
+
+def _quality_stdout(name, k, phi, rho, output_path):
+    table = format_table(
+        [{"partitioner": name, "k": k, "phi": phi, "rho": rho}],
+        title="Partitioning quality",
+    )
+    return f"{table}\nassignment written to {output_path}\n"
+
+
+def _dict_oracle(graph, name, k, seed, tmp_path, output_path):
+    """Dictionary-graph reference: partition, write, phi/rho on the undirected view."""
+    partitioner = _oracle_partitioner(name, seed)
+    assignment = dict(partitioner.partition(graph, k))
+    oracle_file = tmp_path / "oracle.txt"
+    write_partitioning(assignment, oracle_file)
+    undirected = ensure_undirected(graph)
+    stdout = _quality_stdout(
+        partitioner.name,
+        k,
+        locality(undirected, assignment),
+        max_normalized_load(undirected, assignment, k),
+        output_path,
+    )
+    return oracle_file.read_bytes(), stdout
+
+
+def _cli_partition(capsys, source, name, k, seed, output_path):
+    code = main(
+        ["partition", *source, "-k", str(k), "--partitioner", name,
+         "--seed", str(seed), "--output", str(output_path)]
+    )
+    assert code == 0
+    return output_path.read_bytes(), capsys.readouterr().out
+
+
+# The dictionary-path partitioners (metis, the Pregel runtimes) ride along
+# on two datasets: their output must not change either.
+_ORACLE_CASES = [
+    (dataset, name) for dataset in ("LJ", "TU", "TW", "Y!") for name in CSR_PATH_PARTITIONERS
+] + [
+    (dataset, name)
+    for dataset in ("LJ", "TU")
+    for name in ("metis", "spinner-pregel", "spinner-pregel-vector")
+]
+
+
+@pytest.mark.parametrize(("dataset", "name"), _ORACLE_CASES)
+def test_dataset_partition_matches_dict_oracle(tmp_path, capsys, dataset, name):
+    output_path = tmp_path / "cli.txt"
+    expected = _dict_oracle(
+        load_dataset(dataset, scale=ORACLE_SCALE), name, 4, ORACLE_SEED, tmp_path, output_path
+    )
+    source = ["--dataset", dataset, "--scale", str(ORACLE_SCALE)]
+    assert _cli_partition(capsys, source, name, 4, ORACLE_SEED, output_path) == expected
+
+
+@pytest.mark.parametrize("name", ["spinner", "ldg", "random"])
+def test_edge_list_partition_matches_dict_oracle(tmp_path, capsys, name):
+    edge_file = _edge_file(tmp_path)
+    output_path = tmp_path / "cli.txt"
+    expected = _dict_oracle(
+        read_directed_edge_list(edge_file), name, 3, ORACLE_SEED, tmp_path, output_path
+    )
+    source = ["--edge-list", str(edge_file)]
+    assert _cli_partition(capsys, source, name, 3, ORACLE_SEED, output_path) == expected
+
+
+def test_dataset_partition_builds_no_dict_graph(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the CSR path built a dictionary graph")
+
+    monkeypatch.setattr(cli_module, "load_dataset", forbidden)
+    monkeypatch.setattr(FastSpinnerResult, "to_assignment", forbidden)
+    monkeypatch.setattr(base_module, "ensure_undirected", forbidden)
+    source = ["--dataset", "LJ", "--scale", str(ORACLE_SCALE)]
+    data, _ = _cli_partition(capsys, source, "spinner", 4, 3, tmp_path / "out.txt")
+    assert data.startswith(b"# partitioning: vertex_id partition\n")
+
+
+def test_random_partition_honours_seed(tmp_path, capsys):
+    source = ["--dataset", "TU", "--scale", str(ORACLE_SCALE)]
+    first, _ = _cli_partition(capsys, source, "random", 4, 5, tmp_path / "a.txt")
+    again, _ = _cli_partition(capsys, source, "random", 4, 5, tmp_path / "b.txt")
+    other, _ = _cli_partition(capsys, source, "random", 4, 6, tmp_path / "c.txt")
+    assert first == again
+    assert first != other
+
+
+@pytest.mark.parametrize("dataset", ["LJ", "TU"])
+def test_compare_rows_match_dict_oracle(capsys, dataset):
+    names = ["hash", "modulo", "ldg", "fennel", "wang", "metis", "spinner", "spinner-pregel"]
+    graph = load_dataset(dataset, scale=ORACLE_SCALE)
+    rows = []
+    for name in names:
+        if name in SPINNER_PARTITIONERS:
+            partitioner = make_partitioner(name, config=SpinnerConfig())
+        else:
+            partitioner = make_partitioner(name)
+        assignment = dict(partitioner.partition(graph, 4))
+        undirected = ensure_undirected(graph)
+        rows.append(
+            {
+                "partitioner": name,
+                "phi": locality(undirected, assignment),
+                "rho": max_normalized_load(undirected, assignment, 4),
+            }
+        )
+    code = main(
+        ["compare", "--dataset", dataset, "--scale", str(ORACLE_SCALE), "-k", "4",
+         "--partitioners", *names]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == format_table(rows, title="k=4") + "\n"
+
+
+@pytest.mark.parametrize("name", ["spinner", "ldg", "metis"])
+def test_edge_store_partition_unchanged(tmp_path, capsys, name):
+    edges = tmp_path / "graph.txt"
+    rng = np.random.default_rng(4)
+    pairs = rng.integers(0, 150, size=(600, 2))
+    edges.write_text("".join(f"{u} {v}\n" for u, v in pairs.tolist()))
+    store_dir = tmp_path / "store"
+    assert main(["ingest", "--edge-list", str(edges), "--store", str(store_dir)]) == 0
+    capsys.readouterr()
+    output_path = tmp_path / "cli.txt"
+    # Reference: the array pipeline the store path ran before it shared
+    # the dataset path's run/print/write code.
+    partitioner = _oracle_partitioner(name, ORACLE_SEED)
+    oracle_file = tmp_path / "oracle.txt"
+    with open_store(store_dir) as store:
+        labels = partitioner.partition_array(store, 4)
+        stdout = _quality_stdout(
+            partitioner.name,
+            4,
+            locality(store, labels),
+            max_normalized_load(store, labels, 4),
+            output_path,
+        )
+        write_partitioning_array(store.original_ids, labels, oracle_file)
+    source = ["--edge-store", str(store_dir)]
+    assert _cli_partition(capsys, source, name, 4, ORACLE_SEED, output_path) == (
+        oracle_file.read_bytes(),
+        stdout,
+    )

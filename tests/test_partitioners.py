@@ -1,8 +1,10 @@
 """Tests for the baseline partitioners and the registry."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import SpinnerConfig
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import powerlaw_cluster
 from repro.metrics.quality import locality, max_normalized_load
 from repro.partitioners.base import Partitioner
@@ -40,6 +42,22 @@ def test_run_reports_metrics(partitioner, two_cliques):
     assert 0.0 <= output.phi <= 1.0
     assert output.rho >= 1.0
     assert output.partitioner == partitioner.name
+
+
+# METIS coarsens in dictionary insertion order, so its array path (on a
+# canonical re-insertion of the graph) may pick a different assignment.
+@pytest.mark.parametrize(
+    "partitioner",
+    [p for p in ALL_BASELINES if not isinstance(p, MetisLikePartitioner)],
+    ids=lambda p: p.name,
+)
+def test_run_on_csr_matches_run_on_dict(partitioner, community_graph):
+    from_dict = partitioner.run(community_graph, 4)
+    from_csr = partitioner.run(CSRGraph.from_undirected(community_graph), 4)
+    assert from_csr.assignment == from_dict.assignment
+    assert (from_csr.phi, from_csr.rho) == (from_dict.phi, from_dict.rho)
+    assert from_csr.labels.dtype == np.int64
+    assert from_csr.original_ids.shape == from_csr.labels.shape
 
 
 def test_run_rejects_invalid_partition_count(two_cliques):

@@ -29,7 +29,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
-from repro.errors import ReproError, ServingError
+from repro.errors import GraphError, ReproError, ServingError
 from repro.graph.dynamic import GraphDelta, bursty_new_edges, random_new_edges
 from repro.graph.generators import erdos_renyi, powerlaw_cluster
 from repro.metrics.quality import locality
@@ -466,6 +466,77 @@ def test_tcp_protocol_end_to_end():
     assert closing["ok"]
     thread.join(timeout=30)
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "bad_edge",
+    [[-1, 5], [5, -1], [0, 5, 2.5], [0, 5, 0], [0, 5, -3], ["7", 5], [True, 5], [0, 2**63]],
+    ids=[
+        "negative-source",
+        "negative-target",
+        "fractional-weight",
+        "zero-weight",
+        "negative-weight",
+        "string-id",
+        "bool-id",
+        "id-beyond-int64",
+    ],
+)
+def test_invalid_ingest_is_refused_whole_and_keeps_the_connection(bad_edge):
+    graph = _graph(seed=5, n=120)
+    config = ServingConfig(
+        num_partitions=4, spinner=SpinnerConfig(seed=5), log_interval=0.0
+    )
+    service = ShardingService(graph, config)
+    thread, port = _start_thread_service(service)
+    u, v = next(
+        (u, v) for u in range(120) for v in range(u + 1, 120) if not graph.has_edge(u, v)
+    )
+    edges_before = graph.num_edges
+    # A valid edge ahead of the bad one: validation must reject the whole
+    # delta before any of it reaches the live graph.
+    lookup = {"op": "lookup", "vertex": 0}
+    before, refused, after = send_requests(
+        "127.0.0.1",
+        port,
+        [lookup, {"op": "ingest", "edges": [[u, v], bad_edge]}, lookup],
+        pipeline=True,
+    )
+    assert before["ok"] and after == before
+    assert not refused["ok"] and "error" in refused
+    assert graph.num_edges == edges_before
+    assert service.pipeline.pending_edges == 0
+    (stats,) = send_requests("127.0.0.1", port, [{"op": "stats"}])
+    assert stats["stats"]["pending_edges"] == 0
+    send_requests("127.0.0.1", port, [{"op": "shutdown"}])
+    thread.join(timeout=30)
+
+
+def test_library_error_in_a_request_is_answered_not_fatal(monkeypatch):
+    graph = _graph(seed=6, n=120)
+    config = ServingConfig(
+        num_partitions=4, spinner=SpinnerConfig(seed=6), log_interval=0.0
+    )
+    service = ShardingService(graph, config)
+
+    def broken_ingest(delta):
+        raise GraphError("ingest exploded")
+
+    monkeypatch.setattr(service.pipeline, "ingest", broken_ingest)
+    thread, port = _start_thread_service(service)
+    responses = send_requests(
+        "127.0.0.1",
+        port,
+        [{"op": "version"}, {"op": "ingest", "edges": [[0, 1]]}, {"op": "version"}],
+        pipeline=True,
+    )
+    assert responses == [
+        {"ok": True, "version": 1},
+        {"ok": False, "error": "ingest exploded"},
+        {"ok": True, "version": 1},
+    ]
+    send_requests("127.0.0.1", port, [{"op": "shutdown"}])
+    thread.join(timeout=30)
 
 
 def test_malformed_request_line_is_an_error_not_a_crash():
