@@ -27,7 +27,7 @@ from repro.apps.pagerank import BatchPageRank, PageRank
 from repro.graph.csr import CSRGraph
 from bench_io import bench_path, env_float, env_int, write_bench
 from repro.pregel.engine import PregelEngine
-from repro.pregel.vector_engine import VectorPregelEngine
+from repro.pregel.vector_coordinator import VectorPregelEngine
 
 BENCH_PATH = bench_path("BENCH_pregel.json")
 

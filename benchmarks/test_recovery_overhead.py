@@ -33,7 +33,7 @@ from repro.faults import FaultPlan, WorkerCrash
 from repro.graph.csr import CSRGraph
 from bench_io import bench_path, env_float, env_int, write_bench
 from repro.pregel.engine import PregelEngine
-from repro.pregel.vector_engine import VectorPregelEngine
+from repro.pregel.vector_coordinator import VectorPregelEngine
 
 BENCH_PATH = bench_path("BENCH_recovery.json")
 

@@ -9,7 +9,7 @@ representative Giraph applications relative to hash partitioning:
 
 Each application ships in two equivalent implementations: a per-vertex
 :class:`~repro.pregel.program.VertexProgram` for the dictionary engine and
-an array-native :class:`~repro.pregel.vector_engine.BatchVertexProgram`
+an array-native :class:`~repro.pregel.batch.BatchVertexProgram`
 for the sharded vector engine.  :func:`make_app_program` builds either
 variant by name, which is how the experiment harnesses and the CLI select
 a runtime with ``--engine dict|vector``.
@@ -34,7 +34,7 @@ def make_app_program(app: str, engine: str = "dict", **kwargs):
 
     ``engine`` is ``"dict"`` (per-vertex programs on
     :class:`~repro.pregel.engine.PregelEngine`) or ``"vector"`` (batch
-    programs on :class:`~repro.pregel.vector_engine.VectorPregelEngine`);
+    programs on :class:`~repro.pregel.vector_coordinator.VectorPregelEngine`);
     ``kwargs`` are forwarded to the program constructor.
     """
     try:

@@ -11,7 +11,7 @@ from typing import Any
 import numpy as np
 
 from repro.pregel.program import ComputeContext, VertexProgram
-from repro.pregel.vector_engine import (
+from repro.pregel.batch import (
     BatchComputeContext,
     BatchStep,
     BatchVertexProgram,

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.pregel.aggregators import AggregatorRegistry, DoubleSumAggregator
 from repro.pregel.program import ComputeContext, VertexProgram
-from repro.pregel.vector_engine import (
+from repro.pregel.batch import (
     BatchComputeContext,
     BatchStep,
     BatchVertexProgram,

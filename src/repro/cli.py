@@ -115,33 +115,29 @@ def _pregel_engine(engine: str | None) -> str:
     _fail(f"--engine {engine} is not a Pregel runtime; use 'dict' or 'vector'")
 
 
-# Experiments that honour --parallel (they run Pregel applications on the
-# vector engine, whose supersteps can execute across processes).
-_PARALLEL_BACKED_EXPERIMENTS = frozenset({"table4", "fig9"})
-
 _EXPERIMENTS = {
-    "table1": lambda scale, engine, parallel: table1.run_table1(scale=scale),
-    "table3": lambda scale, engine, parallel: table3.run_table3(scale=scale),
+    "table1": lambda scale, engine: table1.run_table1(scale=scale),
+    "table3": lambda scale, engine: table3.run_table3(scale=scale),
     # (table1/table3/fig3/fig5 pick up the graph backend from the scale.)
-    "table4": lambda scale, engine, parallel: table4.run_table4(
-        scale=scale, engine=_pregel_engine(engine), parallel=parallel
-    ),
-    "fig3": lambda scale, engine, parallel: fig3.run_fig3(scale=scale),
-    "fig4": lambda scale, engine, parallel: fig4.run_fig4(scale=scale),
-    "fig5": lambda scale, engine, parallel: fig5.run_fig5(scale=scale),
-    "fig6a": lambda scale, engine, parallel: fig6.run_fig6a(scale=scale),
-    "fig6b": lambda scale, engine, parallel: fig6.run_fig6b(
+    "table4": lambda scale, engine: table4.run_table4(
         scale=scale, engine=_pregel_engine(engine)
     ),
-    "fig6c": lambda scale, engine, parallel: fig6.run_fig6c(scale=scale),
-    "fig7": lambda scale, engine, parallel: fig7.run_fig7(
+    "fig3": lambda scale, engine: fig3.run_fig3(scale=scale),
+    "fig4": lambda scale, engine: fig4.run_fig4(scale=scale),
+    "fig5": lambda scale, engine: fig5.run_fig5(scale=scale),
+    "fig6a": lambda scale, engine: fig6.run_fig6a(scale=scale),
+    "fig6b": lambda scale, engine: fig6.run_fig6b(
+        scale=scale, engine=_pregel_engine(engine)
+    ),
+    "fig6c": lambda scale, engine: fig6.run_fig6c(scale=scale),
+    "fig7": lambda scale, engine: fig7.run_fig7(
         scale=scale, engine=engine or "fast"
     ),
-    "fig8": lambda scale, engine, parallel: fig8.run_fig8(
+    "fig8": lambda scale, engine: fig8.run_fig8(
         scale=scale, engine=engine or "fast"
     ),
-    "fig9": lambda scale, engine, parallel: fig9.run_fig9(
-        scale=scale, engine=_pregel_engine(engine), parallel=parallel
+    "fig9": lambda scale, engine: fig9.run_fig9(
+        scale=scale, engine=_pregel_engine(engine)
     ),
 }
 
@@ -218,14 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         "msg:SUPERSTEP[:FAILURES[:TIMES]]); requires checkpointing",
     )
     partition.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        help="run the vector Pregel engine's supersteps across N "
-        "shared-memory worker processes (spinner-pregel-vector only; "
-        "bit-exact with the default serial execution)",
-    )
-    partition.add_argument(
         "--edge-store",
         default=None,
         help="partition an on-disk CSR store produced by 'ingest' "
@@ -286,14 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         "engine (bit-exact with 'dict'), and 'fast' the vectorized "
         "FastSpinner kernels (fig7/fig8 only, their default). "
         "Defaults to each experiment's own default runtime",
-    )
-    experiment.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        help="shared-memory worker processes for the vector engine "
-        "(table4 and fig9 with --engine vector only; rows are "
-        "bit-exact with serial execution)",
     )
 
     ingest = subparsers.add_parser(
@@ -386,13 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="repartitioning engine: 'fast' (vectorized FastSpinner, "
         "default), 'dict' or 'vector' (the Pregel runtimes)",
     )
-    serve.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        help="shared-memory worker processes for background repartitions "
-        "(--engine vector only)",
-    )
     serve.add_argument("--seed", type=int, default=42)
     serve.add_argument(
         "--storage",
@@ -453,13 +426,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                 f"partitioner {args.partitioner!r} supports stream orders "
                 f"{supported}, not {args.stream_order!r}"
             )
-    if args.parallel < 1:
-        _fail(f"--parallel must be >= 1, got {args.parallel}")
-    if args.parallel > 1 and args.partitioner != "spinner-pregel-vector":
-        _fail(
-            "--parallel > 1 requires the vector Pregel runtime; "
-            f"use --partitioner spinner-pregel-vector, not {args.partitioner!r}"
-        )
     if args.fault_plan is not None and args.checkpoint_interval is None:
         _fail("--fault-plan requires --checkpoint-interval and --checkpoint-dir")
     if (args.checkpoint_interval is None) != (args.checkpoint_dir is None):
@@ -511,10 +477,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             storage_dir=args.storage_dir,
             storage_chunk=args.storage_chunk,
         )
-        kwargs = {"config": config}
-        if args.partitioner in _PREGEL_PARTITIONERS:
-            kwargs["parallel"] = args.parallel
-        partitioner = make_partitioner(args.partitioner, **kwargs)
+        partitioner = make_partitioner(args.partitioner, config=config)
     elif args.partitioner in _STREAMING_PARTITIONERS:
         kwargs = {"seed": args.seed}
         if args.stream_order is not None:
@@ -612,16 +575,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.parallel < 1:
-        _fail(f"--parallel must be >= 1, got {args.parallel}")
-    if args.parallel > 1:
-        if args.name not in _PARALLEL_BACKED_EXPERIMENTS:
-            _fail(
-                f"--parallel only applies to {sorted(_PARALLEL_BACKED_EXPERIMENTS)}, "
-                f"not {args.name!r}"
-            )
-        if args.engine != "vector":
-            _fail("--parallel > 1 requires --engine vector")
     if args.engine is not None and args.name not in _ENGINE_BACKED_EXPERIMENTS:
         print(
             f"note: experiment {args.name!r} does not run on a Pregel engine; "
@@ -637,7 +590,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     scale = ExperimentScale(
         graph_scale=args.scale, seed=args.seed, graph_backend=args.backend
     )
-    rows = _EXPERIMENTS[args.name](scale, args.engine, args.parallel)
+    rows = _EXPERIMENTS[args.name](scale, args.engine)
     print(format_table(rows, title=f"Experiment {args.name}"))
     return 0
 
@@ -689,10 +642,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.phi_drift is not None and not 0.0 < args.phi_drift <= 1.0:
         _fail(f"--phi-drift must lie in (0, 1], got {args.phi_drift}")
-    if args.parallel < 1:
-        _fail(f"--parallel must be >= 1, got {args.parallel}")
-    if args.parallel > 1 and args.engine != "vector":
-        _fail("--parallel > 1 requires --engine vector")
     if args.storage is not None and args.engine != "fast":
         _fail("--storage only applies to --engine fast")
     if args.storage != "mmap":
@@ -729,7 +678,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         edge_threshold=edge_threshold,
         phi_drift=args.phi_drift,
         engine=args.engine,
-        parallel=args.parallel,
         spinner=SpinnerConfig(
             seed=args.seed,
             storage=args.storage if args.storage is not None else "ram",

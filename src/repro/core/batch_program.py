@@ -1,7 +1,7 @@
 """Array-native Spinner vertex program for the vector Pregel runtime.
 
 :class:`BatchSpinnerProgram` is the
-:class:`~repro.pregel.vector_engine.BatchVertexProgram` port of
+:class:`~repro.pregel.batch.BatchVertexProgram` port of
 :class:`~repro.core.program.SpinnerProgram`: the same superstep schedule
 (NeighborPropagation / NeighborDiscovery / Initialize / ComputeScores /
 ComputeMigrations, see Figure 2 of the paper), the same aggregators, the
@@ -66,15 +66,15 @@ from repro.graph.conversion import directed_pair_weights
 from repro.graph.csr import _segment_sums, build_csr_arrays
 from repro.graph.digraph import DiGraph
 from repro.graph.undirected import UndirectedGraph
-from repro.pregel.vector_engine import (
+from repro.pregel.batch import (
     BatchComputeContext,
     BatchStep,
     BatchVertexProgram,
     DeliveredMessages,
     Outbox,
     ShardedGraph,
-    VectorPregelEngine,
 )
+from repro.pregel.vector_coordinator import VectorPregelEngine
 
 @dataclass(frozen=True)
 class DirectedSendPlan:
@@ -242,40 +242,6 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
         return self._labels
 
     # ------------------------------------------------------------------
-    # shared-state protocol (shared-memory executor)
-    # ------------------------------------------------------------------
-    def shared_state(self) -> dict[str, np.ndarray]:
-        """Labels and candidates must be visible across shard groups.
-
-        Migrations update labels in place for owned vertices, and the
-        next ComputeScores superstep reads *neighbour* labels globally;
-        likewise ComputeMigrations branches on the global candidate
-        mask.  Placing both arrays in shared memory makes the owned-
-        slice writes visible to every group at the superstep barrier.
-        """
-        return {"labels": self._labels, "candidates": self._candidates}
-
-    def adopt_shared_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Rebind labels/candidates to executor-provided shared storage."""
-        self._labels = arrays["labels"]
-        self._candidates = arrays["candidates"]
-
-    def max_outbox_messages(self, shard: ShardedGraph) -> int:
-        """Largest outbox any superstep emits over ``shard``.
-
-        Label announcements send along the (portion's) adjacency slots;
-        for directed inputs, superstep 0 instead sends one message per
-        original directed edge whose source the portion owns.
-        """
-        base = int(shard.send_src.shape[0])
-        plan = self._spinner_shard.directed_plan
-        if plan is None:
-            return base
-        workers = self._spinner_shard.shard.worker_of[plan.sources]
-        owned = (workers >= shard.worker_lo) & (workers < shard.worker_hi)
-        return max(base, int(owned.sum()))
-
-    # ------------------------------------------------------------------
     # batch compute
     # ------------------------------------------------------------------
     def compute_batch(
@@ -287,7 +253,7 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
         """Dispatch the superstep to its phase handler (Figure 2)."""
         phase = self.phase(ctx.superstep)
         if phase == NEIGHBOR_PROPAGATION:
-            return self._neighbor_propagation(shard, ctx)
+            return self._neighbor_propagation(shard)
         if phase == NEIGHBOR_DISCOVERY:
             return self._step(shard, Outbox.empty())
         if phase == INITIALIZE:
@@ -311,30 +277,22 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
         )
 
     # -- conversion ----------------------------------------------------
-    def _neighbor_propagation(
-        self, shard: ShardedGraph, ctx: BatchComputeContext
-    ) -> BatchStep:
+    def _neighbor_propagation(self, shard: ShardedGraph) -> BatchStep:
         """Replay superstep 0's sends over the original directed edges.
 
         The adjacency conversion itself happened eagerly in
         :func:`build_spinner_shard`; this superstep only reproduces the
         observable effects — one message per directed edge and
         ``edges_scanned`` charged at the original out-degrees.  The plan
-        is stored in canonical (worker-major by source) order, so a
-        shard-group portion restricts it to its owned sources and the
-        groups' outboxes concatenate back into the serial send order.
+        is stored in canonical (worker-major by source) order, which is
+        the dictionary engine's send order.
         """
         plan = self._spinner_shard.directed_plan
         assert plan is not None  # guaranteed by bind()
-        owned = ctx.owned_source_mask(plan.sources)
-        if owned is None:
-            sources, targets = plan.sources, plan.targets
-        else:
-            sources, targets = plan.sources[owned], plan.targets[owned]
         outbox = Outbox(
-            sources,
-            targets,
-            np.zeros(sources.shape[0], dtype=np.float64),
+            plan.sources,
+            plan.targets,
+            np.zeros(plan.sources.shape[0], dtype=np.float64),
         )
         return self._step(shard, outbox, edges_scanned=plan.out_degrees)
 
@@ -379,9 +337,7 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
         bincount runs over the canonical (worker-major) vertex order and
         accumulates each bin strictly sequentially in input order, so
         every per-label sum is bit-identical to the dictionary engine's
-        vertex-by-vertex ``DoubleSumAggregator`` reduction — including
-        under the shared-memory executor, which replays the per-portion
-        operands in canonical order.
+        vertex-by-vertex ``DoubleSumAggregator`` reduction.
         """
         ctx.aggregate_keyed(name_fn, labels, weights, self.num_partitions, mask=mask)
 
@@ -432,7 +388,7 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
             )
 
         candidates = np.where(best_label != self._labels, best_label, -1)
-        self._store_candidates(ctx, candidates)
+        self._candidates = candidates
 
         self._aggregate_per_label(ctx, load_aggregator_name, self._labels, degrees)
         all_vertices = np.ones(num_vertices, dtype=bool)
@@ -485,22 +441,6 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
                 best_score[tie] = column[tie]
         return current_score, best_label
 
-    def _store_candidates(
-        self, ctx: BatchComputeContext, candidates: np.ndarray
-    ) -> None:
-        """Publish the superstep's migration candidates.
-
-        Serially the whole array is rebound; a shard-group portion
-        writes only its owned entries of the shared candidate array
-        (every portion rewrites its entries each ComputeScores
-        superstep, so no stale values survive into ComputeMigrations).
-        """
-        owned = ctx.owned_vertices()
-        if owned is None:
-            self._candidates = candidates
-        else:
-            self._candidates[owned] = candidates[owned]
-
     def _scan_scores_with_deltas(
         self,
         shard: ShardedGraph,
@@ -517,9 +457,7 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
         and incrementally maintained penalties, with the exact float
         arithmetic of the dictionary program (``(base_load + delta) /
         capacity`` recomputed from the base on every delta change).
-        Workers are independent (each starts from the base penalties), so
-        running the loop over a shard-group view's workers yields exactly
-        the serial scan's decisions for those workers.
+        Workers are independent: each starts from the base penalties.
         """
         k = self.num_partitions
         prefer_current = self.config.prefer_current_label
@@ -568,21 +506,11 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
     def _compute_migrations(
         self, shard: ShardedGraph, ctx: BatchComputeContext
     ) -> BatchStep:
-        """One ComputeMigrations superstep (eq. 14) over the whole shard.
-
-        The branch below is taken on the *global* candidate count (via
-        ``ctx.global_mask_span``), not this portion's, so every shard
-        group makes the same aggregation calls and consumes the same RNG
-        block — each group draws the full block over all candidates in
-        canonical order and keeps only its own span, which leaves all
-        groups' RNG streams identical to the serial one.
-        """
+        """One ComputeMigrations superstep (eq. 14) over the whole shard."""
         candidates = self._candidates
-        has_candidate = candidates >= 0
-        total, offset = ctx.global_mask_span(has_candidate)
         order = shard.vertex_order
-        ordered = order[has_candidate[order]]
-        if total:
+        ordered = order[candidates[order] >= 0]
+        if ordered.size:
             loads = self._partition_loads(ctx)
             capacity = self._capacity(loads)
             candidate_loads = np.array(
@@ -614,7 +542,7 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
             # One block draw over the candidates in canonical vertex order
             # == the dict program's per-candidate scalar draws (the seeded
             # RNG contract: PCG64 fills blocks sequentially).
-            draws = self._rng.random(total)[offset : offset + ordered.shape[0]]
+            draws = self._rng.random(ordered.shape[0])
             migrate = draws < probability
             moved = ordered[migrate]
             self._labels[moved] = targets[migrate]

@@ -80,14 +80,6 @@ class SpinnerConfig:
         orders of magnitude faster on large graphs.  Ignored by
         :class:`~repro.core.fast.FastSpinner`, which has its own
         ``kernel`` switch.
-    parallel:
-        Number of OS processes the vector engine splits its superstep
-        execution across (the simulated workers are grouped into this
-        many contiguous shard groups, each hosted by one process over
-        shared memory).  ``1`` (default) runs the in-process serial
-        executor; any value is bit-exact with serial.  Only meaningful
-        with ``engine="vector"`` — the dictionary engine rejects
-        ``parallel > 1``.
     checkpoint_interval:
         Snapshot the Pregel run into ``checkpoint_dir`` every this many
         supersteps (superstep-boundary checkpointing, Giraph style).
@@ -140,7 +132,6 @@ class SpinnerConfig:
     prefer_current_label: bool = True
     kernel: str = "frontier"
     engine: str = "dict"
-    parallel: int = 1
     checkpoint_interval: int | None = None
     checkpoint_dir: str | None = None
     fault_plan: FaultPlan | None = field(default=None, compare=False)
@@ -157,10 +148,6 @@ class SpinnerConfig:
         if self.engine not in ("dict", "vector"):
             raise ConfigurationError(
                 f"engine must be 'dict' or 'vector', got {self.engine!r}"
-            )
-        if self.parallel < 1:
-            raise ConfigurationError(
-                f"parallel must be at least 1, got {self.parallel}"
             )
         if self.additional_capacity <= 1.0:
             raise ConfigurationError(

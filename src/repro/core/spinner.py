@@ -33,7 +33,7 @@ from repro.graph.undirected import UndirectedGraph
 from repro.metrics.quality import locality, max_normalized_load
 from repro.pregel.cost_model import ClusterCostModel
 from repro.pregel.engine import PregelEngine, PregelResult
-from repro.pregel.vector_engine import VectorPregelEngine, VectorPregelResult
+from repro.pregel.vector_coordinator import VectorPregelEngine, VectorPregelResult
 from repro.pregel.worker import PlacementFn
 
 
@@ -59,7 +59,7 @@ class SpinnerResult:
         used by the cost-savings experiments.  A
         :class:`~repro.pregel.engine.PregelResult` for the dictionary
         engine, a
-        :class:`~repro.pregel.vector_engine.VectorPregelResult` for the
+        :class:`~repro.pregel.vector_coordinator.VectorPregelResult` for the
         vector engine; both expose the same statistics surface.
     """
 
@@ -105,11 +105,6 @@ class SpinnerPartitioner:
     placement:
         Optional vertex-to-worker placement function shared by both
         runtimes; defaults to Giraph-style hash placement.
-    parallel:
-        Number of OS processes for the vector engine's shared-memory
-        executor; defaults to ``config.parallel``.  Bit-exact with the
-        serial executor for any value.  Rejected with the dictionary
-        engine when greater than 1.
     """
 
     name = "spinner"
@@ -121,7 +116,6 @@ class SpinnerPartitioner:
         cost_model: ClusterCostModel | None = None,
         engine: str | None = None,
         placement: PlacementFn | None = None,
-        parallel: int | None = None,
     ) -> None:
         self.config = config if config is not None else SpinnerConfig()
         self.num_workers = num_workers
@@ -130,16 +124,6 @@ class SpinnerPartitioner:
         if self.engine not in ("dict", "vector"):
             raise ConfigurationError(
                 f"engine must be 'dict' or 'vector', got {self.engine!r}"
-            )
-        self.parallel = parallel if parallel is not None else self.config.parallel
-        if self.parallel < 1:
-            raise ConfigurationError(
-                f"parallel must be at least 1, got {self.parallel}"
-            )
-        if self.engine == "dict" and self.parallel > 1:
-            raise ConfigurationError(
-                "parallel execution requires the vector engine "
-                f"(engine='dict' with parallel={self.parallel})"
             )
         self.placement = placement
 
@@ -324,7 +308,6 @@ class SpinnerPartitioner:
             checkpoint_interval=self.config.checkpoint_interval,
             checkpoint_dir=self.config.checkpoint_dir,
             fault_plan=self.config.fault_plan,
-            parallel=self.parallel,
         )
         spinner_shard = build_spinner_shard(engine, graph)
         original_ids = spinner_shard.shard.original_ids.tolist()

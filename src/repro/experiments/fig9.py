@@ -40,13 +40,10 @@ def run_fig9(
     applications: tuple[str, ...] = FIG9_APPLICATIONS,
     scale: ExperimentScale | None = None,
     engine: str = "dict",
-    parallel: int = 1,
 ) -> list[dict]:
     """Return one row per (application, dataset) with the runtime improvement.
 
-    ``engine`` selects the Pregel runtime (``"dict"`` or ``"vector"``);
-    ``parallel`` spreads the vector engine's supersteps over that many
-    shared-memory worker processes (reported statistics are identical).
+    ``engine`` selects the Pregel runtime (``"dict"`` or ``"vector"``).
     """
     scale = scale or ExperimentScale.default()
     rows: list[dict] = []
@@ -63,7 +60,6 @@ def run_fig9(
                 graph,
                 num_workers=num_partitions,
                 engine=engine,
-                parallel=parallel,
             )
             spinner_run = run_application(
                 _make_program(app, source, engine),
@@ -71,7 +67,6 @@ def run_fig9(
                 num_workers=num_partitions,
                 assignment=assignment,
                 engine=engine,
-                parallel=parallel,
             )
             rows.append(
                 {

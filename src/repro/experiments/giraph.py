@@ -26,11 +26,8 @@ from repro.graph.undirected import UndirectedGraph
 from repro.pregel.cost_model import ClusterCostModel, RunStats
 from repro.pregel.engine import PregelEngine, PregelResult
 from repro.pregel.program import VertexProgram
-from repro.pregel.vector_engine import (
-    BatchVertexProgram,
-    VectorPregelEngine,
-    VectorPregelResult,
-)
+from repro.pregel.batch import BatchVertexProgram
+from repro.pregel.vector_coordinator import VectorPregelEngine, VectorPregelResult
 from repro.pregel.worker import hash_placement, partition_placement
 
 
@@ -83,7 +80,6 @@ def run_application(
     checkpoint_interval: int | None = None,
     checkpoint_dir: str | None = None,
     fault_plan: FaultPlan | None = None,
-    parallel: int = 1,
 ) -> ApplicationRun:
     """Run ``program`` on ``graph`` with hash or Spinner-driven placement.
 
@@ -93,15 +89,9 @@ def run_application(
     ``"vector"`` executes a :class:`BatchVertexProgram` on the array-native
     :class:`VectorPregelEngine`; both report the same statistics.  The
     checkpoint/fault knobs are forwarded to the engine unchanged (see
-    :class:`PregelEngine`).  ``parallel`` selects the vector engine's
-    shared-memory multiprocess executor (bit-exact with serial); the
-    dictionary engine rejects values greater than 1.
+    :class:`PregelEngine`).
     """
     cost_model = cost_model or ClusterCostModel()
-    if parallel > 1 and engine != "vector":
-        raise PregelError(
-            f"parallel execution requires the vector engine (got engine={engine!r})"
-        )
     if assignment is None:
         placement = hash_placement(num_workers)
         placement_name = "hash"
@@ -131,7 +121,6 @@ def run_application(
             checkpoint_interval=checkpoint_interval,
             checkpoint_dir=checkpoint_dir,
             fault_plan=fault_plan,
-            parallel=parallel,
         )
     else:
         raise PregelError(f"unknown engine {engine!r} (expected 'dict' or 'vector')")

@@ -30,15 +30,12 @@ def run_table4(
     pagerank_iterations: int = 10,
     scale: ExperimentScale | None = None,
     engine: str = "dict",
-    parallel: int = 1,
 ) -> list[dict]:
     """Return one row per approach with mean/max/min superstep worker time.
 
     ``engine`` selects the Pregel runtime (``"dict"`` or ``"vector"``); the
     two produce identical statistics, the vector engine just gets there
-    orders of magnitude faster on large proxies.  ``parallel`` spreads the
-    vector engine's supersteps over that many shared-memory worker
-    processes (statistics unchanged — the executors are bit-exact).
+    orders of magnitude faster on large proxies.
     """
     scale = scale or ExperimentScale.default()
     graph = twitter_proxy(scale=scale.graph_scale, seed=scale.seed)
@@ -55,7 +52,6 @@ def run_table4(
             num_workers=num_workers,
             assignment=placement_assignment,
             engine=engine,
-            parallel=parallel,
         )
         per_superstep = run.superstep_times()
         means = np.array([row["mean"] for row in per_superstep])

@@ -33,8 +33,6 @@ used in the paper's tables:
 ``spinner-pregel-vector``
     Same computation pinned to the array-native vector engine
     (bit-exact with ``spinner-pregel``, orders of magnitude faster).
-    Accepts ``parallel=N`` to run the supersteps across ``N``
-    shared-memory worker processes, still bit-exact with serial.
 
 The three Spinner entries accept a ``config=SpinnerConfig(...)`` keyword
 (paper defaults: ``c = 1.05``, ``epsilon = 0.001``, ``w = 5``); all

@@ -74,9 +74,7 @@ class SpinnerPregelAdapter(Partitioner):
     The ``engine`` argument selects the runtime — ``"dict"`` for the
     per-vertex reference engine, ``"vector"`` for the array-native
     sharded engine (bit-exact, much faster) — and defaults to
-    ``config.engine``.  ``parallel`` selects the vector engine's
-    shared-memory multiprocess executor (``N`` shard-group processes,
-    bit-exact with serial); it defaults to ``config.parallel``.
+    ``config.engine``.
     """
 
     name = "spinner-pregel"
@@ -86,12 +84,10 @@ class SpinnerPregelAdapter(Partitioner):
         config: SpinnerConfig | None = None,
         num_workers: int = 4,
         engine: str | None = None,
-        parallel: int | None = None,
     ) -> None:
         self.config = config if config is not None else SpinnerConfig()
         self.num_workers = num_workers
         self.engine = engine if engine is not None else self.config.engine
-        self.parallel = parallel
 
     def partition(
         self, graph: UndirectedGraph | DiGraph, num_partitions: int
@@ -101,6 +97,5 @@ class SpinnerPregelAdapter(Partitioner):
             self.config,
             num_workers=self.num_workers,
             engine=self.engine,
-            parallel=self.parallel,
         )
         return partitioner.partition(graph, num_partitions).assignment

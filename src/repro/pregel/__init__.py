@@ -17,20 +17,16 @@ faithful single-process simulation of that model:
   remote messages differently and derives a simulated superstep time as the
   maximum over workers — the quantity behind Table IV and Figure 9.
 
-Two runtimes execute this model: the dictionary engine
-(:class:`~repro.pregel.engine.PregelEngine`, one Python ``compute`` call
-per vertex per superstep) and the array-native sharded vector engine
-(:class:`~repro.pregel.vector_engine.VectorPregelEngine`, one batch
-compute per superstep over NumPy arrays) — same semantics, same
+Two runtimes execute this model, both in one process: the dictionary
+engine (:class:`~repro.pregel.engine.PregelEngine`, one Python
+``compute`` call per vertex per superstep) and the array-native sharded
+vector engine (:class:`~repro.pregel.vector_coordinator.VectorPregelEngine`,
+one batch compute per superstep over NumPy arrays, with the program
+interface in :mod:`repro.pregel.batch`) — same semantics, same
 statistics, different program interface and orders of magnitude apart in
-throughput.
-
-The vector engine delegates its per-superstep execution to a pluggable
-:class:`~repro.pregel.executor.SuperstepExecutor`: the in-process
-:class:`~repro.pregel.serial_executor.SerialExecutor` (default) or the
-:class:`~repro.pregel.shm_executor.SharedMemoryExecutor`, which runs the
-supersteps across ``parallel=N`` OS processes over shared memory —
-bit-exact with serial for every program.
+throughput.  The simulated workers are the unit of parallelism: the
+cost model charges each superstep at its slowest worker, as a Giraph
+cluster would.
 
 Both runtimes share the fault-tolerance subsystem
 (:mod:`repro.pregel.checkpoint` + :mod:`repro.faults`): superstep-boundary
@@ -46,6 +42,14 @@ from repro.pregel.aggregators import (
     MaxAggregator,
     MinAggregator,
 )
+from repro.pregel.batch import (
+    BatchComputeContext,
+    BatchStep,
+    BatchVertexProgram,
+    DeliveredMessages,
+    Outbox,
+    ShardedGraph,
+)
 from repro.pregel.checkpoint import (
     CheckpointManager,
     Snapshot,
@@ -55,21 +59,9 @@ from repro.pregel.checkpoint import (
 )
 from repro.pregel.cost_model import ClusterCostModel, SuperstepStats
 from repro.pregel.engine import PregelEngine, PregelResult
-from repro.pregel.executor import ShardGroupView, SuperstepExecutor, plan_worker_groups
 from repro.pregel.master import MasterCompute
 from repro.pregel.program import ComputeContext, VertexProgram
-from repro.pregel.serial_executor import SerialExecutor
-from repro.pregel.shm_executor import SharedMemoryExecutor
-from repro.pregel.vector_engine import (
-    BatchComputeContext,
-    BatchStep,
-    BatchVertexProgram,
-    DeliveredMessages,
-    Outbox,
-    ShardedGraph,
-    VectorPregelEngine,
-    VectorPregelResult,
-)
+from repro.pregel.vector_coordinator import VectorPregelEngine, VectorPregelResult
 from repro.pregel.vertex import Vertex
 
 __all__ = [
@@ -89,12 +81,8 @@ __all__ = [
     "Outbox",
     "PregelEngine",
     "PregelResult",
-    "SerialExecutor",
-    "ShardGroupView",
-    "SharedMemoryExecutor",
     "ShardedGraph",
     "Snapshot",
-    "SuperstepExecutor",
     "SuperstepStats",
     "VectorPregelEngine",
     "VectorPregelResult",
@@ -102,6 +90,5 @@ __all__ = [
     "VertexProgram",
     "load_latest_snapshot",
     "load_snapshot",
-    "plan_worker_groups",
     "resume_from_checkpoint",
 ]

@@ -1,13 +1,12 @@
-"""Batch (array-native) Pregel primitives shared by all executors.
+"""Batch (array-native) Pregel primitives of the vector runtime.
 
 This module holds the data-plane vocabulary of the vector runtime —
 :class:`ShardedGraph`, :class:`Outbox`, :class:`BatchStep`,
 :class:`DeliveredMessages`, :class:`BatchComputeContext` and
-:class:`BatchVertexProgram` — extracted from the former monolithic
-``vector_engine.py`` so that superstep *executors* (serial or
-shared-memory multiprocess, see :mod:`repro.pregel.executor`) can share
-them.  The canonical-ordering contract that makes the vector runtime
-bit-exact with the dictionary engine lives here:
+:class:`BatchVertexProgram` — which the engine itself
+(:mod:`repro.pregel.vector_coordinator`) drives.  The canonical-ordering
+contract that makes the vector runtime bit-exact with the dictionary
+engine lives here:
 
 * ``vertex_order`` visits vertices worker-major (stable), exactly like
   the dictionary engine's per-worker loops;
@@ -18,11 +17,6 @@ bit-exact with the dictionary engine lives here:
 * the aggregation helpers (:meth:`BatchComputeContext.aggregate_sequential`
   and :meth:`BatchComputeContext.aggregate_keyed`) accumulate strictly
   sequentially over that canonical order.
-
-The context additionally exposes *portion* hooks (``owned_vertices``,
-``owned_source_mask``, ``global_mask_span``) that the shared-memory
-executor's per-group context overrides; over the full graph they are
-identities, so serial programs pay nothing for them.
 """
 
 from __future__ import annotations
@@ -53,11 +47,6 @@ class ShardedGraph:
         exactly the dictionary engine's send order, so a sequential
         per-target reduction (``np.bincount``) sums them in the same
         order as Python's ``sum`` over a message list.
-
-    ``worker_lo`` / ``worker_hi`` describe the worker range the object
-    covers — always ``[0, num_workers)`` here; the shared-memory
-    executor's :class:`~repro.pregel.executor.ShardGroupView` narrows
-    them so programs can treat full shards and group views uniformly.
     """
 
     def __init__(
@@ -75,8 +64,6 @@ class ShardedGraph:
         self.original_ids = np.asarray(original_ids, dtype=np.int64)
         self.worker_of = np.asarray(worker_of, dtype=np.int64)
         self.num_workers = num_workers
-        self.worker_lo = 0
-        self.worker_hi = num_workers
         self.num_vertices = self.indptr.shape[0] - 1
         self.degrees = np.diff(self.indptr)
 
@@ -209,12 +196,6 @@ class BatchComputeContext:
     message at a time; this context instead builds whole outboxes with
     array operations, preserving the canonical ordering the equivalence
     guarantee rests on.
-
-    ``shard`` may be a full :class:`ShardedGraph` (serial executor) or a
-    :class:`~repro.pregel.executor.ShardGroupView` covering a contiguous
-    worker range (shared-memory executor); the send and aggregation
-    helpers then operate on that portion's canonical slots, and the
-    executor merges portions back in canonical order.
     """
 
     def __init__(
@@ -280,14 +261,7 @@ class BatchComputeContext:
 
     # ------------------------------------------------------------------
     def aggregate(self, name: str, value: Any) -> None:
-        """Contribute a single value to the named aggregator.
-
-        Under the shared-memory executor this runs once per shard group,
-        so the contribution must be a *portion-local partial* (e.g. a
-        count over this portion's vertices) under a sum-like aggregator;
-        whole-graph constants would be double-counted.  The canonical
-        helpers below have no such restriction.
-        """
+        """Contribute a single value to the named aggregator."""
         self._aggregators.aggregate(name, value)
 
     def aggregated_value(self, name: str) -> Any:
@@ -337,39 +311,6 @@ class BatchComputeContext:
         for key in range(num_keys):
             self._aggregators.aggregate(name_fn(key), float(sums[key]))
 
-    # ------------------------------------------------------------------
-    # portion hooks (identities over a full shard; the shared-memory
-    # executor's per-group context narrows them to its worker range)
-    # ------------------------------------------------------------------
-    def owned_vertices(self) -> np.ndarray | None:
-        """Dense ids this context's portion owns, or ``None`` for all.
-
-        Programs that publish state into a preallocated array should
-        write only these positions when the result is not ``None``.
-        """
-        return None
-
-    def owned_source_mask(self, sources: np.ndarray) -> np.ndarray | None:
-        """Mask of ``sources`` owned by this portion, or ``None`` for all.
-
-        Lets a program restrict a precomputed send schedule (e.g.
-        Spinner's directed-edge plan) to the senders this portion owns;
-        ``None`` means the whole schedule applies unchanged.
-        """
-        return None
-
-    def global_mask_span(self, mask: np.ndarray) -> tuple[int, int]:
-        """``(total, offset)`` of masked vertices in global canonical order.
-
-        ``total`` counts masked vertices over the whole graph; ``offset``
-        counts those ordered before this portion's first vertex.  Batch
-        programs use this to slice one global RNG block deterministically
-        across portions (every portion draws the full block and keeps its
-        own span, so all RNG streams stay synchronized).
-        """
-        flags = mask[self.shard.vertex_order]
-        return int(flags.sum()), 0
-
 
 class BatchVertexProgram:
     """Base class for batch (array-native) vertex programs.
@@ -385,16 +326,12 @@ class BatchVertexProgram:
     dictionary engine.  The ``pre_superstep`` / ``post_superstep`` hooks
     keep the dictionary-engine signature but run for *all* workers before
     respectively after the batch compute (the batch is one barrier, so
-    there is no per-worker interleaving to preserve).  Under the
-    shared-memory executor the hooks run in the coordinator process on
-    its program copy — programs whose hooks mutate program state are not
-    supported in parallel mode (the stock programs' hooks are no-ops).
+    there is no per-worker interleaving to preserve).
 
     Contract of the returned :class:`BatchStep`: ``values`` is the full
     post-superstep value array (coerced to ``float64``); ``outbox``
     holds the messages to deliver next superstep in canonical
-    (worker-major) order — restricted to the context's portion when one
-    is active; ``votes`` is applied only where a vertex computed (message
+    (worker-major) order; ``votes`` is applied only where a vertex computed (message
     arrival re-activates a halted vertex, as in Pregel); the optional
     ``edges_scanned`` overrides the per-vertex edge counts charged to the
     cost-model statistics.
@@ -430,31 +367,3 @@ class BatchVertexProgram:
         aggregators: AggregatorRegistry,
     ) -> None:
         """Per-worker hook after the batch compute."""
-
-    # ------------------------------------------------------------------
-    # shared-state protocol (used by the shared-memory executor)
-    # ------------------------------------------------------------------
-    def shared_state(self) -> dict[str, np.ndarray]:
-        """Named dense arrays that must be shared across shard groups.
-
-        The shared-memory executor places these in shared memory and
-        rebinds every group's program to the shared copies via
-        :meth:`adopt_shared_state`, so in-place owned-slice writes (e.g.
-        Spinner's label migrations) become visible to all groups at the
-        next barrier.  The default — no shared state — suits stateless
-        programs like the bundled apps.
-        """
-        return {}
-
-    def adopt_shared_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Rebind the program's shared arrays to executor-provided storage."""
-
-    def max_outbox_messages(self, shard: ShardedGraph) -> int:
-        """Upper bound on outbox size for one superstep over ``shard``.
-
-        Sizes the shared-memory executor's preallocated outbox buffers.
-        The default covers programs that send along the shard's own
-        out-edges at most once per slot; programs with custom send
-        schedules must override.
-        """
-        return int(shard.send_src.shape[0])

@@ -394,7 +394,7 @@ def resume_from_checkpoint(
     into the same directory at the original interval.  Returns the
     engine's result object
     (:class:`~repro.pregel.engine.PregelResult` or
-    :class:`~repro.pregel.vector_engine.VectorPregelResult`).  A
+    :class:`~repro.pregel.vector_coordinator.VectorPregelResult`).  A
     ``fault_plan`` may be supplied to keep injecting faults into the
     resumed run; by default it resumes clean.
     """
@@ -403,6 +403,6 @@ def resume_from_checkpoint(
         from repro.pregel.engine import PregelEngine
 
         return PregelEngine._resume_from_snapshot(snap, checkpoint_dir, fault_plan)
-    from repro.pregel.vector_engine import VectorPregelEngine
+    from repro.pregel.vector_coordinator import VectorPregelEngine
 
     return VectorPregelEngine._resume_from_snapshot(snap, checkpoint_dir, fault_plan)

@@ -1,260 +1,22 @@
-"""Superstep-executor protocol for the vector Pregel runtime.
+"""Superstep kernels of the vector Pregel runtime.
 
-The vector coordinator (:mod:`repro.pregel.vector_coordinator`) owns the
-outer superstep protocol — checkpoints, master compute, quiescence,
-fault injection — and delegates the data plane of every superstep to a
-:class:`SuperstepExecutor`:
-
-* :class:`~repro.pregel.serial_executor.SerialExecutor` runs the batch
-  program in-process over the full shard (the bit-exact reference,
-  extracted from the former monolithic engine by code motion);
-* :class:`~repro.pregel.shm_executor.SharedMemoryExecutor` partitions
-  the simulated workers into contiguous *shard groups*, each driven by a
-  persistent OS process over shared-memory arrays.
-
-This module holds the pieces both backends (and their tests) share: the
-executor protocol itself, :class:`ShardGroupView` (a worker-range window
-onto a :class:`~repro.pregel.batch.ShardedGraph`),
-:class:`GroupComputeContext` (a context that *logs* aggregation calls
-for deterministic replay on the coordinator), the log replay, and the
-statistics/delivery kernels whose canonical-order math underpins the
-byte-identical-across-backends guarantee.
+The vector coordinator (:mod:`repro.pregel.vector_coordinator`) runs each
+superstep as compute → deliver → commit over whole-graph arrays.  This
+module holds the array kernels those steps share: the per-worker
+statistics bincounts, their assembly into a
+:class:`~repro.pregel.cost_model.SuperstepStats`, and the per-target
+message combination whose canonical-order math underpins the bit-exact
+equivalence with the dictionary engine.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
-
 import numpy as np
 
-from repro.errors import AggregatorError, PregelError
-from repro.pregel.aggregators import AggregatorRegistry
-from repro.pregel.batch import (
-    BatchComputeContext,
-    DeliveredMessages,
-    Outbox,
-    ShardedGraph,
-    _neutral_payload,
-)
-from repro.pregel.cost_model import RunStats, SuperstepStats, WorkerStats
+from repro.pregel.batch import Outbox, ShardedGraph, _neutral_payload
+from repro.pregel.cost_model import SuperstepStats, WorkerStats
 
 
-def plan_worker_groups(num_workers: int, parallel: int) -> list[tuple[int, int]]:
-    """Partition ``num_workers`` simulated workers into contiguous groups.
-
-    Returns ``parallel`` (or fewer, if there are not enough workers)
-    ``(lo, hi)`` half-open worker ranges of near-equal size, in worker
-    order.  Contiguity is load-bearing: concatenating per-group results
-    in group order then equals the global canonical (worker-major) order.
-    """
-    num_groups = max(1, min(parallel, num_workers))
-    bounds = np.linspace(0, num_workers, num_groups + 1).astype(np.int64)
-    return [(int(bounds[g]), int(bounds[g + 1])) for g in range(num_groups)]
-
-
-class ShardGroupView:
-    """A contiguous worker-range window onto a :class:`ShardedGraph`.
-
-    Duck-types the shard attributes batch programs touch.  Whole-graph
-    arrays (``indptr``, ``adj_targets``, ``worker_of``, ``degrees``, …)
-    are shared references; the canonical per-worker arrays
-    (``vertex_order``, ``send_src``/``send_dst``/``send_weight``) are
-    *slices* covering only workers ``[worker_lo, worker_hi)``, and the
-    boundary arrays (``shard_indptr``, ``send_indptr``) are rebased so
-    group-relative worker indexing works unchanged — a program written
-    against a full shard runs against a view and simply computes its
-    portion.  ``num_workers`` is the group's worker count; the global
-    count lives on the underlying shard.
-    """
-
-    def __init__(self, shard: ShardedGraph, worker_lo: int, worker_hi: int) -> None:
-        self.indptr = shard.indptr
-        self.adj_targets = shard.adj_targets
-        self.adj_weights = shard.adj_weights
-        self.original_ids = shard.original_ids
-        self.worker_of = shard.worker_of
-        self.num_vertices = shard.num_vertices
-        self.degrees = shard.degrees
-        self.worker_lo = worker_lo
-        self.worker_hi = worker_hi
-        self.num_workers = worker_hi - worker_lo
-
-        vertex_lo = int(shard.shard_indptr[worker_lo])
-        vertex_hi = int(shard.shard_indptr[worker_hi])
-        self.vertex_order = shard.vertex_order[vertex_lo:vertex_hi]
-        self.shard_indptr = shard.shard_indptr[worker_lo : worker_hi + 1] - vertex_lo
-        #: Position of this group's first vertex in the global canonical
-        #: order (for global-order offsets, e.g. RNG block slicing).
-        self.vertex_offset = vertex_lo
-        self.global_vertex_order = shard.vertex_order
-
-        send_lo = int(shard.send_indptr[worker_lo])
-        send_hi = int(shard.send_indptr[worker_hi])
-        self.send_src = shard.send_src[send_lo:send_hi]
-        self.send_dst = shard.send_dst[send_lo:send_hi]
-        self.send_weight = shard.send_weight[send_lo:send_hi]
-        self.send_src_worker = shard.send_src_worker[send_lo:send_hi]
-        self.send_indptr = shard.send_indptr[worker_lo : worker_hi + 1] - send_lo
-
-    def shard_vertices(self, worker: int) -> np.ndarray:
-        """Dense vertex ids of group-relative ``worker``, placement order."""
-        return self.vertex_order[self.shard_indptr[worker] : self.shard_indptr[worker + 1]]
-
-    def send_buffer(self, worker: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Out-edge slice of group-relative ``worker``."""
-        start, end = self.send_indptr[worker], self.send_indptr[worker + 1]
-        return (
-            self.send_src[start:end],
-            self.send_dst[start:end],
-            self.send_weight[start:end],
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"ShardGroupView(workers=[{self.worker_lo}, {self.worker_hi}), "
-            f"|V_owned|={self.vertex_order.shape[0]})"
-        )
-
-
-class GroupComputeContext(BatchComputeContext):
-    """Compute context for one shard group of the shared-memory backend.
-
-    Aggregation calls cannot run against a live registry inside a worker
-    process (floating-point accumulation order across groups would then
-    depend on scheduling), so this context *records* every call as an
-    entry in an ordered log — shipping the raw canonically-ordered
-    operands, not partial sums — and the coordinator replays the logs of
-    all groups in group order through :func:`replay_aggregation_logs`,
-    reproducing the serial accumulation bit for bit.  Reads
-    (:meth:`aggregated_value`) come from a snapshot of the previous
-    superstep's values shipped with the step request.
-    """
-
-    def __init__(
-        self,
-        superstep: int,
-        view: ShardGroupView,
-        values: np.ndarray,
-        computed: np.ndarray,
-        aggregated: dict[str, Any],
-    ) -> None:
-        super().__init__(superstep, view, values, computed, None)
-        self._aggregated = aggregated
-        self._log: list[tuple[Any, ...]] = []
-
-    def aggregate(self, name: str, value: Any) -> None:
-        """Record a scalar contribution (replayed once per group).
-
-        Under replay each group's scalar becomes one ``aggregate`` call,
-        so the contribution must be a portion-local partial under an
-        order-insensitive (integer-sum-like) aggregator; the stock
-        programs only use this for the integer migration counter.
-        """
-        self._log.append(("scalar", name, value))
-
-    def aggregated_value(self, name: str) -> Any:
-        """Previous-superstep aggregator value from the shipped snapshot."""
-        try:
-            return self._aggregated[name]
-        except KeyError:
-            raise AggregatorError(f"aggregator {name!r} is not registered") from None
-
-    def aggregate_sequential(
-        self, name: str, per_vertex: np.ndarray, mask: np.ndarray
-    ) -> None:
-        """Record this portion's canonically-ordered operand array."""
-        order = self.shard.vertex_order
-        selected = np.asarray(per_vertex, dtype=np.float64)[order][mask[order]]
-        self._log.append(("seq", name, selected))
-
-    def aggregate_keyed(
-        self,
-        name_fn: Callable[[int], str],
-        keys: np.ndarray,
-        weights: np.ndarray,
-        num_keys: int,
-        mask: np.ndarray | None = None,
-    ) -> None:
-        """Record this portion's canonically-ordered ``(key, weight)`` pairs.
-
-        The aggregator names are resolved eagerly (``name_fn`` need not
-        survive pickling back to the coordinator).
-        """
-        order = self.shard.vertex_order
-        ordered_keys = np.asarray(keys)[order]
-        ordered_weights = np.asarray(weights, dtype=np.float64)[order]
-        if mask is not None:
-            ordered_mask = mask[order]
-            ordered_keys = ordered_keys[ordered_mask]
-            ordered_weights = ordered_weights[ordered_mask]
-        names = tuple(name_fn(key) for key in range(num_keys))
-        self._log.append(("keyed", names, ordered_keys, ordered_weights, num_keys))
-
-    def owned_vertices(self) -> np.ndarray | None:
-        """The group's canonical vertex list (programs publish only these)."""
-        return self.shard.vertex_order
-
-    def owned_source_mask(self, sources: np.ndarray) -> np.ndarray | None:
-        """Mask of schedule entries whose source this group owns."""
-        workers = self.shard.worker_of[sources]
-        return (workers >= self.shard.worker_lo) & (workers < self.shard.worker_hi)
-
-    def global_mask_span(self, mask: np.ndarray) -> tuple[int, int]:
-        """Global masked count plus this group's offset in canonical order."""
-        flags = mask[self.shard.global_vertex_order]
-        return int(flags.sum()), int(flags[: self.shard.vertex_offset].sum())
-
-    def take_log(self) -> list[tuple[Any, ...]]:
-        """Drain and return the recorded aggregation log."""
-        log = self._log
-        self._log = []
-        return log
-
-
-def replay_aggregation_logs(
-    aggregators: AggregatorRegistry, logs: list[list[tuple[Any, ...]]]
-) -> None:
-    """Replay per-group aggregation logs in canonical order.
-
-    ``logs`` is one log per shard group, in group (worker-major) order.
-    Every group must have recorded the *same* call sequence — same
-    length, kinds and aggregator names — because batch programs make
-    aggregation calls unconditionally of which portion they compute (the
-    contract that keeps replay deterministic); divergence is an error,
-    not a silent reorder.  ``seq``/``keyed`` entries concatenate the raw
-    operands group by group — group contiguity makes that concatenation
-    the global canonical order — and apply the exact serial reduction
-    (sequential ``cumsum`` / ``bincount``), so every aggregator receives
-    bit-for-bit the serial executor's contributions.
-    """
-    diverged = PregelError("aggregation call sequences diverged across shard groups")
-    length = len(logs[0]) if logs else 0
-    if any(len(log) != length for log in logs):
-        raise diverged
-    for index in range(length):
-        entries = [log[index] for log in logs]
-        kind, name = entries[0][0], entries[0][1]
-        if any(entry[0] != kind or entry[1] != name for entry in entries):
-            raise diverged
-        if kind == "scalar":
-            for entry in entries:
-                aggregators.aggregate(name, entry[2])
-        elif kind == "seq":
-            selected = np.concatenate([entry[2] for entry in entries])
-            if selected.size:
-                aggregators.aggregate(name, float(selected.cumsum()[-1]))
-        else:  # keyed
-            num_keys = entries[0][4]
-            keys = np.concatenate([entry[2] for entry in entries])
-            weights = np.concatenate([entry[3] for entry in entries])
-            sums = np.bincount(keys, weights=weights, minlength=num_keys)
-            for key in range(num_keys):
-                aggregators.aggregate(name[key], float(sums[key]))
-
-
-# ----------------------------------------------------------------------
-# shared superstep kernels (identical math in both backends)
-# ----------------------------------------------------------------------
 def superstep_stats_arrays(
     shard: ShardedGraph,
     num_workers: int,
@@ -267,10 +29,7 @@ def superstep_stats_arrays(
 
     Returns ``(vertices_per_worker, edges_per_worker, message_counts)``
     with ``message_counts[2w]`` the remote and ``message_counts[2w + 1]``
-    the local sends of worker ``w``.  ``num_workers`` is always the
-    *global* worker count: a shard group passes its view, whose outbox
-    sources are all group-owned, so its bincounts fill exactly its own
-    worker rows and the group rows assemble into the serial arrays.
+    the local sends of worker ``w``.
     """
     worker_of = shard.worker_of
     edge_counts = shard.degrees if edges_scanned is None else edges_scanned
@@ -342,62 +101,3 @@ def combine_messages(
         payload = np.full(num_vertices, np.inf, dtype=np.float64)
         np.minimum.at(payload, targets, payloads)
     return has_message, payload
-
-
-class SuperstepExecutor:
-    """Backend that executes the data plane of each vector superstep.
-
-    The coordinator drives one executor through a fixed per-superstep
-    sequence — ``compute`` (batch program + statistics), ``deliver``
-    (message combination; the barrier in the parallel backend),
-    ``commit`` (publish the superstep's new state) — plus lifecycle
-    hooks for start/recovery/teardown and the fault-injection bridge
-    (:meth:`kill_worker`).  State lives in the coordinator's
-    ``_VectorRunState``; executors may return views into their own
-    storage, which ``commit`` rebinds into the state.
-    """
-
-    def start(self, shard: ShardedGraph, state: Any) -> None:
-        """Bind to the shard and initial run state (allocate resources)."""
-        raise NotImplementedError
-
-    def compute(self, state: Any, superstep: int, run_stats: RunStats) -> Any:
-        """Run the batch program for one superstep.
-
-        Appends the superstep's statistics to ``run_stats`` and performs
-        the program's aggregation calls against ``state.aggregators``
-        (directly or via log replay).  Returns an opaque outcome object
-        consumed by :meth:`deliver` and :meth:`commit`.
-        """
-        raise NotImplementedError
-
-    def deliver(
-        self, superstep: int, outcome: Any, state: Any, run_stats: RunStats
-    ) -> DeliveredMessages:
-        """Combine the superstep's outbox into next-superstep messages.
-
-        Raises :class:`~repro.errors.PregelError` on unknown targets
-        unless the engine drops them (counted in ``run_stats``).
-        """
-        raise NotImplementedError
-
-    def commit(self, state: Any, outcome: Any, delivered: DeliveredMessages) -> None:
-        """Publish the superstep's values/halted/messages into ``state``."""
-        raise NotImplementedError
-
-    def kill_worker(self, worker: int) -> None:
-        """Fault-injection bridge: take down the simulated worker's host."""
-
-    def checkpoint_program(self, state: Any) -> Any:
-        """The program object a checkpoint should persist."""
-        return state.program
-
-    def reset(self, state: Any) -> None:
-        """Rebind to ``state`` restored from a snapshot (crash recovery)."""
-
-    def export_values(self, state: Any) -> np.ndarray:
-        """Final value array, detached from executor-owned storage."""
-        return state.values
-
-    def close(self) -> None:
-        """Release all resources; must be idempotent and exception-safe."""

@@ -7,21 +7,13 @@ with the same observable semantics as the dictionary engine
 reasons, aggregator histories and per-worker statistics are bit-exact,
 not approximate (``tests/test_vector_engine.py`` pins the contract).
 
-This module is the *control plane* only: graph sharding, the outer
-superstep protocol (checkpoints, master compute, quiescence, fault
-injection — shared with the dictionary engine via
-:mod:`repro.pregel.run_loop`) and result assembly.  The per-superstep
-data plane is delegated to a pluggable
-:class:`~repro.pregel.executor.SuperstepExecutor`:
-
-* ``parallel=1`` (default) — :class:`~repro.pregel.serial_executor.SerialExecutor`,
-  the in-process reference extracted from the former monolithic engine;
-* ``parallel=N`` — :class:`~repro.pregel.shm_executor.SharedMemoryExecutor`,
-  which hosts contiguous shard groups in ``N`` persistent OS processes
-  over shared-memory arrays, byte-identical to the serial backend.
-
-``repro.pregel.vector_engine`` remains the import location for existing
-code (it re-exports everything from the split modules).
+This module holds graph sharding, the outer superstep protocol
+(checkpoints, master compute, quiescence, fault injection — shared with
+the dictionary engine via :mod:`repro.pregel.run_loop`), the superstep
+itself — compute, deliver, commit, all in-process over whole-graph
+arrays, with the kernels in :mod:`repro.pregel.executor` — and result
+assembly.  The program interface and data-plane types live in
+:mod:`repro.pregel.batch`.
 """
 
 from __future__ import annotations
@@ -39,8 +31,10 @@ from repro.graph.digraph import DiGraph
 from repro.graph.undirected import UndirectedGraph
 from repro.pregel.aggregators import AggregatorRegistry
 from repro.pregel.batch import (
+    BatchComputeContext,
     BatchVertexProgram,
     DeliveredMessages,
+    Outbox,
     ShardedGraph,
     _dense_ids,
     _neutral_payload,
@@ -54,7 +48,11 @@ from repro.pregel.checkpoint import (
     validate_fault_tolerance_args as _validate_fault_tolerance_args,
 )
 from repro.pregel.cost_model import ClusterCostModel, RunStats
-from repro.pregel.executor import SuperstepExecutor
+from repro.pregel.executor import (
+    build_superstep_stats,
+    combine_messages,
+    superstep_stats_arrays,
+)
 from repro.pregel.master import MasterCompute
 from repro.pregel.run_loop import (
     finalize_run_stats,
@@ -62,8 +60,6 @@ from repro.pregel.run_loop import (
     run_with_recovery,
     superstep_preamble,
 )
-from repro.pregel.serial_executor import SerialExecutor
-from repro.pregel.shm_executor import SharedMemoryExecutor
 from repro.pregel.worker import PlacementFn, hash_placement
 
 
@@ -129,10 +125,6 @@ class VectorPregelEngine:
     as :class:`~repro.pregel.engine.PregelEngine` and produces the same
     statistics; only the program interface differs
     (:class:`BatchVertexProgram` instead of per-vertex ``compute``).
-
-    ``parallel`` selects the superstep executor: ``1`` runs the serial
-    in-process reference, ``N > 1`` runs ``N`` shard-group host
-    processes over shared memory with byte-identical results.
     """
 
     def __init__(
@@ -145,14 +137,11 @@ class VectorPregelEngine:
         checkpoint_interval: int | None = None,
         checkpoint_dir: str | os.PathLike | None = None,
         fault_plan: FaultPlan | None = None,
-        parallel: int = 1,
     ) -> None:
         if num_workers <= 0:
             raise PregelError("num_workers must be positive")
         if max_supersteps <= 0:
             raise PregelError("max_supersteps must be positive")
-        if parallel < 1:
-            raise PregelError("parallel must be positive")
         _validate_fault_tolerance_args(checkpoint_interval, checkpoint_dir, fault_plan)
         self.num_workers = num_workers
         self.placement = placement if placement is not None else hash_placement(num_workers)
@@ -162,7 +151,6 @@ class VectorPregelEngine:
         self.checkpoint_interval = checkpoint_interval
         self.checkpoint_dir = checkpoint_dir
         self.fault_plan = fault_plan
-        self.parallel = parallel
 
     # ------------------------------------------------------------------
     # graph loading
@@ -310,12 +298,6 @@ class VectorPregelEngine:
             state, shard, manager, self.fault_plan, RecoveryBookkeeping()
         )
 
-    def _make_executor(self) -> SuperstepExecutor:
-        """The superstep executor selected by ``parallel``."""
-        if self.parallel <= 1:
-            return SerialExecutor(self)
-        return SharedMemoryExecutor(self, self.parallel)
-
     def _execute(
         self,
         state: _VectorRunState,
@@ -330,42 +312,31 @@ class VectorPregelEngine:
         latest snapshot written this run; an exhausted ``max_recoveries``
         budget aborts with :class:`~repro.errors.RecoveryAbortedError`,
         leaving the checkpoint directory ready for
-        :func:`~repro.pregel.checkpoint.resume_from_checkpoint`.  The
-        executor is closed on every exit path (normal halt, abort,
-        KeyboardInterrupt), releasing worker processes and shared
-        memory.
+        :func:`~repro.pregel.checkpoint.resume_from_checkpoint`.
         """
-        executor = self._make_executor()
-        try:
-            executor.start(shard, state)
 
-            def restore() -> _VectorRunState:
-                snapshot = manager.load_latest(this_run_only=True)
-                restored = self._state_from_snapshot(snapshot)
-                executor.reset(restored)
-                return restored
+        def restore() -> _VectorRunState:
+            return self._state_from_snapshot(manager.load_latest(this_run_only=True))
 
-            def loop(current: _VectorRunState) -> VectorPregelResult:
-                return self._superstep_loop(
-                    current, shard, manager, plan, bookkeeping, executor
-                )
+        def loop(current: _VectorRunState) -> VectorPregelResult:
+            return self._superstep_loop(current, shard, manager, plan, bookkeeping)
 
-            return run_with_recovery(loop, state, restore, plan, bookkeeping)
-        finally:
-            executor.close()
+        return run_with_recovery(loop, state, restore, plan, bookkeeping)
 
     def _engine_params(self) -> dict[str, Any]:
         """Constructor arguments a snapshot needs to rebuild this engine.
 
         As in the dictionary engine, the placement function is excluded:
         the shard's ``worker_of`` array already encodes the placement.
+        Snapshots written by older versions may carry extra keys (such
+        as ``parallel``); :meth:`_resume_from_snapshot` reads only the
+        keys it names, so they resume unchanged.
         """
         return {
             "num_workers": self.num_workers,
             "cost_model": self.cost_model,
             "max_supersteps": self.max_supersteps,
             "drop_unknown_targets": self.drop_unknown_targets,
-            "parallel": self.parallel,
         }
 
     @staticmethod
@@ -411,7 +382,6 @@ class VectorPregelEngine:
             checkpoint_interval=snapshot.interval,
             checkpoint_dir=checkpoint_dir,
             fault_plan=fault_plan,
-            parallel=params.get("parallel", 1),
         )
         manager = CheckpointManager(checkpoint_dir, snapshot.interval, VECTOR_KIND)
         manager._written.add(snapshot.superstep)
@@ -448,7 +418,6 @@ class VectorPregelEngine:
         manager: CheckpointManager | None,
         plan: FaultPlan | None,
         bookkeeping: RecoveryBookkeeping,
-        executor: SuperstepExecutor,
     ) -> VectorPregelResult:
         program = state.program
         master = state.master
@@ -470,7 +439,7 @@ class VectorPregelEngine:
                 "msg_payload": state.incoming.payload,
             }
             objects = {
-                "program": executor.checkpoint_program(state),
+                "program": program,
                 "master": master,
                 "msg_count": state.incoming.count,
                 "run_stats": run_stats,
@@ -509,42 +478,43 @@ class VectorPregelEngine:
             # compute: the batch is one barrier, so a crashing worker
             # takes the whole superstep down, but the budget consumption
             # order matches the dictionary engine's per-worker probes.
-            # Under the shared-memory executor the crash takes down the
-            # real host process of the simulated worker first.
             if plan is not None:
                 for worker in range(self.num_workers):
                     if plan.crash_fires(superstep, worker):
-                        executor.kill_worker(worker)
                         raise InjectedWorkerCrash(superstep, worker)
 
             for store in worker_stores:
                 store.clear()
                 program.pre_superstep(superstep, store, aggregators)
 
-            outcome = executor.compute(state, superstep, run_stats)
+            values, halted, outbox, unknown = self._compute(state, shard, superstep)
 
             for store in worker_stores:
                 program.post_superstep(superstep, store, aggregators)
 
             record_aggregator_history(aggregators, aggregator_history)
 
-            delivered = executor.deliver(superstep, outcome, state, run_stats)
+            delivered = self._deliver(
+                superstep,
+                outbox,
+                unknown,
+                shard.num_vertices,
+                program.combine,
+                run_stats,
+            )
             # The synchronous barrier: transient delivery faults retry
             # here (simulated backoff) and may escalate to a crash.
             if plan is not None:
                 apply_delivery_faults(plan, superstep, bookkeeping)
 
-            executor.commit(state, outcome, delivered)
+            state.values = values
+            state.halted = halted
+            state.incoming = delivered
             state.superstep = superstep + 1
-            # Drop the loop's own references to executor-owned buffers:
-            # an injected crash next iteration propagates with this frame
-            # in its traceback, and stale views must not pin the
-            # shared-memory executor's segments past close().
-            del outcome, delivered
 
         finalize_run_stats(run_stats, bookkeeping)
         return VectorPregelResult(
-            values=executor.export_values(state),
+            values=state.values,
             original_ids=shard.original_ids,
             num_supersteps=state.superstep,
             stats=run_stats,
@@ -553,6 +523,82 @@ class VectorPregelEngine:
             halt_reason=halt_reason,
             master=master,
         )
+
+    def _compute(
+        self, state: _VectorRunState, shard: ShardedGraph, superstep: int
+    ) -> tuple[np.ndarray, np.ndarray, Outbox, np.ndarray]:
+        """Run the batch program over the shard for one superstep.
+
+        Appends the superstep's statistics to ``state.run_stats`` and
+        returns the new ``(values, halted)`` arrays, the outbox and its
+        unknown-target mask, pending delivery and commit.
+        """
+        incoming = state.incoming
+        # A message re-activates its target; already-active vertices
+        # compute regardless.
+        computed = incoming.has_message | ~state.halted
+
+        ctx = BatchComputeContext(
+            superstep, shard, state.values, computed, state.aggregators
+        )
+        step = state.program.compute_batch(shard, incoming, ctx)
+        values = np.asarray(step.values, dtype=np.float64)
+        votes = np.asarray(step.votes, dtype=bool)
+        halted = np.where(computed, votes, state.halted)
+
+        # Unknown-target mask, computed once and shared by the
+        # statistics and delivery passes.
+        outbox = step.outbox
+        unknown = (outbox.targets < 0) | (outbox.targets >= shard.num_vertices)
+
+        state.run_stats.superstep_stats.append(
+            build_superstep_stats(
+                superstep,
+                self.num_workers,
+                *superstep_stats_arrays(
+                    shard,
+                    self.num_workers,
+                    computed,
+                    outbox,
+                    unknown,
+                    step.edges_scanned,
+                ),
+            )
+        )
+        return values, halted, outbox, unknown
+
+    def _deliver(
+        self,
+        superstep: int,
+        outbox: Outbox,
+        unknown: np.ndarray,
+        num_vertices: int,
+        combine: str,
+        run_stats: RunStats,
+    ) -> DeliveredMessages:
+        """Combine the outbox per target vertex for the next superstep.
+
+        Raises :class:`~repro.errors.PregelError` on unknown targets
+        unless the engine drops them (counted in ``run_stats``).
+        """
+        targets = outbox.targets
+        payloads = outbox.payloads
+        if unknown.any():
+            if not self.drop_unknown_targets:
+                bad_ids = np.unique(targets[unknown])
+                raise PregelError(
+                    f"messages sent to {bad_ids.shape[0]} nonexistent "
+                    f"vertex id(s) during superstep {superstep} "
+                    f"(e.g. {bad_ids[:5].tolist()}); pass "
+                    "drop_unknown_targets=True to drop them instead"
+                )
+            run_stats.messages_dropped += int(unknown.sum())
+            targets = targets[~unknown]
+            payloads = payloads[~unknown]
+        has_message, payload = combine_messages(
+            targets, payloads, num_vertices, combine
+        )
+        return DeliveredMessages(has_message, payload, int(targets.size))
 
     # ------------------------------------------------------------------
     def run_on_csr(

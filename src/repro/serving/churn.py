@@ -28,10 +28,10 @@ previous labels are preserved, new vertices go to the least loaded
 partition (:mod:`repro.core.incremental`), and label propagation resumes
 from there on the configured engine — ``fast`` (the vectorized
 :class:`~repro.core.fast.FastSpinner`, honouring the ``ram``/``mmap``
-storage tier), or the ``dict``/``vector`` Pregel runtimes (the latter
-optionally across ``parallel`` OS processes).  A churn-triggered run is
-bit-identical to invoking the same engine's ``adapt_to_graph_changes``
-directly with the same seed, which the serving test suite pins.
+storage tier), or the ``dict``/``vector`` Pregel runtimes.  A
+churn-triggered run is bit-identical to invoking the same engine's
+``adapt_to_graph_changes`` directly with the same seed, which the
+serving test suite pins.
 """
 
 from __future__ import annotations
@@ -71,9 +71,6 @@ class ServingConfig:
     engine:
         Repartitioning engine: ``"fast"`` (FastSpinner, default),
         ``"dict"`` or ``"vector"`` (the Pregel runtimes).
-    parallel:
-        OS processes for the vector engine's shared-memory executor
-        (``engine="vector"`` only).
     num_workers:
         Simulated workers for the Pregel engines.
     spinner:
@@ -94,7 +91,6 @@ class ServingConfig:
     edge_threshold: int | None = 512
     phi_drift: float | None = None
     engine: str = "fast"
-    parallel: int = 1
     num_workers: int = 4
     spinner: SpinnerConfig = field(default_factory=SpinnerConfig)
     log_interval: float = 10.0
@@ -117,13 +113,6 @@ class ServingConfig:
         if self.engine not in SERVING_ENGINES:
             raise ServingError(
                 f"engine must be one of {SERVING_ENGINES}, got {self.engine!r}"
-            )
-        if self.parallel < 1:
-            raise ServingError(f"parallel must be >= 1, got {self.parallel}")
-        if self.parallel > 1 and self.engine != "vector":
-            raise ServingError(
-                "parallel > 1 requires engine='vector', "
-                f"got engine={self.engine!r}"
             )
         if self.log_interval < 0:
             raise ServingError(
@@ -235,7 +224,6 @@ class ChurnPipeline:
         return SpinnerPartitioner(
             config=self.config.spinner,
             engine=self.config.engine,
-            parallel=self.config.parallel,
             num_workers=self.config.num_workers,
         )
 

@@ -25,7 +25,7 @@ one JSON object on one line.  Operations:
 ``{"op": "stats"}``
     Counters, gauges, latency quantiles and pipeline signals
     (pending edges, estimated phi, in-flight flag, last migration
-    report).
+    report, failed background repartitions and the latest error).
 ``{"op": "quality"}``
     Exact ``phi``/``rho`` of the current snapshot on the live graph (an
     O(edges) pass — the ``stats`` gauges are the cheap alternative).
@@ -93,6 +93,32 @@ _REQUEST_ERRORS = (json.JSONDecodeError, ReproError, ValueError, TypeError)
 def _encode(response: dict) -> bytes:
     """Serialize one response as a JSON line (the wire format)."""
     return json.dumps(response).encode("utf-8") + b"\n"
+
+
+async def _read_request_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line, ``b""`` at EOF, or ``None`` if over-long.
+
+    A line longer than ``_LINE_LIMIT`` is discarded through its newline,
+    also when the rest of it has not arrived yet, so its tail is never
+    parsed as a request of its own; the caller answers it with one error.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    # The over-long bytes stay buffered: drop them and keep reading
+    # until the line's newline has been consumed too.
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 def _is_single_lookup(payload: dict) -> bool:
@@ -175,6 +201,11 @@ class ShardingService:
         self.store = AssignmentStore(config.num_partitions)
         self.pipeline = ChurnPipeline(graph, self.store, config, self.metrics)
         self.last_report = None
+        #: Background repartitions that raised, and the latest error
+        #: (``"ExceptionType: message"``); lookups keep answering from
+        #: the last published snapshot after a failure.
+        self.repartition_failures = 0
+        self.last_repartition_error: str | None = None
         if warm_start is not None:
             snapshot = self.store.warm_start(warm_start)
             self.pipeline.rebase(snapshot)
@@ -245,13 +276,13 @@ class ShardingService:
         buffered = getattr(reader, "_buffer", None)
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_request_line(reader)
+                if line == b"":
                     break
                 lines = [line]
                 if buffered is not None:
                     while len(lines) < max_batch and b"\n" in buffered:
-                        lines.append(await reader.readline())
+                        lines.append(await _read_request_line(reader))
                 stop_after = await self._respond_batch(lines, writer)
                 if stop_after:
                     assert self._stopped is not None
@@ -267,7 +298,7 @@ class ShardingService:
                 pass
 
     async def _respond_batch(
-        self, lines: list[bytes], writer: asyncio.StreamWriter
+        self, lines: list[bytes | None], writer: asyncio.StreamWriter
     ) -> bool:
         """Answer one drained batch with a single coalesced write.
 
@@ -323,8 +354,17 @@ class ShardingService:
         return stop_after
 
     @staticmethod
-    def _parse_line(line: bytes) -> tuple[dict | None, dict | None]:
-        """Decode one request line into ``(payload, error_response)``."""
+    def _parse_line(line: bytes | None) -> tuple[dict | None, dict | None]:
+        """Decode one request line into ``(payload, error_response)``.
+
+        ``None`` stands for a line that exceeded ``_LINE_LIMIT`` and was
+        discarded unread.
+        """
+        if line is None:
+            return None, {
+                "ok": False,
+                "error": f"request line exceeds {_LINE_LIMIT} bytes",
+            }
         try:
             payload = json.loads(line)
             if not isinstance(payload, dict):
@@ -490,8 +530,10 @@ class ShardingService:
         job = self.pipeline.freeze()
         try:
             outcome = await loop.run_in_executor(None, self.pipeline.execute, job)
-        except Exception:
+        except Exception as exc:
             self.pipeline.in_flight = False
+            self.repartition_failures += 1
+            self.last_repartition_error = f"{type(exc).__name__}: {exc}"
             logger.exception("background repartition failed")
             return
         report = self.pipeline.publish(job, outcome)
@@ -548,6 +590,8 @@ class ShardingService:
                 "estimated_phi": self.pipeline.estimated_phi(),
                 "estimated_drift": self.pipeline.estimated_drift(),
                 "repartition_in_flight": self.pipeline.in_flight,
+                "repartition_failures": self.repartition_failures,
+                "last_repartition_error": self.last_repartition_error,
             }
         )
         if self.last_report is not None:

@@ -23,7 +23,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import EdgeArrivalStream
 from repro.graph.generators import powerlaw_cluster, watts_strogatz
 from repro.graph.undirected import UndirectedGraph
-from repro.pregel.vector_engine import VectorPregelEngine
+from repro.pregel.vector_coordinator import VectorPregelEngine
 
 
 def _stride_placement(num_workers: int):

@@ -169,8 +169,6 @@ def test_warm_start_rejects_empty_file(tmp_path):
         {"num_partitions": 4, "phi_drift": 0.0},
         {"num_partitions": 4, "phi_drift": 1.5},
         {"num_partitions": 4, "engine": "metis"},
-        {"num_partitions": 4, "parallel": 0},
-        {"num_partitions": 4, "parallel": 2, "engine": "fast"},
         {"num_partitions": 4, "log_interval": -1.0},
     ],
 )
@@ -557,6 +555,113 @@ def test_malformed_request_line_is_an_error_not_a_crash():
         assert json.loads(reader.readline())["version"] == 1
     send_requests("127.0.0.1", port, [{"op": "shutdown"}])
     thread.join(timeout=30)
+
+
+def _small_line_limit_service(monkeypatch, limit=256):
+    from repro.serving import service as service_module
+
+    # The limit is read when the listener starts, so patch it first.
+    monkeypatch.setattr(service_module, "_LINE_LIMIT", limit)
+    graph = erdos_renyi(30, 60, seed=2)
+    config = ServingConfig(
+        num_partitions=2, spinner=SpinnerConfig(seed=2), log_interval=0.0
+    )
+    return _start_thread_service(ShardingService(graph, config))
+
+
+def test_over_long_line_with_buffered_newline_gets_one_error(monkeypatch):
+    thread, port = _small_line_limit_service(monkeypatch)
+    lookup = {"op": "lookup", "vertex": 0}
+    # Valid JSON, so only the length check can turn it into an error.
+    too_long = {"op": "lookup", "vertices": [0] * 400}
+    before, refused, after, version = send_requests(
+        "127.0.0.1",
+        port,
+        [lookup, too_long, lookup, {"op": "version"}],
+        pipeline=True,
+    )
+    assert before["ok"] and after == before
+    assert refused == {"ok": False, "error": "request line exceeds 256 bytes"}
+    assert version == {"ok": True, "version": 1}
+    send_requests("127.0.0.1", port, [{"op": "shutdown"}])
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+def test_over_long_line_still_arriving_is_discarded_through_its_newline(
+    monkeypatch,
+):
+    import socket
+    import time
+
+    thread, port = _small_line_limit_service(monkeypatch)
+    lookup = b'{"op": "lookup", "vertex": 0}\n'
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+        reader = conn.makefile("rb")
+        # The head of the over-long line arrives behind a lookup; its
+        # newline is not sent yet.
+        conn.sendall(lookup + b"x" * 600)
+        first = json.loads(reader.readline())
+        assert first["ok"]
+        time.sleep(0.2)
+        # The tail is itself a valid request: it must be discarded with
+        # the rest of the line, not answered.
+        conn.sendall(b'{"op": "version"}\n' + lookup)
+        assert json.loads(reader.readline()) == {
+            "ok": False,
+            "error": "request line exceeds 256 bytes",
+        }
+        assert json.loads(reader.readline()) == first
+        conn.sendall(b'{"op": "version"}\n')
+        assert json.loads(reader.readline()) == {"ok": True, "version": 1}
+    send_requests("127.0.0.1", port, [{"op": "shutdown"}])
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+def test_failed_background_repartition_shows_in_stats(monkeypatch):
+    import time
+
+    graph = _graph(seed=8, n=120)
+    config = ServingConfig(
+        num_partitions=4,
+        edge_threshold=5,
+        spinner=SpinnerConfig(seed=8),
+        log_interval=0.0,
+    )
+    service = ShardingService(graph, config)
+
+    def broken_execute(job):
+        raise ServingError("execute exploded")
+
+    monkeypatch.setattr(service.pipeline, "execute", broken_execute)
+    thread, port = _start_thread_service(service)
+    (stats,) = send_requests("127.0.0.1", port, [{"op": "stats"}])
+    assert stats["stats"]["repartition_failures"] == 0
+    assert stats["stats"]["last_repartition_error"] is None
+
+    burst = [
+        [int(u), int(v)]
+        for u, v, _ in random_new_edges(graph, 0.1, seed=2).added_edges
+    ]
+    (ingest,) = send_requests("127.0.0.1", port, [{"op": "ingest", "edges": burst}])
+    assert ingest["repartition_triggered"]
+    deadline = time.monotonic() + 30
+    while True:
+        (stats,) = send_requests("127.0.0.1", port, [{"op": "stats"}])
+        if stats["stats"]["repartition_failures"] or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    payload = stats["stats"]
+    assert payload["repartition_failures"] == 1
+    assert payload["last_repartition_error"] == "ServingError: execute exploded"
+    assert payload["repartition_in_flight"] is False
+    assert payload["version"] == 1
+    (lookup,) = send_requests("127.0.0.1", port, [{"op": "lookup", "vertex": 0}])
+    assert lookup["ok"] and lookup["version"] == 1
+    send_requests("127.0.0.1", port, [{"op": "shutdown"}])
+    thread.join(timeout=30)
+    assert not thread.is_alive()
 
 
 def test_warm_started_service_serves_saved_assignment(tmp_path):

@@ -17,12 +17,8 @@ from repro.graph.generators import barabasi_albert, watts_strogatz
 from repro.graph.undirected import UndirectedGraph
 from repro.pregel.engine import PregelEngine
 from repro.pregel.master import MasterCompute
-from repro.pregel.vector_engine import (
-    BatchStep,
-    BatchVertexProgram,
-    Outbox,
-    VectorPregelEngine,
-)
+from repro.pregel.batch import BatchStep, BatchVertexProgram, Outbox
+from repro.pregel.vector_coordinator import VectorPregelEngine
 from repro.pregel.worker import partition_placement
 
 
@@ -172,6 +168,39 @@ def test_vector_engine_unknown_target_raises_by_default():
     engine = VectorPregelEngine(num_workers=2)
     with pytest.raises(PregelError, match="nonexistent"):
         engine.run_on_undirected(BatchMisroute(), graph)
+
+
+def test_vector_engine_unknown_target_error_names_superstep_ids_and_remedy():
+    graph = UndirectedGraph.from_edges([(0, 1)])
+    engine = VectorPregelEngine(num_workers=2)
+    with pytest.raises(PregelError) as excinfo:
+        engine.run_on_undirected(BatchMisroute(), graph)
+    assert str(excinfo.value) == (
+        "messages sent to 1 nonexistent vertex id(s) during superstep 0 "
+        "(e.g. [7]); pass drop_unknown_targets=True to drop them instead"
+    )
+
+
+class BatchExploding(BatchVertexProgram):
+    """Batch program that raises at superstep 2."""
+
+    combine = "sum"
+
+    def compute_batch(self, shard, messages, ctx):
+        if ctx.superstep == 2:
+            raise ValueError("deliberate mid-run failure")
+        senders = np.ones(shard.num_vertices, dtype=bool)
+        return BatchStep(
+            values=ctx.values,
+            outbox=ctx.send_to_all_neighbors(senders, ctx.values),
+            votes=np.zeros(shard.num_vertices, dtype=bool),
+        )
+
+
+def test_vector_engine_program_exception_propagates():
+    engine = VectorPregelEngine(num_workers=4)
+    with pytest.raises(ValueError, match="deliberate mid-run failure"):
+        engine.run_on_undirected(BatchExploding(), _undirected_graph())
 
 
 def test_vector_engine_unknown_target_dropped_when_opted_in():
