@@ -19,14 +19,14 @@ from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
 from repro.experiments.giraph import run_application
 from repro.graph.conversion import ensure_undirected
-from repro.graph.datasets import livejournal_proxy
+from repro.graph.datasets import load_dataset
 from repro.metrics.reporting import format_table, improvement_percentage
 
 
 def main() -> None:
     workers = 8
 
-    graph = ensure_undirected(livejournal_proxy(scale=0.3, seed=3))
+    graph = ensure_undirected(load_dataset("LJ", scale=0.3, seed=3))
     print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges, "
           f"{workers} workers")
 

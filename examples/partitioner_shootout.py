@@ -17,7 +17,7 @@ import time
 
 from repro.core.config import SpinnerConfig
 from repro.graph.conversion import ensure_undirected
-from repro.graph.datasets import twitter_proxy
+from repro.graph.datasets import load_dataset
 from repro.metrics.reporting import format_table
 from repro.partitioners.registry import SPINNER_PARTITIONERS, make_partitioner
 
@@ -35,7 +35,7 @@ def _runtime_label(name: str, config: SpinnerConfig) -> str:
 
 def main() -> None:
     """Run every partitioner on the Twitter proxy and print the comparison."""
-    graph = ensure_undirected(twitter_proxy(scale=0.25, seed=4))
+    graph = ensure_undirected(load_dataset("TW", scale=0.25, seed=4))
     print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges")
 
     approaches = (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
-from repro.graph.datasets import tuenti_proxy
+from repro.graph.datasets import load_dataset
 from repro.graph.dynamic import EdgeArrivalStream
 from repro.metrics.reporting import format_table, improvement_percentage
 from repro.metrics.stability import partitioning_difference
@@ -27,7 +27,7 @@ def main() -> None:
 
     # The "future" social graph; we withhold 30% of friendships and replay
     # them later as growth.
-    full_graph = tuenti_proxy(scale=0.4, seed=7)
+    full_graph = load_dataset("TU", scale=0.4, seed=7)
     stream = EdgeArrivalStream(full_graph, holdout_fraction=0.3, seed=7)
     snapshot = stream.snapshot()
     print(

@@ -70,10 +70,6 @@ from repro.serving import SERVING_ENGINES, ServingConfig, ShardingService
 # ignore it (the experiment command warns when that happens).
 _ENGINE_BACKED_EXPERIMENTS = frozenset({"table4", "fig9", "fig6b", "fig7", "fig8"})
 
-# Experiments that honour --backend (the CSR-native graph substrate); the
-# remaining experiments ignore it (the experiment command warns).
-_BACKEND_BACKED_EXPERIMENTS = frozenset({"table1", "table3", "fig3", "fig5"})
-
 # Partitioners whose stream order is configurable (--stream-order), with
 # the orders each one supports.
 _STREAMING_PARTITIONERS = {
@@ -118,7 +114,6 @@ def _pregel_engine(engine: str | None) -> str:
 _EXPERIMENTS = {
     "table1": lambda scale, engine: table1.run_table1(scale=scale),
     "table3": lambda scale, engine: table3.run_table3(scale=scale),
-    # (table1/table3/fig3/fig5 pick up the graph backend from the scale.)
     "table4": lambda scale, engine: table4.run_table4(
         scale=scale, engine=_pregel_engine(engine)
     ),
@@ -148,6 +143,7 @@ def _load_graph(args: argparse.Namespace, csr: bool = False):
     Edge lists always load as a dictionary :class:`DiGraph`, whose vertex
     insertion order follows the file.
     """
+    _check_graph_source(args)
     if args.dataset is not None:
         if csr:
             return load_dataset_csr(args.dataset, scale=args.scale)
@@ -155,6 +151,12 @@ def _load_graph(args: argparse.Namespace, csr: bool = False):
     if args.edge_list is not None:
         return read_directed_edge_list(args.edge_list)
     _fail("provide either --dataset or --edge-list")
+
+
+def _check_graph_source(args: argparse.Namespace) -> None:
+    """Reject a command given both graph sources."""
+    if args.dataset is not None and args.edge_list is not None:
+        _fail("--dataset and --edge-list are mutually exclusive")
 
 
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
@@ -255,15 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("name", choices=sorted(_EXPERIMENTS))
     experiment.add_argument("--scale", type=float, default=0.25)
     experiment.add_argument("--seed", type=int, default=7)
-    experiment.add_argument(
-        "--backend",
-        choices=("dict", "csr"),
-        default="dict",
-        help="graph substrate for the partitioning experiments "
-        "(table1, table3, fig3, fig5): 'dict' materializes dictionary "
-        "graphs, 'csr' runs generators, partitioners and metrics on CSR "
-        "arrays end to end (same rows, no dict graphs on the hot path)",
-    )
     experiment.add_argument(
         "--engine",
         choices=("fast", "dict", "vector"),
@@ -581,15 +574,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             f"--engine {args.engine} has no effect",
             file=sys.stderr,
         )
-    if args.backend != "dict" and args.name not in _BACKEND_BACKED_EXPERIMENTS:
-        print(
-            f"note: experiment {args.name!r} ignores the graph backend; "
-            f"--backend {args.backend} has no effect",
-            file=sys.stderr,
-        )
-    scale = ExperimentScale(
-        graph_scale=args.scale, seed=args.seed, graph_backend=args.backend
-    )
+    scale = ExperimentScale(graph_scale=args.scale, seed=args.seed)
     rows = _EXPERIMENTS[args.name](scale, args.engine)
     print(format_table(rows, title=f"Experiment {args.name}"))
     return 0
@@ -663,6 +648,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _fail(f"--max-pipeline must be >= 1, got {args.max_pipeline}")
     if args.assignment is not None and not os.path.isfile(args.assignment):
         _fail(f"assignment file {args.assignment!r} does not exist")
+    _check_graph_source(args)
 
     if args.dataset is not None:
         graph = ensure_undirected(load_dataset(args.dataset, scale=args.scale))

@@ -23,7 +23,7 @@ from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
 from repro.core.spinner import SpinnerPartitioner
 from repro.experiments.common import ExperimentScale, undirected_dataset
-from repro.graph.datasets import twitter_proxy
+from repro.graph.datasets import load_dataset
 from repro.graph.conversion import ensure_undirected
 from repro.metrics.quality import locality, max_normalized_load
 
@@ -79,7 +79,7 @@ def run_conversion_ablation(
     direction during partitioning (Section III-A's example).
     """
     scale = scale or ExperimentScale.default()
-    digraph = twitter_proxy(scale=scale.graph_scale, seed=scale.seed)
+    digraph = load_dataset("TW", scale=scale.graph_scale, seed=scale.seed)
     weighted_view = ensure_undirected(digraph, direction_aware=True)
     rows: list[dict] = []
     for direction_aware in (True, False):

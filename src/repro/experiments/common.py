@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -10,18 +11,12 @@ from repro.core.fast import FastSpinner
 from repro.core.spinner import SpinnerPartitioner
 from repro.errors import ConfigurationError
 from repro.graph.conversion import ensure_undirected
-from repro.graph.csr import CSRGraph
-from repro.graph.datasets import load_dataset, load_dataset_csr
+from repro.graph.datasets import load_dataset
 from repro.graph.digraph import DiGraph
 from repro.graph.undirected import UndirectedGraph
 
 #: Spinner runtimes the dynamic/elastic experiments can run on.
 SPINNER_RUNTIMES = ("fast", "dict", "vector")
-
-#: Graph substrates the partitioning experiments can run on.  ``"dict"``
-#: materializes dictionary graphs (the reference path); ``"csr"`` keeps
-#: generators, partitioners and metrics on flat CSR arrays end to end.
-GRAPH_BACKENDS = ("dict", "csr")
 
 
 @dataclass(frozen=True)
@@ -30,22 +25,16 @@ class ExperimentScale:
 
     ``graph_scale`` multiplies the dataset-proxy sizes; ``quick`` presets
     are used by the test suite, ``default`` by the benchmark harness.
-    ``graph_backend`` selects the substrate the partitioning experiments
-    (table1, table3, fig3, fig5) run on: the CSR generators and kernels
-    produce the same graphs and assignments as the dictionary path for
-    the same seed, so the backends report identical rows — ``"csr"`` just
-    gets there without building dictionary graphs on the hot path.
+    ``graph_scale`` must be a finite positive number.
     """
 
     graph_scale: float = 0.2
     seed: int = 7
-    graph_backend: str = "dict"
 
     def __post_init__(self) -> None:
-        if self.graph_backend not in GRAPH_BACKENDS:
+        if not (math.isfinite(self.graph_scale) and self.graph_scale > 0):
             raise ConfigurationError(
-                f"graph_backend must be one of {GRAPH_BACKENDS}, "
-                f"got {self.graph_backend!r}"
+                f"graph_scale must be a positive number, got {self.graph_scale}"
             )
 
     @classmethod
@@ -68,19 +57,6 @@ def undirected_dataset(name: str, scale: ExperimentScale) -> UndirectedGraph:
     """Load a dataset proxy and return its weighted undirected view."""
     graph = load_dataset(name, scale=scale.graph_scale)
     return ensure_undirected(graph)
-
-
-def partitioning_dataset(name: str, scale: ExperimentScale) -> UndirectedGraph | CSRGraph:
-    """Load a dataset proxy on the substrate selected by ``scale``.
-
-    Returns the weighted undirected view either as a dictionary graph
-    (``graph_backend="dict"``) or as a :class:`CSRGraph`
-    (``graph_backend="csr"``); both represent the identical graph for the
-    same scale and seed.
-    """
-    if scale.graph_backend == "csr":
-        return load_dataset_csr(name, scale=scale.graph_scale)
-    return undirected_dataset(name, scale)
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,15 @@ hash partitioning for the same configurations.  The paper's observation:
 ``phi`` decreases slowly with k and stays far above hash partitioning (up
 to 250x better at k = 512).
 
-With ``scale.graph_backend == "csr"`` every stage — proxy generation,
-Spinner, hash partitioning and the locality metric — runs on CSR arrays
-and reports the same rows as the dictionary path.
+Every stage — proxy generation, Spinner, hash partitioning and the
+locality metric — runs on CSR arrays.
 """
 
 from __future__ import annotations
 
 from repro.core.fast import FastSpinner
-from repro.experiments.common import ExperimentScale, partitioning_dataset, spinner_config
-from repro.graph.csr import CSRGraph
+from repro.experiments.common import ExperimentScale, spinner_config
+from repro.graph.datasets import load_dataset_csr
 from repro.metrics.quality import locality
 from repro.partitioners.hashing import HashPartitioner
 
@@ -39,14 +38,11 @@ def run_fig3(
     rows: list[dict] = []
     hash_partitioner = HashPartitioner()
     for name in datasets:
-        graph = partitioning_dataset(name, scale)
+        graph = load_dataset_csr(name, scale=scale.graph_scale)
         spinner = FastSpinner(spinner_config(scale.seed))
         for k in k_values:
             result = spinner.partition(graph, k, track_history=False)
-            if isinstance(graph, CSRGraph):
-                hash_assignment = hash_partitioner.partition_array(graph, k)
-            else:
-                hash_assignment = hash_partitioner.partition(graph, k)
+            hash_assignment = hash_partitioner.partition_array(graph, k)
             hash_phi = locality(graph, hash_assignment)
             improvement = result.phi / hash_phi if hash_phi > 0 else float("inf")
             rows.append(

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fast import FastSpinner
-from repro.experiments.common import ExperimentScale, partitioning_dataset, spinner_config
+from repro.experiments.common import ExperimentScale, spinner_config
+from repro.graph.datasets import load_dataset_csr
 
 FIG5_C_VALUES = (1.02, 1.05, 1.10, 1.20)
 FIG5_K_VALUES = (8, 16, 32, 64)
@@ -28,12 +29,11 @@ def run_fig5(
 ) -> list[dict]:
     """Return one row per (c, k) with the mean final rho and iteration count.
 
-    Honours ``scale.graph_backend``: on ``"csr"`` the LiveJournal proxy is
-    generated directly as a CSR graph and FastSpinner consumes it without
-    any dictionary materialization.
+    The proxy is generated directly as a CSR graph and FastSpinner
+    consumes it without any dictionary materialization.
     """
     scale = scale or ExperimentScale.default()
-    graph = partitioning_dataset(dataset, scale)
+    graph = load_dataset_csr(dataset, scale=scale.graph_scale)
     rows: list[dict] = []
     for c in c_values:
         for k in k_values:

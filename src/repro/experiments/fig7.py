@@ -18,7 +18,7 @@ what determines time and network traffic on the real cluster.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentScale, SpinnerRunner, spinner_config
-from repro.graph.datasets import tuenti_proxy
+from repro.graph.datasets import load_dataset
 from repro.graph.dynamic import EdgeArrivalStream
 from repro.metrics.reporting import improvement_percentage
 from repro.metrics.stability import partitioning_difference
@@ -39,7 +39,7 @@ def run_fig7(
     (the two Pregel runtimes, via ``--engine`` on the CLI).
     """
     scale = scale or ExperimentScale.default()
-    full_graph = tuenti_proxy(scale=scale.graph_scale, seed=scale.seed)
+    full_graph = load_dataset("TU", scale=scale.graph_scale, seed=scale.seed)
     stream = EdgeArrivalStream(full_graph, holdout_fraction=0.35, seed=scale.seed)
     snapshot = stream.snapshot()
 

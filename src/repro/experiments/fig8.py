@@ -12,7 +12,7 @@ adding a single partition).
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentScale, SpinnerRunner, spinner_config
-from repro.graph.datasets import tuenti_proxy
+from repro.graph.datasets import load_dataset
 from repro.metrics.reporting import improvement_percentage
 from repro.metrics.stability import partitioning_difference
 
@@ -32,7 +32,7 @@ def run_fig8(
     (the two Pregel runtimes, via ``--engine`` on the CLI).
     """
     scale = scale or ExperimentScale.default()
-    graph = tuenti_proxy(scale=scale.graph_scale, seed=scale.seed)
+    graph = load_dataset("TU", scale=scale.graph_scale, seed=scale.seed)
 
     config = spinner_config(scale.seed)
     spinner = SpinnerRunner(engine, config)

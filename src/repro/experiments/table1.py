@@ -11,19 +11,15 @@ few percent of it with near-perfect balance, the streaming approaches trail
 in locality and/or balance, and Wang et al. shows large ``rho`` because it
 balances vertices rather than edges.
 
-With ``scale.graph_backend == "csr"`` the whole sweep — proxy generation,
-partitioning and metrics — runs on CSR arrays; LDG, Fennel, Wang and
-Spinner produce identical rows on either backend (their CSR kernels are
-assignment-exact), while the dictionary-only METIS baseline runs on a
-canonical dictionary materialization of the same graph.
+The whole sweep — proxy generation, partitioning and metrics — runs on
+CSR arrays; the dictionary-only METIS baseline runs on a canonical
+dictionary materialization of the same graph.
 """
 
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentScale, spinner_config
-from repro.graph.conversion import ensure_undirected
-from repro.graph.csr import CSRGraph
-from repro.graph.datasets import twitter_proxy, twitter_proxy_csr
+from repro.graph.datasets import load_dataset_csr
 from repro.metrics.quality import locality, max_normalized_load
 from repro.partitioners.registry import make_partitioner
 
@@ -40,11 +36,7 @@ def run_table1(
 ) -> list[dict]:
     """Run the Table I comparison and return one row per (approach, k)."""
     scale = scale or ExperimentScale.default()
-    graph: CSRGraph | object
-    if scale.graph_backend == "csr":
-        graph = twitter_proxy_csr(scale=scale.graph_scale, seed=scale.seed)
-    else:
-        graph = ensure_undirected(twitter_proxy(scale=scale.graph_scale, seed=scale.seed))
+    graph = load_dataset_csr("TW", scale=scale.graph_scale, seed=scale.seed)
     rows: list[dict] = []
     for approach in approaches:
         for k in k_values:
@@ -52,10 +44,7 @@ def run_table1(
                 partitioner = make_partitioner(approach, config=spinner_config(scale.seed))
             else:
                 partitioner = make_partitioner(approach)
-            if isinstance(graph, CSRGraph):
-                assignment = partitioner.partition_array(graph, k)
-            else:
-                assignment = dict(partitioner.partition(graph, k))
+            assignment = partitioner.partition_array(graph, k)
             rows.append(
                 {
                     "approach": approach,

@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fast import FastSpinner
-from repro.experiments.common import ExperimentScale, partitioning_dataset, spinner_config
+from repro.experiments.common import ExperimentScale, spinner_config
+from repro.graph.datasets import load_dataset_csr
 
 #: Graphs of Table III, in the paper's column order.
 TABLE3_DATASETS = ("LJ", "G+", "TU", "TW", "FR")
@@ -26,14 +27,13 @@ def run_table3(
 ) -> list[dict]:
     """Return one row per dataset with the average ``rho`` across k values.
 
-    Honours ``scale.graph_backend``: on ``"csr"`` the proxies are
-    generated directly as CSR graphs and FastSpinner consumes them without
-    any dictionary materialization.
+    The proxies are generated directly as CSR graphs and FastSpinner
+    consumes them without any dictionary materialization.
     """
     scale = scale or ExperimentScale.default()
     rows: list[dict] = []
     for name in datasets:
-        graph = partitioning_dataset(name, scale)
+        graph = load_dataset_csr(name, scale=scale.graph_scale)
         spinner = FastSpinner(spinner_config(scale.seed))
         rhos = [
             spinner.partition(graph, k, track_history=False).rho for k in k_values

@@ -21,7 +21,7 @@ from repro.core.fast import FastSpinner
 from repro.experiments.common import ExperimentScale, spinner_config
 from repro.experiments.giraph import run_application
 from repro.graph.conversion import ensure_undirected
-from repro.graph.datasets import twitter_proxy
+from repro.graph.datasets import load_dataset
 
 
 def run_table4(
@@ -38,7 +38,7 @@ def run_table4(
     orders of magnitude faster on large proxies.
     """
     scale = scale or ExperimentScale.default()
-    graph = twitter_proxy(scale=scale.graph_scale, seed=scale.seed)
+    graph = load_dataset("TW", scale=scale.graph_scale, seed=scale.seed)
     undirected = ensure_undirected(graph)
 
     spinner = FastSpinner(spinner_config(scale.seed))

@@ -2,10 +2,9 @@
 
 Table II of the paper lists six graphs (LiveJournal, Tuenti, Google+,
 Twitter, Friendster, Yahoo! web) with 4.8M–1.4B vertices.  Those datasets
-are either proprietary or far too large for this environment, so — per the
-substitution rule documented in ``DESIGN.md`` — each is replaced by a
-synthetic graph that preserves the structural properties the evaluation
-depends on:
+are either proprietary or far too large for this environment, so each is
+replaced by a synthetic graph that preserves the structural properties
+the evaluation depends on:
 
 * directed vs. undirected (Table II's "Directed" column),
 * heavy-tailed degree distribution with hubs (Twitter, Friendster),
@@ -16,24 +15,32 @@ Every proxy accepts a ``scale`` multiplier so tests can run on tiny graphs
 while benchmarks use larger ones.  The default sizes (scale 1.0) are a few
 thousand vertices — large enough for the quality trends to be visible,
 small enough for a pure-Python evaluation to finish quickly.
+
+Each proxy is one row of :data:`_RECIPES`: a skeleton generator with its
+parameters, the reciprocity that orients a directed proxy, and a default
+seed.  :func:`load_dataset` and :func:`load_dataset_csr` are two views of
+the same row and the same random draws, so for a given scale and seed
+``load_dataset_csr`` holds exactly the weighted edges of
+``ensure_undirected(load_dataset(...))``.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     _barabasi_albert_builder,
+    _EdgeListBuilder,
     _powerlaw_cluster_builder,
     _watts_strogatz_builder,
     _weighted_reciprocal_csr,
-    barabasi_albert,
-    powerlaw_cluster,
-    powerlaw_cluster_csr,
     to_directed_reciprocal,
-    watts_strogatz,
 )
 from repro.graph.undirected import UndirectedGraph
 
@@ -110,139 +117,58 @@ DATASET_SPECS: dict[str, DatasetSpec] = {
 }
 
 
-def _scaled(base: int, scale: float) -> int:
-    return max(64, int(round(base * scale)))
+class _Recipe(NamedTuple):
+    """How one proxy is generated (see :data:`_RECIPES`)."""
+
+    #: Skeleton builder, called as ``build(num_vertices, *params, seed=seed)``.
+    build: Callable[..., _EdgeListBuilder]
+    params: tuple
+    #: Fraction of reciprocal edges for a directed proxy; ``None`` keeps the
+    #: skeleton undirected.
+    reciprocity: float | None
+    #: Default seed of the skeleton (overridable per call).
+    seed: int
 
 
-def livejournal_proxy(scale: float = 1.0, seed: int = 1) -> DiGraph:
-    """LiveJournal proxy: clustered power-law graph, ~50% reciprocal edges."""
-    n = _scaled(DATASET_SPECS["LJ"].base_vertices, scale)
-    skeleton = powerlaw_cluster(n, edges_per_vertex=7, triangle_probability=0.5, seed=seed)
-    return to_directed_reciprocal(skeleton, reciprocity=0.5, seed=seed + 1)
-
-
-def tuenti_proxy(scale: float = 1.0, seed: int = 2) -> UndirectedGraph:
-    """Tuenti proxy: undirected, highly clustered social graph."""
-    n = _scaled(DATASET_SPECS["TU"].base_vertices, scale)
-    return powerlaw_cluster(n, edges_per_vertex=10, triangle_probability=0.7, seed=seed)
-
-
-def googleplus_proxy(scale: float = 1.0, seed: int = 3) -> DiGraph:
-    """Google+ proxy: directed follower graph with low reciprocity."""
-    n = _scaled(DATASET_SPECS["G+"].base_vertices, scale)
-    skeleton = powerlaw_cluster(n, edges_per_vertex=8, triangle_probability=0.4, seed=seed)
-    return to_directed_reciprocal(skeleton, reciprocity=0.25, seed=seed + 1)
-
-
-def twitter_proxy(scale: float = 1.0, seed: int = 4) -> DiGraph:
-    """Twitter proxy: hub-dominated preferential-attachment follower graph."""
-    n = _scaled(DATASET_SPECS["TW"].base_vertices, scale)
-    skeleton = barabasi_albert(n, edges_per_vertex=12, seed=seed)
-    assert isinstance(skeleton, UndirectedGraph)
-    return to_directed_reciprocal(skeleton, reciprocity=0.2, seed=seed + 1)
-
-
-def friendster_proxy(scale: float = 1.0, seed: int = 5) -> UndirectedGraph:
-    """Friendster proxy: large undirected graph with weaker clustering."""
-    n = _scaled(DATASET_SPECS["FR"].base_vertices, scale)
-    return powerlaw_cluster(n, edges_per_vertex=9, triangle_probability=0.3, seed=seed)
-
-
-def yahoo_proxy(scale: float = 1.0, seed: int = 6) -> DiGraph:
-    """Yahoo! web proxy: sparse small-world graph with low average degree."""
-    n = _scaled(DATASET_SPECS["Y!"].base_vertices, scale)
-    skeleton = watts_strogatz(n, degree=6, beta=0.2, seed=seed)
-    return to_directed_reciprocal(skeleton, reciprocity=0.1, seed=seed + 1)
-
-
-_LOADERS = {
-    "LJ": livejournal_proxy,
-    "TU": tuenti_proxy,
-    "G+": googleplus_proxy,
-    "TW": twitter_proxy,
-    "FR": friendster_proxy,
-    "Y!": yahoo_proxy,
+#: One row per proxy.  A directed proxy orients its skeleton with
+#: :func:`~repro.graph.generators.to_directed_reciprocal` at ``seed + 1``.
+_RECIPES: dict[str, _Recipe] = {
+    # Clustered power-law graph, ~50% reciprocal edges.
+    "LJ": _Recipe(_powerlaw_cluster_builder, (7, 0.5), 0.5, 1),
+    # Undirected, highly clustered social graph.
+    "TU": _Recipe(_powerlaw_cluster_builder, (10, 0.7), None, 2),
+    # Directed follower graph with low reciprocity.
+    "G+": _Recipe(_powerlaw_cluster_builder, (8, 0.4), 0.25, 3),
+    # Hub-dominated preferential-attachment follower graph.
+    "TW": _Recipe(_barabasi_albert_builder, (12,), 0.2, 4),
+    # Large undirected graph with weaker clustering.
+    "FR": _Recipe(_powerlaw_cluster_builder, (9, 0.3), None, 5),
+    # Sparse small-world web graph with low average degree.
+    "Y!": _Recipe(_watts_strogatz_builder, (6, 0.2), 0.1, 6),
 }
 
 
-# ----------------------------------------------------------------------
-# CSR-native proxies
-# ----------------------------------------------------------------------
-# Each proxy also has a CSR loader producing the *weighted undirected*
-# view Spinner and the baselines partition — the same graph, edge for
-# edge and weight for weight, as ``ensure_undirected(load_dataset(...))``
-# for the same seed (the generators replay the dictionary builders'
-# random stream; see ``tests/test_csr_generators.py``) — without ever
-# materializing a dictionary graph.
-
-
-def livejournal_proxy_csr(scale: float = 1.0, seed: int = 1) -> CSRGraph:
-    """Weighted undirected CSR view of :func:`livejournal_proxy`."""
-    n = _scaled(DATASET_SPECS["LJ"].base_vertices, scale)
-    skeleton = _powerlaw_cluster_builder(n, 7, 0.5, seed)
-    return _weighted_reciprocal_csr(skeleton, reciprocity=0.5, seed=seed + 1)
-
-
-def tuenti_proxy_csr(scale: float = 1.0, seed: int = 2) -> CSRGraph:
-    """CSR view of :func:`tuenti_proxy` (already undirected, weights 1)."""
-    n = _scaled(DATASET_SPECS["TU"].base_vertices, scale)
-    return powerlaw_cluster_csr(n, 10, 0.7, seed)
-
-
-def googleplus_proxy_csr(scale: float = 1.0, seed: int = 3) -> CSRGraph:
-    """Weighted undirected CSR view of :func:`googleplus_proxy`."""
-    n = _scaled(DATASET_SPECS["G+"].base_vertices, scale)
-    skeleton = _powerlaw_cluster_builder(n, 8, 0.4, seed)
-    return _weighted_reciprocal_csr(skeleton, reciprocity=0.25, seed=seed + 1)
-
-
-def twitter_proxy_csr(scale: float = 1.0, seed: int = 4) -> CSRGraph:
-    """Weighted undirected CSR view of :func:`twitter_proxy`."""
-    n = _scaled(DATASET_SPECS["TW"].base_vertices, scale)
-    skeleton = _barabasi_albert_builder(n, 12, seed)
-    return _weighted_reciprocal_csr(skeleton, reciprocity=0.2, seed=seed + 1)
-
-
-def friendster_proxy_csr(scale: float = 1.0, seed: int = 5) -> CSRGraph:
-    """CSR view of :func:`friendster_proxy` (already undirected, weights 1)."""
-    n = _scaled(DATASET_SPECS["FR"].base_vertices, scale)
-    return powerlaw_cluster_csr(n, 9, 0.3, seed)
-
-
-def yahoo_proxy_csr(scale: float = 1.0, seed: int = 6) -> CSRGraph:
-    """Weighted undirected CSR view of :func:`yahoo_proxy`."""
-    n = _scaled(DATASET_SPECS["Y!"].base_vertices, scale)
-    skeleton = _watts_strogatz_builder(n, degree=6, beta=0.2, seed=seed)
-    return _weighted_reciprocal_csr(skeleton, reciprocity=0.1, seed=seed + 1)
-
-
-_CSR_LOADERS = {
-    "LJ": livejournal_proxy_csr,
-    "TU": tuenti_proxy_csr,
-    "G+": googleplus_proxy_csr,
-    "TW": twitter_proxy_csr,
-    "FR": friendster_proxy_csr,
-    "Y!": yahoo_proxy_csr,
-}
-
-
-def load_dataset_csr(name: str, scale: float = 1.0, seed: int | None = None) -> CSRGraph:
-    """Load a dataset proxy as its weighted undirected CSR view.
-
-    Same names, seeds and graphs as :func:`load_dataset` followed by
-    ``ensure_undirected`` — but array-native end to end.
-    """
+def _skeleton(
+    name: str, scale: float, seed: int | None
+) -> tuple[_EdgeListBuilder, float | None, int]:
+    """Build a proxy's skeleton; return it with its reciprocity and seed."""
     try:
-        loader = _CSR_LOADERS[name]
+        recipe = _RECIPES[name]
     except KeyError:
-        known = ", ".join(sorted(_CSR_LOADERS))
+        known = ", ".join(sorted(_RECIPES))
         raise KeyError(f"unknown dataset {name!r}; known datasets: {known}") from None
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigurationError(f"dataset scale must be a positive number, got {scale}")
     if seed is None:
-        return loader(scale=scale)
-    return loader(scale=scale, seed=seed)
+        seed = recipe.seed
+    num_vertices = max(64, int(round(DATASET_SPECS[name].base_vertices * scale)))
+    skeleton = recipe.build(num_vertices, *recipe.params, seed=seed)
+    return skeleton, recipe.reciprocity, seed
 
 
-def load_dataset(name: str, scale: float = 1.0, seed: int | None = None):
+def load_dataset(
+    name: str, scale: float = 1.0, seed: int | None = None
+) -> DiGraph | UndirectedGraph:
     """Load a dataset proxy by its paper short name.
 
     Parameters
@@ -250,7 +176,8 @@ def load_dataset(name: str, scale: float = 1.0, seed: int | None = None):
     name:
         One of ``"LJ"``, ``"TU"``, ``"G+"``, ``"TW"``, ``"FR"``, ``"Y!"``.
     scale:
-        Size multiplier relative to the default proxy size.
+        Size multiplier relative to the default proxy size; must be a
+        finite positive number.
     seed:
         Optional seed override; each dataset has a stable default seed.
 
@@ -259,14 +186,22 @@ def load_dataset(name: str, scale: float = 1.0, seed: int | None = None):
     DiGraph | UndirectedGraph
         Directed or undirected graph matching Table II's directedness.
     """
-    try:
-        loader = _LOADERS[name]
-    except KeyError:
-        known = ", ".join(sorted(_LOADERS))
-        raise KeyError(f"unknown dataset {name!r}; known datasets: {known}") from None
-    if seed is None:
-        return loader(scale=scale)
-    return loader(scale=scale, seed=seed)
+    skeleton, reciprocity, seed = _skeleton(name, scale, seed)
+    if reciprocity is None:
+        return skeleton.to_undirected()
+    return to_directed_reciprocal(skeleton.to_undirected(), reciprocity, seed=seed + 1)
+
+
+def load_dataset_csr(name: str, scale: float = 1.0, seed: int | None = None) -> CSRGraph:
+    """Load a dataset proxy as its weighted undirected CSR view.
+
+    Same names, seeds and graphs as :func:`load_dataset` followed by
+    ``ensure_undirected`` (eq. (3) weights), but array-native end to end.
+    """
+    skeleton, reciprocity, seed = _skeleton(name, scale, seed)
+    if reciprocity is None:
+        return skeleton.to_csr()
+    return _weighted_reciprocal_csr(skeleton, reciprocity, seed=seed + 1)
 
 
 def dataset_names() -> list[str]:

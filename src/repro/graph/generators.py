@@ -17,18 +17,11 @@ datasets (see :mod:`repro.graph.datasets`):
   :func:`watts_strogatz`.
 
 All generators take an explicit ``seed`` and are deterministic for a given
-seed, which the experiment harness relies on.
-
-Every random generator also has a ``*_csr`` twin (``watts_strogatz_csr``,
-``erdos_renyi_csr``, ``barabasi_albert_csr``, ``powerlaw_cluster_csr``,
-plus the deterministic :func:`ring_lattice_csr`) that returns a
-:class:`~repro.graph.csr.CSRGraph` directly.  The twins replay the exact
-control flow — and therefore the exact random stream — of the dictionary
-builders against a slim insertion-ordered edge-list structure, so for a
-given seed they produce the *identical* graph (pinned in
-``tests/test_csr_generators.py``) while skipping the
-:class:`UndirectedGraph` construction and the dict-to-CSR conversion the
-experiment pipeline previously paid on every run.
+seed, which the experiment harness relies on.  Each random process is
+written once, against a slim insertion-ordered adjacency builder; the
+builder hands its neighbour dicts to an :class:`UndirectedGraph` or
+assembles them into a :class:`~repro.graph.csr.CSRGraph`, so both views
+of a seed are the same graph by construction.
 """
 
 from __future__ import annotations
@@ -47,6 +40,84 @@ def _rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+class _EdgeListBuilder:
+    """Insertion-ordered adjacency of unit-weight edges on ``0 .. n-1``.
+
+    Per-vertex neighbour dicts keep insertion order exactly like
+    ``UndirectedGraph`` does, with no bookkeeping beyond what the
+    generators consult.  :meth:`to_undirected` adopts the dicts as they
+    are; :meth:`to_csr` assembles the same edge sequence into CSR arrays
+    in one vectorized pass.
+    """
+
+    __slots__ = ("num_vertices", "_adj")
+
+    def __init__(self, num_vertices: int) -> None:
+        self.num_vertices = num_vertices
+        self._adj: list[dict[int, int]] = [{} for _ in range(num_vertices)]
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Return whether the undirected edge ``{u, v}`` exists."""
+        return v in self._adj[u]
+
+    def add_edge(self, u: int, v: int) -> bool:
+        """Add ``{u, v}``; ``False`` (and no change) if it already exists."""
+        adj_u = self._adj[u]
+        if v in adj_u:
+            return False
+        adj_u[v] = 1
+        self._adj[v][u] = 1
+        return True
+
+    def remove_edge(self, u: int, v: int) -> None:
+        """Remove the edge ``{u, v}`` (must exist)."""
+        del self._adj[u][v]
+        del self._adj[v][u]
+
+    def degree(self, v: int) -> int:
+        """Number of incident edges of ``v``."""
+        return len(self._adj[v])
+
+    def neighbors(self, v: int) -> dict[int, int]:
+        """Insertion-ordered ``{neighbour: weight}`` mapping of ``v``."""
+        return self._adj[v]
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Edges as ``(u, v)`` with ``u < v`` in ``UndirectedGraph.edges`` order."""
+        return [
+            (u, v) for u, neighbours in enumerate(self._adj) for v in neighbours if u < v
+        ]
+
+    def to_undirected(self) -> UndirectedGraph:
+        """Hand the neighbour dicts to an :class:`UndirectedGraph` as they are.
+
+        The builder must not be used afterwards: the graph owns the dicts.
+        """
+        return UndirectedGraph.adopt_adjacency(self._adj)
+
+    def to_csr(self) -> CSRGraph:
+        """Assemble the edges into a :class:`CSRGraph`.
+
+        The arrays are bit-identical to ``CSRGraph.from_undirected`` of
+        :meth:`to_undirected`, because both feed the same edge sequence
+        through the same stable sort.
+        """
+        return CSRGraph.from_edge_list(self.edges(), self.num_vertices)
+
+
+def _ring_lattice_builder(num_vertices: int, degree: int) -> _EdgeListBuilder:
+    if degree % 2 != 0:
+        raise GraphError("ring lattice degree must be even")
+    if num_vertices <= degree:
+        raise GraphError("num_vertices must exceed degree")
+    builder = _EdgeListBuilder(num_vertices)
+    half = degree // 2
+    for v in range(num_vertices):
+        for offset in range(1, half + 1):
+            builder.add_edge(v, (v + offset) % num_vertices)
+    return builder
+
+
 def ring_lattice(num_vertices: int, degree: int) -> UndirectedGraph:
     """Return a ring lattice where each vertex connects to ``degree`` nearest
     neighbours (``degree // 2`` on each side).
@@ -58,18 +129,35 @@ def ring_lattice(num_vertices: int, degree: int) -> UndirectedGraph:
     degree:
         Even number of neighbours per vertex.
     """
-    if degree % 2 != 0:
-        raise GraphError("ring lattice degree must be even")
-    if num_vertices <= degree:
-        raise GraphError("num_vertices must exceed degree")
-    graph = UndirectedGraph()
-    for v in range(num_vertices):
-        graph.add_vertex(v)
+    return _ring_lattice_builder(num_vertices, degree).to_undirected()
+
+
+def _watts_strogatz_builder(
+    num_vertices: int,
+    degree: int,
+    beta: float,
+    seed: int | np.random.Generator | None = None,
+) -> _EdgeListBuilder:
+    if not 0.0 <= beta <= 1.0:
+        raise GraphError("beta must lie in [0, 1]")
+    rng = _rng(seed)
+    builder = _ring_lattice_builder(num_vertices, degree)
     half = degree // 2
     for v in range(num_vertices):
         for offset in range(1, half + 1):
-            graph.add_edge(v, (v + offset) % num_vertices)
-    return graph
+            if rng.random() >= beta:
+                continue
+            old_target = (v + offset) % num_vertices
+            if not builder.has_edge(v, old_target):
+                continue
+            # Draw a new endpoint that is neither v nor an existing neighbour.
+            for _ in range(16):
+                candidate = int(rng.integers(num_vertices))
+                if candidate != v and not builder.has_edge(v, candidate):
+                    builder.remove_edge(v, old_target)
+                    builder.add_edge(v, candidate)
+                    break
+    return builder
 
 
 def watts_strogatz(
@@ -84,38 +172,16 @@ def watts_strogatz(
     with probability ``beta``, matching the construction used for the
     scalability experiments of the paper (degree 40, ``beta = 0.3``).
     """
-    if not 0.0 <= beta <= 1.0:
-        raise GraphError("beta must lie in [0, 1]")
-    rng = _rng(seed)
-    graph = ring_lattice(num_vertices, degree)
-    half = degree // 2
-    for v in range(num_vertices):
-        for offset in range(1, half + 1):
-            if rng.random() >= beta:
-                continue
-            old_target = (v + offset) % num_vertices
-            if not graph.has_edge(v, old_target):
-                continue
-            # Draw a new endpoint that is neither v nor an existing neighbour.
-            for _ in range(16):
-                candidate = int(rng.integers(num_vertices))
-                if candidate != v and not graph.has_edge(v, candidate):
-                    graph.remove_edge(v, old_target)
-                    graph.add_edge(v, candidate)
-                    break
-    return graph
+    return _watts_strogatz_builder(num_vertices, degree, beta, seed).to_undirected()
 
 
-def erdos_renyi(
+def _erdos_renyi_builder(
     num_vertices: int,
     num_edges: int,
     seed: int | np.random.Generator | None = None,
-) -> UndirectedGraph:
-    """Uniform random graph with (approximately) ``num_edges`` distinct edges."""
+) -> _EdgeListBuilder:
     rng = _rng(seed)
-    graph = UndirectedGraph()
-    for v in range(num_vertices):
-        graph.add_vertex(v)
+    builder = _EdgeListBuilder(num_vertices)
     added = 0
     attempts = 0
     max_attempts = num_edges * 20 + 100
@@ -125,9 +191,57 @@ def erdos_renyi(
         v = int(rng.integers(num_vertices))
         if u == v:
             continue
-        if graph.add_edge(u, v):
+        if builder.add_edge(u, v):
             added += 1
-    return graph
+    return builder
+
+
+def erdos_renyi(
+    num_vertices: int,
+    num_edges: int,
+    seed: int | np.random.Generator | None = None,
+) -> UndirectedGraph:
+    """Uniform random graph with (approximately) ``num_edges`` distinct edges."""
+    return _erdos_renyi_builder(num_vertices, num_edges, seed).to_undirected()
+
+
+def _barabasi_albert_edges(
+    num_vertices: int,
+    edges_per_vertex: int,
+    seed: int | np.random.Generator | None = None,
+) -> list[tuple[int, int]]:
+    """Preferential-attachment edges ``(new vertex, target)`` in draw order."""
+    if num_vertices <= edges_per_vertex:
+        raise GraphError("num_vertices must exceed edges_per_vertex")
+    rng = _rng(seed)
+    # Repeated-nodes list implements preferential attachment in O(1) per draw.
+    repeated: list[int] = list(range(edges_per_vertex))
+    edges: list[tuple[int, int]] = []
+    for v in range(edges_per_vertex, num_vertices):
+        targets: set[int] = set()
+        while len(targets) < edges_per_vertex:
+            if repeated and rng.random() < 0.9:
+                candidate = repeated[int(rng.integers(len(repeated)))]
+            else:
+                candidate = int(rng.integers(v))
+            if candidate != v:
+                targets.add(candidate)
+        for target in targets:
+            edges.append((v, target))
+            repeated.append(v)
+            repeated.append(target)
+    return edges
+
+
+def _barabasi_albert_builder(
+    num_vertices: int,
+    edges_per_vertex: int,
+    seed: int | np.random.Generator | None = None,
+) -> _EdgeListBuilder:
+    builder = _EdgeListBuilder(num_vertices)
+    for u, v in _barabasi_albert_edges(num_vertices, edges_per_vertex, seed):
+        builder.add_edge(u, v)
+    return builder
 
 
 def barabasi_albert(
@@ -146,297 +260,10 @@ def barabasi_albert(
     When ``directed`` is ``True`` the attachment edges point from the new
     vertex to the chosen targets, which mimics "follower" style graphs.
     """
-    if num_vertices <= edges_per_vertex:
-        raise GraphError("num_vertices must exceed edges_per_vertex")
-    rng = _rng(seed)
-    # Repeated-nodes list implements preferential attachment in O(1) per draw.
-    repeated: list[int] = []
-    undirected_edges: list[tuple[int, int]] = []
-    initial = edges_per_vertex
-    for v in range(initial):
-        repeated.append(v)
-    for v in range(initial, num_vertices):
-        targets: set[int] = set()
-        while len(targets) < edges_per_vertex:
-            if repeated and rng.random() < 0.9:
-                candidate = repeated[int(rng.integers(len(repeated)))]
-            else:
-                candidate = int(rng.integers(v))
-            if candidate != v:
-                targets.add(candidate)
-        for target in targets:
-            undirected_edges.append((v, target))
-            repeated.append(v)
-            repeated.append(target)
     if directed:
-        digraph = DiGraph.from_edges(undirected_edges, num_vertices=num_vertices)
-        return digraph
-    return UndirectedGraph.from_edges(undirected_edges, num_vertices=num_vertices)
-
-
-def powerlaw_cluster(
-    num_vertices: int,
-    edges_per_vertex: int,
-    triangle_probability: float,
-    seed: int | np.random.Generator | None = None,
-) -> UndirectedGraph:
-    """Holme–Kim power-law graph with tunable clustering.
-
-    Like :func:`barabasi_albert` but, after each preferential attachment
-    step, a triad-closure step adds an edge to a random neighbour of the
-    previous target with probability ``triangle_probability``.  The result
-    has both a heavy-tailed degree distribution and the high clustering
-    typical of social graphs, which is what makes the social-network
-    proxies partitionable with good locality.
-    """
-    if not 0.0 <= triangle_probability <= 1.0:
-        raise GraphError("triangle_probability must lie in [0, 1]")
-    rng = _rng(seed)
-    graph = UndirectedGraph()
-    for v in range(num_vertices):
-        graph.add_vertex(v)
-    repeated: list[int] = list(range(edges_per_vertex))
-    for v in range(edges_per_vertex, num_vertices):
-        previous_target: int | None = None
-        added = 0
-        guard = 0
-        while added < edges_per_vertex and guard < edges_per_vertex * 20:
-            guard += 1
-            close_triangle = (
-                previous_target is not None
-                and rng.random() < triangle_probability
-                and graph.degree(previous_target) > 0
-            )
-            if close_triangle:
-                neighbours = list(graph.neighbors(previous_target))
-                candidate = neighbours[int(rng.integers(len(neighbours)))]
-            elif repeated:
-                candidate = repeated[int(rng.integers(len(repeated)))]
-            else:
-                candidate = int(rng.integers(v))
-            if candidate == v or graph.has_edge(v, candidate):
-                continue
-            graph.add_edge(v, candidate)
-            repeated.append(v)
-            repeated.append(candidate)
-            previous_target = candidate
-            added += 1
-    return graph
-
-
-class _EdgeListBuilder:
-    """Insertion-ordered adjacency mirror of :class:`UndirectedGraph`.
-
-    The CSR generators replay the dictionary builders' control flow
-    against this structure: per-vertex neighbour dictionaries preserve
-    insertion order exactly like ``UndirectedGraph._adj`` (so
-    :meth:`edges` yields the same sequence), but there is no bookkeeping
-    beyond what the generators consult, and the final graph is assembled
-    into CSR arrays in one vectorized pass.
-    """
-
-    __slots__ = ("num_vertices", "_adj")
-
-    def __init__(self, num_vertices: int) -> None:
-        self.num_vertices = num_vertices
-        self._adj: list[dict[int, int]] = [{} for _ in range(num_vertices)]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Return whether the undirected edge ``{u, v}`` exists."""
-        return v in self._adj[u]
-
-    def add_edge(self, u: int, v: int, weight: int = 1) -> bool:
-        """Add ``{u, v}``; ``False`` (and no change) if it already exists."""
-        adj_u = self._adj[u]
-        if v in adj_u:
-            return False
-        adj_u[v] = weight
-        self._adj[v][u] = weight
-        return True
-
-    def remove_edge(self, u: int, v: int) -> None:
-        """Remove the edge ``{u, v}`` (must exist)."""
-        del self._adj[u][v]
-        del self._adj[v][u]
-
-    def degree(self, v: int) -> int:
-        """Number of incident edges of ``v``."""
-        return len(self._adj[v])
-
-    def neighbors(self, v: int) -> dict[int, int]:
-        """Insertion-ordered ``{neighbour: weight}`` mapping of ``v``."""
-        return self._adj[v]
-
-    def edges(self) -> "list[tuple[int, int]]":
-        """Edges as ``(u, v)`` with ``u < v`` in ``UndirectedGraph.edges`` order."""
-        out: list[tuple[int, int]] = []
-        for u, neighbours in enumerate(self._adj):
-            for v in neighbours:
-                if u < v:
-                    out.append((u, v))
-        return out
-
-    def to_csr(self) -> CSRGraph:
-        """Assemble the accumulated edge list into a :class:`CSRGraph`.
-
-        Produces bit-identical arrays to
-        ``CSRGraph.from_undirected(equivalent UndirectedGraph)`` because
-        both feed the same edge sequence through the same stable sort.
-        """
-        edge_list = self.edges()
-        if not edge_list:
-            empty = np.empty(0, dtype=np.int64)
-            return CSRGraph(
-                np.zeros(self.num_vertices + 1, dtype=np.int64), empty, empty
-            )
-        return CSRGraph.from_edge_list(
-            np.asarray(edge_list, dtype=np.int64), self.num_vertices
-        )
-
-
-def _ring_lattice_builder(num_vertices: int, degree: int) -> _EdgeListBuilder:
-    """Ring-lattice skeleton on the edge-list builder (same edge order)."""
-    if degree % 2 != 0:
-        raise GraphError("ring lattice degree must be even")
-    if num_vertices <= degree:
-        raise GraphError("num_vertices must exceed degree")
-    builder = _EdgeListBuilder(num_vertices)
-    half = degree // 2
-    for v in range(num_vertices):
-        for offset in range(1, half + 1):
-            builder.add_edge(v, (v + offset) % num_vertices)
-    return builder
-
-
-def ring_lattice_csr(num_vertices: int, degree: int) -> CSRGraph:
-    """CSR twin of :func:`ring_lattice` (identical graph)."""
-    return _ring_lattice_builder(num_vertices, degree).to_csr()
-
-
-def _watts_strogatz_builder(
-    num_vertices: int,
-    degree: int,
-    beta: float,
-    seed: int | np.random.Generator | None = None,
-) -> _EdgeListBuilder:
-    """Watts–Strogatz rewiring replayed on the edge-list builder."""
-    if not 0.0 <= beta <= 1.0:
-        raise GraphError("beta must lie in [0, 1]")
-    rng = _rng(seed)
-    builder = _ring_lattice_builder(num_vertices, degree)
-    half = degree // 2
-    for v in range(num_vertices):
-        for offset in range(1, half + 1):
-            if rng.random() >= beta:
-                continue
-            old_target = (v + offset) % num_vertices
-            if not builder.has_edge(v, old_target):
-                continue
-            for _ in range(16):
-                candidate = int(rng.integers(num_vertices))
-                if candidate != v and not builder.has_edge(v, candidate):
-                    builder.remove_edge(v, old_target)
-                    builder.add_edge(v, candidate)
-                    break
-    return builder
-
-
-def watts_strogatz_csr(
-    num_vertices: int,
-    degree: int,
-    beta: float,
-    seed: int | np.random.Generator | None = None,
-) -> CSRGraph:
-    """CSR twin of :func:`watts_strogatz` (identical graph for a seed)."""
-    return _watts_strogatz_builder(num_vertices, degree, beta, seed).to_csr()
-
-
-def _erdos_renyi_builder(
-    num_vertices: int,
-    num_edges: int,
-    seed: int | np.random.Generator | None = None,
-) -> _EdgeListBuilder:
-    """Erdős–Rényi sampling replayed on the edge-list builder."""
-    rng = _rng(seed)
-    builder = _EdgeListBuilder(num_vertices)
-    added = 0
-    attempts = 0
-    max_attempts = num_edges * 20 + 100
-    while added < num_edges and attempts < max_attempts:
-        attempts += 1
-        u = int(rng.integers(num_vertices))
-        v = int(rng.integers(num_vertices))
-        if u == v:
-            continue
-        if builder.add_edge(u, v):
-            added += 1
-    return builder
-
-
-def erdos_renyi_csr(
-    num_vertices: int,
-    num_edges: int,
-    seed: int | np.random.Generator | None = None,
-) -> CSRGraph:
-    """CSR twin of :func:`erdos_renyi` (identical graph for a seed)."""
-    return _erdos_renyi_builder(num_vertices, num_edges, seed).to_csr()
-
-
-def _barabasi_albert_edges(
-    num_vertices: int,
-    edges_per_vertex: int,
-    seed: int | np.random.Generator | None = None,
-) -> list[tuple[int, int]]:
-    """Preferential-attachment edge list (same random stream as the dict path)."""
-    if num_vertices <= edges_per_vertex:
-        raise GraphError("num_vertices must exceed edges_per_vertex")
-    rng = _rng(seed)
-    repeated: list[int] = []
-    undirected_edges: list[tuple[int, int]] = []
-    initial = edges_per_vertex
-    for v in range(initial):
-        repeated.append(v)
-    for v in range(initial, num_vertices):
-        targets: set[int] = set()
-        while len(targets) < edges_per_vertex:
-            if repeated and rng.random() < 0.9:
-                candidate = repeated[int(rng.integers(len(repeated)))]
-            else:
-                candidate = int(rng.integers(v))
-            if candidate != v:
-                targets.add(candidate)
-        for target in targets:
-            undirected_edges.append((v, target))
-            repeated.append(v)
-            repeated.append(target)
-    return undirected_edges
-
-
-def _barabasi_albert_builder(
-    num_vertices: int,
-    edges_per_vertex: int,
-    seed: int | np.random.Generator | None = None,
-) -> _EdgeListBuilder:
-    """Barabási–Albert graph on the edge-list builder (insertion order kept)."""
-    builder = _EdgeListBuilder(num_vertices)
-    for u, v in _barabasi_albert_edges(num_vertices, edges_per_vertex, seed):
-        builder.add_edge(u, v)
-    return builder
-
-
-def barabasi_albert_csr(
-    num_vertices: int,
-    edges_per_vertex: int,
-    seed: int | np.random.Generator | None = None,
-) -> CSRGraph:
-    """CSR twin of the undirected :func:`barabasi_albert` (identical graph).
-
-    The attachment loop never consults the partially built graph, so the
-    edge list goes straight into the vectorized CSR assembly with no
-    adjacency bookkeeping at all.
-    """
-    edges = _barabasi_albert_edges(num_vertices, edges_per_vertex, seed)
-    return CSRGraph.from_edge_list(np.asarray(edges, dtype=np.int64), num_vertices)
+        edges = _barabasi_albert_edges(num_vertices, edges_per_vertex, seed)
+        return DiGraph.from_edges(edges, num_vertices=num_vertices)
+    return _barabasi_albert_builder(num_vertices, edges_per_vertex, seed).to_undirected()
 
 
 def _powerlaw_cluster_builder(
@@ -445,7 +272,6 @@ def _powerlaw_cluster_builder(
     triangle_probability: float,
     seed: int | np.random.Generator | None = None,
 ) -> _EdgeListBuilder:
-    """Holme–Kim construction replayed on the edge-list builder."""
     if not 0.0 <= triangle_probability <= 1.0:
         raise GraphError("triangle_probability must lie in [0, 1]")
     rng = _rng(seed)
@@ -479,16 +305,52 @@ def _powerlaw_cluster_builder(
     return builder
 
 
-def powerlaw_cluster_csr(
+def powerlaw_cluster(
     num_vertices: int,
     edges_per_vertex: int,
     triangle_probability: float,
     seed: int | np.random.Generator | None = None,
-) -> CSRGraph:
-    """CSR twin of :func:`powerlaw_cluster` (identical graph for a seed)."""
+) -> UndirectedGraph:
+    """Holme–Kim power-law graph with tunable clustering.
+
+    Like :func:`barabasi_albert` but, after each preferential attachment
+    step, a triad-closure step adds an edge to a random neighbour of the
+    previous target with probability ``triangle_probability``.  The result
+    has both a heavy-tailed degree distribution and the high clustering
+    typical of social graphs, which is what makes the social-network
+    proxies partitionable with good locality.
+    """
     return _powerlaw_cluster_builder(
         num_vertices, edges_per_vertex, triangle_probability, seed
-    ).to_csr()
+    ).to_undirected()
+
+
+#: Orientation codes drawn by :func:`_orientations`.
+_RECIPROCAL, _FORWARD, _BACKWARD = 0, 1, 2
+
+
+def _orientations(
+    num_edges: int,
+    reciprocity: float,
+    seed: int | np.random.Generator | None = None,
+) -> bytearray:
+    """Draw one orientation code per edge, in edge order.
+
+    An edge is a reciprocal pair with probability ``reciprocity`` (one
+    random draw); otherwise a second draw picks its direction.
+    """
+    if not 0.0 <= reciprocity <= 1.0:
+        raise GraphError("reciprocity must lie in [0, 1]")
+    random = _rng(seed).random
+    codes = bytearray(num_edges)
+    for index in range(num_edges):
+        if random() < reciprocity:
+            codes[index] = _RECIPROCAL
+        elif random() < 0.5:
+            codes[index] = _FORWARD
+        else:
+            codes[index] = _BACKWARD
+    return codes
 
 
 def _weighted_reciprocal_csr(
@@ -498,30 +360,13 @@ def _weighted_reciprocal_csr(
 ) -> CSRGraph:
     """Weighted undirected CSR of a skeleton oriented with reciprocity.
 
-    Produces exactly
-    ``CSRGraph.from_undirected(to_weighted_undirected(to_directed_reciprocal(g)))``
-    without materializing either dictionary graph: an edge drawn as
-    reciprocal gets eq. (3) weight 2 (one random draw), any other edge
-    gets weight 1 after a second draw for the (irrelevant here) direction
-    — the same stream consumption, edge for edge, as
-    :func:`to_directed_reciprocal`.
+    The same draws as :func:`to_directed_reciprocal`, weighted by eq. (3):
+    a reciprocal pair gets weight 2, a single directed edge weight 1.
     """
-    if not 0.0 <= reciprocity <= 1.0:
-        raise GraphError("reciprocity must lie in [0, 1]")
-    rng = _rng(seed)
     edges = builder.edges()
-    weights = np.ones(len(edges), dtype=np.int64)
-    for index in range(len(edges)):
-        if rng.random() < reciprocity:
-            weights[index] = 2
-        else:
-            rng.random()  # direction draw of the reference path
-    if not edges:
-        empty = np.empty(0, dtype=np.int64)
-        return CSRGraph(np.zeros(builder.num_vertices + 1, dtype=np.int64), empty, empty)
-    return CSRGraph.from_edge_list(
-        np.asarray(edges, dtype=np.int64), builder.num_vertices, weights=weights
-    )
+    codes = _orientations(len(edges), reciprocity, seed)
+    weights = np.where(np.frombuffer(codes, dtype=np.uint8) == _RECIPROCAL, 2, 1)
+    return CSRGraph.from_edge_list(edges, builder.num_vertices, weights=weights)
 
 
 def to_directed_reciprocal(
@@ -536,18 +381,13 @@ def to_directed_reciprocal(
     is how the directed dataset proxies (Twitter, Google+, LiveJournal,
     Yahoo!) are produced from the structural generators.
     """
-    if not 0.0 <= reciprocity <= 1.0:
-        raise GraphError("reciprocity must lie in [0, 1]")
-    rng = _rng(seed)
+    codes = _orientations(graph.num_edges, reciprocity, seed)
     digraph = DiGraph()
     for v in graph.vertices():
         digraph.add_vertex(v)
-    for u, v, _weight in graph.edges():
-        if rng.random() < reciprocity:
+    for (u, v, _weight), code in zip(graph.edges(), codes):
+        if code != _BACKWARD:
             digraph.add_edge(u, v)
-            digraph.add_edge(v, u)
-        elif rng.random() < 0.5:
-            digraph.add_edge(u, v)
-        else:
+        if code != _FORWARD:
             digraph.add_edge(v, u)
     return digraph

@@ -177,6 +177,21 @@ class UndirectedGraph:
     # convenience constructors
     # ------------------------------------------------------------------
     @classmethod
+    def adopt_adjacency(cls, adjacency: list[dict[int, int]]) -> "UndirectedGraph":
+        """Take ownership of the neighbour dicts of vertices ``0 .. n-1``.
+
+        ``adjacency[v]`` maps each neighbour of ``v`` to the edge weight and
+        must be symmetric, with positive weights and no self-loops.  The
+        dicts are used as they are, insertion order included, with no
+        per-edge :meth:`add_edge` call.
+        """
+        graph = cls()
+        graph._adj = dict(enumerate(adjacency))
+        graph._num_edges = sum(map(len, adjacency)) // 2
+        graph._total_weight = sum(sum(nbrs.values()) for nbrs in adjacency) // 2
+        return graph
+
+    @classmethod
     def from_edges(
         cls,
         edges: Iterable[tuple[int, int] | tuple[int, int, int]],

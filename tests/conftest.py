@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SpinnerConfig
-from repro.graph.datasets import tuenti_proxy, twitter_proxy
+from repro.graph.datasets import load_dataset
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import powerlaw_cluster, watts_strogatz
 from repro.graph.undirected import UndirectedGraph
@@ -53,13 +53,13 @@ def small_world_graph() -> UndirectedGraph:
 @pytest.fixture
 def tiny_tuenti() -> UndirectedGraph:
     """A very small Tuenti proxy for dynamic/elastic tests."""
-    return tuenti_proxy(scale=0.03, seed=9)
+    return load_dataset("TU", scale=0.03, seed=9)
 
 
 @pytest.fixture
 def tiny_twitter() -> DiGraph:
     """A very small Twitter proxy (directed, hub-dominated)."""
-    return twitter_proxy(scale=0.03, seed=9)
+    return load_dataset("TW", scale=0.03, seed=9)
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from repro.core.batch_program import BatchSpinnerProgram, build_spinner_shard
 from repro.core.config import SpinnerConfig
 from repro.core.spinner import SpinnerPartitioner
 from repro.errors import ConfigurationError, PartitioningError
-from repro.graph.datasets import twitter_proxy
+from repro.graph.datasets import load_dataset
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import EdgeArrivalStream
 from repro.graph.generators import powerlaw_cluster, watts_strogatz
@@ -69,7 +69,7 @@ def undirected_graph() -> UndirectedGraph:
 
 @pytest.fixture
 def directed_graph() -> DiGraph:
-    return twitter_proxy(scale=0.05, seed=9)
+    return load_dataset("TW", scale=0.05, seed=9)
 
 
 @pytest.mark.parametrize("placement_name", ["hash", "stride"])

@@ -84,22 +84,6 @@ def test_experiment_command(capsys):
     assert "rho" in out
 
 
-def test_experiment_command_csr_backend(capsys):
-    code = main(["experiment", "table3", "--scale", "0.03", "--backend", "csr"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "rho" in out
-
-
-def test_experiment_backend_warning_for_unbacked_experiment(capsys):
-    code = main(
-        ["experiment", "fig6a", "--scale", "0.03", "--backend", "csr"]
-    )
-    assert code == 0
-    err = capsys.readouterr().err
-    assert "ignores the graph backend" in err
-
-
 def test_partition_command_stream_order(capsys):
     code = main(
         [
@@ -164,6 +148,34 @@ def test_partition_stream_order_rejected_when_unsupported():
 def test_missing_graph_source_errors():
     with pytest.raises(SystemExit):
         main(["partition", "-k", "2"])
+
+
+_SCALED_COMMANDS = {
+    "partition": ["partition", "--dataset", "TU", "-k", "2"],
+    "compare": ["compare", "--dataset", "TU", "-k", "2", "--partitioners", "hash"],
+    "serve": ["serve", "--dataset", "TU", "-k", "2"],
+    "experiment": ["experiment", "table3"],
+}
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", sorted(_SCALED_COMMANDS))
+def test_scale_must_be_finite_and_positive(capsys, command, scale):
+    with pytest.raises(SystemExit) as excinfo:
+        main(_SCALED_COMMANDS[command] + ["--scale", scale])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spinner-repro: error:") and "scale" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["partition", "compare", "serve"])
+def test_dataset_and_edge_list_are_mutually_exclusive(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.edges")
+    with pytest.raises(SystemExit) as excinfo:
+        main(_SCALED_COMMANDS[command] + ["--edge-list", missing])
+    assert excinfo.value.code == 2
+    assert "--dataset and --edge-list are mutually exclusive" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.errors import ReproError
 from repro.graph.datasets import (
     DATASET_SPECS,
     dataset_names,
     load_dataset,
+    load_dataset_csr,
 )
 from repro.graph.digraph import DiGraph
 from repro.graph.stats import degree_stats
@@ -48,6 +50,13 @@ def test_yahoo_proxy_is_sparse():
 def test_unknown_dataset_raises():
     with pytest.raises(KeyError):
         load_dataset("nope")
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("loader", [load_dataset, load_dataset_csr])
+def test_scale_must_be_finite_and_positive(loader, scale):
+    with pytest.raises(ReproError, match="scale"):
+        loader("TU", scale=scale)
 
 
 def test_seed_override_changes_graph():

@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments import ablations, fig3, fig4, fig5, fig6, fig7, fig8, fig9
 from repro.experiments import table1, table3, table4
+from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentScale
 
 
@@ -27,44 +28,51 @@ def test_table1_rows_and_shape(quick):
     assert spinner_rows[0]["phi"] >= spinner_rows[1]["phi"] - 0.05
 
 
-def test_partitioning_experiments_identical_on_csr_backend(quick):
-    # The CSR backend must report the same rows as the dictionary backend:
-    # generators are seed-for-seed equal and the partitioner kernels are
-    # assignment-exact.  (METIS is excluded: it has no CSR kernel and runs
-    # on a canonical re-materialization whose adjacency order differs.)
-    csr_scale = ExperimentScale(
-        graph_scale=quick.graph_scale, seed=quick.seed, graph_backend="csr"
-    )
-    approaches = ("wang", "ldg", "fennel", "spinner")
+def test_partitioning_experiments_match_pinned_rows(quick):
+    # Reference rows recorded from the dictionary-graph implementation of
+    # these experiments: the CSR generators, partitioner kernels and array
+    # metrics must reproduce them exactly.
     assert table1.run_table1(
-        k_values=(2, 4), approaches=approaches, scale=quick
-    ) == table1.run_table1(k_values=(2, 4), approaches=approaches, scale=csr_scale)
-    assert fig3.run_fig3(datasets=("TU",), k_values=(2, 8), scale=quick) == fig3.run_fig3(
-        datasets=("TU",), k_values=(2, 8), scale=csr_scale
-    )
-    assert fig5.run_fig5(
-        c_values=(1.02,), k_values=(4,), repeats=1, scale=quick
-    ) == fig5.run_fig5(c_values=(1.02,), k_values=(4,), repeats=1, scale=csr_scale)
-    assert table3.run_table3(
-        datasets=("LJ", "TU"), k_values=(4,), scale=quick
-    ) == table3.run_table3(datasets=("LJ", "TU"), k_values=(4,), scale=csr_scale)
+        k_values=(2, 4), approaches=("wang", "ldg", "fennel", "spinner"), scale=quick
+    ) == [
+        {"approach": "wang", "k": 2, "phi": 0.553, "rho": 1.31},
+        {"approach": "wang", "k": 4, "phi": 0.36, "rho": 1.655},
+        {"approach": "ldg", "k": 2, "phi": 0.588, "rho": 1.093},
+        {"approach": "ldg", "k": 4, "phi": 0.363, "rho": 1.032},
+        {"approach": "fennel", "k": 2, "phi": 0.603, "rho": 1.065},
+        {"approach": "fennel", "k": 4, "phi": 0.394, "rho": 1.269},
+        {"approach": "spinner", "k": 2, "phi": 0.633, "rho": 1.011},
+        {"approach": "spinner", "k": 4, "phi": 0.377, "rho": 1.056},
+    ]
+    assert fig3.run_fig3(datasets=("TU",), k_values=(2, 8), scale=quick) == [
+        {"graph": "TU", "k": 2, "phi": 0.661, "phi_hash": 0.503, "improvement": 1.31},
+        {"graph": "TU", "k": 8, "phi": 0.257, "phi_hash": 0.122, "improvement": 2.1},
+    ]
+    assert fig5.run_fig5(c_values=(1.02,), k_values=(4,), repeats=1, scale=quick) == [
+        {
+            "c": 1.02,
+            "k": 4,
+            "rho_mean": 1.025,
+            "rho_max": 1.025,
+            "rho_min": 1.025,
+            "iterations": 53.0,
+        }
+    ]
+    assert table3.run_table3(datasets=("LJ", "TU"), k_values=(4,), scale=quick) == [
+        {"graph": "LJ", "rho": 1.033},
+        {"graph": "TU", "rho": 1.013},
+    ]
 
 
-def test_table1_csr_backend_runs_metis(quick):
-    csr_scale = ExperimentScale(
-        graph_scale=quick.graph_scale, seed=quick.seed, graph_backend="csr"
-    )
-    rows = table1.run_table1(k_values=(2,), approaches=("metis",), scale=csr_scale)
-    assert rows[0]["rho"] >= 1.0 and 0.0 <= rows[0]["phi"] <= 1.0
+def test_table1_runs_metis(quick):
+    rows = table1.run_table1(k_values=(2,), approaches=("metis",), scale=quick)
+    assert rows == [{"approach": "metis", "k": 2, "phi": 0.611, "rho": 1.028}]
 
 
-def test_experiment_scale_rejects_unknown_backend():
-    import pytest as _pytest
-
-    from repro.errors import ConfigurationError
-
-    with _pytest.raises(ConfigurationError):
-        ExperimentScale(graph_backend="sparse")
+@pytest.mark.parametrize("graph_scale", [float("nan"), float("inf"), 0.0, -0.5])
+def test_experiment_scale_rejects_non_positive_scale(graph_scale):
+    with pytest.raises(ConfigurationError, match="graph_scale"):
+        ExperimentScale(graph_scale=graph_scale)
 
 
 def test_table3_reports_balance_for_each_graph(quick):
