@@ -14,9 +14,16 @@ the meaningful output, not absolute numbers.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.common import ExperimentScale
+
+# The reference implementations the speed benchmarks compare against live
+# in the test suite's ``oracles`` package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 @pytest.fixture(scope="session")

@@ -35,6 +35,7 @@ from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
 from repro.graph.csr import CSRGraph
 from bench_io import bench_path, env_float, write_bench
+from oracles.dense_kernel import DenseSpinner
 
 BENCH_PATH = bench_path("BENCH_kernel.json")
 
@@ -74,9 +75,8 @@ def _churned_assignment(num_vertices: int, seed: int) -> np.ndarray:
     return labels
 
 
-def _time_partition(config, csr, initial, repeats):
+def _time_partition(spinner, csr, initial, repeats):
     """Best wall clock over ``repeats`` full partition runs."""
-    spinner = FastSpinner(config)
     best = float("inf")
     result = None
     for _ in range(repeats):
@@ -93,12 +93,8 @@ def _run_phase(csr, iterations, initial, repeats):
     config = SpinnerConfig(
         seed=11, max_iterations=iterations, halt_window=iterations + 5
     )
-    dense_seconds, dense = _time_partition(
-        config.with_options(kernel="dense"), csr, initial, repeats
-    )
-    frontier_seconds, frontier = _time_partition(
-        config.with_options(kernel="frontier"), csr, initial, repeats
-    )
+    dense_seconds, dense = _time_partition(DenseSpinner(config), csr, initial, repeats)
+    frontier_seconds, frontier = _time_partition(FastSpinner(config), csr, initial, repeats)
     assert np.array_equal(dense.labels, frontier.labels)
     assert dense.iterations == frontier.iterations == iterations
     assert dense.total_messages == frontier.total_messages

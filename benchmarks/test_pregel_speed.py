@@ -23,11 +23,12 @@ import time
 
 import numpy as np
 
-from repro.apps.pagerank import BatchPageRank, PageRank
+from repro.apps.pagerank import BatchPageRank
 from repro.graph.csr import CSRGraph
 from bench_io import bench_path, env_float, env_int, write_bench
-from repro.pregel.engine import PregelEngine
 from repro.pregel.vector_coordinator import VectorPregelEngine
+from oracles.apps import PageRank
+from oracles.engine import PregelEngine
 
 BENCH_PATH = bench_path("BENCH_pregel.json")
 

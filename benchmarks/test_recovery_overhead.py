@@ -13,8 +13,6 @@ Runs the 100k-vertex / ~1M-edge PageRank workload (the same scale as
   run (values, supersteps, halt reason, aggregator histories and
   per-superstep statistics).
 
-The dictionary engine is measured at a reduced size (it is orders of
-magnitude slower per vertex) and reported without an overhead assertion.
 Numbers land in ``BENCH_recovery.json`` at the repo root.
 
 Run directly with::
@@ -28,17 +26,15 @@ import time
 
 import numpy as np
 
-from repro.apps.pagerank import BatchPageRank, PageRank
+from repro.apps.pagerank import BatchPageRank
 from repro.faults import FaultPlan, WorkerCrash
 from repro.graph.csr import CSRGraph
 from bench_io import bench_path, env_float, env_int, write_bench
-from repro.pregel.engine import PregelEngine
 from repro.pregel.vector_coordinator import VectorPregelEngine
 
 BENCH_PATH = bench_path("BENCH_recovery.json")
 
 NUM_VERTICES = env_int("RECOVERY_BENCH_NUM_VERTICES", 100000)
-DICT_NUM_VERTICES = env_int("RECOVERY_BENCH_DICT_NUM_VERTICES", 10000)
 HALF_DEGREE = 10  # 10 ring neighbours per side -> ~1M undirected edges
 REWIRE_BETA = 0.2
 NUM_WORKERS = 8
@@ -123,25 +119,6 @@ def test_checkpoint_overhead_and_recovery_equality(tmp_path):
     assert recovered.aggregator_history == clean_result.aggregator_history
     assert recovered.stats.superstep_stats == clean_result.stats.superstep_stats
 
-    # Dictionary engine at reduced scale, reported but not asserted: its
-    # per-superstep Python cost dwarfs the snapshot cost, so the overhead
-    # figure is informational only.
-    dict_csr = _watts_strogatz_csr(DICT_NUM_VERTICES, seed=7)
-    dict_vertices = PregelEngine.vertices_from_csr(dict_csr)
-    start = time.perf_counter()
-    PregelEngine(num_workers=NUM_WORKERS).run(
-        PageRank(num_iterations=PAGERANK_ITERATIONS), dict_vertices
-    )
-    dict_clean_seconds = time.perf_counter() - start
-    dict_vertices = PregelEngine.vertices_from_csr(dict_csr)
-    start = time.perf_counter()
-    PregelEngine(
-        num_workers=NUM_WORKERS,
-        checkpoint_interval=CHECKPOINT_INTERVAL,
-        checkpoint_dir=tmp_path / "dict",
-    ).run(PageRank(num_iterations=PAGERANK_ITERATIONS), dict_vertices)
-    dict_ckpt_seconds = time.perf_counter() - start
-
     payload = {
         "workload": {
             "num_vertices": csr.num_vertices,
@@ -160,12 +137,6 @@ def test_checkpoint_overhead_and_recovery_equality(tmp_path):
             "checkpoints_written": ckpt_result.stats.checkpoints_written,
             "recoveries": recovered.stats.recoveries,
             "recovered_byte_identical": True,
-        },
-        "dict_reduced": {
-            "num_vertices": dict_csr.num_vertices,
-            "clean_seconds": round(dict_clean_seconds, 4),
-            "checkpointed_seconds": round(dict_ckpt_seconds, 4),
-            "overhead": round(dict_ckpt_seconds / dict_clean_seconds - 1.0, 4),
         },
         "max_overhead": MAX_OVERHEAD,
     }

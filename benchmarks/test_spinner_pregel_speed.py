@@ -28,6 +28,7 @@ from repro.core.config import SpinnerConfig
 from repro.core.spinner import SpinnerPartitioner
 from repro.graph.generators import watts_strogatz
 from bench_io import bench_path, env_float, env_int, write_bench
+from oracles.spinner import DictSpinnerPartitioner
 
 BENCH_PATH = bench_path("BENCH_spinner.json")
 
@@ -64,14 +65,14 @@ def test_batch_spinner_speedup_on_100k():
             max_iterations=MAX_ITERATIONS,
             worker_local_updates=worker_local_updates,
         )
-        dict_part = SpinnerPartitioner(config, num_workers=NUM_WORKERS, engine="dict")
+        dict_part = DictSpinnerPartitioner(config, num_workers=NUM_WORKERS)
         start = time.perf_counter()
         dict_result = dict_part.partition(graph, NUM_PARTITIONS)
         dict_seconds = time.perf_counter() - start
 
         # Best of two runs: the first pass pays one-time allocator and
         # cache warmup costs, not steady-state engine speed.
-        vector_part = SpinnerPartitioner(config, num_workers=NUM_WORKERS, engine="vector")
+        vector_part = SpinnerPartitioner(config, num_workers=NUM_WORKERS)
         vector_seconds = float("inf")
         for _ in range(2):
             start = time.perf_counter()

@@ -12,9 +12,9 @@ Run with:  python examples/graph_analytics_acceleration.py
 
 from __future__ import annotations
 
-from repro.apps.pagerank import PageRank
-from repro.apps.sssp import ShortestPaths
-from repro.apps.wcc import WeaklyConnectedComponents
+from repro.apps.pagerank import BatchPageRank
+from repro.apps.sssp import BatchShortestPaths
+from repro.apps.wcc import BatchWeaklyConnectedComponents
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
 from repro.experiments.giraph import run_application
@@ -35,18 +35,17 @@ def main() -> None:
 
     source = next(iter(graph.vertices()))
     applications = {
-        "shortest paths (BFS)": ShortestPaths(source=source),
-        "pagerank (10 iter)": PageRank(num_iterations=10),
-        "connected components": WeaklyConnectedComponents(),
+        "shortest paths (BFS)": lambda: BatchShortestPaths(source=source),
+        "pagerank (10 iter)": lambda: BatchPageRank(num_iterations=10),
+        "connected components": BatchWeaklyConnectedComponents,
     }
 
     rows = []
-    for name, program_factory in applications.items():
-        hash_run = run_application(program_factory, graph, num_workers=workers)
-        # Programs carry per-run state in supersteps only, so re-instantiate.
-        program_again = type(program_factory)(**_constructor_args(program_factory, source))
+    for name, make_program in applications.items():
+        # A fresh program per run: programs are not shared between runs.
+        hash_run = run_application(make_program(), graph, num_workers=workers)
         spinner_run = run_application(
-            program_again, graph, num_workers=workers, assignment=assignment
+            make_program(), graph, num_workers=workers, assignment=assignment
         )
         rows.append(
             {
@@ -64,15 +63,6 @@ def main() -> None:
 
     print()
     print(format_table(rows, title="Hash placement vs Spinner placement (simulated cluster)"))
-
-
-def _constructor_args(program, source):
-    """Rebuild constructor arguments for the simple app programs."""
-    if isinstance(program, ShortestPaths):
-        return {"source": source}
-    if isinstance(program, PageRank):
-        return {"num_iterations": program.num_iterations}
-    return {}
 
 
 if __name__ == "__main__":

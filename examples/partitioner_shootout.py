@@ -2,11 +2,10 @@
 """Compare Spinner against the baseline partitioners on one graph.
 
 A runnable miniature of Table I: every registered partitioner (hash, LDG,
-Fennel, the METIS-like multilevel partitioner, Wang et al. and the three
-Spinner variants) partitions the same Twitter-like graph, and the script
-prints locality, balance and the runtime each Spinner variant executed on
-(FastSpinner kernel, dict Pregel engine or vector Pregel engine), for a
-range of partition counts.
+Fennel, the METIS-like multilevel partitioner, Wang et al. and the two
+Spinner implementations — FastSpinner and Spinner on the Pregel engine)
+partitions the same Twitter-like graph, and the script prints locality,
+balance and wall-clock seconds for a range of partition counts.
 
 Run with:  python examples/partitioner_shootout.py
 """
@@ -22,17 +21,6 @@ from repro.metrics.reporting import format_table
 from repro.partitioners.registry import SPINNER_PARTITIONERS, make_partitioner
 
 
-def _runtime_label(name: str, config: SpinnerConfig) -> str:
-    """Human-readable runtime each Spinner variant executes on."""
-    if name == "spinner":
-        return f"fast/{config.kernel}"
-    if name == "spinner-pregel":
-        return f"pregel/{config.engine}"
-    if name == "spinner-pregel-vector":
-        return "pregel/vector"
-    return "-"
-
-
 def main() -> None:
     """Run every partitioner on the Twitter proxy and print the comparison."""
     graph = ensure_undirected(load_dataset("TW", scale=0.25, seed=4))
@@ -46,14 +34,12 @@ def main() -> None:
         "wang",
         "spinner",
         "spinner-pregel",
-        "spinner-pregel-vector",
     )
     rows = []
     for k in (4, 16):
         for name in approaches:
-            config = SpinnerConfig(seed=4)
             if name in SPINNER_PARTITIONERS:
-                partitioner = make_partitioner(name, config=config)
+                partitioner = make_partitioner(name, config=SpinnerConfig(seed=4))
             else:
                 partitioner = make_partitioner(name)
             start = time.perf_counter()
@@ -62,7 +48,6 @@ def main() -> None:
                 {
                     "k": k,
                     "partitioner": name,
-                    "runtime": _runtime_label(name, config),
                     "phi": round(output.phi, 3),
                     "rho": round(output.rho, 3),
                     "seconds": round(time.perf_counter() - start, 2),

@@ -7,12 +7,9 @@ runtime comparison (Figure 9).
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.pregel.aggregators import AggregatorRegistry, DoubleSumAggregator
-from repro.pregel.program import ComputeContext, VertexProgram
 from repro.pregel.batch import (
     BatchComputeContext,
     BatchStep,
@@ -20,13 +17,12 @@ from repro.pregel.batch import (
     DeliveredMessages,
     ShardedGraph,
 )
-from repro.pregel.vertex import Vertex
 
 #: Aggregator holding the sum of all PageRank values (sanity check: ~ |V|).
 TOTAL_RANK_AGGREGATOR = "pagerank_total"
 
 
-class PageRank(VertexProgram):
+class BatchPageRank(BatchVertexProgram):
     """Power-iteration PageRank with a fixed number of supersteps.
 
     Parameters
@@ -36,6 +32,8 @@ class PageRank(VertexProgram):
     damping:
         Damping factor ``d`` of the PageRank recurrence.
     """
+
+    combine = "sum"
 
     def __init__(self, num_iterations: int = 20, damping: float = 0.85) -> None:
         if num_iterations < 1:
@@ -49,46 +47,13 @@ class PageRank(VertexProgram):
         """Register the total-rank sanity aggregator."""
         aggregators.register(TOTAL_RANK_AGGREGATOR, DoubleSumAggregator())
 
-    def compute(self, vertex: Vertex, messages: list[Any], ctx: ComputeContext) -> None:
-        """One PageRank power-iteration step for a single vertex."""
-        if ctx.superstep == 0:
-            vertex.value = 1.0
-        else:
-            incoming = sum(messages)
-            vertex.value = (1.0 - self.damping) + self.damping * incoming
-        ctx.aggregate(TOTAL_RANK_AGGREGATOR, vertex.value)
-
-        if ctx.superstep < self.num_iterations:
-            if vertex.num_edges:
-                share = vertex.value / vertex.num_edges
-                ctx.send_message_to_all_neighbors(vertex, share)
-        else:
-            vertex.vote_to_halt()
-
-
-class BatchPageRank(BatchVertexProgram):
-    """Array-native PageRank for the vector engine.
-
-    Same recurrence, aggregator and halting behaviour as :class:`PageRank`,
-    computed for all vertices of a shard at once; runs on the two engines
-    produce bit-identical values and aggregator histories.
-    """
-
-    combine = "sum"
-
-    # Shared with the per-vertex variant so parameter validation and
-    # aggregator registration cannot silently diverge between the two
-    # contractually bit-equivalent implementations.
-    __init__ = PageRank.__init__
-    register_aggregators = PageRank.register_aggregators
-
     def compute_batch(
         self,
         shard: ShardedGraph,
         messages: DeliveredMessages,
         ctx: BatchComputeContext,
     ) -> BatchStep:
-        """Whole-shard counterpart of :meth:`PageRank.compute`."""
+        """One PageRank power-iteration step for every computed vertex."""
         computed = ctx.computed
         if ctx.superstep == 0:
             values = np.where(computed, 1.0, ctx.values)

@@ -8,12 +8,8 @@ stabilize.
 
 from __future__ import annotations
 
-import math
-from typing import Any
-
 import numpy as np
 
-from repro.pregel.program import ComputeContext, VertexProgram
 from repro.pregel.batch import (
     BatchComputeContext,
     BatchStep,
@@ -22,11 +18,14 @@ from repro.pregel.batch import (
     Outbox,
     ShardedGraph,
 )
-from repro.pregel.vertex import Vertex
 
 
-class ShortestPaths(VertexProgram):
+class BatchShortestPaths(BatchVertexProgram):
     """Bellman-Ford-style SSSP on the Pregel model.
+
+    Distances start at infinity (0 at the source), improvements propagate
+    along out-edges with the edge weight or a unit cost, and every
+    computed vertex votes to halt.
 
     Parameters
     ----------
@@ -35,37 +34,6 @@ class ShortestPaths(VertexProgram):
     use_edge_weights:
         When ``True`` edge values are used as distances; when ``False``
         every hop costs 1 (BFS, which is how the paper uses it).
-    """
-
-    def __init__(self, source: int, use_edge_weights: bool = False) -> None:
-        self.source = source
-        self.use_edge_weights = use_edge_weights
-
-    def compute(self, vertex: Vertex, messages: list[Any], ctx: ComputeContext) -> None:
-        """Relax the vertex distance from incoming messages and propagate."""
-        if ctx.superstep == 0:
-            vertex.value = 0.0 if vertex.vertex_id == self.source else math.inf
-
-        smallest = min(messages) if messages else math.inf
-        if ctx.superstep == 0 and vertex.vertex_id == self.source:
-            smallest = 0.0
-
-        if smallest < vertex.value or (
-            ctx.superstep == 0 and vertex.vertex_id == self.source
-        ):
-            vertex.value = min(vertex.value, smallest)
-            for target, edge_value in vertex.edges.items():
-                cost = float(edge_value) if self.use_edge_weights else 1.0
-                ctx.send_message(target, vertex.value + cost)
-        vertex.vote_to_halt()
-
-
-class BatchShortestPaths(BatchVertexProgram):
-    """Array-native Bellman-Ford SSSP for the vector engine.
-
-    Same semantics as :class:`ShortestPaths`: distances start at infinity
-    (0 at the source), improvements propagate along out-edges with the
-    edge weight or a unit cost, and every computed vertex votes to halt.
     """
 
     combine = "min"
@@ -80,7 +48,7 @@ class BatchShortestPaths(BatchVertexProgram):
         messages: DeliveredMessages,
         ctx: BatchComputeContext,
     ) -> BatchStep:
-        """Whole-shard counterpart of :meth:`ShortestPaths.compute`."""
+        """Relax distances from incoming messages and propagate improvements."""
         num_vertices = shard.num_vertices
         is_source_start = np.zeros(num_vertices, dtype=bool)
         if ctx.superstep == 0:

@@ -8,11 +8,8 @@ its smallest vertex id.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
-from repro.pregel.program import ComputeContext, VertexProgram
 from repro.pregel.batch import (
     BatchComputeContext,
     BatchStep,
@@ -20,32 +17,13 @@ from repro.pregel.batch import (
     DeliveredMessages,
     ShardedGraph,
 )
-from repro.pregel.vertex import Vertex
-
-
-class WeaklyConnectedComponents(VertexProgram):
-    """Minimum-label propagation for connected components."""
-
-    def compute(self, vertex: Vertex, messages: list[Any], ctx: ComputeContext) -> None:
-        """Adopt the smallest component label seen and propagate changes."""
-        if ctx.superstep == 0:
-            vertex.value = vertex.vertex_id
-            ctx.send_message_to_all_neighbors(vertex, vertex.value)
-            vertex.vote_to_halt()
-            return
-
-        smallest = min(messages) if messages else vertex.value
-        if smallest < vertex.value:
-            vertex.value = smallest
-            ctx.send_message_to_all_neighbors(vertex, vertex.value)
-        vertex.vote_to_halt()
 
 
 class BatchWeaklyConnectedComponents(BatchVertexProgram):
-    """Array-native minimum-label propagation for the vector engine.
+    """Minimum-label propagation for connected components.
 
-    Component labels are the original vertex ids (carried as floats in the
-    dense value array), exactly like :class:`WeaklyConnectedComponents`.
+    Component labels are the original vertex ids, carried as floats in the
+    dense value array.
     """
 
     combine = "min"
@@ -56,7 +34,7 @@ class BatchWeaklyConnectedComponents(BatchVertexProgram):
         messages: DeliveredMessages,
         ctx: BatchComputeContext,
     ) -> BatchStep:
-        """Whole-shard counterpart of :meth:`WeaklyConnectedComponents.compute`."""
+        """Adopt the smallest component label seen and propagate changes."""
         votes = np.ones(shard.num_vertices, dtype=bool)
         if ctx.superstep == 0:
             values = shard.original_ids.astype(np.float64)

@@ -64,11 +64,7 @@ from repro.partitioners.registry import (
     available_partitioners,
     make_partitioner,
 )
-from repro.serving import SERVING_ENGINES, ServingConfig, ShardingService
-
-# Experiments that honour --engine; the remaining partitioning experiments
-# ignore it (the experiment command warns when that happens).
-_ENGINE_BACKED_EXPERIMENTS = frozenset({"table4", "fig9", "fig6b", "fig7", "fig8"})
+from repro.serving import ServingConfig, ShardingService
 
 # Partitioners whose stream order is configurable (--stream-order), with
 # the orders each one supports.
@@ -77,11 +73,6 @@ _STREAMING_PARTITIONERS = {
     "fennel": ("natural", "random"),
 }
 
-# Partitioners that execute on a (checkpointable) Pregel engine; the
-# checkpoint/fault flags only apply to these.  "spinner" is FastSpinner —
-# vectorized kernels, no Pregel run to snapshot.
-_PREGEL_PARTITIONERS = frozenset({"spinner-pregel", "spinner-pregel-vector"})
-
 # FastSpinner-backed partitioners: the only ones whose kernels honour the
 # storage tier knobs (--storage / --storage-dir / --storage-chunk).
 _FAST_PARTITIONERS = frozenset({"spinner", "spinner-mmap"})
@@ -89,8 +80,8 @@ _FAST_PARTITIONERS = frozenset({"spinner", "spinner-mmap"})
 # Partitioners whose array path (``partition_array``) gives the same
 # assignment as their dictionary path on the dataset proxies: with
 # --dataset they run on the proxy's CSR view end to end.  The others
-# (metis and the Pregel runtimes) keep the dictionary graph, because
-# their output depends on the DiGraph input or on its insertion order.
+# (metis and spinner-pregel) keep the dictionary graph, because their
+# output depends on the DiGraph input or on its insertion order.
 _CSR_PARTITIONERS = frozenset(
     {"spinner", "spinner-mmap", "ldg", "fennel", "wang", "hash", "modulo", "random"}
 )
@@ -102,38 +93,19 @@ def _fail(message: str) -> None:
     raise SystemExit(2)
 
 
-def _pregel_engine(engine: str | None) -> str:
-    """Resolve --engine for experiments that only run on a Pregel runtime."""
-    if engine in (None, "dict"):
-        return "dict"
-    if engine == "vector":
-        return "vector"
-    _fail(f"--engine {engine} is not a Pregel runtime; use 'dict' or 'vector'")
-
-
 _EXPERIMENTS = {
-    "table1": lambda scale, engine: table1.run_table1(scale=scale),
-    "table3": lambda scale, engine: table3.run_table3(scale=scale),
-    "table4": lambda scale, engine: table4.run_table4(
-        scale=scale, engine=_pregel_engine(engine)
-    ),
-    "fig3": lambda scale, engine: fig3.run_fig3(scale=scale),
-    "fig4": lambda scale, engine: fig4.run_fig4(scale=scale),
-    "fig5": lambda scale, engine: fig5.run_fig5(scale=scale),
-    "fig6a": lambda scale, engine: fig6.run_fig6a(scale=scale),
-    "fig6b": lambda scale, engine: fig6.run_fig6b(
-        scale=scale, engine=_pregel_engine(engine)
-    ),
-    "fig6c": lambda scale, engine: fig6.run_fig6c(scale=scale),
-    "fig7": lambda scale, engine: fig7.run_fig7(
-        scale=scale, engine=engine or "fast"
-    ),
-    "fig8": lambda scale, engine: fig8.run_fig8(
-        scale=scale, engine=engine or "fast"
-    ),
-    "fig9": lambda scale, engine: fig9.run_fig9(
-        scale=scale, engine=_pregel_engine(engine)
-    ),
+    "table1": table1.run_table1,
+    "table3": table3.run_table3,
+    "table4": table4.run_table4,
+    "fig3": fig3.run_fig3,
+    "fig4": fig4.run_fig4,
+    "fig5": fig5.run_fig5,
+    "fig6a": fig6.run_fig6a,
+    "fig6b": fig6.run_fig6b,
+    "fig6c": fig6.run_fig6c,
+    "fig7": fig7.run_fig7,
+    "fig8": fig8.run_fig8,
+    "fig9": fig9.run_fig9,
 }
 
 
@@ -200,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="snapshot the Pregel run every N supersteps into "
-        "--checkpoint-dir (spinner-pregel / spinner-pregel-vector only)",
+        "--checkpoint-dir (spinner-pregel only)",
     )
     partition.add_argument(
         "--checkpoint-dir",
@@ -257,17 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("name", choices=sorted(_EXPERIMENTS))
     experiment.add_argument("--scale", type=float, default=0.25)
     experiment.add_argument("--seed", type=int, default=7)
-    experiment.add_argument(
-        "--engine",
-        choices=("fast", "dict", "vector"),
-        default=None,
-        help="Spinner/Pregel runtime for engine-backed experiments "
-        "(table4, fig9, fig6b, fig7, fig8): 'dict' is the per-vertex "
-        "reference Pregel engine, 'vector' the array-native sharded "
-        "engine (bit-exact with 'dict'), and 'fast' the vectorized "
-        "FastSpinner kernels (fig7/fig8 only, their default). "
-        "Defaults to each experiment's own default runtime",
-    )
 
     ingest = subparsers.add_parser(
         "ingest", help="ingest an edge list into an on-disk CSR store"
@@ -352,20 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="repartition once the incrementally-estimated locality phi "
         "drops this far below the last published value (disabled by default)",
     )
-    serve.add_argument(
-        "--engine",
-        choices=SERVING_ENGINES,
-        default="fast",
-        help="repartitioning engine: 'fast' (vectorized FastSpinner, "
-        "default), 'dict' or 'vector' (the Pregel runtimes)",
-    )
     serve.add_argument("--seed", type=int, default=42)
     serve.add_argument(
         "--storage",
         choices=("ram", "mmap"),
         default=None,
-        help="storage tier for background FastSpinner repartitions "
-        "(--engine fast only); 'mmap' streams the CSR arrays from disk",
+        help="storage tier for background FastSpinner repartitions; "
+        "'mmap' streams the CSR arrays from disk",
     )
     serve.add_argument(
         "--storage-dir",
@@ -446,11 +400,10 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         _fail(f"--storage-chunk must be >= 1, got {args.storage_chunk}")
     fault_plan = None
     if args.checkpoint_interval is not None:
-        if args.partitioner not in _PREGEL_PARTITIONERS:
+        if args.partitioner != "spinner-pregel":
             _fail(
-                f"--checkpoint-interval only applies to the Pregel-backed "
-                f"partitioners {sorted(_PREGEL_PARTITIONERS)}, "
-                f"not {args.partitioner!r}"
+                "--checkpoint-interval only applies to the Pregel-backed "
+                f"partitioner 'spinner-pregel', not {args.partitioner!r}"
             )
         if args.checkpoint_interval < 1:
             _fail(f"--checkpoint-interval must be >= 1, got {args.checkpoint_interval}")
@@ -568,14 +521,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.engine is not None and args.name not in _ENGINE_BACKED_EXPERIMENTS:
-        print(
-            f"note: experiment {args.name!r} does not run on a Pregel engine; "
-            f"--engine {args.engine} has no effect",
-            file=sys.stderr,
-        )
     scale = ExperimentScale(graph_scale=args.scale, seed=args.seed)
-    rows = _EXPERIMENTS[args.name](scale, args.engine)
+    rows = _EXPERIMENTS[args.name](scale=scale)
     print(format_table(rows, title=f"Experiment {args.name}"))
     return 0
 
@@ -627,8 +574,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.phi_drift is not None and not 0.0 < args.phi_drift <= 1.0:
         _fail(f"--phi-drift must lie in (0, 1], got {args.phi_drift}")
-    if args.storage is not None and args.engine != "fast":
-        _fail("--storage only applies to --engine fast")
     if args.storage != "mmap":
         if args.storage_dir is not None:
             _fail("--storage-dir requires --storage mmap")
@@ -663,7 +608,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_partitions=args.num_partitions,
         edge_threshold=edge_threshold,
         phi_drift=args.phi_drift,
-        engine=args.engine,
         spinner=SpinnerConfig(
             seed=args.seed,
             storage=args.storage if args.storage is not None else "ram",

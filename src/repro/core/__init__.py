@@ -1,17 +1,13 @@
 """Spinner — the paper's primary contribution.
 
-Two interchangeable implementations of the same algorithm are provided:
+Two implementations of the same algorithm are provided:
 
 * :class:`repro.core.spinner.SpinnerPartitioner` — the faithful Pregel
   implementation, organized in the supersteps described in Section IV of
   the paper (NeighborPropagation, NeighborDiscovery, Initialize,
-  ComputeScores, ComputeMigrations) and executed on the simulated Giraph
-  engine of :mod:`repro.pregel`.  It runs on either Pregel runtime:
-  the per-vertex dictionary engine (``engine="dict"``, via
-  :class:`repro.core.program.SpinnerProgram`) or the array-native vector
-  engine (``engine="vector"``, via
-  :class:`repro.core.batch_program.BatchSpinnerProgram`) — the two are
-  bit-exact for the same seed.
+  ComputeScores, ComputeMigrations) as
+  :class:`repro.core.batch_program.BatchSpinnerProgram` and executed on
+  the simulated Giraph cluster of :mod:`repro.pregel`.
 * :class:`repro.core.fast.FastSpinner` — a vectorized NumPy implementation
   of the identical iteration (same score function, penalty, probabilistic
   migration and halting heuristic) used for large parameter sweeps.

@@ -1,14 +1,14 @@
 """Array-native Spinner vertex program for the vector Pregel runtime.
 
 :class:`BatchSpinnerProgram` is the
-:class:`~repro.pregel.batch.BatchVertexProgram` port of
-:class:`~repro.core.program.SpinnerProgram`: the same superstep schedule
+:class:`~repro.pregel.batch.BatchVertexProgram` port of the per-vertex
+Spinner program (kept as the test oracle): the same superstep schedule
 (NeighborPropagation / NeighborDiscovery / Initialize / ComputeScores /
 ComputeMigrations, see Figure 2 of the paper), the same aggregators, the
 same master-side halting — executed once per superstep over flat NumPy
 arrays instead of once per vertex.
 
-The equivalence contract with the dictionary-engine program is **bit
+The equivalence contract with the per-vertex reference program is **bit
 exact** under the seeded RNG contract, not approximate:
 
 * label frequencies and weighted degrees are integer-valued, so the
@@ -16,7 +16,7 @@ exact** under the seeded RNG contract, not approximate:
   Python sums exactly;
 * per-label load/candidate aggregators are per-bin sequential bincounts
   over the canonical (worker-major) vertex order — the order the
-  dictionary engine visits vertices — and the global score / local-weight
+  reference engine visits vertices — and the global score / local-weight
   aggregators use the strictly sequential ``np.cumsum``;
 * the score of every ``(vertex, label)`` pair is computed with the exact
   elementwise operations of :func:`repro.core.scoring.label_score`, and
@@ -25,13 +25,13 @@ exact** under the seeded RNG contract, not approximate:
   ``prefer_current_label`` rule) as ``k`` vectorized passes;
 * migration draws come from one ``Generator.random(n)`` call over the
   candidates in canonical vertex order, which yields the same stream as
-  the dictionary program's per-candidate scalar ``random()`` calls
+  the reference program's per-candidate scalar ``random()`` calls
   (NumPy's PCG64 fills blocks sequentially);
 * when ``config.worker_local_updates`` is set (Section IV-A4), the
   per-worker asynchronous load deltas make candidate decisions
   *sequentially dependent within a worker*, so the candidate scan runs as
   a per-worker Python loop over precomputed score components — exact by
-  construction, and still far cheaper than the dictionary engine because
+  construction, and still far cheaper than the reference engine because
   frequencies, messaging and aggregation stay vectorized.
 
 ``tests/test_batch_spinner.py`` pins the contract (assignments,
@@ -80,7 +80,7 @@ from repro.pregel.vector_coordinator import VectorPregelEngine
 class DirectedSendPlan:
     """Superstep-0 send schedule for directed inputs.
 
-    The dictionary engine's NeighborPropagation superstep sends one
+    The reference engine's NeighborPropagation superstep sends one
     message per *original directed edge* and scans only the original
     out-edges, while every later superstep operates on the converted
     weighted undirected adjacency.  The batch program pre-converts the
@@ -111,7 +111,7 @@ class SpinnerShard:
     shard:
         The sharded weighted undirected adjacency the label-propagation
         supersteps run over (for directed inputs: the eq. 3 conversion
-        the dictionary program would build during NeighborDiscovery).
+        the reference program would build during NeighborDiscovery).
     directed_plan:
         Superstep-0 emulation data for directed inputs, ``None`` for
         undirected inputs.
@@ -137,7 +137,7 @@ def _converted_half_edges(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eq. 3 weighted undirected half-edges of a dense directed edge list.
 
-    Reproduces the adjacency the dictionary program builds during its
+    Reproduces the adjacency the reference program builds during its
     NeighborPropagation/NeighborDiscovery supersteps: every connected
     unordered pair becomes two half-edges with weight 1 (one direction
     present) or 2 (reciprocal pair, via
@@ -163,12 +163,12 @@ def build_spinner_shard(
 
     Undirected graphs shard directly (two half-edges per edge, weights
     preserved).  Directed graphs are pre-converted to the weighted
-    undirected form of eq. (3) — the adjacency the dictionary program
+    undirected form of eq. (3) — the adjacency the reference program
     builds during its two conversion supersteps — and additionally carry
     a :class:`DirectedSendPlan` so superstep 0's messages and statistics
     can be replayed over the *original* directed edges.  Dense vertex
     ids follow graph insertion order in both cases, matching the
-    dictionary engine's visit order.
+    reference engine's visit order.
     """
     if isinstance(graph, UndirectedGraph):
         return SpinnerShard(shard=engine.shard_undirected(graph))
@@ -198,9 +198,9 @@ def build_spinner_shard(
 class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
     """Spinner's label-propagation vertex program over flat arrays.
 
-    Construct with the same ``(num_partitions, config,
-    convert_directed)`` triple as
-    :class:`~repro.core.program.SpinnerProgram`, then :meth:`bind` the
+    Construct with the ``(num_partitions, config, convert_directed)``
+    triple of :class:`~repro.core.program.SpinnerPhaseSchedule`, then
+    :meth:`bind` the
     prepared :class:`SpinnerShard` and the dense initial labels before
     running.  Reuses :class:`~repro.core.program.SpinnerMasterCompute`
     unchanged for the halting heuristic.
@@ -285,7 +285,7 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
         observable effects — one message per directed edge and
         ``edges_scanned`` charged at the original out-degrees.  The plan
         is stored in canonical (worker-major by source) order, which is
-        the dictionary engine's send order.
+        the reference engine's send order.
         """
         plan = self._spinner_shard.directed_plan
         assert plan is not None  # guaranteed by bind()
@@ -336,7 +336,7 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
         Delegates to :meth:`BatchComputeContext.aggregate_keyed`: the
         bincount runs over the canonical (worker-major) vertex order and
         accumulates each bin strictly sequentially in input order, so
-        every per-label sum is bit-identical to the dictionary engine's
+        every per-label sum is bit-identical to the reference engine's
         vertex-by-vertex ``DoubleSumAggregator`` reduction.
         """
         ctx.aggregate_keyed(name_fn, labels, weights, self.num_partitions, mask=mask)
@@ -346,10 +346,10 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
         """Edge weight per ``(vertex, neighbour label)`` (eq. 4 numerator).
 
         One composite-key bincount over all adjacency slots; entries are
-        exact integer-valued floats, so they equal the dictionary
+        exact integer-valued floats, so they equal the reference
         program's per-vertex ``label_frequencies`` sums bit for bit.
         The neighbour labels are read straight from the global label
-        array — the dictionary program's per-edge label cache holds
+        array — the reference program's per-edge label cache holds
         exactly the neighbour's post-migration label because every
         migrating vertex notifies all its neighbours.
         """
@@ -409,7 +409,7 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Replay ``choose_label``'s sequential label scan as k array passes.
 
-        The dictionary scan walks labels ``0..k-1`` keeping a running
+        The reference scan walks labels ``0..k-1`` keeping a running
         best with a ``1e-12`` slack (and the ``prefer_current_label``
         tie rule); iterating labels in the same order with vectorized
         per-vertex state reproduces every comparison bit for bit.
@@ -455,7 +455,7 @@ class BatchSpinnerProgram(SpinnerPhaseSchedule, BatchVertexProgram):
         dependent within a worker and runs as a Python loop over the
         canonical vertex order — operating on precomputed locality rows
         and incrementally maintained penalties, with the exact float
-        arithmetic of the dictionary program (``(base_load + delta) /
+        arithmetic of the reference program (``(base_load + delta) /
         capacity`` recomputed from the base on every delta change).
         Workers are independent: each starts from the base penalties.
         """

@@ -60,33 +60,13 @@ class SpinnerConfig:
     prefer_current_label:
         Whether ties in the score function keep the current label
         (Section III-A's tie-breaking rule).
-    kernel:
-        Which :class:`~repro.core.fast.FastSpinner` inner loop to use:
-        ``"frontier"`` (default) maintains the per-vertex label-weight
-        histogram incrementally and only reprocesses the neighbourhood of
-        migrated vertices, while ``"dense"`` rebuilds the full histogram
-        every iteration (the reference kernel).  Both produce identical
-        labels for the same seed; ``"dense"`` exists for equivalence tests
-        and the kernel speed benchmark.
-    engine:
-        Which Pregel runtime
-        :class:`~repro.core.spinner.SpinnerPartitioner` executes on:
-        ``"dict"`` (default) runs the per-vertex
-        :class:`~repro.core.program.SpinnerProgram` on the dictionary
-        engine, ``"vector"`` runs the array-native
-        :class:`~repro.core.batch_program.BatchSpinnerProgram` on the
-        sharded vector engine.  Both are bit-exact for the same seed
-        (assignments, supersteps, aggregator histories); ``"vector"`` is
-        orders of magnitude faster on large graphs.  Ignored by
-        :class:`~repro.core.fast.FastSpinner`, which has its own
-        ``kernel`` switch.
     checkpoint_interval:
         Snapshot the Pregel run into ``checkpoint_dir`` every this many
         supersteps (superstep-boundary checkpointing, Giraph style).
         Requires ``checkpoint_dir``; ``None`` disables checkpointing.
-        Honoured by the Pregel-backed partitioners
-        (:class:`~repro.core.spinner.SpinnerPartitioner` on either
-        engine); ignored by :class:`~repro.core.fast.FastSpinner`.
+        Honoured by the Pregel-backed
+        :class:`~repro.core.spinner.SpinnerPartitioner`; ignored by
+        :class:`~repro.core.fast.FastSpinner`.
     checkpoint_dir:
         Directory for checkpoint snapshots (created if missing).
     fault_plan:
@@ -130,8 +110,6 @@ class SpinnerConfig:
     worker_local_updates: bool = True
     direction_aware: bool = True
     prefer_current_label: bool = True
-    kernel: str = "frontier"
-    engine: str = "dict"
     checkpoint_interval: int | None = None
     checkpoint_dir: str | None = None
     fault_plan: FaultPlan | None = field(default=None, compare=False)
@@ -141,14 +119,6 @@ class SpinnerConfig:
     extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kernel not in ("frontier", "dense"):
-            raise ConfigurationError(
-                f"kernel must be 'frontier' or 'dense', got {self.kernel!r}"
-            )
-        if self.engine not in ("dict", "vector"):
-            raise ConfigurationError(
-                f"engine must be 'dict' or 'vector', got {self.engine!r}"
-            )
         if self.additional_capacity <= 1.0:
             raise ConfigurationError(
                 f"additional_capacity must be > 1, got {self.additional_capacity}"

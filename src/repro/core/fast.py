@@ -22,58 +22,51 @@ ablation benchmark quantifies this).
 Performance architecture
 ------------------------
 
-:class:`FastSpinner` ships two kernels selected by
-``SpinnerConfig.kernel``; both produce byte-identical labels for the same
-seed.
+The kernel is incremental.  It exploits the paper's observation that
+after an iteration only the vertices adjacent to *migrated* vertices see
+their neighbourhood change.  The kernel keeps two matrices alive across
+iterations:
 
-``"dense"`` (the reference kernel)
-    Rebuilds the per-vertex label-weight histogram ``w(v, l)`` from
-    scratch every iteration with an unbuffered ``np.add.at`` scatter over
-    all ``2m`` half-edges — simple, and kept as the ground truth for the
-    equivalence suite and the speed benchmark
-    (``benchmarks/test_kernel_speed.py``).
+* ``label_weight`` — the ``(n, k)`` histogram ``w(v, l)``, stored as
+  ``int32`` when the weighted degrees allow it (histogram entries are
+  bounded by the weighted degree), halving the memory traffic of the
+  scoring pass, and
+* ``q = label_weight / degree`` — a divide cache of the
+  degree-normalized scores before the balance penalty.
 
-``"frontier"`` (the default, incremental kernel)
-    Exploits the paper's observation that after an iteration only the
-    vertices adjacent to *migrated* vertices see their neighbourhood
-    change.  The kernel keeps two matrices alive across iterations:
+After each migration step the adjacency lists of the migrants (the
+*frontier*) are gathered in one shot, and exactly the ``2 x volume``
+histogram entries that changed — ``(neighbour, old_label)`` and
+``(neighbour, new_label)`` — are updated with one scatter-add, so the
+per-iteration update cost is proportional to the frontier volume, not
+to ``m``.  Because Spinner's capacity constraint (eq. 5) bounds the
+load that may migrate per iteration, the frontier is a small fraction
+of the graph throughout the run — and it collapses to near zero in
+the converged and incremental-repartitioning regimes (Section III-D),
+which is where the kernel shines.  The full pass (first iteration, or
+whenever the frontier volume approaches ``2m``) uses a single
+composite-key reduction instead of ``np.add.at``::
 
-    * ``label_weight`` — the ``(n, k)`` histogram ``w(v, l)``, stored as
-      ``int32`` when the weighted degrees allow it (histogram entries are
-      bounded by the weighted degree), halving the memory traffic of the
-      scoring pass, and
-    * ``q = label_weight / degree`` — a divide cache of the
-      degree-normalized scores before the balance penalty.
+    np.bincount(source * k + labels[target], weights=w, minlength=n * k)
 
-    After each migration step the adjacency lists of the migrants (the
-    *frontier*) are gathered in one shot, and exactly the ``2 x volume``
-    histogram entries that changed — ``(neighbour, old_label)`` and
-    ``(neighbour, new_label)`` — are updated with one scatter-add, so the
-    per-iteration update cost is proportional to the frontier volume, not
-    to ``m``.  Because Spinner's capacity constraint (eq. 5) bounds the
-    load that may migrate per iteration, the frontier is a small fraction
-    of the graph throughout the run — and it collapses to near zero in
-    the converged and incremental-repartitioning regimes (Section III-D),
-    which is where the kernel shines.  The full pass (first iteration, or
-    whenever the frontier volume approaches ``2m``) uses a single
-    composite-key reduction instead of ``np.add.at``::
+The balance penalty changes globally every iteration, so candidate
+selection still scans all ``n`` rows; that scan streams ``q`` once in
+L2-sized row blocks (the kernel is memory-bandwidth bound, so the
+penalty subtraction, tie-biased ``argmax`` and candidate gathers all
+run on a hot ~1 MiB buffer).  Rows of ``q`` are re-divided only when
+their histogram row changed.
 
-        np.bincount(source * k + labels[target], weights=w, minlength=n * k)
-
-    The balance penalty changes globally every iteration, so candidate
-    selection still scans all ``n`` rows; that scan streams ``q`` once in
-    L2-sized row blocks (the kernel is memory-bandwidth bound, so the
-    penalty subtraction, tie-biased ``argmax`` and candidate gathers all
-    run on a hot ~1 MiB buffer).  Rows of ``q`` are re-divided only when
-    their histogram row changed.
-
-    Byte-identical labels fall out of exactness, not luck: every
-    histogram entry is an exact small integer (sums of integer edge
-    weights), ``int -> float64`` conversion and elementwise division are
-    deterministic, and the blocked traversal performs the same scalar
-    operations as the dense kernel's full-matrix expressions — so both
-    kernels see bit-equal scores and make identical decisions from the
-    identical RNG stream.
+Byte-identical labels fall out of exactness, not luck: every
+histogram entry is an exact small integer (sums of integer edge
+weights), ``int -> float64`` conversion and elementwise division are
+deterministic, and the blocked traversal performs the same scalar
+operations as the full-matrix expressions of a dense reference kernel,
+which rebuilds the histogram from scratch every iteration with one
+``np.add.at`` scatter over all ``2m`` half-edges.  Both see bit-equal
+scores and make identical decisions from the identical RNG stream; the
+dense kernel is kept in the test suite as the oracle for the
+equivalence suite and the speed benchmark
+(``benchmarks/test_kernel_speed.py``).
 """
 
 from __future__ import annotations
@@ -338,158 +331,11 @@ class FastSpinner:
         labels: np.ndarray,
         track_history: bool,
     ) -> FastSpinnerResult:
-        if self.config.kernel == "dense":
-            return self._run_dense(csr, num_partitions, labels, track_history)
-        return self._run_frontier(csr, num_partitions, labels, track_history)
-
-    def _run_dense(
-        self,
-        csr: CSRGraph,
-        num_partitions: int,
-        labels: np.ndarray,
-        track_history: bool,
-    ) -> FastSpinnerResult:
-        """Reference kernel: full ``np.add.at`` histogram rebuild per iteration.
-
-        On the mmap tier the full-edge expressions are replaced by their
-        chunked twins (:func:`_accumulate_histogram` /
-        :func:`_chunked_local_weight`), which are exact for every chunk
-        size, so the out-of-core run returns bit-identical results.
-        """
-        config = self.config
-        rng = np.random.default_rng(config.seed)
-        n = csr.num_vertices
-        stream = csr.storage == "mmap"
-        if stream:
-            chunk = self._storage_chunk()
-            sources = targets = weights_f = None
-        else:
-            sources, targets, weights = csr.edge_array()
-            weights_f = weights.astype(np.float64)
-        degrees = csr.weighted_degrees_f
-        safe_degrees = np.where(degrees > 0, degrees, 1.0)
-        total_load = float(degrees.sum())
-        capacity = config.capacity(total_load, num_partitions) if total_load else 1.0
-        vertex_range = np.arange(n)
-
-        tracker = HaltingTracker(threshold=config.halt_threshold, window=config.halt_window)
-        history: list[IterationRecord] = []
-        halted_by = "max_iterations"
-        # Initialization messages: every vertex announces its label once.
-        total_messages = int(csr.indices.shape[0])
-
-        if stream:
-            def local_weight_fn(current_labels: np.ndarray) -> float:
-                return _chunked_local_weight(csr, current_labels, chunk)
-        else:
-            def local_weight_fn(current_labels: np.ndarray) -> float:
-                mask = current_labels[sources] == current_labels[targets]
-                return float(weights_f[mask].sum())
-
-        iterations_run = 0
-        for iteration in range(config.max_iterations):
-            iterations_run = iteration + 1
-
-            # --- ComputeScores -----------------------------------------
-            label_weight = np.zeros((n, num_partitions), dtype=np.float64)
-            if stream:
-                _accumulate_histogram(csr, labels, num_partitions, chunk, label_weight)
-            else:
-                np.add.at(label_weight, (sources, labels[targets]), weights_f)
-
-            loads = np.bincount(
-                labels, weights=degrees, minlength=num_partitions
-            ).astype(np.float64)
-            if config.balance_penalty and capacity > 0:
-                penalties = loads / capacity
-            else:
-                penalties = np.zeros(num_partitions, dtype=np.float64)
-
-            scores = label_weight / safe_degrees[:, None] - penalties[None, :]
-            current_scores = scores[vertex_range, labels]
-
-            if config.prefer_current_label:
-                # Bias the current label so exact ties keep it.
-                biased = scores.copy()
-                biased[vertex_range, labels] += 1e-9
-                best = np.argmax(biased, axis=1)
-            else:
-                best = np.argmax(scores, axis=1)
-            best_scores = scores[vertex_range, best]
-            is_candidate = (best != labels) & (best_scores > current_scores + 1e-12)
-
-            # --- ComputeMigrations --------------------------------------
-            if is_candidate.any():
-                candidate_load = np.bincount(
-                    best[is_candidate],
-                    weights=degrees[is_candidate],
-                    minlength=num_partitions,
-                ).astype(np.float64)
-                remaining = capacity - loads
-                if config.probabilistic_migration:
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        probabilities = np.where(
-                            candidate_load > 0,
-                            np.clip(remaining, 0.0, None) / candidate_load,
-                            1.0,
-                        )
-                    probabilities = np.clip(probabilities, 0.0, 1.0)
-                else:
-                    probabilities = np.ones(num_partitions, dtype=np.float64)
-                draws = rng.random(n)
-                migrate = is_candidate & (draws < probabilities[best])
-            else:
-                migrate = np.zeros(n, dtype=bool)
-
-            migrations = int(migrate.sum())
-            if migrations:
-                labels[migrate] = best[migrate]
-                # Each migrating vertex notifies its neighbours.
-                total_messages += int(
-                    (csr.indptr[1:] - csr.indptr[:-1])[migrate].sum()
-                )
-
-            # --- bookkeeping & halting ----------------------------------
-            score_value = float(current_scores.sum())
-            if track_history:
-                local_weight = local_weight_fn(labels)
-                phi = local_weight / total_load if total_load else 1.0
-                post_loads = np.bincount(
-                    labels, weights=degrees, minlength=num_partitions
-                )
-                ideal = total_load / num_partitions
-                rho = float(post_loads.max() / ideal) if total_load else 1.0
-                history.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        phi=phi,
-                        rho=rho,
-                        score=score_value,
-                        migrations=migrations,
-                    )
-                )
-
-            if tracker.update(score_value):
-                halted_by = "steady_state"
-                break
-
-        return self._finalize(
-            csr, num_partitions, labels, degrees, total_load, iterations_run,
-            history, halted_by, total_messages, local_weight_fn(labels),
-        )
-
-    def _run_frontier(
-        self,
-        csr: CSRGraph,
-        num_partitions: int,
-        labels: np.ndarray,
-        track_history: bool,
-    ) -> FastSpinnerResult:
         """Incremental kernel: frontier-sized delta updates between full passes.
 
         See the module docstring ("Performance architecture") for the
-        invariants; every arithmetic step mirrors :meth:`_run_dense`
-        bit-for-bit, so both kernels return identical results for the
+        invariants; every arithmetic step mirrors the dense reference
+        kernel bit-for-bit, so both return identical results for the
         same seed.  Scoring streams the histogram once per iteration in
         L2-sized row blocks instead of materializing the full
         ``(n, k)`` score matrix — this kernel is memory-bandwidth bound,
@@ -768,7 +614,7 @@ class FastSpinner:
         total_messages: int,
         local_weight: float,
     ) -> FastSpinnerResult:
-        """Final quality metrics, shared by both kernels."""
+        """Final quality metrics of a finished run."""
         phi = local_weight / total_load if total_load else 1.0
         final_loads = np.bincount(labels, weights=degrees, minlength=num_partitions)
         ideal = total_load / num_partitions

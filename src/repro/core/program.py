@@ -1,4 +1,4 @@
-"""The Spinner vertex program and master compute (paper Section IV).
+"""The Spinner superstep schedule and master compute (paper Section IV).
 
 The algorithm is organized in the phases of Figure 2 of the paper, each
 implemented as one Pregel superstep:
@@ -25,29 +25,26 @@ implemented as one Pregel superstep:
 
 Partition loads, candidate loads, the number of migrations and the global
 score are all maintained through aggregators, mirroring the sharded
-aggregators of the Giraph implementation (Section IV-A5).  Per-worker
-asynchronous load deltas (Section IV-A4) live in the worker's shared
-store.
+aggregators of the Giraph implementation (Section IV-A5).  This module
+holds what every implementation of the schedule shares: the phase
+bookkeeping, the aggregator names and the halting master compute.  The
+program itself is :class:`~repro.core.batch_program.BatchSpinnerProgram`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.core.config import SpinnerConfig
 from repro.core.halting import HaltingTracker
-from repro.core.scoring import choose_label, label_frequencies, migration_probability
 from repro.pregel.aggregators import (
     AggregatorRegistry,
     DoubleSumAggregator,
     LongSumAggregator,
 )
 from repro.pregel.master import MasterCompute
-from repro.pregel.program import ComputeContext, VertexProgram
-from repro.pregel.vertex import Vertex
 
 # Phase names (Figure 2 of the paper).
 NEIGHBOR_PROPAGATION = "neighbor_propagation"
@@ -55,27 +52,6 @@ NEIGHBOR_DISCOVERY = "neighbor_discovery"
 INITIALIZE = "initialize"
 COMPUTE_SCORES = "compute_scores"
 COMPUTE_MIGRATIONS = "compute_migrations"
-
-#: Worker-store key holding the per-worker asynchronous load deltas.
-WORKER_LOAD_DELTA_KEY = "spinner_load_delta"
-
-
-class SpinnerVertexValue:
-    """Mutable per-vertex Spinner state stored in ``Vertex.value``."""
-
-    __slots__ = ("label", "candidate_label", "weighted_degree")
-
-    def __init__(self, label: int) -> None:
-        self.label = label
-        self.candidate_label: int | None = None
-        self.weighted_degree: float = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"SpinnerVertexValue(label={self.label}, "
-            f"candidate={self.candidate_label}, degree={self.weighted_degree})"
-        )
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -107,9 +83,9 @@ class SpinnerPhaseSchedule:
     """Superstep bookkeeping shared by both Spinner vertex programs.
 
     Maps superstep indices onto the phases of Figure 2 (optionally offset
-    by the two directed-conversion supersteps), so the per-vertex
-    :class:`SpinnerProgram` and the array-native
-    :class:`~repro.core.batch_program.BatchSpinnerProgram` execute the
+    by the two directed-conversion supersteps), so the array-native
+    :class:`~repro.core.batch_program.BatchSpinnerProgram` and the
+    per-vertex reference program kept as a test oracle execute the
     identical schedule and share :class:`SpinnerMasterCompute`.
 
     Parameters
@@ -170,159 +146,6 @@ class SpinnerPhaseSchedule:
         aggregators.register(SCORE_AGGREGATOR, DoubleSumAggregator())
         aggregators.register(LOCAL_WEIGHT_AGGREGATOR, DoubleSumAggregator())
         aggregators.register(MIGRATIONS_AGGREGATOR, LongSumAggregator())
-
-
-class SpinnerProgram(SpinnerPhaseSchedule, VertexProgram):
-    """Vertex-centric (per-vertex ``compute``) implementation of Spinner.
-
-    Runs on the dictionary engine
-    (:class:`~repro.pregel.engine.PregelEngine`); the array-native
-    counterpart is
-    :class:`~repro.core.batch_program.BatchSpinnerProgram`, which is
-    bit-exact with this program for the same seed.  Constructor
-    parameters are documented on :class:`SpinnerPhaseSchedule`.
-    """
-
-    def pre_superstep(
-        self,
-        superstep: int,
-        worker_store: dict[str, Any],
-        aggregators: AggregatorRegistry,
-    ) -> None:
-        """Reset the per-worker asynchronous load deltas (Section IV-A4).
-
-        The deltas only carry information within one superstep, so they
-        are cleared before every superstep begins.
-        """
-        worker_store[WORKER_LOAD_DELTA_KEY] = {}
-
-    # ------------------------------------------------------------------
-    # compute
-    # ------------------------------------------------------------------
-    def compute(self, vertex: Vertex, messages: list[Any], ctx: ComputeContext) -> None:
-        """Dispatch the vertex to the current phase's handler (Figure 2)."""
-        phase = self.phase(ctx.superstep)
-        if phase == NEIGHBOR_PROPAGATION:
-            self._neighbor_propagation(vertex, ctx)
-        elif phase == NEIGHBOR_DISCOVERY:
-            self._neighbor_discovery(vertex, messages)
-        elif phase == INITIALIZE:
-            self._initialize(vertex, ctx)
-        elif phase == COMPUTE_SCORES:
-            self._compute_scores(vertex, messages, ctx)
-        else:
-            self._compute_migrations(vertex, ctx)
-
-    # -- conversion ----------------------------------------------------
-    def _neighbor_propagation(self, vertex: Vertex, ctx: ComputeContext) -> None:
-        # Normalize edge values to [weight, neighbour_label] and announce
-        # this vertex to all out-neighbours.
-        for target in list(vertex.edges):
-            vertex.edges[target] = [1, None]
-            ctx.send_message(target, vertex.vertex_id)
-
-    def _neighbor_discovery(self, vertex: Vertex, messages: list[Any]) -> None:
-        for sender in messages:
-            edge = vertex.edges.get(sender)
-            if edge is not None:
-                edge[0] = 2
-            else:
-                vertex.edges[sender] = [1, None]
-
-    # -- initialization ------------------------------------------------
-    def _initialize(self, vertex: Vertex, ctx: ComputeContext) -> None:
-        value: SpinnerVertexValue = vertex.value
-        value.weighted_degree = float(sum(edge[0] for edge in vertex.edges.values()))
-        ctx.aggregate(load_aggregator_name(value.label), value.weighted_degree)
-        for target in vertex.edges:
-            ctx.send_message(target, (vertex.vertex_id, value.label))
-
-    # -- iteration: scores ----------------------------------------------
-    def _partition_loads(self, ctx: ComputeContext) -> np.ndarray:
-        loads = np.array(
-            [
-                ctx.aggregated_value(load_aggregator_name(label))
-                for label in range(self.num_partitions)
-            ],
-            dtype=np.float64,
-        )
-        return loads
-
-    def _compute_scores(
-        self, vertex: Vertex, messages: list[Any], ctx: ComputeContext
-    ) -> None:
-        value: SpinnerVertexValue = vertex.value
-        # (i) update neighbour labels from migration / initialization messages
-        for sender, new_label in messages:
-            edge = vertex.edges.get(sender)
-            if edge is not None:
-                edge[1] = new_label
-
-        degree = value.weighted_degree
-        ctx.aggregate(load_aggregator_name(value.label), degree)
-
-        # (ii) label frequencies across the neighbourhood
-        frequencies = label_frequencies(
-            [(edge[1], edge[0]) for edge in vertex.edges.values()]
-        )
-
-        # (iii) loads from the previous superstep, optionally adjusted by the
-        # per-worker asynchronous deltas of candidates evaluated earlier in
-        # this superstep on the same worker (Section IV-A4).
-        loads = self._partition_loads(ctx)
-        total_load = float(loads.sum())
-        capacity = self.config.capacity(total_load, self.num_partitions) if total_load else 1.0
-        if self.config.worker_local_updates:
-            delta: dict[int, float] = ctx.worker_store.get(WORKER_LOAD_DELTA_KEY, {})
-            if delta:
-                loads = loads.copy()
-                for label, change in delta.items():
-                    loads[label] += change
-
-        best_label, _best_score, current_score = choose_label(
-            value.label, frequencies, degree, loads, capacity, self.config
-        )
-
-        ctx.aggregate(SCORE_AGGREGATOR, current_score)
-        ctx.aggregate(LOCAL_WEIGHT_AGGREGATOR, frequencies.get(value.label, 0.0))
-
-        # (iv) flag as migration candidate
-        if best_label != value.label:
-            value.candidate_label = best_label
-            ctx.aggregate(candidate_aggregator_name(best_label), degree)
-            if self.config.worker_local_updates:
-                delta = ctx.worker_store.setdefault(WORKER_LOAD_DELTA_KEY, {})
-                delta[best_label] = delta.get(best_label, 0.0) + degree
-                delta[value.label] = delta.get(value.label, 0.0) - degree
-        else:
-            value.candidate_label = None
-
-    # -- iteration: migrations -------------------------------------------
-    def _compute_migrations(self, vertex: Vertex, ctx: ComputeContext) -> None:
-        value: SpinnerVertexValue = vertex.value
-        degree = value.weighted_degree
-        if value.candidate_label is not None:
-            target_label = value.candidate_label
-            loads = self._partition_loads(ctx)
-            total_load = float(loads.sum())
-            capacity = (
-                self.config.capacity(total_load, self.num_partitions) if total_load else 1.0
-            )
-            remaining = capacity - float(loads[target_label])
-            candidate_load = float(
-                ctx.aggregated_value(candidate_aggregator_name(target_label))
-            )
-            if self.config.probabilistic_migration:
-                probability = migration_probability(remaining, candidate_load)
-            else:
-                probability = 1.0
-            if self._rng.random() < probability:
-                value.label = target_label
-                ctx.aggregate(MIGRATIONS_AGGREGATOR, 1)
-                for target in vertex.edges:
-                    ctx.send_message(target, (vertex.vertex_id, value.label))
-            value.candidate_label = None
-        ctx.aggregate(load_aggregator_name(value.label), degree)
 
 
 class SpinnerMasterCompute(MasterCompute):

@@ -1,4 +1,4 @@
-"""High-level Spinner partitioner running on the simulated Pregel engine.
+"""High-level Spinner partitioner running on the simulated Pregel cluster.
 
 :class:`SpinnerPartitioner` wires together the vertex program, the master
 compute with the halting heuristic, the initializers for the three modes
@@ -20,19 +20,13 @@ from repro.core.batch_program import BatchSpinnerProgram, build_spinner_shard
 from repro.core.config import SpinnerConfig
 from repro.core.elastic import resize_assignment
 from repro.core.incremental import incremental_initial_assignment
-from repro.core.program import (
-    IterationRecord,
-    SpinnerMasterCompute,
-    SpinnerProgram,
-    SpinnerVertexValue,
-)
-from repro.errors import ConfigurationError, InvalidPartitionCountError, PartitioningError
+from repro.core.program import IterationRecord, SpinnerMasterCompute
+from repro.errors import InvalidPartitionCountError, PartitioningError
 from repro.graph.conversion import ensure_undirected
 from repro.graph.digraph import DiGraph
 from repro.graph.undirected import UndirectedGraph
 from repro.metrics.quality import locality, max_normalized_load
 from repro.pregel.cost_model import ClusterCostModel
-from repro.pregel.engine import PregelEngine, PregelResult
 from repro.pregel.vector_coordinator import VectorPregelEngine, VectorPregelResult
 from repro.pregel.worker import PlacementFn
 
@@ -56,11 +50,7 @@ class SpinnerResult:
         Final locality and balance of the partitioning.
     pregel_result:
         The underlying Pregel run (superstep statistics, aggregators),
-        used by the cost-savings experiments.  A
-        :class:`~repro.pregel.engine.PregelResult` for the dictionary
-        engine, a
-        :class:`~repro.pregel.vector_coordinator.VectorPregelResult` for the
-        vector engine; both expose the same statistics surface.
+        used by the cost-savings experiments.
     """
 
     assignment: dict[int, int]
@@ -69,7 +59,7 @@ class SpinnerResult:
     history: list[IterationRecord] = field(default_factory=list)
     phi: float = 0.0
     rho: float = 1.0
-    pregel_result: PregelResult | VectorPregelResult | None = None
+    pregel_result: VectorPregelResult | None = None
 
     @property
     def total_messages(self) -> int:
@@ -88,6 +78,9 @@ class SpinnerResult:
 class SpinnerPartitioner:
     """Spinner on the simulated Giraph cluster.
 
+    Runs :class:`~repro.core.batch_program.BatchSpinnerProgram` on the
+    array-native :class:`~repro.pregel.vector_coordinator.VectorPregelEngine`.
+
     Parameters
     ----------
     config:
@@ -96,15 +89,9 @@ class SpinnerPartitioner:
         Number of simulated workers executing the partitioning itself.
     cost_model:
         Cost model used when reporting simulated times.
-    engine:
-        Pregel runtime: ``"dict"`` (per-vertex reference) or ``"vector"``
-        (array-native sharded).  Defaults to ``config.engine``.  Both
-        runtimes are bit-exact for the same seed — assignments, superstep
-        counts, aggregator histories, per-worker statistics and halt
-        reasons coincide.
     placement:
-        Optional vertex-to-worker placement function shared by both
-        runtimes; defaults to Giraph-style hash placement.
+        Optional vertex-to-worker placement function; defaults to
+        Giraph-style hash placement.
     """
 
     name = "spinner"
@@ -114,17 +101,11 @@ class SpinnerPartitioner:
         config: SpinnerConfig | None = None,
         num_workers: int = 4,
         cost_model: ClusterCostModel | None = None,
-        engine: str | None = None,
         placement: PlacementFn | None = None,
     ) -> None:
         self.config = config if config is not None else SpinnerConfig()
         self.num_workers = num_workers
         self.cost_model = cost_model if cost_model is not None else ClusterCostModel()
-        self.engine = engine if engine is not None else self.config.engine
-        if self.engine not in ("dict", "vector"):
-            raise ConfigurationError(
-                f"engine must be 'dict' or 'vector', got {self.engine!r}"
-            )
         self.placement = placement
 
     # ------------------------------------------------------------------
@@ -214,17 +195,10 @@ class SpinnerPartitioner:
         num_partitions: int,
         initial_assignment: dict[int, int],
     ) -> SpinnerResult:
-        if self.engine == "vector":
-            assignment, pregel_result = self._run_vector(
-                graph, num_partitions, initial_assignment
-            )
-        else:
-            assignment, pregel_result = self._run_dict(
-                graph, num_partitions, initial_assignment
-            )
+        assignment, pregel_result = self._execute(graph, num_partitions, initial_assignment)
         # After a crash recovery the engine finished on restored objects;
         # the result's master is the authoritative one, not the instance
-        # this method constructed.
+        # _execute constructed.
         master = pregel_result.master
         undirected = ensure_undirected(graph, self.config.direction_aware)
         phi = locality(undirected, assignment)
@@ -239,60 +213,13 @@ class SpinnerPartitioner:
             pregel_result=pregel_result,
         )
 
-    def _run_dict(
-        self,
-        graph: DiGraph | UndirectedGraph,
-        num_partitions: int,
-        initial_assignment: dict[int, int],
-    ) -> tuple[dict[int, int], PregelResult]:
-        """Execute on the per-vertex dictionary engine."""
-        convert_directed = isinstance(graph, DiGraph)
-        program = SpinnerProgram(
-            num_partitions=num_partitions,
-            config=self.config,
-            convert_directed=convert_directed,
-        )
-        master = SpinnerMasterCompute(program)
-        engine = PregelEngine(
-            num_workers=self.num_workers,
-            placement=self.placement,
-            cost_model=self.cost_model,
-            max_supersteps=program.superstep_bound(),
-            checkpoint_interval=self.config.checkpoint_interval,
-            checkpoint_dir=self.config.checkpoint_dir,
-            fault_plan=self.config.fault_plan,
-        )
-
-        def vertex_value(vertex_id: int) -> SpinnerVertexValue:
-            return SpinnerVertexValue(initial_assignment[vertex_id])
-
-        if convert_directed:
-            vertices = engine.vertices_from_digraph(
-                graph, vertex_value=vertex_value, edge_value=lambda s, t: [1, None]
-            )
-        else:
-            vertices = engine.vertices_from_undirected(
-                graph,
-                vertex_value=vertex_value,
-                edge_value=lambda u, v, w: [w, None],
-            )
-
-        pregel_result = engine.run(program, vertices, master=master)
-        # Read labels from the result's vertices, not the local dict: after
-        # a recovery they are different (restored) objects.
-        assignment = {
-            vertex_id: vertex.value.label
-            for vertex_id, vertex in pregel_result.vertices.items()
-        }
-        return assignment, pregel_result
-
-    def _run_vector(
+    def _execute(
         self,
         graph: DiGraph | UndirectedGraph,
         num_partitions: int,
         initial_assignment: dict[int, int],
     ) -> tuple[dict[int, int], VectorPregelResult]:
-        """Execute on the array-native sharded vector engine."""
+        """Run the Pregel program; return the assignment and the raw run."""
         convert_directed = isinstance(graph, DiGraph)
         program = BatchSpinnerProgram(
             num_partitions=num_partitions,

@@ -9,7 +9,8 @@ near-linear speedup in (b).
 Substitution (documented in DESIGN.md): the paper's wall-clock numbers
 come from Hadoop clusters with up to 116 machines and billion-vertex
 graphs.  Here (a) and (c) time the vectorized kernel's first iteration on
-growing graphs, and (b) uses the simulated Pregel cluster's cost model,
+growing graphs (built as CSR arrays before the clock starts, so only the
+iteration is timed), and (b) uses the simulated Pregel cluster's cost model,
 whose superstep time is the maximum per-worker cost — the same quantity
 the paper measures, in arbitrary units.
 """
@@ -21,17 +22,18 @@ import time
 from repro.core.fast import FastSpinner
 from repro.core.spinner import SpinnerPartitioner
 from repro.experiments.common import ExperimentScale, spinner_config
-from repro.graph.generators import watts_strogatz
+from repro.graph.csr import CSRGraph
+from repro.graph.generators import _watts_strogatz_builder, watts_strogatz
 from repro.pregel.cost_model import ClusterCostModel
 
 
-def _first_iteration_runtime(graph, num_partitions: int, seed: int) -> float:
+def _first_iteration_runtime(graph: CSRGraph, num_partitions: int, seed: int) -> float:
     """Wall-clock seconds of one full Spinner iteration (vectorized kernel)."""
     config = spinner_config(seed, max_iterations=1)
     spinner = FastSpinner(config)
-    # Warm-up run so first-call costs (page faults, allocator, CSR
-    # conversion caches) don't pollute the first measured configuration,
-    # then best-of-three to keep the scaling trend above scheduler noise.
+    # Warm-up run so first-call costs (page faults, allocator, cached
+    # degree views) don't pollute the first measured configuration, then
+    # best-of-three to keep the scaling trend above scheduler noise.
     spinner.partition(graph, num_partitions, track_history=False)
     best = float("inf")
     for _ in range(3):
@@ -52,7 +54,7 @@ def run_fig6a(
     scale = scale or ExperimentScale.default()
     rows = []
     for n in vertex_counts:
-        graph = watts_strogatz(n, degree=degree, beta=beta, seed=scale.seed)
+        graph = _watts_strogatz_builder(n, degree, beta, scale.seed).to_csr()
         runtime = _first_iteration_runtime(graph, num_partitions, scale.seed)
         rows.append(
             {
@@ -70,16 +72,12 @@ def run_fig6b(
     degree: int = 10,
     num_partitions: int = 16,
     scale: ExperimentScale | None = None,
-    engine: str = "dict",
 ) -> list[dict]:
     """Simulated first-iteration time vs. number of workers (Figure 6b).
 
     Uses the Pregel implementation so the per-worker cost accounting (and
     therefore the speedup from splitting the same work across more
-    workers) is visible.  ``engine`` picks the Pregel runtime (``"dict"``
-    or ``"vector"``); the simulated times are identical — the runtimes
-    are bit-exact — but ``"vector"`` sweeps much larger graphs in the
-    same wall-clock budget.
+    workers) is visible.
     """
     scale = scale or ExperimentScale.default()
     graph = watts_strogatz(num_vertices, degree=degree, beta=0.3, seed=scale.seed)
@@ -87,9 +85,7 @@ def run_fig6b(
     rows = []
     for workers in worker_counts:
         config = spinner_config(scale.seed, max_iterations=1)
-        partitioner = SpinnerPartitioner(
-            config, num_workers=workers, cost_model=cost_model, engine=engine
-        )
+        partitioner = SpinnerPartitioner(config, num_workers=workers, cost_model=cost_model)
         result = partitioner.partition(graph, num_partitions)
         assert result.pregel_result is not None
         # Sum the two supersteps of the first iteration (ComputeScores +
@@ -113,7 +109,7 @@ def run_fig6c(
 ) -> list[dict]:
     """Runtime of the first iteration vs. number of partitions (Figure 6c)."""
     scale = scale or ExperimentScale.default()
-    graph = watts_strogatz(num_vertices, degree=degree, beta=0.3, seed=scale.seed)
+    graph = _watts_strogatz_builder(num_vertices, degree, 0.3, scale.seed).to_csr()
     rows = []
     for k in partition_counts:
         runtime = _first_iteration_runtime(graph, k, scale.seed)

@@ -11,13 +11,14 @@ repartitioning from scratch along two axes:
     different partition (8-11% when adapting vs 95-98% from scratch).
 
 Here processing cost is measured in label-propagation iterations and the
-message count of the runs (both implementations expose them), which is
-what determines time and network traffic on the real cluster.
+message count of the runs, which is what determines time and network
+traffic on the real cluster.
 """
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentScale, SpinnerRunner, spinner_config
+from repro.core.fast import FastSpinner
+from repro.experiments.common import ExperimentScale, spinner_config
 from repro.graph.datasets import load_dataset
 from repro.graph.dynamic import EdgeArrivalStream
 from repro.metrics.reporting import improvement_percentage
@@ -30,22 +31,16 @@ def run_fig7(
     change_fractions: tuple[float, ...] = FIG7_CHANGE_FRACTIONS,
     num_partitions: int = 16,
     scale: ExperimentScale | None = None,
-    engine: str = "fast",
 ) -> list[dict]:
-    """Return one row per change fraction with savings and stability.
-
-    ``engine`` selects the Spinner runtime for every run in the sweep:
-    ``"fast"`` (default, vectorized kernels), ``"dict"`` or ``"vector"``
-    (the two Pregel runtimes, via ``--engine`` on the CLI).
-    """
+    """Return one row per change fraction with savings and stability."""
     scale = scale or ExperimentScale.default()
     full_graph = load_dataset("TU", scale=scale.graph_scale, seed=scale.seed)
     stream = EdgeArrivalStream(full_graph, holdout_fraction=0.35, seed=scale.seed)
     snapshot = stream.snapshot()
 
     config = spinner_config(scale.seed)
-    spinner = SpinnerRunner(engine, config)
-    initial = spinner.partition(snapshot, num_partitions)
+    spinner = FastSpinner(config)
+    initial = spinner.partition(snapshot, num_partitions, track_history=False)
     initial_assignment = initial.to_assignment()
 
     rows: list[dict] = []
@@ -56,11 +51,11 @@ def run_fig7(
         delta.apply(changed)
 
         adaptive = spinner.adapt_to_graph_changes(
-            changed, initial_assignment, num_partitions
+            changed, initial_assignment, num_partitions, track_history=False
         )
-        scratch = SpinnerRunner(
-            engine, config.with_options(seed=config.seed + 1)
-        ).partition(changed, num_partitions)
+        scratch = FastSpinner(config.with_options(seed=config.seed + 1)).partition(
+            changed, num_partitions, track_history=False
+        )
 
         adaptive_assignment = adaptive.to_assignment()
         scratch_assignment = scratch.to_assignment()

@@ -11,7 +11,8 @@ adding a single partition).
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentScale, SpinnerRunner, spinner_config
+from repro.core.fast import FastSpinner
+from repro.experiments.common import ExperimentScale, spinner_config
 from repro.graph.datasets import load_dataset
 from repro.metrics.reporting import improvement_percentage
 from repro.metrics.stability import partitioning_difference
@@ -23,31 +24,25 @@ def run_fig8(
     new_partition_counts: tuple[int, ...] = FIG8_NEW_PARTITIONS,
     initial_partitions: int = 16,
     scale: ExperimentScale | None = None,
-    engine: str = "fast",
 ) -> list[dict]:
-    """Return one row per number of added partitions.
-
-    ``engine`` selects the Spinner runtime for every run in the sweep:
-    ``"fast"`` (default, vectorized kernels), ``"dict"`` or ``"vector"``
-    (the two Pregel runtimes, via ``--engine`` on the CLI).
-    """
+    """Return one row per number of added partitions."""
     scale = scale or ExperimentScale.default()
     graph = load_dataset("TU", scale=scale.graph_scale, seed=scale.seed)
 
     config = spinner_config(scale.seed)
-    spinner = SpinnerRunner(engine, config)
-    initial = spinner.partition(graph, initial_partitions)
+    spinner = FastSpinner(config)
+    initial = spinner.partition(graph, initial_partitions, track_history=False)
     initial_assignment = initial.to_assignment()
 
     rows: list[dict] = []
     for added in new_partition_counts:
         new_k = initial_partitions + added
         elastic = spinner.adapt_to_partition_change(
-            graph, initial_assignment, initial_partitions, new_k
+            graph, initial_assignment, initial_partitions, new_k, track_history=False
         )
-        scratch = SpinnerRunner(
-            engine, config.with_options(seed=config.seed + 1)
-        ).partition(graph, new_k)
+        scratch = FastSpinner(config.with_options(seed=config.seed + 1)).partition(
+            graph, new_k, track_history=False
+        )
         elastic_assignment = elastic.to_assignment()
         scratch_assignment = scratch.to_assignment()
         rows.append(

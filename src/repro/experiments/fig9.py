@@ -25,13 +25,13 @@ FIG9_WORKLOADS = (("LJ", 8), ("TU", 8), ("TW", 16))
 FIG9_APPLICATIONS = ("SP", "PR", "CC")
 
 
-def _make_program(app: str, source: int, engine: str = "dict"):
+def _make_program(app: str, source: int):
     if app == "SP":
-        return make_app_program("sssp", engine, source=source)
+        return make_app_program("sssp", source=source)
     if app == "PR":
-        return make_app_program("pagerank", engine, num_iterations=10)
+        return make_app_program("pagerank", num_iterations=10)
     if app == "CC":
-        return make_app_program("wcc", engine)
+        return make_app_program("wcc")
     raise ValueError(f"unknown application {app!r}")
 
 
@@ -39,12 +39,8 @@ def run_fig9(
     workloads: tuple[tuple[str, int], ...] = FIG9_WORKLOADS,
     applications: tuple[str, ...] = FIG9_APPLICATIONS,
     scale: ExperimentScale | None = None,
-    engine: str = "dict",
 ) -> list[dict]:
-    """Return one row per (application, dataset) with the runtime improvement.
-
-    ``engine`` selects the Pregel runtime (``"dict"`` or ``"vector"``).
-    """
+    """Return one row per (application, dataset) with the runtime improvement."""
     scale = scale or ExperimentScale.default()
     rows: list[dict] = []
     for dataset, num_partitions in workloads:
@@ -56,17 +52,15 @@ def run_fig9(
         source = next(iter(graph.vertices()))
         for app in applications:
             hash_run = run_application(
-                _make_program(app, source, engine),
+                _make_program(app, source),
                 graph,
                 num_workers=num_partitions,
-                engine=engine,
             )
             spinner_run = run_application(
-                _make_program(app, source, engine),
+                _make_program(app, source),
                 graph,
                 num_workers=num_partitions,
                 assignment=assignment,
-                engine=engine,
             )
             rows.append(
                 {

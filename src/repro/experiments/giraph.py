@@ -19,14 +19,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.errors import PregelError
 from repro.faults import FaultPlan
 from repro.graph.digraph import DiGraph
 from repro.graph.undirected import UndirectedGraph
-from repro.pregel.cost_model import ClusterCostModel, RunStats
-from repro.pregel.engine import PregelEngine, PregelResult
-from repro.pregel.program import VertexProgram
 from repro.pregel.batch import BatchVertexProgram
+from repro.pregel.cost_model import ClusterCostModel, RunStats
 from repro.pregel.vector_coordinator import VectorPregelEngine, VectorPregelResult
 from repro.pregel.worker import hash_placement, partition_placement
 
@@ -36,7 +33,7 @@ class ApplicationRun:
     """Result of one application run under one placement."""
 
     placement: str
-    result: PregelResult | VectorPregelResult
+    result: VectorPregelResult
     cost_model: ClusterCostModel
 
     @property
@@ -70,13 +67,12 @@ class ApplicationRun:
 
 
 def run_application(
-    program: VertexProgram | BatchVertexProgram,
+    program: BatchVertexProgram,
     graph: UndirectedGraph | DiGraph,
     num_workers: int,
     assignment: Mapping[int, int] | None = None,
     cost_model: ClusterCostModel | None = None,
     max_supersteps: int = 200,
-    engine: str = "dict",
     checkpoint_interval: int | None = None,
     checkpoint_dir: str | None = None,
     fault_plan: FaultPlan | None = None,
@@ -84,12 +80,8 @@ def run_application(
     """Run ``program`` on ``graph`` with hash or Spinner-driven placement.
 
     ``assignment`` is a Spinner partitioning; when omitted the default hash
-    placement is used.  ``engine`` selects the runtime: ``"dict"`` executes
-    a per-vertex :class:`VertexProgram` on :class:`PregelEngine`,
-    ``"vector"`` executes a :class:`BatchVertexProgram` on the array-native
-    :class:`VectorPregelEngine`; both report the same statistics.  The
-    checkpoint/fault knobs are forwarded to the engine unchanged (see
-    :class:`PregelEngine`).
+    placement is used.  The checkpoint/fault knobs are forwarded to the
+    :class:`~repro.pregel.vector_coordinator.VectorPregelEngine` unchanged.
     """
     cost_model = cost_model or ClusterCostModel()
     if assignment is None:
@@ -98,34 +90,17 @@ def run_application(
     else:
         placement = partition_placement(dict(assignment), num_workers)
         placement_name = "spinner"
-    if engine == "dict":
-        if not isinstance(program, VertexProgram):
-            raise PregelError("the dict engine requires a VertexProgram")
-        runtime: PregelEngine | VectorPregelEngine = PregelEngine(
-            num_workers=num_workers,
-            placement=placement,
-            cost_model=cost_model,
-            max_supersteps=max_supersteps,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_dir=checkpoint_dir,
-            fault_plan=fault_plan,
-        )
-    elif engine == "vector":
-        if not isinstance(program, BatchVertexProgram):
-            raise PregelError("the vector engine requires a BatchVertexProgram")
-        runtime = VectorPregelEngine(
-            num_workers=num_workers,
-            placement=placement,
-            cost_model=cost_model,
-            max_supersteps=max_supersteps,
-            checkpoint_interval=checkpoint_interval,
-            checkpoint_dir=checkpoint_dir,
-            fault_plan=fault_plan,
-        )
-    else:
-        raise PregelError(f"unknown engine {engine!r} (expected 'dict' or 'vector')")
+    engine = VectorPregelEngine(
+        num_workers=num_workers,
+        placement=placement,
+        cost_model=cost_model,
+        max_supersteps=max_supersteps,
+        checkpoint_interval=checkpoint_interval,
+        checkpoint_dir=checkpoint_dir,
+        fault_plan=fault_plan,
+    )
     if isinstance(graph, DiGraph):
-        result = runtime.run_on_digraph(program, graph)
+        result = engine.run_on_digraph(program, graph)
     else:
-        result = runtime.run_on_undirected(program, graph)
+        result = engine.run_on_undirected(program, graph)
     return ApplicationRun(placement=placement_name, result=result, cost_model=cost_model)

@@ -29,14 +29,8 @@ def run_table4(
     num_partitions: int = 16,
     pagerank_iterations: int = 10,
     scale: ExperimentScale | None = None,
-    engine: str = "dict",
 ) -> list[dict]:
-    """Return one row per approach with mean/max/min superstep worker time.
-
-    ``engine`` selects the Pregel runtime (``"dict"`` or ``"vector"``); the
-    two produce identical statistics, the vector engine just gets there
-    orders of magnitude faster on large proxies.
-    """
+    """Return one row per approach with mean/max/min superstep worker time."""
     scale = scale or ExperimentScale.default()
     graph = load_dataset("TW", scale=scale.graph_scale, seed=scale.seed)
     undirected = ensure_undirected(graph)
@@ -47,11 +41,10 @@ def run_table4(
     rows: list[dict] = []
     for approach, placement_assignment in (("random", None), ("spinner", assignment)):
         run = run_application(
-            make_app_program("pagerank", engine, num_iterations=pagerank_iterations),
+            make_app_program("pagerank", num_iterations=pagerank_iterations),
             undirected,
             num_workers=num_workers,
             assignment=placement_assignment,
-            engine=engine,
         )
         per_superstep = run.superstep_times()
         means = np.array([row["mean"] for row in per_superstep])

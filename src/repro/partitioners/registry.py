@@ -17,8 +17,7 @@ used in the paper's tables:
 ``wang``
     LPA-coarsening + METIS of Wang et al. (balances vertices, not edges).
 ``spinner``
-    FastSpinner (vectorized kernels; ``SpinnerConfig.kernel`` selects
-    ``"frontier"`` or ``"dense"``).
+    FastSpinner (the vectorized frontier kernel).
 ``spinner-mmap``
     FastSpinner pinned to the out-of-core storage tier
     (``SpinnerConfig.storage="mmap"``): the CSR arrays live in on-disk
@@ -27,14 +26,11 @@ used in the paper's tables:
     ``spinner``.  Accepts ``storage_dir=`` (store/spill directory) and
     ``storage_chunk=`` (half-edges per streamed chunk).
 ``spinner-pregel``
-    Spinner as a Pregel computation; the runtime follows
-    ``SpinnerConfig.engine`` (``"dict"`` by default) or an explicit
-    ``engine=`` keyword.
-``spinner-pregel-vector``
-    Same computation pinned to the array-native vector engine
-    (bit-exact with ``spinner-pregel``, orders of magnitude faster).
+    Spinner as a Pregel computation on the array-native vector engine
+    (:class:`~repro.core.spinner.SpinnerPartitioner`); accepts
+    ``num_workers=``.
 
-The three Spinner entries accept a ``config=SpinnerConfig(...)`` keyword
+The Spinner entries accept a ``config=SpinnerConfig(...)`` keyword
 (paper defaults: ``c = 1.05``, ``epsilon = 0.001``, ``w = 5``); all
 factories forward their keyword arguments to the constructor.  In
 particular the streaming baselines take ``stream_order=`` (``ldg``:
@@ -57,11 +53,6 @@ from repro.partitioners.random_part import RandomPartitioner
 from repro.partitioners.spinner_adapter import SpinnerFastAdapter, SpinnerPregelAdapter
 from repro.partitioners.wang import WangPartitioner
 
-def _spinner_pregel_vector(**kwargs) -> SpinnerPregelAdapter:
-    """Pregel Spinner pinned to the array-native vector runtime."""
-    return SpinnerPregelAdapter(engine="vector", **kwargs)
-
-
 def _spinner_mmap(**kwargs) -> SpinnerFastAdapter:
     """FastSpinner pinned to the out-of-core mmap storage tier."""
     kwargs.setdefault("storage", "mmap")
@@ -79,13 +70,10 @@ _FACTORIES: dict[str, Callable[..., Partitioner]] = {
     "spinner": SpinnerFastAdapter,
     "spinner-mmap": _spinner_mmap,
     "spinner-pregel": SpinnerPregelAdapter,
-    "spinner-pregel-vector": _spinner_pregel_vector,
 }
 
 #: Registry names that accept a ``config=SpinnerConfig(...)`` keyword.
-SPINNER_PARTITIONERS = frozenset(
-    {"spinner", "spinner-mmap", "spinner-pregel", "spinner-pregel-vector"}
-)
+SPINNER_PARTITIONERS = frozenset({"spinner", "spinner-mmap", "spinner-pregel"})
 
 
 def available_partitioners() -> list[str]:

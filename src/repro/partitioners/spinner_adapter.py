@@ -22,12 +22,10 @@ class SpinnerFastAdapter(Partitioner):
     """Vectorized Spinner behind the common partitioner interface.
 
     Accepts CSR input directly so array-based callers skip the
-    dictionary-based graph conversion entirely; the kernel choice
-    (frontier vs. dense reference) follows ``config.kernel``.
+    dictionary-based graph conversion entirely.
 
     ``storage``, ``storage_dir`` and ``storage_chunk`` override the
-    matching :class:`~repro.core.config.SpinnerConfig` fields (mirroring
-    how :class:`SpinnerPregelAdapter` overrides ``engine``):
+    matching :class:`~repro.core.config.SpinnerConfig` fields:
     ``storage="mmap"`` runs the kernels out-of-core against an on-disk
     CSR store, bit-exact with the in-RAM tier.
     """
@@ -69,13 +67,7 @@ class SpinnerFastAdapter(Partitioner):
 
 
 class SpinnerPregelAdapter(Partitioner):
-    """Pregel-based Spinner behind the common partitioner interface.
-
-    The ``engine`` argument selects the runtime — ``"dict"`` for the
-    per-vertex reference engine, ``"vector"`` for the array-native
-    sharded engine (bit-exact, much faster) — and defaults to
-    ``config.engine``.
-    """
+    """Pregel-based Spinner behind the common partitioner interface."""
 
     name = "spinner-pregel"
 
@@ -83,19 +75,13 @@ class SpinnerPregelAdapter(Partitioner):
         self,
         config: SpinnerConfig | None = None,
         num_workers: int = 4,
-        engine: str | None = None,
     ) -> None:
         self.config = config if config is not None else SpinnerConfig()
         self.num_workers = num_workers
-        self.engine = engine if engine is not None else self.config.engine
 
     def partition(
         self, graph: UndirectedGraph | DiGraph, num_partitions: int
     ) -> dict[int, int]:
-        """Run the Pregel Spinner (selected engine) and return its assignment."""
-        partitioner = SpinnerPartitioner(
-            self.config,
-            num_workers=self.num_workers,
-            engine=self.engine,
-        )
+        """Run the Pregel Spinner and return its assignment."""
+        partitioner = SpinnerPartitioner(self.config, num_workers=self.num_workers)
         return partitioner.partition(graph, num_partitions).assignment

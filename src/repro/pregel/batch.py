@@ -5,15 +5,15 @@ This module holds the data-plane vocabulary of the vector runtime —
 :class:`DeliveredMessages`, :class:`BatchComputeContext` and
 :class:`BatchVertexProgram` — which the engine itself
 (:mod:`repro.pregel.vector_coordinator`) drives.  The canonical-ordering
-contract that makes the vector runtime bit-exact with the dictionary
-engine lives here:
+contract that makes the vector runtime bit-exact with the per-vertex
+reference engine lives here:
 
 * ``vertex_order`` visits vertices worker-major (stable), exactly like
-  the dictionary engine's per-worker loops;
+  the reference engine's per-worker loops;
 * ``send_src``/``send_dst``/``send_weight`` permute the adjacency slots
   into the same worker-major order, so batched outboxes reproduce the
-  dictionary engine's send order and sequential per-target reductions
-  (``np.bincount``) sum messages in the dictionary engine's order;
+  reference engine's send order and sequential per-target reductions
+  (``np.bincount``) sum messages in the reference engine's order;
 * the aggregation helpers (:meth:`BatchComputeContext.aggregate_sequential`
   and :meth:`BatchComputeContext.aggregate_keyed`) accumulate strictly
   sequentially over that canonical order.
@@ -34,17 +34,17 @@ class ShardedGraph:
 
     Built once per run, then shared read-only by every superstep.  Beyond
     the plain CSR arrays it precomputes the two *canonical orderings* that
-    make the batch runtime reproduce the dictionary engine bit for bit:
+    make the batch runtime reproduce the reference engine bit for bit:
 
     ``vertex_order``
         Dense vertex ids sorted worker-major (stable), i.e. the order the
-        dictionary engine visits vertices: worker 0's vertices in
+        reference engine visits vertices: worker 0's vertices in
         placement order, then worker 1's, ...
     ``send_src`` / ``send_dst`` / ``send_weight``
         The adjacency slots permuted into the same worker-major order —
         the concatenation of the per-worker send buffers.  A program that
         emits messages by masking these arrays produces messages in
-        exactly the dictionary engine's send order, so a sequential
+        exactly the reference engine's send order, so a sequential
         per-target reduction (``np.bincount``) sums them in the same
         order as Python's ``sum`` over a message list.
     """
@@ -192,7 +192,7 @@ def _neutral_payload(combine: str, num_vertices: int) -> np.ndarray:
 class BatchComputeContext:
     """Facilities available to a batch program during one superstep.
 
-    The per-vertex ``ComputeContext`` of the dictionary engine sends one
+    A per-vertex ``ComputeContext`` sends one
     message at a time; this context instead builds whole outboxes with
     array operations, preserving the canonical ordering the equivalence
     guarantee rests on.
@@ -275,7 +275,7 @@ class BatchComputeContext:
 
         Uses ``np.cumsum`` (a strictly sequential left-to-right
         accumulation, unlike ``np.sum``'s pairwise reduction) so a sum
-        aggregator receives bit-for-bit the value the dictionary engine
+        aggregator receives bit-for-bit the value the reference engine
         builds by aggregating vertex by vertex.
         """
         order = self.shard.vertex_order
@@ -295,7 +295,7 @@ class BatchComputeContext:
 
         The bincount runs over the canonical (worker-major) vertex order
         and accumulates each bin strictly sequentially in input order, so
-        every per-key sum is bit-identical to the dictionary engine's
+        every per-key sum is bit-identical to the reference engine's
         vertex-by-vertex ``DoubleSumAggregator`` reduction.  All
         ``num_keys`` aggregators receive a contribution (0.0 for empty
         bins), matching the per-label loops of the Spinner programs.
@@ -316,15 +316,15 @@ class BatchVertexProgram:
     """Base class for batch (array-native) vertex programs.
 
     Subclasses implement :meth:`compute_batch`, the whole-superstep
-    counterpart of :meth:`~repro.pregel.program.VertexProgram.compute`:
+    counterpart of a per-vertex ``compute`` call:
     it receives the shard, the combined incoming messages and a
     :class:`BatchComputeContext`, and returns a :class:`BatchStep` of
     ``(values, outbox, votes)`` arrays.
 
     ``combine`` declares how concurrent messages to one vertex merge
-    ("sum" or "min"); it replaces the per-message combiner of the
-    dictionary engine.  The ``pre_superstep`` / ``post_superstep`` hooks
-    keep the dictionary-engine signature but run for *all* workers before
+    ("sum" or "min"); it replaces the per-message combiner of a
+    per-vertex engine.  The ``pre_superstep`` / ``post_superstep`` hooks
+    keep the per-vertex signature but run for *all* workers before
     respectively after the batch compute (the batch is one barrier, so
     there is no per-worker interleaving to preserve).
 

@@ -1,4 +1,4 @@
-"""Superstep-boundary checkpointing for both Pregel runtimes.
+"""Superstep-boundary checkpointing for the vector Pregel runtime.
 
 Giraph checkpoints at superstep boundaries and recovers failed workers
 from the last checkpoint (Pregel paper §4.2); Spinner inherits that story
@@ -11,18 +11,14 @@ by running on Giraph.  This module reproduces it for the simulation:
   :func:`repro.graph.io.atomic_open`: write-to-temp + ``os.replace``), so
   a crash mid-write can never leave a truncated snapshot — recovery scans
   newest-to-oldest and skips anything that fails validation;
-* the dictionary engine snapshots as a single pickle
-  (``checkpoint_NNNNNNNN.pkl``) holding the whole run state — vertices
-  with values/edges/halted flags, the in-flight message store, the
-  aggregator registry, per-worker shared stores, the program (including
-  its RNG state) and master, and the accumulated
-  :class:`~repro.pregel.cost_model.RunStats`;
-* the vector engine snapshots as a ``.npz`` (``checkpoint_NNNNNNNN.npz``)
-  with the shard-major dynamic arrays stored natively (vertex values,
-  halted mask, combined in-flight message payloads) plus one pickled
-  object blob for the non-array state; the static CSR shard arrays are
-  written once per directory as ``shard.npz`` and shared by every
-  snapshot.
+* a snapshot is a ``.npz`` (``checkpoint_NNNNNNNN.npz``) with the
+  shard-major dynamic arrays stored natively (vertex values, halted mask,
+  combined in-flight message payloads) plus one pickled object blob for
+  the non-array state (the program with its RNG state, the master, the
+  aggregators and the accumulated
+  :class:`~repro.pregel.cost_model.RunStats`); the static CSR shard
+  arrays are written once per directory as ``shard.npz`` and shared by
+  every snapshot.
 
 Snapshots are self-contained: :func:`resume_from_checkpoint` rebuilds the
 engine (its parameters ride in the snapshot) and finishes the run without
@@ -38,7 +34,7 @@ from __future__ import annotations
 import os
 import pickle
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -46,18 +42,17 @@ import numpy as np
 
 from repro.errors import CheckpointError, PregelError
 from repro.faults import FaultPlan, InjectedWorkerCrash
-from repro.graph.io import atomic_open, atomic_write_bytes
+from repro.graph.io import atomic_open
 
 #: Magic string identifying snapshot payloads.
 CHECKPOINT_FORMAT = "spinner-repro-checkpoint"
 #: Bump when the snapshot layout changes incompatibly.
 CHECKPOINT_VERSION = 1
 
-#: Snapshot kinds, one per runtime.
-DICT_KIND = "dict"
+#: Snapshot kind recorded in every payload (the vector runtime's).
 VECTOR_KIND = "vector"
 
-_SNAPSHOT_RE = re.compile(r"^checkpoint_(\d{8})\.(pkl|npz)$")
+_SNAPSHOT_RE = re.compile(r"^checkpoint_(\d{8})\.npz$")
 #: Static CSR shard arrays shared by every vector snapshot in a directory.
 SHARD_FILENAME = "shard.npz"
 
@@ -66,11 +61,10 @@ SHARD_FILENAME = "shard.npz"
 class Snapshot:
     """One loaded checkpoint snapshot.
 
-    ``state`` is the dictionary engine's pickled run state (opaque to
-    this module); ``arrays`` / ``objects`` are the vector engine's
-    dynamic arrays and pickled object blob.  ``engine_params`` holds the
-    constructor arguments needed to rebuild the engine for an offline
-    resume, and ``interval`` the checkpoint interval the run used.
+    ``arrays`` / ``objects`` are the engine's dynamic arrays and pickled
+    object blob.  ``engine_params`` holds the constructor arguments
+    needed to rebuild the engine for an offline resume, and ``interval``
+    the checkpoint interval the run used.
     """
 
     kind: str
@@ -78,9 +72,8 @@ class Snapshot:
     path: Path
     interval: int
     engine_params: dict[str, Any]
-    state: Any = None
-    arrays: dict[str, np.ndarray] | None = None
-    objects: dict[str, Any] | None = None
+    arrays: dict[str, np.ndarray]
+    objects: dict[str, Any]
 
 
 @dataclass
@@ -88,7 +81,7 @@ class RecoveryBookkeeping:
     """Fault/recovery counters kept *outside* the checkpointed state.
 
     Restoring a snapshot rolls the run state back, but recovery history
-    must survive the rollback — the engines accumulate it here and copy
+    must survive the rollback — the engine accumulates it here and copies
     it onto the final :class:`~repro.pregel.cost_model.RunStats` when the
     run ends.
     """
@@ -104,7 +97,7 @@ def validate_fault_tolerance_args(
     checkpoint_dir: str | os.PathLike | None,
     fault_plan: FaultPlan | None,
 ) -> None:
-    """Shared constructor validation for both engines' checkpoint knobs."""
+    """Constructor validation of the engine's checkpoint knobs."""
     if (checkpoint_interval is None) != (checkpoint_dir is None):
         raise PregelError(
             "checkpoint_interval and checkpoint_dir must be given together"
@@ -150,11 +143,9 @@ class CheckpointManager:
     snapshot in the directory instead.
     """
 
-    def __init__(self, directory: str | os.PathLike, interval: int, kind: str) -> None:
+    def __init__(self, directory: str | os.PathLike, interval: int) -> None:
         if interval < 1:
             raise CheckpointError(f"checkpoint interval must be >= 1, got {interval}")
-        if kind not in (DICT_KIND, VECTOR_KIND):
-            raise CheckpointError(f"unknown checkpoint kind {kind!r}")
         self.directory = Path(directory)
         if self.directory.exists() and not self.directory.is_dir():
             raise CheckpointError(
@@ -167,7 +158,6 @@ class CheckpointManager:
                 f"cannot create checkpoint dir {str(self.directory)!r}: {exc}"
             ) from exc
         self.interval = interval
-        self.kind = kind
         #: Supersteps snapshotted (or found already on disk) this run.
         self._written: set[int] = set()
 
@@ -176,12 +166,11 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def snapshot_path(self, superstep: int) -> Path:
         """Path of the snapshot file for ``superstep``."""
-        suffix = "pkl" if self.kind == DICT_KIND else "npz"
-        return self.directory / f"checkpoint_{superstep:08d}.{suffix}"
+        return self.directory / f"checkpoint_{superstep:08d}.npz"
 
     @property
     def shard_path(self) -> Path:
-        """Path of the shared static shard arrays (vector kind only)."""
+        """Path of the shared static shard arrays."""
         return self.directory / SHARD_FILENAME
 
     def due(self, superstep: int) -> bool:
@@ -191,33 +180,6 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     # saving
     # ------------------------------------------------------------------
-    def save_dict(
-        self, superstep: int, state: Any, engine_params: dict[str, Any]
-    ) -> bool:
-        """Snapshot the dictionary engine's ``state`` (one atomic pickle).
-
-        Returns ``False`` (without rewriting) when this run already wrote
-        the snapshot — after a recovery the loop passes the checkpointed
-        superstep again and the identical bytes are already on disk.
-        """
-        if superstep in self._written:
-            return False
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "kind": DICT_KIND,
-            "superstep": superstep,
-            "interval": self.interval,
-            "engine": engine_params,
-            "state": state,
-        }
-        atomic_write_bytes(
-            self.snapshot_path(superstep),
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        self._written.add(superstep)
-        return True
-
     def save_vector(
         self,
         superstep: int,
@@ -309,51 +271,37 @@ def _validate_header(payload: dict[str, Any], path: Path) -> None:
 
 
 def load_snapshot(path: str | os.PathLike) -> Snapshot:
-    """Load and validate one snapshot file (``.pkl`` or ``.npz``).
+    """Load and validate one ``.npz`` snapshot file.
 
     Raises :class:`~repro.errors.CheckpointError` for truncated, corrupt
     or foreign files.
     """
     path = Path(path)
+    if path.suffix != ".npz":
+        raise CheckpointError(f"{path.name}: unknown snapshot suffix {path.suffix!r}")
     try:
-        if path.suffix == ".pkl":
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            _validate_header(payload, path)
-            if payload.get("kind") != DICT_KIND:
-                raise CheckpointError(f"{path.name}: not a dict-engine snapshot")
-            return Snapshot(
-                kind=DICT_KIND,
-                superstep=int(payload["superstep"]),
-                path=path,
-                interval=int(payload["interval"]),
-                engine_params=payload["engine"],
-                state=payload["state"],
-            )
-        if path.suffix == ".npz":
-            with np.load(path) as data:
-                fields = {name: data[name].copy() for name in data.files}
-            blob_field = fields.pop("objects_blob", None)
-            if blob_field is None:
-                raise CheckpointError(f"{path.name}: missing object blob")
-            payload = pickle.loads(blob_field.tobytes())
-            _validate_header(payload, path)
-            if payload.get("kind") != VECTOR_KIND:
-                raise CheckpointError(f"{path.name}: not a vector-engine snapshot")
-            return Snapshot(
-                kind=VECTOR_KIND,
-                superstep=int(payload["superstep"]),
-                path=path,
-                interval=int(payload["interval"]),
-                engine_params=payload["engine"],
-                arrays=fields,
-                objects=payload["objects"],
-            )
+        with np.load(path) as data:
+            fields = {name: data[name].copy() for name in data.files}
+        blob_field = fields.pop("objects_blob", None)
+        if blob_field is None:
+            raise CheckpointError(f"{path.name}: missing object blob")
+        payload = pickle.loads(blob_field.tobytes())
+        _validate_header(payload, path)
+        if payload.get("kind") != VECTOR_KIND:
+            raise CheckpointError(f"{path.name}: not a vector-engine snapshot")
+        return Snapshot(
+            kind=VECTOR_KIND,
+            superstep=int(payload["superstep"]),
+            path=path,
+            interval=int(payload["interval"]),
+            engine_params=payload["engine"],
+            arrays=fields,
+            objects=payload["objects"],
+        )
     except CheckpointError:
         raise
     except Exception as exc:  # truncated pickle/zip, wrong types, ...
         raise CheckpointError(f"{path.name}: unreadable snapshot ({exc})") from exc
-    raise CheckpointError(f"{path.name}: unknown snapshot suffix {path.suffix!r}")
 
 
 def load_latest_snapshot(
@@ -389,20 +337,14 @@ def resume_from_checkpoint(
 ):
     """Resume the newest valid snapshot in ``checkpoint_dir`` to completion.
 
-    Rebuilds the engine recorded in the snapshot (dictionary or vector),
-    restores the run state and finishes the run, checkpointing onward
-    into the same directory at the original interval.  Returns the
-    engine's result object
-    (:class:`~repro.pregel.engine.PregelResult` or
-    :class:`~repro.pregel.vector_coordinator.VectorPregelResult`).  A
+    Rebuilds the engine recorded in the snapshot, restores the run state
+    and finishes the run, checkpointing onward into the same directory at
+    the original interval.  Returns the engine's
+    :class:`~repro.pregel.vector_coordinator.VectorPregelResult`.  A
     ``fault_plan`` may be supplied to keep injecting faults into the
     resumed run; by default it resumes clean.
     """
     snap = snapshot if snapshot is not None else load_latest_snapshot(checkpoint_dir)
-    if snap.kind == DICT_KIND:
-        from repro.pregel.engine import PregelEngine
-
-        return PregelEngine._resume_from_snapshot(snap, checkpoint_dir, fault_plan)
     from repro.pregel.vector_coordinator import VectorPregelEngine
 
     return VectorPregelEngine._resume_from_snapshot(snap, checkpoint_dir, fault_plan)

@@ -6,7 +6,7 @@ module holds the array kernels those steps share: the per-worker
 statistics bincounts, their assembly into a
 :class:`~repro.pregel.cost_model.SuperstepStats`, and the per-target
 message combination whose canonical-order math underpins the bit-exact
-equivalence with the dictionary engine.
+equivalence with the per-vertex reference engine.
 """
 
 from __future__ import annotations

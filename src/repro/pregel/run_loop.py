@@ -1,14 +1,13 @@
-"""Shared run-loop scaffolding for both Pregel runtimes.
+"""Run-loop scaffolding of the Pregel runtime.
 
-The dictionary engine (:mod:`repro.pregel.engine`) and the vector
-coordinator (:mod:`repro.pregel.vector_coordinator`) execute the same
-outer superstep protocol: a checkpoint/recovery wrapper around the
-superstep loop, a fixed superstep-boundary preamble (bound check →
-checkpoint → master compute → quiescence test), aggregator history
-recording after every superstep, and the final copy of the recovery
-bookkeeping counters onto the run statistics.  This module holds that
-scaffolding once so the two engines cannot drift apart; each engine
-keeps only its runtime-specific compute/delivery body.
+The outer superstep protocol lives here, apart from the superstep body of
+:mod:`repro.pregel.vector_coordinator`: a checkpoint/recovery wrapper
+around the superstep loop, a fixed superstep-boundary preamble (bound
+check → checkpoint → master compute → quiescence test), aggregator
+history recording after every superstep, and the final copy of the
+recovery bookkeeping counters onto the run statistics.  The per-vertex
+reference engine of the test suite reuses the preamble and the history
+recording, so both execute the identical protocol.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def superstep_preamble(
 ) -> str | None:
     """Shared superstep-boundary protocol; returns a halt reason or ``None``.
 
-    The order is part of the equivalence contract between the runtimes:
+    The order is part of the equivalence contract with the reference engine:
     the ``max_supersteps`` bound is checked first, then a checkpoint is
     taken (*before* the master computes, so a restore replays the master
     exactly once; superstep 0 is always due, guaranteeing a recovery base

@@ -2,14 +2,15 @@
 
 The vector runtime executes *batch* vertex programs
 (:class:`~repro.pregel.batch.BatchVertexProgram`) over flat NumPy arrays
-with the same observable semantics as the dictionary engine
-(:mod:`repro.pregel.engine`): final values, superstep counts, halt
-reasons, aggregator histories and per-worker statistics are bit-exact,
-not approximate (``tests/test_vector_engine.py`` pins the contract).
+with the same observable semantics as a per-vertex Pregel engine (one
+Python ``compute`` call per vertex, kept as the test oracle): final
+values, superstep counts, halt reasons, aggregator histories and
+per-worker statistics are bit-exact, not approximate
+(``tests/test_vector_engine.py`` pins the contract).
 
 This module holds graph sharding, the outer superstep protocol
-(checkpoints, master compute, quiescence, fault injection — shared with
-the dictionary engine via :mod:`repro.pregel.run_loop`), the superstep
+(checkpoints, master compute, quiescence, fault injection — see
+:mod:`repro.pregel.run_loop`), the superstep
 itself — compute, deliver, commit, all in-process over whole-graph
 arrays, with the kernels in :mod:`repro.pregel.executor` — and result
 assembly.  The program interface and data-plane types live in
@@ -40,7 +41,6 @@ from repro.pregel.batch import (
     _neutral_payload,
 )
 from repro.pregel.checkpoint import (
-    VECTOR_KIND,
     CheckpointManager,
     RecoveryBookkeeping,
     Snapshot,
@@ -90,9 +90,9 @@ class _VectorRunState:
 
 @dataclass
 class VectorPregelResult:
-    """Outcome of a vector-engine run (mirrors :class:`PregelResult`).
+    """Outcome of a vector-engine run.
 
-    As with the dictionary engine, a crash recovery restores the run from
+    A crash recovery restores the run from
     a checkpoint: the program/master objects the caller passed in may end
     up stale copies, so final state must be read from the result
     (``values``, ``master``), never from the inputs.
@@ -121,10 +121,10 @@ class VectorPregelResult:
 class VectorPregelEngine:
     """Sharded, array-native simulation of a Giraph cluster.
 
-    Accepts the same placement functions, cost models and master computes
-    as :class:`~repro.pregel.engine.PregelEngine` and produces the same
-    statistics; only the program interface differs
-    (:class:`BatchVertexProgram` instead of per-vertex ``compute``).
+    Takes vertex placement functions (:mod:`repro.pregel.worker`), a cost
+    model and an optional master compute, and runs
+    :class:`BatchVertexProgram` s: one batch compute per superstep
+    instead of one ``compute`` call per vertex.
     """
 
     def __init__(
@@ -188,10 +188,10 @@ class VectorPregelEngine:
     def shard_digraph(self, graph: DiGraph) -> ShardedGraph:
         """Shard a directed graph; every directed edge is one out-edge.
 
-        Vertex and edge iteration order matches
-        :meth:`PregelEngine.vertices_from_digraph`, so runs over the two
-        representations are comparable slot for slot.  Edge weights
-        default to 1, like the dictionary loader.  The only per-edge
+        Vertex and edge iteration order follows ``graph.vertices()`` and
+        ``graph.edges()``, so runs are comparable slot for slot with a
+        per-vertex engine loading the same graph.  Edge weights default
+        to 1.  The only per-edge
         Python work is draining the edge iterator once; densification and
         CSR construction run vectorized.
         """
@@ -209,10 +209,9 @@ class VectorPregelEngine:
     def shard_undirected(self, graph: UndirectedGraph) -> ShardedGraph:
         """Shard an undirected graph; every edge becomes two out-edges.
 
-        The two directions are interleaved in edge-iteration order,
-        matching the insertion order of
-        :meth:`PregelEngine.vertices_from_undirected`; as with the
-        directed loader, only the edge-iterator drain is per-edge Python.
+        The two directions are interleaved in edge-iteration order (the
+        order a per-vertex loader inserts them); as with the directed
+        loader, only the edge-iterator drain is per-edge Python.
         """
         ids = np.fromiter(graph.vertices(), dtype=np.int64, count=graph.num_vertices)
         edge_rows = [(u, v, w) for u, v, w in graph.edges()]
@@ -239,8 +238,7 @@ class VectorPregelEngine:
         weights: np.ndarray,
     ) -> ShardedGraph:
         # build_csr_arrays sorts stably by source, which keeps the
-        # per-vertex slot order identical to the dictionary engine's
-        # edge-insertion order.
+        # per-vertex slot order identical to the edge-insertion order.
         indptr, sorted_targets, sorted_weights = build_csr_arrays(
             sources, targets, weights, ids.shape[0]
         )
@@ -289,9 +287,7 @@ class VectorPregelEngine:
         )
         manager = None
         if self.checkpoint_interval is not None:
-            manager = CheckpointManager(
-                self.checkpoint_dir, self.checkpoint_interval, VECTOR_KIND
-            )
+            manager = CheckpointManager(self.checkpoint_dir, self.checkpoint_interval)
         if self.fault_plan is not None:
             self.fault_plan.reset()
         return self._execute(
@@ -308,8 +304,7 @@ class VectorPregelEngine:
     ) -> VectorPregelResult:
         """Run to completion, recovering injected crashes from snapshots.
 
-        Mirrors ``PregelEngine._execute``: a crash rolls back to the
-        latest snapshot written this run; an exhausted ``max_recoveries``
+        A crash rolls back to the latest snapshot written this run; an exhausted ``max_recoveries``
         budget aborts with :class:`~repro.errors.RecoveryAbortedError`,
         leaving the checkpoint directory ready for
         :func:`~repro.pregel.checkpoint.resume_from_checkpoint`.
@@ -326,8 +321,7 @@ class VectorPregelEngine:
     def _engine_params(self) -> dict[str, Any]:
         """Constructor arguments a snapshot needs to rebuild this engine.
 
-        As in the dictionary engine, the placement function is excluded:
-        the shard's ``worker_of`` array already encodes the placement.
+        The placement function is excluded: the shard's ``worker_of`` array already encodes the placement.
         Snapshots written by older versions may carry extra keys (such
         as ``parallel``); :meth:`_resume_from_snapshot` reads only the
         keys it names, so they resume unchanged.
@@ -383,7 +377,7 @@ class VectorPregelEngine:
             checkpoint_dir=checkpoint_dir,
             fault_plan=fault_plan,
         )
-        manager = CheckpointManager(checkpoint_dir, snapshot.interval, VECTOR_KIND)
+        manager = CheckpointManager(checkpoint_dir, snapshot.interval)
         manager._written.add(snapshot.superstep)
         shard_arrays = manager.load_shard_arrays()
         shard = ShardedGraph(
@@ -428,8 +422,7 @@ class VectorPregelEngine:
         halt_reason = "converged"
 
         def save_checkpoint(superstep: int) -> None:
-            # Superstep-boundary checkpoint, before the master computes
-            # (mirrors the dictionary engine; see its _superstep_loop).
+            # Superstep-boundary checkpoint, before the master computes.
             if manager is None or not manager.due(superstep):
                 return
             arrays = {
@@ -476,8 +469,8 @@ class VectorPregelEngine:
 
             # Probe the crash plan in worker order before the batch
             # compute: the batch is one barrier, so a crashing worker
-            # takes the whole superstep down, but the budget consumption
-            # order matches the dictionary engine's per-worker probes.
+            # takes the whole superstep down, but the fault budget is
+            # consumed one worker at a time, in worker order.
             if plan is not None:
                 for worker in range(self.num_workers):
                     if plan.crash_fires(superstep, worker):

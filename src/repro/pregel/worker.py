@@ -1,17 +1,14 @@
-"""Workers and vertex-to-worker placement.
+"""Vertex-to-worker placement.
 
 Giraph distributes vertices across physical machine workers; which worker a
 vertex lives on determines whether its messages are local or cross the
 network, and the per-worker load determines superstep time under the
-synchronous barrier.  Spinner additionally relies on *per-worker shared
-state* (its asynchronous load counters, Section IV-A4), which is exposed
-here as :attr:`Worker.shared_store`.
+synchronous barrier.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
-from typing import Any
+from collections.abc import Callable, Mapping
 
 from repro.errors import PregelError
 
@@ -60,59 +57,3 @@ def partition_placement(
         return label % num_workers
 
     return place
-
-
-class Worker:
-    """One simulated cluster worker.
-
-    Attributes
-    ----------
-    worker_id:
-        Index of the worker within the cluster.
-    vertex_ids:
-        The vertices placed on this worker.
-    shared_store:
-        A mutable dictionary shared by all vertices of the worker within a
-        superstep.  The engine clears it at the start of every superstep,
-        before calling the program's ``pre_superstep`` hook, which mirrors
-        Giraph's ``WorkerContext`` lifecycle: state that must survive a
-        superstep boundary belongs in aggregators or vertex values.
-    """
-
-    def __init__(self, worker_id: int) -> None:
-        self.worker_id = worker_id
-        self.vertex_ids: list[int] = []
-        self.shared_store: dict[str, Any] = {}
-
-    def assign(self, vertex_id: int) -> None:
-        """Place a vertex on this worker."""
-        self.vertex_ids.append(vertex_id)
-
-    @property
-    def num_vertices(self) -> int:
-        """Number of vertices placed on this worker."""
-        return len(self.vertex_ids)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Worker(id={self.worker_id}, vertices={self.num_vertices})"
-
-
-def build_workers(
-    vertex_ids: Iterable[int], num_workers: int, placement: PlacementFn
-) -> tuple[list[Worker], dict[int, int]]:
-    """Create workers and place every vertex.
-
-    Returns the worker list and the ``vertex -> worker`` map used by the
-    engine to classify messages as local or remote.
-    """
-    workers = [Worker(worker_id) for worker_id in range(num_workers)]
-    worker_of: dict[int, int] = {}
-    for vertex_id in vertex_ids:
-        worker_id = placement(vertex_id)
-        if not 0 <= worker_id < num_workers:
-            raise PregelError(
-                f"placement returned worker {worker_id} outside [0, {num_workers})"
-            )
-        workers[worker_id].assign(vertex_id)
-        worker_of[vertex_id] = worker_id
-    return workers, worker_of

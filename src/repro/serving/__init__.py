@@ -14,7 +14,6 @@ wired to the CLI as ``spinner-repro serve``.
 from repro.serving.churn import (
     ChurnPipeline,
     RepartitionReport,
-    SERVING_ENGINES,
     ServingConfig,
 )
 from repro.serving.metrics import ServingMetrics
@@ -26,7 +25,6 @@ __all__ = [
     "AssignmentStore",
     "ChurnPipeline",
     "RepartitionReport",
-    "SERVING_ENGINES",
     "ServingConfig",
     "ServingMetrics",
     "ShardingService",

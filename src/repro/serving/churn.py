@@ -18,7 +18,7 @@ estimated ``phi`` dropping ``phi_drift`` below the last published
 value), the service runs one repartition in the background:
 :meth:`ChurnPipeline.freeze` copies the live graph and the previous
 snapshot on the event loop (a bounded pause), :meth:`ChurnPipeline.execute`
-runs the engine anywhere (an executor thread under the service, inline
+runs FastSpinner anywhere (an executor thread under the service, inline
 in tests and benchmarks), and :meth:`ChurnPipeline.publish` installs the
 result as the next store version with a bounded migration report.
 Lookups keep answering from the old snapshot throughout.
@@ -26,12 +26,14 @@ Lookups keep answering from the old snapshot throughout.
 The repartition itself is Spinner's Section III-D incremental restart:
 previous labels are preserved, new vertices go to the least loaded
 partition (:mod:`repro.core.incremental`), and label propagation resumes
-from there on the configured engine — ``fast`` (the vectorized
-:class:`~repro.core.fast.FastSpinner`, honouring the ``ram``/``mmap``
-storage tier), or the ``dict``/``vector`` Pregel runtimes.  A
-churn-triggered run is bit-identical to invoking the same engine's
-``adapt_to_graph_changes`` directly with the same seed, which the
-serving test suite pins.
+from there on the vectorized :class:`~repro.core.fast.FastSpinner`,
+honouring the ``ram``/``mmap`` storage tier.  A churn-triggered run is
+bit-identical to invoking ``FastSpinner.adapt_to_graph_changes`` directly
+with the same seed, which the serving test suite pins.
+
+:meth:`ChurnPipeline.ingest` validates a whole delta before it changes
+anything, so a bad delta raises and leaves the live graph and the
+trigger signals as they were.
 """
 
 from __future__ import annotations
@@ -42,16 +44,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import SpinnerConfig
-from repro.core.fast import FastSpinner
-from repro.core.spinner import SpinnerPartitioner
-from repro.errors import ServingError
+from repro.core.fast import FastSpinner, FastSpinnerResult
+from repro.errors import GraphError, ServingError
 from repro.graph.dynamic import GraphDelta
 from repro.graph.undirected import UndirectedGraph
 from repro.serving.metrics import ServingMetrics
 from repro.serving.store import AssignmentSnapshot, AssignmentStore
-
-#: Engines a repartition may run on (CLI ``serve --engine`` choices).
-SERVING_ENGINES = ("fast", "dict", "vector")
 
 
 @dataclass(frozen=True)
@@ -68,14 +66,9 @@ class ServingConfig:
     phi_drift:
         Trigger once the estimated locality dropped this far below the
         last published ``phi``; ``None`` disables the drift trigger.
-    engine:
-        Repartitioning engine: ``"fast"`` (FastSpinner, default),
-        ``"dict"`` or ``"vector"`` (the Pregel runtimes).
-    num_workers:
-        Simulated workers for the Pregel engines.
     spinner:
-        Algorithm parameters shared by every engine (seed, capacity,
-        halting, storage tier).
+        Algorithm parameters of the repartitioning FastSpinner (seed,
+        capacity, halting, storage tier).
     log_interval:
         Seconds between periodic structured log lines (0 disables).
     latency_sample_every:
@@ -90,8 +83,6 @@ class ServingConfig:
     num_partitions: int
     edge_threshold: int | None = 512
     phi_drift: float | None = None
-    engine: str = "fast"
-    num_workers: int = 4
     spinner: SpinnerConfig = field(default_factory=SpinnerConfig)
     log_interval: float = 10.0
     latency_sample_every: int = 16
@@ -110,10 +101,6 @@ class ServingConfig:
             raise ServingError(
                 f"phi_drift must lie in (0, 1], got {self.phi_drift}"
             )
-        if self.engine not in SERVING_ENGINES:
-            raise ServingError(
-                f"engine must be one of {SERVING_ENGINES}, got {self.engine!r}"
-            )
         if self.log_interval < 0:
             raise ServingError(
                 f"log_interval must be >= 0, got {self.log_interval}"
@@ -130,7 +117,7 @@ class ServingConfig:
 
 @dataclass(frozen=True)
 class RepartitionOutcome:
-    """Engine-agnostic result of one repartitioning run."""
+    """Result of one repartitioning run, in ascending vertex-id order."""
 
     ids: np.ndarray
     labels: np.ndarray
@@ -204,7 +191,7 @@ class ChurnPipeline:
         self.metrics = metrics if metrics is not None else ServingMetrics()
         self.in_flight = False
         #: Test/diagnostic hook invoked (in the executing thread) after the
-        #: engine run completes but before the result is handed back for
+        #: repartition run completes but before the result is handed back for
         #: publication — the serving tests hold it open to pin that
         #: lookups racing an in-flight repartition stay consistent.
         self.post_execute_hook = None
@@ -215,39 +202,14 @@ class ChurnPipeline:
         self._pend_local = 0.0
         self._pend_total = 0.0
 
-    # ------------------------------------------------------------------
-    # engine selection
-    # ------------------------------------------------------------------
-    def _make_engine(self):
-        if self.config.engine == "fast":
-            return FastSpinner(self.config.spinner)
-        return SpinnerPartitioner(
-            config=self.config.spinner,
-            engine=self.config.engine,
-            num_workers=self.config.num_workers,
-        )
-
     @staticmethod
-    def _outcome(result) -> RepartitionOutcome:
-        """Normalize a FastSpinner/SpinnerPartitioner result."""
-        if hasattr(result, "labels"):  # FastSpinnerResult
-            ids = result.original_ids
-            if ids is None:
-                ids = np.arange(result.labels.shape[0], dtype=np.int64)
-            return RepartitionOutcome(
-                ids=ids,
-                labels=result.labels,
-                phi=float(result.phi),
-                rho=float(result.rho),
-                iterations=int(result.iterations),
-            )
-        count = len(result.assignment)
-        ids = np.fromiter(result.assignment.keys(), dtype=np.int64, count=count)
-        labels = np.fromiter(result.assignment.values(), dtype=np.int64, count=count)
-        order = np.argsort(ids, kind="stable")
+    def _outcome(result: FastSpinnerResult) -> RepartitionOutcome:
+        ids = result.original_ids
+        if ids is None:
+            ids = np.arange(result.labels.shape[0], dtype=np.int64)
         return RepartitionOutcome(
-            ids=ids[order],
-            labels=labels[order],
+            ids=ids,
+            labels=result.labels,
             phi=float(result.phi),
             rho=float(result.rho),
             iterations=int(result.iterations),
@@ -299,10 +261,20 @@ class ChurnPipeline:
 
         Returns the number of edges actually added (duplicates of
         existing edges and self-loops are dropped, matching
-        :meth:`~repro.graph.dynamic.GraphDelta.apply`).  Must be called
-        from the thread that owns the live graph (the event loop under
-        the service).
+        :meth:`~repro.graph.dynamic.GraphDelta.apply`).  The whole delta
+        is validated first: a negative vertex id or a non-positive weight
+        anywhere raises :class:`~repro.errors.GraphError` before anything
+        is applied.  Must be called from the thread that owns the live
+        graph (the event loop under the service).
         """
+        for vertex in delta.added_vertices:
+            if vertex < 0:
+                raise GraphError(f"vertex ids must be non-negative, got {vertex}")
+        for u, v, weight in delta.added_edges:
+            if u < 0 or v < 0:
+                raise GraphError(f"vertex ids must be non-negative, got {min(u, v)}")
+            if weight <= 0:
+                raise GraphError(f"edge weights must be positive, got {weight}")
         snapshot = self.store.current()
         new_vertices = 0
         for vertex in sorted(delta.added_vertices):
@@ -365,12 +337,12 @@ class ChurnPipeline:
         )
 
     def execute(self, job: RepartitionJob) -> RepartitionOutcome:
-        """Run the engine on the frozen inputs (safe off the event loop)."""
-        engine = self._make_engine()
+        """Run FastSpinner on the frozen inputs (safe off the event loop)."""
+        spinner = FastSpinner(self.config.spinner)
         if job.previous.num_vertices == 0:
-            result = engine.partition(job.graph, self.config.num_partitions)
+            result = spinner.partition(job.graph, self.config.num_partitions)
         else:
-            result = engine.adapt_to_graph_changes(
+            result = spinner.adapt_to_graph_changes(
                 job.graph, job.previous.to_assignment(), self.config.num_partitions
             )
         outcome = self._outcome(result)
@@ -388,7 +360,7 @@ class ChurnPipeline:
         swap_seconds = time.perf_counter() - swap_start
 
         migrations, fraction = self._migration_report(job.previous, snapshot)
-        # Rebase the estimator: the engine's phi is exact on the frozen
+        # Rebase the estimator: the run's phi is exact on the frozen
         # graph; edges that arrived after the freeze stay pending and are
         # re-scored against the fresh snapshot.
         suffix = self._pending[job.pending_edges :]

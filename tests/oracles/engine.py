@@ -1,9 +1,14 @@
-"""The simulated Pregel engine.
+"""The per-vertex reference Pregel engine.
 
-The engine executes a :class:`~repro.pregel.program.VertexProgram` over a
-set of vertices placed on simulated workers, superstep by superstep, with
+The engine executes a :class:`~oracles.program.VertexProgram` over a set
+of vertices placed on simulated workers, superstep by superstep, with
 synchronous message delivery, aggregators, an optional master compute and
-per-superstep cost accounting.
+per-superstep cost accounting: one Python ``compute`` call per vertex per
+superstep.  It is the reference the production
+:class:`~repro.pregel.vector_coordinator.VectorPregelEngine` is pinned
+bit-exact against, and it runs uninterrupted only: no checkpoints, no
+injected faults.  Recovery is pinned by transitivity (vector-recovered ==
+vector-uninterrupted == this engine).
 
 The semantics follow the Pregel paper (and Giraph's implementation of it):
 
@@ -18,24 +23,14 @@ The semantics follow the Pregel paper (and Giraph's implementation of it):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import PregelError
-from repro.faults import FaultPlan, InjectedWorkerCrash
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.undirected import UndirectedGraph
 from repro.pregel.aggregators import AggregatorRegistry
-from repro.pregel.checkpoint import (
-    DICT_KIND,
-    CheckpointManager,
-    RecoveryBookkeeping,
-    Snapshot,
-    apply_delivery_faults,
-    validate_fault_tolerance_args as _validate_fault_tolerance_args,
-)
 from repro.pregel.cost_model import (
     ClusterCostModel,
     RunStats,
@@ -43,28 +38,18 @@ from repro.pregel.cost_model import (
     WorkerStats,
 )
 from repro.pregel.master import MasterCompute
-from repro.pregel.messages import MessageCombiner, MessageStore
-from repro.pregel.program import ComputeContext, VertexProgram
-from repro.pregel.run_loop import (
-    finalize_run_stats,
-    record_aggregator_history,
-    run_with_recovery,
-    superstep_preamble,
-)
-from repro.pregel.vertex import Vertex
-from repro.pregel.worker import PlacementFn, build_workers, hash_placement
+from repro.pregel.run_loop import record_aggregator_history, superstep_preamble
+from repro.pregel.worker import PlacementFn, hash_placement
+
+from oracles.messages import MessageCombiner, MessageStore
+from oracles.program import ComputeContext, VertexProgram
+from oracles.vertex import Vertex
+from oracles.worker import build_workers
 
 
 @dataclass
 class PregelResult:
-    """Outcome of a Pregel run.
-
-    After a crash recovery the engine continues on state restored from a
-    checkpoint, so the objects the caller passed into ``run`` (the
-    vertices dictionary, the master compute) may be *stale copies* of the
-    live run.  The result always carries the authoritative final state:
-    read vertices and the master from here, never from the inputs.
-    """
+    """Outcome of a reference Pregel run."""
 
     vertices: dict[int, Vertex]
     num_supersteps: int
@@ -72,9 +57,7 @@ class PregelResult:
     aggregators: AggregatorRegistry
     aggregator_history: dict[str, list[Any]] = field(default_factory=dict)
     halt_reason: str = "converged"
-    #: The master compute the run actually finished with (``None`` when
-    #: the run had no master).  After a recovery this is the restored
-    #: instance, not the one passed to ``run``.
+    #: The master compute the run finished with (``None`` without one).
     master: MasterCompute | None = None
 
     def vertex_values(self) -> dict[int, Any]:
@@ -84,31 +67,6 @@ class PregelResult:
     def simulated_time(self, model: ClusterCostModel) -> float:
         """Total simulated runtime under ``model``."""
         return self.stats.simulated_time(model)
-
-
-@dataclass
-class _DictRunState:
-    """Everything the dictionary engine needs to continue a run.
-
-    This is exactly what a checkpoint snapshots: one pickle of this
-    object captures vertex values/edges/halted flags, in-flight messages,
-    aggregators and their history, per-worker placement and shared
-    stores, the program (with any RNG state) and master, and the
-    accumulated statistics.  The placement *function* is deliberately
-    absent — placements may be closures (unpicklable), and the computed
-    ``workers`` / ``worker_of`` carry everything a resumed run needs.
-    """
-
-    program: VertexProgram
-    master: MasterCompute | None
-    vertices: dict[int, Vertex]
-    workers: list[Any]
-    worker_of: dict[int, int]
-    incoming: MessageStore
-    run_stats: RunStats
-    aggregators: AggregatorRegistry
-    aggregator_history: dict[str, list[Any]]
-    superstep: int = 0
 
 
 class PregelEngine:
@@ -133,17 +91,6 @@ class PregelEngine:
         resolve or create the target vertex; silently losing the message is
         a routing bug).  Set this to ``True`` to drop such messages instead;
         the number dropped is surfaced as ``RunStats.messages_dropped``.
-    checkpoint_interval:
-        Snapshot the run state into ``checkpoint_dir`` every this many
-        supersteps (at superstep boundaries, Giraph style).  Both or
-        neither of ``checkpoint_interval`` / ``checkpoint_dir`` must be
-        given.
-    checkpoint_dir:
-        Directory for checkpoint snapshots (created if missing).
-    fault_plan:
-        Deterministic :class:`~repro.faults.FaultPlan` of injected worker
-        crashes and message-delivery failures; requires checkpointing,
-        because crashes recover from the latest checkpoint.
     """
 
     def __init__(
@@ -154,24 +101,17 @@ class PregelEngine:
         combiner: MessageCombiner | None = None,
         max_supersteps: int = 500,
         drop_unknown_targets: bool = False,
-        checkpoint_interval: int | None = None,
-        checkpoint_dir: str | os.PathLike | None = None,
-        fault_plan: FaultPlan | None = None,
     ) -> None:
         if num_workers <= 0:
             raise PregelError("num_workers must be positive")
         if max_supersteps <= 0:
             raise PregelError("max_supersteps must be positive")
-        _validate_fault_tolerance_args(checkpoint_interval, checkpoint_dir, fault_plan)
         self.num_workers = num_workers
         self.placement = placement if placement is not None else hash_placement(num_workers)
         self.cost_model = cost_model if cost_model is not None else ClusterCostModel()
         self.combiner = combiner
         self.max_supersteps = max_supersteps
         self.drop_unknown_targets = drop_unknown_targets
-        self.checkpoint_interval = checkpoint_interval
-        self.checkpoint_dir = checkpoint_dir
-        self.fault_plan = fault_plan
 
     # ------------------------------------------------------------------
     # graph loading
@@ -253,11 +193,7 @@ class PregelEngine:
         """Execute ``program`` over ``vertices`` until convergence.
 
         The ``vertices`` dictionary is mutated in place (vertex values and
-        edge values evolve as the program runs).  When checkpointing is on
-        and a fault recovery occurred, the run continues on *restored*
-        state — always read the final vertices (and master) from the
-        returned :class:`PregelResult`, which carries the authoritative
-        objects either way.
+        edge values evolve as the program runs).
         """
         aggregators = AggregatorRegistry()
         program.register_aggregators(aggregators)
@@ -265,136 +201,28 @@ class PregelEngine:
             master.initialize(aggregators)
 
         workers, worker_of = build_workers(vertices.keys(), self.num_workers, self.placement)
-        state = _DictRunState(
-            program=program,
-            master=master,
-            vertices=vertices,
-            workers=workers,
-            worker_of=worker_of,
-            incoming=MessageStore(self.combiner),
-            run_stats=RunStats(),
-            aggregators=aggregators,
-            aggregator_history={name: [] for name in aggregators.names()},
-        )
-        manager = None
-        if self.checkpoint_interval is not None:
-            manager = CheckpointManager(
-                self.checkpoint_dir, self.checkpoint_interval, DICT_KIND
-            )
-        if self.fault_plan is not None:
-            self.fault_plan.reset()
-        return self._execute(state, manager, self.fault_plan, RecoveryBookkeeping())
-
-    def _execute(
-        self,
-        state: _DictRunState,
-        manager: CheckpointManager | None,
-        plan: FaultPlan | None,
-        bookkeeping: RecoveryBookkeeping,
-    ) -> PregelResult:
-        """Run to completion via the shared recovery wrapper.
-
-        Crash rollback, the recovery budget and the abort path live in
-        :func:`~repro.pregel.run_loop.run_with_recovery`; the restored
-        state is always a fresh unpickle of the latest snapshot written
-        *this run*.
-        """
-
-        def restore() -> _DictRunState:
-            return manager.load_latest(this_run_only=True).state
-
-        def loop(current: _DictRunState) -> PregelResult:
-            return self._superstep_loop(current, manager, plan, bookkeeping)
-
-        return run_with_recovery(loop, state, restore, plan, bookkeeping)
-
-    def _engine_params(self) -> dict[str, Any]:
-        """Constructor arguments a snapshot needs to rebuild this engine.
-
-        The placement function is intentionally excluded (closures don't
-        pickle; the snapshot's ``workers`` / ``worker_of`` already encode
-        the placement).
-        """
-        return {
-            "num_workers": self.num_workers,
-            "cost_model": self.cost_model,
-            "combiner": self.combiner,
-            "max_supersteps": self.max_supersteps,
-            "drop_unknown_targets": self.drop_unknown_targets,
-        }
-
-    @classmethod
-    def _resume_from_snapshot(
-        cls,
-        snapshot: Snapshot,
-        checkpoint_dir: str | os.PathLike,
-        fault_plan: FaultPlan | None = None,
-    ) -> PregelResult:
-        """Rebuild the engine from ``snapshot`` and finish the run."""
-        params = snapshot.engine_params
-        engine = cls(
-            num_workers=params["num_workers"],
-            cost_model=params["cost_model"],
-            combiner=params["combiner"],
-            max_supersteps=params["max_supersteps"],
-            drop_unknown_targets=params["drop_unknown_targets"],
-            checkpoint_interval=snapshot.interval,
-            checkpoint_dir=checkpoint_dir,
-            fault_plan=fault_plan,
-        )
-        manager = CheckpointManager(checkpoint_dir, snapshot.interval, DICT_KIND)
-        # The resumed-from snapshot counts as this run's recovery base
-        # (and must not be rewritten when the loop passes its superstep).
-        manager._written.add(snapshot.superstep)
-        if fault_plan is not None:
-            fault_plan.reset()
-        return engine._execute(
-            snapshot.state, manager, fault_plan, RecoveryBookkeeping()
-        )
-
-    def _superstep_loop(
-        self,
-        state: _DictRunState,
-        manager: CheckpointManager | None,
-        plan: FaultPlan | None,
-        bookkeeping: RecoveryBookkeeping,
-    ) -> PregelResult:
-        program = state.program
-        master = state.master
-        vertices = state.vertices
-        workers = state.workers
-        worker_of = state.worker_of
-        run_stats = state.run_stats
-        aggregators = state.aggregators
-        aggregator_history = state.aggregator_history
-        halt_reason = "converged"
-
-        def save_checkpoint(superstep: int) -> None:
-            if manager is None or not manager.due(superstep):
-                return
-            if manager.save_dict(superstep, state, self._engine_params()):
-                bookkeeping.checkpoints_written += 1
+        incoming = MessageStore(self.combiner)
+        run_stats = RunStats()
+        aggregator_history: dict[str, list[Any]] = {name: [] for name in aggregators.names()}
+        superstep = 0
 
         def quiescent() -> bool:
             # Standard Pregel termination: all vertices halted, no messages.
             any_active = any(not v.halted for v in vertices.values())
-            return state.superstep > 0 and state.incoming.is_empty() and not any_active
+            return superstep > 0 and incoming.is_empty() and not any_active
 
         while True:
-            superstep = state.superstep
-            reason = superstep_preamble(
+            halt_reason = superstep_preamble(
                 superstep,
                 self.max_supersteps,
-                save_checkpoint,
+                lambda _superstep: None,
                 master,
                 aggregators,
                 quiescent,
             )
-            if reason is not None:
-                halt_reason = reason
+            if halt_reason is not None:
                 break
 
-            incoming = state.incoming
             outgoing = MessageStore(self.combiner)
             superstep_stat = SuperstepStats(superstep=superstep)
             # Raw sends to nonexistent targets this superstep; counted at
@@ -403,8 +231,6 @@ class PregelEngine:
             unknown_sends = [0]
 
             for worker in workers:
-                if plan is not None and plan.crash_fires(superstep, worker.worker_id):
-                    raise InjectedWorkerCrash(superstep, worker.worker_id)
                 worker_stat = WorkerStats()
                 # Giraph WorkerContext lifecycle: the shared store only
                 # carries state within one superstep (see Worker docstring).
@@ -469,19 +295,12 @@ class PregelEngine:
 
             run_stats.superstep_stats.append(superstep_stat)
             record_aggregator_history(aggregators, aggregator_history)
+            incoming = outgoing
+            superstep += 1
 
-            # The synchronous barrier: transient delivery faults retry
-            # here (simulated backoff) and may escalate to a crash.
-            if plan is not None:
-                apply_delivery_faults(plan, superstep, bookkeeping)
-
-            state.incoming = outgoing
-            state.superstep = superstep + 1
-
-        finalize_run_stats(run_stats, bookkeeping)
         return PregelResult(
             vertices=vertices,
-            num_supersteps=state.superstep,
+            num_supersteps=superstep,
             stats=run_stats,
             aggregators=aggregators,
             aggregator_history=aggregator_history,

@@ -1,4 +1,4 @@
-"""Message routing and combiners for the simulated Pregel engine.
+"""Message routing and combiners for the per-vertex reference engine.
 
 Messages sent during superstep *S* are delivered at the beginning of
 superstep *S + 1*, exactly as in Pregel.  A :class:`MessageCombiner` can

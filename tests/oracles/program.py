@@ -1,7 +1,7 @@
-"""Vertex program interface and compute context.
+"""Per-vertex program interface and compute context of the reference engine.
 
 A vertex program is the user-defined ``compute`` function of the Pregel
-model.  The engine calls :meth:`VertexProgram.compute` once per active
+model.  The reference engine calls :meth:`VertexProgram.compute` once per active
 vertex per superstep, handing it the vertex, the messages delivered to it
 and a :class:`ComputeContext` through which it can send messages, use
 aggregators and access per-worker shared state.
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.pregel.aggregators import AggregatorRegistry
-from repro.pregel.vertex import Vertex
+from oracles.vertex import Vertex
 
 
 class ComputeContext:

@@ -1,4 +1,4 @@
-"""Vertex state for the simulated Pregel engine.
+"""Vertex state for the per-vertex reference engine.
 
 A Pregel vertex owns an identifier, a mutable value, its outgoing edges
 (with mutable edge values) and an active/halted flag.  Vertices are the

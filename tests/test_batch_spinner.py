@@ -17,13 +17,15 @@ import pytest
 from repro.core.batch_program import BatchSpinnerProgram, build_spinner_shard
 from repro.core.config import SpinnerConfig
 from repro.core.spinner import SpinnerPartitioner
-from repro.errors import ConfigurationError, PartitioningError
+from repro.errors import PartitioningError
 from repro.graph.datasets import load_dataset
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import EdgeArrivalStream
 from repro.graph.generators import powerlaw_cluster, watts_strogatz
 from repro.graph.undirected import UndirectedGraph
 from repro.pregel.vector_coordinator import VectorPregelEngine
+
+from oracles.spinner import DictSpinnerPartitioner
 
 
 def _stride_placement(num_workers: int):
@@ -36,12 +38,8 @@ def _stride_placement(num_workers: int):
 
 
 def _partitioners(config, num_workers=4, placement=None):
-    dict_part = SpinnerPartitioner(
-        config, num_workers=num_workers, engine="dict", placement=placement
-    )
-    vector_part = SpinnerPartitioner(
-        config, num_workers=num_workers, engine="vector", placement=placement
-    )
+    dict_part = DictSpinnerPartitioner(config, num_workers=num_workers, placement=placement)
+    vector_part = SpinnerPartitioner(config, num_workers=num_workers, placement=placement)
     return dict_part, vector_part
 
 
@@ -180,29 +178,6 @@ def test_small_world_equivalence():
     config = SpinnerConfig(seed=5, max_iterations=20)
     dict_part, vector_part = _partitioners(config, num_workers=5)
     assert_equivalent(dict_part.partition(graph, 8), vector_part.partition(graph, 8))
-
-
-# ----------------------------------------------------------------------
-# engine selection plumbing
-# ----------------------------------------------------------------------
-def test_config_engine_field_selects_runtime(undirected_graph):
-    config = SpinnerConfig(seed=3, max_iterations=10, engine="vector")
-    partitioner = SpinnerPartitioner(config)
-    assert partitioner.engine == "vector"
-    result = partitioner.partition(undirected_graph, 4)
-    assert set(result.assignment) == set(undirected_graph.vertices())
-
-
-def test_engine_argument_overrides_config(undirected_graph):
-    config = SpinnerConfig(seed=3, max_iterations=10, engine="dict")
-    assert SpinnerPartitioner(config, engine="vector").engine == "vector"
-
-
-def test_invalid_engine_rejected():
-    with pytest.raises(ConfigurationError):
-        SpinnerConfig(engine="warp")
-    with pytest.raises(ConfigurationError):
-        SpinnerPartitioner(SpinnerConfig(), engine="warp")
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ adapt it as the graph evolves.
 
 import pytest
 
-from repro.apps.pagerank import PageRank
+from repro.apps.pagerank import BatchPageRank
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
 from repro.core.spinner import SpinnerPartitioner
@@ -30,9 +30,9 @@ def test_partition_then_accelerate_application(social_graph):
     config = SpinnerConfig(seed=5, max_iterations=60)
     assignment = FastSpinner(config).partition(social_graph, 4).to_assignment()
 
-    hash_run = run_application(PageRank(5), social_graph, num_workers=4)
+    hash_run = run_application(BatchPageRank(5), social_graph, num_workers=4)
     spinner_run = run_application(
-        PageRank(5), social_graph, num_workers=4, assignment=assignment
+        BatchPageRank(5), social_graph, num_workers=4, assignment=assignment
     )
     assert spinner_run.remote_messages < hash_run.remote_messages
     assert spinner_run.simulated_time < hash_run.simulated_time

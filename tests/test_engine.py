@@ -1,20 +1,19 @@
-"""Tests for the simulated Pregel engine and the sample applications."""
+"""Tests for the per-vertex reference Pregel engine and its applications."""
 
 import math
 
 import pytest
 
-from repro.apps.degree import DegreeCount
-from repro.apps.pagerank import PageRank, TOTAL_RANK_AGGREGATOR
-from repro.apps.sssp import ShortestPaths
-from repro.apps.wcc import WeaklyConnectedComponents
+from repro.apps.pagerank import TOTAL_RANK_AGGREGATOR
 from repro.errors import PregelError
 from repro.graph.digraph import DiGraph
 from repro.graph.undirected import UndirectedGraph
 from repro.pregel.cost_model import ClusterCostModel
-from repro.pregel.engine import PregelEngine
 from repro.pregel.master import MasterCompute
-from repro.pregel.program import VertexProgram
+
+from oracles.apps import DegreeCount, PageRank, ShortestPaths, WeaklyConnectedComponents
+from oracles.engine import PregelEngine
+from oracles.program import VertexProgram
 
 
 def line_graph(n=6):

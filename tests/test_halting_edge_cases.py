@@ -15,10 +15,11 @@ from repro.pregel import (
     BatchVertexProgram,
     MasterCompute,
     Outbox,
-    PregelEngine,
     VectorPregelEngine,
-    VertexProgram,
 )
+
+from oracles.engine import PregelEngine
+from oracles.program import VertexProgram
 
 NUM_VERTICES = 6
 

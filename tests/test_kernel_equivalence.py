@@ -31,6 +31,8 @@ from repro.graph.generators import (
 )
 from repro.metrics.quality import locality
 
+from oracles.dense_kernel import DenseSpinner
+
 GENERATOR_ZOO = {
     "watts_strogatz": lambda: watts_strogatz(200, degree=8, beta=0.3, seed=5),
     "barabasi_albert": lambda: barabasi_albert(220, edges_per_vertex=4, seed=6),
@@ -49,12 +51,8 @@ def _history_rows(result):
 
 
 def _run_both(graph, num_partitions, config):
-    dense = FastSpinner(config.with_options(kernel="dense")).partition(
-        graph, num_partitions
-    )
-    frontier = FastSpinner(config.with_options(kernel="frontier")).partition(
-        graph, num_partitions
-    )
+    dense = DenseSpinner(config).partition(graph, num_partitions)
+    frontier = FastSpinner(config).partition(graph, num_partitions)
     return dense, frontier
 
 
@@ -96,8 +94,8 @@ def test_frontier_kernel_identical_without_ablation_switches(community_graph):
 def test_frontier_adaptation_matches_dense(tiny_tuenti, quick_config):
     initial = FastSpinner(quick_config).partition(tiny_tuenti, 4, track_history=False)
     assignment = initial.to_assignment()
-    dense = FastSpinner(quick_config.with_options(kernel="dense"))
-    frontier = FastSpinner(quick_config.with_options(kernel="frontier"))
+    dense = DenseSpinner(quick_config)
+    frontier = FastSpinner(quick_config)
     dense_inc = dense.adapt_to_graph_changes(tiny_tuenti, assignment, 4)
     frontier_inc = frontier.adapt_to_graph_changes(tiny_tuenti, assignment, 4)
     assert np.array_equal(dense_inc.labels, frontier_inc.labels)

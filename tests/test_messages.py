@@ -1,6 +1,6 @@
 """Tests for message stores and combiners."""
 
-from repro.pregel.messages import (
+from oracles.messages import (
     MessageStore,
     MinCombiner,
     SumCombiner,

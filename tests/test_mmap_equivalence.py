@@ -4,7 +4,7 @@ The out-of-core tier's contract is *byte-identity*: an on-disk CSR store
 — whether written by :func:`~repro.graph.mmap_store.save_csr` or built by
 the streaming external sort (:func:`~repro.graph.io.ingest_edge_chunks`)
 — must hold exactly the arrays :meth:`CSRGraph.from_edge_list` would
-build, and every consumer (FastSpinner's two kernels, the LDG / Fennel /
+build, and every consumer (FastSpinner's kernel, the LDG / Fennel /
 Wang baselines, the quality metrics) must produce byte-identical output
 on either tier, for every streaming chunk size including the degenerate
 ``chunk = 1``.
@@ -29,6 +29,8 @@ from repro.metrics.quality import quality_summary
 from repro.partitioners.fennel import FennelPartitioner
 from repro.partitioners.ldg import LinearDeterministicGreedy
 from repro.partitioners.wang import WangPartitioner
+
+from oracles.dense_kernel import DenseSpinner
 
 SHAPES = ("empty", "single", "self_loops", "isolated", "duplicates", "skewed")
 SEEDS = (0, 1, 2)
@@ -133,13 +135,18 @@ def test_ingested_store_arrays_byte_identical(tmp_path, shape, seed, chunk):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_fast_spinner_labels_byte_identical(tmp_path, shape, seed, kernel, chunk):
-    """Both kernels, every chunk size: labels AND per-iteration history match."""
+    """Every chunk size: labels AND per-iteration history match the RAM run.
+
+    ``kernel`` picks the in-RAM reference: FastSpinner itself, or the
+    dense reference kernel (which runs in RAM only).
+    """
     n, edges, weights = _fuzz_graph(shape, seed)
     ram = CSRGraph.from_edge_list(edges, n, weights)
     save_csr(ram, tmp_path / "store")
 
-    base = SpinnerConfig(seed=seed, max_iterations=30, kernel=kernel)
-    reference = FastSpinner(base).partition(ram, 3)
+    base = SpinnerConfig(seed=seed, max_iterations=30)
+    reference_spinner = DenseSpinner if kernel == "dense" else FastSpinner
+    reference = reference_spinner(base).partition(ram, 3)
     mmap_config = base.with_options(storage="mmap", storage_chunk=chunk)
     with open_store(tmp_path / "store") as store:
         streamed = FastSpinner(mmap_config).partition(store, 3)

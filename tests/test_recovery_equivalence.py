@@ -5,7 +5,10 @@ checkpoint must produce **byte-identical** results to the uninterrupted
 run: vertex values / labels, superstep count, halt reason, aggregator
 histories and per-superstep worker statistics.  These tests pin that
 contract for all four applications and for the Spinner partitioning
-itself, on both runtimes, plus the offline abort-then-resume path.
+itself, plus the offline abort-then-resume path.  The faulted run is
+always the vector engine; ``engine_kind`` names the engine of the
+uninterrupted baseline: the vector engine itself, or the per-vertex
+reference oracle (which does not checkpoint).
 """
 
 import numpy as np
@@ -17,7 +20,11 @@ from repro.core.spinner import SpinnerPartitioner
 from repro.errors import RecoveryAbortedError
 from repro.faults import FaultPlan, MessageFault, WorkerCrash
 from repro.graph.digraph import DiGraph
-from repro.pregel import PregelEngine, VectorPregelEngine, resume_from_checkpoint
+from repro.pregel import VectorPregelEngine, resume_from_checkpoint
+
+from oracles import apps as oracle_apps
+from oracles.engine import PregelEngine
+from oracles.spinner import DictSpinnerPartitioner
 
 APPS = {
     "degree": {},
@@ -44,8 +51,8 @@ def crashy_plan(crash_superstep: int = 2) -> FaultPlan:
     )
 
 
-def run_app(app: str, engine_kind: str, tmp_path=None, fault_plan=None):
-    program = make_app_program(app, engine_kind, **APPS[app])
+def run_app(app: str, tmp_path=None, fault_plan=None):
+    """Run ``app`` on the vector engine, checkpointed when ``tmp_path`` is given."""
     kwargs = {}
     if tmp_path is not None:
         kwargs = {
@@ -53,11 +60,16 @@ def run_app(app: str, engine_kind: str, tmp_path=None, fault_plan=None):
             "checkpoint_dir": tmp_path,
             "fault_plan": fault_plan,
         }
-    if engine_kind == "dict":
-        engine = PregelEngine(num_workers=NUM_WORKERS, **kwargs)
-    else:
-        engine = VectorPregelEngine(num_workers=NUM_WORKERS, **kwargs)
-    return engine.run_on_digraph(program, small_graph())
+    engine = VectorPregelEngine(num_workers=NUM_WORKERS, **kwargs)
+    return engine.run_on_digraph(make_app_program(app, **APPS[app]), small_graph())
+
+
+def run_baseline(app: str, engine_kind: str):
+    """The uninterrupted run on the vector engine or the reference oracle."""
+    if engine_kind == "vector":
+        return run_app(app)
+    program = oracle_apps.make_app_program(app, **APPS[app])
+    return PregelEngine(num_workers=NUM_WORKERS).run_on_digraph(program, small_graph())
 
 
 def assert_equivalent(recovered, baseline, engine_kind: str) -> None:
@@ -74,15 +86,15 @@ def assert_equivalent(recovered, baseline, engine_kind: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# crash + recover == uninterrupted, all apps, both engines
+# crash + recover == uninterrupted, all apps, both baselines
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("app", sorted(APPS))
 @pytest.mark.parametrize("engine_kind", ["dict", "vector"])
 def test_crash_recovery_is_bit_exact(app, engine_kind, tmp_path):
-    baseline = run_app(app, engine_kind)
+    baseline = run_baseline(app, engine_kind)
     # DegreeCount converges after superstep 1, so fault it earlier.
     plan = crashy_plan(crash_superstep=0 if app == "degree" else 2)
-    recovered = run_app(app, engine_kind, tmp_path, plan)
+    recovered = run_app(app, tmp_path, plan)
     assert recovered.stats.recoveries == 1
     assert recovered.stats.delivery_retries == 2
     assert recovered.stats.checkpoints_written >= 1
@@ -94,17 +106,17 @@ def test_repeated_crashes_within_budget_recover(engine_kind, tmp_path):
     plan = FaultPlan(
         crashes=(WorkerCrash(superstep=2, worker=0, times=2),), max_recoveries=3
     )
-    baseline = run_app("wcc", engine_kind)
-    recovered = run_app("wcc", engine_kind, tmp_path, plan)
+    baseline = run_baseline("wcc", engine_kind)
+    recovered = run_app("wcc", tmp_path, plan)
     assert recovered.stats.recoveries == 2
     assert_equivalent(recovered, baseline, engine_kind)
 
 
-@pytest.mark.parametrize("engine_kind", ["dict", "vector"])
+@pytest.mark.parametrize("engine_kind", ["vector"])
 def test_crash_budget_exhaustion_aborts(engine_kind, tmp_path):
     plan = FaultPlan(crashes=(WorkerCrash(superstep=2),), max_recoveries=0)
     with pytest.raises(RecoveryAbortedError) as excinfo:
-        run_app("pagerank", engine_kind, tmp_path, plan)
+        run_app("pagerank", tmp_path, plan)
     assert excinfo.value.superstep == 2
     assert excinfo.value.recoveries == 0
 
@@ -120,8 +132,8 @@ def test_delivery_retry_exhaustion_escalates_to_crash_and_recovers(
         message_faults=(MessageFault(superstep=3, failures=5),),
         max_delivery_retries=3,
     )
-    baseline = run_app("sssp", engine_kind)
-    recovered = run_app("sssp", engine_kind, tmp_path, plan)
+    baseline = run_baseline("sssp", engine_kind)
+    recovered = run_app("sssp", tmp_path, plan)
     assert recovered.stats.recoveries == 1
     assert recovered.stats.delivery_retries == 3
     assert_equivalent(recovered, baseline, engine_kind)
@@ -133,10 +145,10 @@ def test_delivery_retry_exhaustion_escalates_to_crash_and_recovers(
 @pytest.mark.parametrize("app", ["pagerank", "wcc"])
 @pytest.mark.parametrize("engine_kind", ["dict", "vector"])
 def test_offline_resume_after_abort_is_bit_exact(app, engine_kind, tmp_path):
-    baseline = run_app(app, engine_kind)
+    baseline = run_baseline(app, engine_kind)
     plan = FaultPlan(crashes=(WorkerCrash(superstep=2),), max_recoveries=0)
     with pytest.raises(RecoveryAbortedError):
-        run_app(app, engine_kind, tmp_path, plan)
+        run_app(app, tmp_path, plan)
     resumed = resume_from_checkpoint(tmp_path)
     assert_equivalent(resumed, baseline, engine_kind)
 
@@ -147,10 +159,9 @@ def test_offline_resume_after_abort_is_bit_exact(app, engine_kind, tmp_path):
 @pytest.mark.parametrize("engine_kind", ["dict", "vector"])
 def test_spinner_partitioner_recovery_is_bit_exact(engine_kind, tmp_path):
     graph = small_graph()
-    clean_config = SpinnerConfig(seed=7, max_iterations=12, engine=engine_kind)
-    baseline = SpinnerPartitioner(
-        config=clean_config, num_workers=NUM_WORKERS
-    ).partition(graph, 4)
+    clean_config = SpinnerConfig(seed=7, max_iterations=12)
+    baseline_cls = DictSpinnerPartitioner if engine_kind == "dict" else SpinnerPartitioner
+    baseline = baseline_cls(config=clean_config, num_workers=NUM_WORKERS).partition(graph, 4)
 
     faulted_config = clean_config.with_options(
         checkpoint_interval=3,
@@ -180,20 +191,17 @@ def test_spinner_partitioner_recovery_is_bit_exact(engine_kind, tmp_path):
 
 def test_spinner_dict_and_vector_recovery_agree(tmp_path):
     # The cross-engine bit-exactness contract survives fault injection:
-    # dict-with-crash == vector-with-crash == clean.
+    # vector-with-crash == the clean reference oracle run.
     graph = small_graph()
-    assignments = {}
-    for engine_kind in ("dict", "vector"):
-        config = SpinnerConfig(
-            seed=7,
-            max_iterations=10,
-            engine=engine_kind,
-            checkpoint_interval=2,
-            checkpoint_dir=str(tmp_path / engine_kind),
-            fault_plan=FaultPlan(crashes=(WorkerCrash(superstep=4, worker=2),)),
-        )
-        result = SpinnerPartitioner(config=config, num_workers=NUM_WORKERS).partition(
-            graph, 3
-        )
-        assignments[engine_kind] = result.assignment
-    assert assignments["dict"] == assignments["vector"]
+    config = SpinnerConfig(seed=7, max_iterations=10)
+    faulted = config.with_options(
+        checkpoint_interval=2,
+        checkpoint_dir=str(tmp_path),
+        fault_plan=FaultPlan(crashes=(WorkerCrash(superstep=4, worker=2),)),
+    )
+    recovered = SpinnerPartitioner(config=faulted, num_workers=NUM_WORKERS).partition(graph, 3)
+    reference = DictSpinnerPartitioner(config=config, num_workers=NUM_WORKERS).partition(
+        graph, 3
+    )
+    assert recovered.pregel_result.stats.recoveries == 1
+    assert recovered.assignment == reference.assignment

