@@ -15,15 +15,14 @@ from __future__ import annotations
 import time
 
 from repro.core.config import SpinnerConfig
-from repro.graph.conversion import ensure_undirected
-from repro.graph.datasets import load_dataset
+from repro.graph.datasets import load_dataset_csr
 from repro.metrics.reporting import format_table
 from repro.partitioners.registry import SPINNER_PARTITIONERS, make_partitioner
 
 
 def main() -> None:
     """Run every partitioner on the Twitter proxy and print the comparison."""
-    graph = ensure_undirected(load_dataset("TW", scale=0.25, seed=4))
+    graph = load_dataset_csr("TW", scale=0.25, seed=4)
     print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges")
 
     approaches = (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import powerlaw_cluster
 from repro.metrics.quality import quality_summary
 from repro.metrics.reporting import format_table
@@ -35,8 +36,9 @@ def main() -> None:
         f"(halted by {result.halted_by})"
     )
 
-    # 3. Compare against hash partitioning.
-    hash_assignment = HashPartitioner().partition(graph, num_partitions)
+    # 3. Compare against hash partitioning (partitioners run on CSR arrays).
+    hash_output = HashPartitioner().run(CSRGraph.from_undirected(graph), num_partitions)
+    hash_assignment = hash_output.assignment
     rows = [
         {"partitioner": "spinner", **quality_summary(graph, result.to_assignment(),
                                                      num_partitions).as_row()},

@@ -33,7 +33,7 @@ from collections.abc import Sequence
 
 from repro.core.config import SpinnerConfig
 from repro.errors import ReproError
-from repro.graph.conversion import ensure_undirected
+from repro.graph.conversion import ensure_undirected, to_weighted_csr
 from repro.experiments import (
     fig3,
     fig4,
@@ -48,6 +48,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentScale
 from repro.faults import FaultPlan
+from repro.graph.csr import CSRGraph
 from repro.graph.datasets import dataset_names, load_dataset, load_dataset_csr
 from repro.graph.io import (
     DEFAULT_RUN_HALF_EDGES,
@@ -77,15 +78,6 @@ _STREAMING_PARTITIONERS = {
 # storage tier knobs (--storage / --storage-dir / --storage-chunk).
 _FAST_PARTITIONERS = frozenset({"spinner", "spinner-mmap"})
 
-# Partitioners whose array path (``partition_array``) gives the same
-# assignment as their dictionary path on the dataset proxies: with
-# --dataset they run on the proxy's CSR view end to end.  The others
-# (metis and spinner-pregel) keep the dictionary graph, because their
-# output depends on the DiGraph input or on its insertion order.
-_CSR_PARTITIONERS = frozenset(
-    {"spinner", "spinner-mmap", "ldg", "fennel", "wang", "hash", "modulo", "random"}
-)
-
 
 def _fail(message: str) -> None:
     """Print a one-line error and exit with status 2 (user error)."""
@@ -109,19 +101,18 @@ _EXPERIMENTS = {
 }
 
 
-def _load_graph(args: argparse.Namespace, csr: bool = False):
-    """The input graph: a dataset proxy (as CSR when ``csr``) or an edge list.
+def _load_graph(args: argparse.Namespace) -> CSRGraph:
+    """The input graph as weighted undirected CSR arrays.
 
-    Edge lists always load as a dictionary :class:`DiGraph`, whose vertex
-    insertion order follows the file.
+    A dataset proxy loads straight to CSR; an edge list is read as
+    directed pairs and converted with the eq. (3) weights.  Either way
+    the dense vertex order is ascending original id.
     """
     _check_graph_source(args)
     if args.dataset is not None:
-        if csr:
-            return load_dataset_csr(args.dataset, scale=args.scale)
-        return load_dataset(args.dataset, scale=args.scale)
+        return load_dataset_csr(args.dataset, scale=args.scale)
     if args.edge_list is not None:
-        return read_directed_edge_list(args.edge_list)
+        return to_weighted_csr(read_directed_edge_list(args.edge_list))
     _fail("provide either --dataset or --edge-list")
 
 
@@ -424,17 +415,15 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             storage_chunk=args.storage_chunk,
         )
         partitioner = make_partitioner(args.partitioner, config=config)
-    elif args.partitioner in _STREAMING_PARTITIONERS:
+    elif args.partitioner in (*_STREAMING_PARTITIONERS, "random"):
         kwargs = {"seed": args.seed}
         if args.stream_order is not None:
             kwargs["stream_order"] = args.stream_order
         partitioner = make_partitioner(args.partitioner, **kwargs)
-    elif args.partitioner == "random":
-        partitioner = make_partitioner("random", seed=args.seed)
     else:
         partitioner = make_partitioner(args.partitioner)
     if args.edge_store is None:
-        graph = _load_graph(args, csr=args.partitioner in _CSR_PARTITIONERS)
+        graph = _load_graph(args)
         return _report_partitioning(args, partitioner.run(graph, args.num_partitions))
     if not os.path.isdir(args.edge_store):
         _fail(f"edge store {args.edge_store!r} does not exist or is not a directory")
@@ -500,19 +489,14 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    # Each graph form is loaded at most once, and only if some requested
-    # partitioner runs on it.
-    graphs: dict[bool, object] = {}
+    graph = _load_graph(args)
     rows = []
     for name in args.partitioners:
         if name in SPINNER_PARTITIONERS:
             partitioner = make_partitioner(name, config=SpinnerConfig())
         else:
             partitioner = make_partitioner(name)
-        csr = args.dataset is not None and name in _CSR_PARTITIONERS
-        if csr not in graphs:
-            graphs[csr] = _load_graph(args, csr=csr)
-        output = partitioner.run(graphs[csr], args.num_partitions)
+        output = partitioner.run(graph, args.num_partitions)
         rows.append(
             {"partitioner": name, "phi": output.phi, "rho": output.rho}
         )

@@ -95,9 +95,6 @@ class SpinnerConfig:
         (default :data:`repro.graph.mmap_store.DEFAULT_STORAGE_CHUNK`).
         Any value >= 1 is bit-exact; smaller values trade speed for a
         lower memory ceiling.
-    extra:
-        Free-form experiment metadata (not interpreted by the algorithm;
-        excluded from equality comparisons).
     """
 
     additional_capacity: float = DEFAULT_ADDITIONAL_CAPACITY
@@ -116,7 +113,6 @@ class SpinnerConfig:
     storage: str = "ram"
     storage_dir: str | None = None
     storage_chunk: int | None = None
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.additional_capacity <= 1.0:

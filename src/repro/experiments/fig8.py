@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.fast import FastSpinner
 from repro.experiments.common import ExperimentScale, spinner_config
-from repro.graph.datasets import load_dataset
+from repro.graph.datasets import load_dataset_csr
 from repro.metrics.reporting import improvement_percentage
 from repro.metrics.stability import partitioning_difference
 
@@ -27,7 +27,7 @@ def run_fig8(
 ) -> list[dict]:
     """Return one row per number of added partitions."""
     scale = scale or ExperimentScale.default()
-    graph = load_dataset("TU", scale=scale.graph_scale, seed=scale.seed)
+    graph = load_dataset_csr("TU", scale=scale.graph_scale, seed=scale.seed)
 
     config = spinner_config(scale.seed)
     spinner = FastSpinner(config)

@@ -46,12 +46,30 @@ class GraphDelta:
         """Number of edges introduced by the delta."""
         return len(self.added_edges)
 
+    def validate(self) -> None:
+        """Raise :class:`~repro.errors.GraphError` on a negative vertex id
+        or a non-positive edge weight anywhere in the delta."""
+        for vertex in self.added_vertices:
+            if vertex < 0:
+                raise GraphError(f"vertex ids must be non-negative, got {vertex}")
+        for u, v, weight in self.added_edges:
+            if u < 0 or v < 0:
+                raise GraphError(f"vertex ids must be non-negative, got {min(u, v)}")
+            if weight <= 0:
+                raise GraphError(f"edge weights must be positive, got {weight}")
+
     def apply(self, graph: UndirectedGraph) -> UndirectedGraph:
-        """Apply this delta to ``graph`` in place and return it."""
+        """Apply this delta to ``graph`` in place and return it.
+
+        The whole delta is validated first, so an invalid delta leaves
+        ``graph`` unchanged.  Self-loops and edges already present are
+        skipped.
+        """
+        self.validate()
         for vertex in self.added_vertices:
             graph.add_vertex(vertex)
         for u, v, weight in self.added_edges:
-            if not graph.has_edge(u, v):
+            if u != v and not graph.has_edge(u, v):
                 graph.add_edge(u, v, weight=weight)
         return graph
 

@@ -8,13 +8,11 @@ implements the equivalent plain-file formats:
   pair per line, ``#`` comments allowed;
 * *partitioning file*: one ``vertex_id partition`` pair per line.
 
-Edge lists can be consumed three ways, all streaming (no function here
+Edge lists can be consumed two ways, both streaming (no function here
 ever materializes the whole edge list as Python objects):
 
 * :func:`read_directed_edge_list` / :func:`read_undirected_edge_list`
   build the dictionary graphs line by line;
-* :func:`read_edge_list_csr` parses in array batches straight into an
-  in-RAM :class:`~repro.graph.csr.CSRGraph`;
 * :func:`ingest_edge_list` / :func:`ingest_edge_chunks` run a chunked
   external sort and write an out-of-core store for
   :mod:`repro.graph.mmap_store`, with peak RSS bounded by the run size
@@ -25,9 +23,8 @@ directory which is renamed over the destination with :func:`os.replace`
 only once fully written, so a crash mid-write can never leave a truncated
 edge list, partitioning, checkpoint snapshot or ``BENCH_*.json`` behind —
 the destination either keeps its previous content or holds the complete
-new one.  :func:`atomic_open` / :func:`atomic_write_text` /
-:func:`atomic_write_bytes` expose the same guarantee to the checkpoint
-subsystem (:mod:`repro.pregel.checkpoint`) and the benchmark emitters.
+new one.  :func:`atomic_open` / :func:`atomic_write_text` expose the
+same guarantee to the checkpoint subsystem (:mod:`repro.pregel.checkpoint`) and the benchmark emitters.
 """
 
 from __future__ import annotations
@@ -86,12 +83,6 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Atomically replace ``path``'s content with ``text`` (UTF-8)."""
     with atomic_open(path, "w") as handle:
         handle.write(text)
-
-
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    """Atomically replace ``path``'s content with ``data``."""
-    with atomic_open(path, "wb") as handle:
-        handle.write(data)
 
 
 def _parse_edge_line(line: str, line_number: int) -> tuple[int, int, int] | None:
@@ -187,11 +178,6 @@ def read_partitioning(path: str | os.PathLike) -> dict[int, int]:
     return assignment
 
 
-def edges_to_lines(edges: Iterable[tuple[int, int]]) -> list[str]:
-    """Render edges as edge-list lines (useful in tests)."""
-    return [f"{source} {target}" for source, target in edges]
-
-
 # ----------------------------------------------------------------------
 # streaming CSR ingestion (chunked external sort)
 # ----------------------------------------------------------------------
@@ -241,36 +227,6 @@ def iter_edge_list_chunks(
                 yield _flush()
     if sources:
         yield _flush()
-
-
-def read_edge_list_csr(
-    path: str | os.PathLike,
-    num_vertices: int | None = None,
-    chunk_edges: int = DEFAULT_PARSE_CHUNK_EDGES,
-) -> "CSRGraph":
-    """Read an edge list straight into an in-RAM :class:`CSRGraph`.
-
-    Parsing streams in array batches — no per-edge Python containers for
-    the whole file are ever built.  Semantics match
-    :meth:`CSRGraph.from_edge_list` on the same edge sequence: every line
-    is one undirected edge (both directions materialized, duplicates kept
-    as parallel edges, self-loops kept).  ``num_vertices`` defaults to
-    ``max id + 1``.
-    """
-    from repro.graph.csr import CSRGraph
-
-    chunks = list(iter_edge_list_chunks(path, chunk_edges))
-    sources = np.concatenate([c[0] for c in chunks]) if chunks else np.empty(0, np.int64)
-    targets = np.concatenate([c[1] for c in chunks]) if chunks else np.empty(0, np.int64)
-    weights = np.concatenate(
-        [c[2] if c[2] is not None else np.ones(c[0].shape[0], dtype=np.int64) for c in chunks]
-    ) if chunks else np.empty(0, np.int64)
-    _validate_ids(sources, targets, num_vertices)
-    if num_vertices is None:
-        num_vertices = int(max(sources.max(), targets.max())) + 1 if sources.size else 0
-    return CSRGraph.from_edge_list(
-        np.stack([sources, targets], axis=1), num_vertices, weights=weights
-    )
 
 
 def write_partitioning_array(

@@ -1,9 +1,10 @@
 """Baseline partitioners used in the paper's comparison (Table I).
 
 All partitioners implement the :class:`repro.partitioners.base.Partitioner`
-interface — they take an (un)directed graph plus a number of partitions and
-return a ``{vertex: partition}`` mapping — so the experiment harness can
-swap them freely:
+interface — ``partition_array`` takes a
+:class:`~repro.graph.csr.CSRGraph` plus a number of partitions and returns
+one ``int64`` label per vertex — so the experiment harness can swap them
+freely:
 
 * :class:`repro.partitioners.hashing.HashPartitioner` — Giraph's default
   hash partitioning, the baseline Spinner is designed to replace.

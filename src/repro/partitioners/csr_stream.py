@@ -13,15 +13,21 @@ stream into *chunks*:
   *intra-chunk* edges whose earlier endpoint was (re)labelled after the
   snapshot was taken.
 
-Because the patch step replays exactly the contributions the dictionary
-implementation would have seen, the chunked kernels are assignment-exact
-with the per-vertex reference paths (pinned in
+Because the patch step replays exactly the contributions a per-vertex
+loop would have seen, the chunked kernels are assignment-exact with the
+dictionary references the test suite keeps (pinned in
 ``tests/test_csr_partitioners.py``).  All helpers here operate on dense
 vertex ids (``0 .. n-1``); the mapping back to original ids lives in
 :class:`~repro.graph.csr.CSRGraph`.
+
+:func:`canonical_labels` is the one bridge to the dictionary graph, for
+the two partitioners whose algorithms still walk dictionary adjacency
+(METIS and the Pregel Spinner).
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Mapping
 
 import numpy as np
 
@@ -40,9 +46,8 @@ def canonical_undirected(csr: CSRGraph) -> UndirectedGraph:
 
     Vertices are inserted in ascending original-id order and edges in
     ascending ``(u, v)`` order, so two equal CSR graphs always produce
-    dictionaries with identical iteration order — the property the
-    equivalence tests (and the default :meth:`Partitioner.partition_array`
-    fallback) rely on.
+    dictionaries with identical iteration order — the property the METIS
+    and Pregel Spinner adapters (and the equivalence tests) rely on.
     """
     graph = UndirectedGraph()
     ids = csr.original_ids
@@ -57,6 +62,17 @@ def canonical_undirected(csr: CSRGraph) -> UndirectedGraph:
     for a, b, weight in zip(u[order].tolist(), v[order].tolist(), w[order].tolist()):
         graph.add_edge(a, b, weight=weight)
     return graph
+
+
+def canonical_labels(
+    csr: CSRGraph, partition: Callable[[UndirectedGraph], Mapping[int, int]]
+) -> np.ndarray:
+    """Run a dictionary-graph ``partition`` on :func:`canonical_undirected`
+    of ``csr`` and return its labels in the CSR vertex order."""
+    assignment = partition(canonical_undirected(csr))
+    return np.asarray(
+        [assignment[v] for v in csr.original_ids.tolist()], dtype=np.int64
+    )
 
 
 def bfs_stream(csr: CSRGraph, shuffled_roots: list[int]) -> np.ndarray:

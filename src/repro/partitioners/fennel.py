@@ -11,9 +11,10 @@ recommended setting), subject to a hard capacity ``nu * n / k`` on the
 partition's vertex count (``nu = 1.1`` matches the load factor used in the
 Fennel paper and the ~1.10 balance the Spinner paper reports for it).
 
-Like LDG this module ships a per-vertex dictionary reference and a
-chunked CSR kernel (:meth:`FennelPartitioner.partition_array`) that is
-assignment-exact with it for the same seed and stream order.  The CSR
+Like LDG the implementation is a chunked CSR kernel
+(:meth:`FennelPartitioner.partition_array`), assignment-exact with the
+per-vertex dictionary loop the test suite keeps as its reference, for
+the same seed and stream order.  The
 kernel precomputes the marginal cost for every possible integer partition
 size with the same vectorized ``np.power`` call as the reference, so the
 scalar loop reads exact score values from a table instead of evaluating
@@ -24,10 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.conversion import ensure_undirected
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
-from repro.graph.undirected import UndirectedGraph
 from repro.partitioners.base import Partitioner
 from repro.partitioners.csr_stream import (
     DEFAULT_CHUNK,
@@ -62,52 +60,11 @@ class FennelPartitioner(Partitioner):
         self.stream_order = stream_order
         self.seed = seed
 
-    def partition(
-        self, graph: UndirectedGraph | DiGraph | CSRGraph, num_partitions: int
-    ) -> dict[int, int]:
-        """Stream vertices through the Fennel objective and return the assignment."""
-        if isinstance(graph, CSRGraph):
-            labels = self.partition_array(graph, num_partitions)
-            return {
-                int(vertex): int(label)
-                for vertex, label in zip(graph.original_ids.tolist(), labels.tolist())
-            }
-        undirected = ensure_undirected(graph)
-        n = undirected.num_vertices
-        if n == 0:
-            return {}
-        m = max(undirected.num_edges, 1)
-        alpha = np.sqrt(num_partitions) * m / (n ** 1.5)
-        capacity = self.load_factor * n / num_partitions
-
-        vertices = sorted(undirected.vertices())
-        if self.stream_order == "random":
-            rng = np.random.default_rng(self.seed)
-            rng.shuffle(vertices)
-
-        sizes = np.zeros(num_partitions, dtype=np.float64)
-        assignment: dict[int, int] = {}
-        for vertex in vertices:
-            neighbour_counts = np.zeros(num_partitions, dtype=np.float64)
-            for neighbour, weight in undirected.neighbors(vertex).items():
-                label = assignment.get(neighbour)
-                if label is not None:
-                    neighbour_counts[label] += weight
-            marginal_cost = alpha * self.gamma * np.power(sizes, self.gamma - 1.0)
-            scores = neighbour_counts - marginal_cost
-            scores[sizes >= capacity] = -np.inf
-            best = int(np.argmax(scores))
-            if not np.isfinite(scores[best]):
-                best = int(np.argmin(sizes))
-            assignment[vertex] = best
-            sizes[best] += 1.0
-        return assignment
-
     # ------------------------------------------------------------------
     def partition_array(
         self, graph: CSRGraph, num_partitions: int, chunk: int = DEFAULT_CHUNK
     ) -> np.ndarray:
-        """CSR fast path: identical assignments to :meth:`partition`.
+        """Stream the vertices through the Fennel objective, chunk-wise.
 
         The reference argmax runs over all ``k`` partitions, but only
         partitions holding a placed neighbour can beat the best *empty*
@@ -130,7 +87,7 @@ class FennelPartitioner(Partitioner):
         capacity = self.load_factor * n / k
         # Marginal cost by integer partition size, computed with the same
         # vectorized np.power expression as the reference so table entries
-        # are bit-identical to what the dictionary path evaluates.
+        # are bit-identical to what the dictionary oracle evaluates.
         max_size = min(n, int(capacity) + 2)
         cost_table = (
             alpha * self.gamma * np.power(np.arange(max_size + 1, dtype=np.float64), self.gamma - 1.0)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
-from repro.graph.undirected import UndirectedGraph
 from repro.partitioners.base import Partitioner
 
 
@@ -68,12 +66,6 @@ class HashPartitioner(Partitioner):
 
     name = "hash"
 
-    def partition(
-        self, graph: UndirectedGraph | DiGraph, num_partitions: int
-    ) -> dict[int, int]:
-        """Assign every vertex to ``hash(vertex) mod k``."""
-        return {vertex: _mix(vertex) % num_partitions for vertex in graph.vertices()}
-
     def partition_array(self, graph: CSRGraph, num_partitions: int) -> np.ndarray:
         """Vectorized splitmix64 over the original ids (identical to ``_mix``)."""
         return hash_labels_array(graph.original_ids, num_partitions)
@@ -83,12 +75,6 @@ class ModuloPartitioner(Partitioner):
     """Plain ``v mod k`` assignment (round-robin over contiguous ids)."""
 
     name = "modulo"
-
-    def partition(
-        self, graph: UndirectedGraph | DiGraph, num_partitions: int
-    ) -> dict[int, int]:
-        """Assign every vertex to ``vertex mod k``."""
-        return {vertex: vertex % num_partitions for vertex in graph.vertices()}
 
     def partition_array(self, graph: CSRGraph, num_partitions: int) -> np.ndarray:
         """Vectorized ``original_id mod k``."""

@@ -11,27 +11,20 @@ penalty keeps partitions balanced in vertex count while the intersection
 term favours locality.  Ties break towards the currently smallest
 partition.
 
-Two implementations share this module: the per-vertex dictionary
-reference (:meth:`LinearDeterministicGreedy.partition` on an
-:class:`UndirectedGraph`) and a chunked CSR kernel
-(:meth:`LinearDeterministicGreedy.partition_array`) that produces the
-same assignment for the same seed and stream order — pinned in
-``tests/test_csr_partitioners.py``.  Both stream vertices in ascending-id
-canonical order (sorted before shuffling, sorted neighbour expansion in
-BFS), so the result depends only on the graph, not on dictionary
-insertion order.
+The implementation is a chunked CSR kernel
+(:meth:`LinearDeterministicGreedy.partition_array`).  It produces the
+same assignment as the per-vertex dictionary loop the test suite keeps
+as its reference, for the same seed and stream order (pinned in
+``tests/test_csr_partitioners.py``).  Vertices stream in ascending-id
+canonical order (sorted before shuffling, sorted neighbour
+expansion in BFS), so the result depends only on the graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
-from repro.graph.conversion import ensure_undirected
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
-from repro.graph.undirected import UndirectedGraph
 from repro.partitioners.base import Partitioner
 from repro.partitioners.csr_stream import (
     DEFAULT_CHUNK,
@@ -73,82 +66,16 @@ class LinearDeterministicGreedy(Partitioner):
         self.seed = seed
 
     # ------------------------------------------------------------------
-    def _stream(self, graph: UndirectedGraph) -> list[int]:
-        vertices = sorted(graph.vertices())
-        if self.stream_order == "natural":
-            return vertices
-        rng = np.random.default_rng(self.seed)
-        rng.shuffle(vertices)
-        if self.stream_order == "random":
-            return vertices
-        # BFS order from a random root, covering all components.  The
-        # queue is a deque (popleft is O(1); a list's pop(0) made this
-        # O(n^2)) and neighbours expand in ascending id order so the
-        # traversal is canonical.
-        order: list[int] = []
-        visited: set[int] = set()
-        for root in vertices:
-            if root in visited:
-                continue
-            queue: deque[int] = deque([root])
-            visited.add(root)
-            while queue:
-                current = queue.popleft()
-                order.append(current)
-                for neighbour in sorted(graph.neighbors(current)):
-                    if neighbour not in visited:
-                        visited.add(neighbour)
-                        queue.append(neighbour)
-        return order
-
-    # ------------------------------------------------------------------
-    def partition(
-        self, graph: UndirectedGraph | DiGraph | CSRGraph, num_partitions: int
-    ) -> dict[int, int]:
-        """Stream vertices through the LDG greedy rule and return the assignment."""
-        if isinstance(graph, CSRGraph):
-            labels = self.partition_array(graph, num_partitions)
-            return {
-                int(vertex): int(label)
-                for vertex, label in zip(graph.original_ids.tolist(), labels.tolist())
-            }
-        undirected = ensure_undirected(graph)
-        n = undirected.num_vertices
-        if n == 0:
-            return {}
-        capacity = self.capacity_slack * n / num_partitions
-        sizes = np.zeros(num_partitions, dtype=np.float64)
-        assignment: dict[int, int] = {}
-
-        for vertex in self._stream(undirected):
-            neighbour_counts = np.zeros(num_partitions, dtype=np.float64)
-            for neighbour, weight in undirected.neighbors(vertex).items():
-                label = assignment.get(neighbour)
-                if label is not None:
-                    neighbour_counts[label] += weight
-            penalties = 1.0 - sizes / capacity
-            scores = neighbour_counts * np.clip(penalties, 0.0, None)
-            best = int(np.argmax(scores))
-            if scores[best] <= 0.0:
-                # No placed neighbours (or every preferred partition full):
-                # fall back to the least loaded partition.
-                best = int(np.argmin(sizes))
-            assignment[vertex] = best
-            sizes[best] += 1.0
-        return assignment
-
-    # ------------------------------------------------------------------
     def partition_array(
         self, graph: CSRGraph, num_partitions: int, chunk: int = DEFAULT_CHUNK
     ) -> np.ndarray:
-        """CSR fast path: identical assignments to :meth:`partition`.
+        """Stream the vertices through the LDG rule, one chunk at a time.
 
-        Streams the same vertex order but gathers neighbour-label counts
-        one chunk at a time with flat array operations; the scalar loop
-        only scores the (few) candidate partitions of each vertex and
-        patches intra-chunk contributions, so the cost per vertex is
-        bounded by its candidate count rather than the dictionary and
-        ``ndarray`` overhead of the reference path.
+        Neighbour-label counts are gathered per chunk with flat array
+        operations; the scalar loop only scores the (few) candidate
+        partitions of each vertex and patches intra-chunk contributions,
+        so the cost per vertex is bounded by its candidate count rather
+        than by ``k``.
         """
         n = graph.num_vertices
         k = num_partitions

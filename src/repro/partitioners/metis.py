@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.conversion import ensure_undirected
-from repro.graph.digraph import DiGraph
+from repro.graph.csr import CSRGraph
 from repro.graph.undirected import UndirectedGraph
 from repro.partitioners.base import Partitioner
+from repro.partitioners.csr_stream import canonical_labels
 
 
 @dataclass
@@ -82,20 +82,25 @@ class MetisLikePartitioner(Partitioner):
     # ------------------------------------------------------------------
     # public entry point
     # ------------------------------------------------------------------
-    def partition(
-        self, graph: UndirectedGraph | DiGraph, num_partitions: int
+    def partition_array(self, graph: CSRGraph, num_partitions: int) -> np.ndarray:
+        """Run the multilevel scheme on a canonical dictionary copy of
+        ``graph`` (ascending ids, sorted edges), as its phases walk
+        dictionary adjacency; the result depends only on graph and seed."""
+        return canonical_labels(graph, lambda g: self._partition_dict(g, num_partitions))
+
+    def _partition_dict(
+        self, graph: UndirectedGraph, num_partitions: int
     ) -> dict[int, int]:
         """Coarsen, partition the coarsest graph and refine back (multilevel)."""
-        undirected = ensure_undirected(graph)
-        if undirected.num_vertices == 0:
+        if graph.num_vertices == 0:
             return {}
         rng = np.random.default_rng(self.seed)
         # Vertex weight = weighted degree, so balance matches the paper's
         # edge-based load definition.
         base_weights = {
-            v: float(max(undirected.weighted_degree(v), 1)) for v in undirected.vertices()
+            v: float(max(graph.weighted_degree(v), 1)) for v in graph.vertices()
         }
-        levels = self._coarsen(undirected, base_weights, num_partitions, rng)
+        levels = self._coarsen(graph, base_weights, num_partitions, rng)
         coarsest = levels[-1]
         assignment = self._initial_partition(coarsest, num_partitions, rng)
         assignment = self._refine(coarsest, assignment, num_partitions)

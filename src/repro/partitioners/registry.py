@@ -1,19 +1,24 @@
 """Registry of partitioners by name.
 
 The CLI and the experiment harness look partitioners up by the short names
-used in the paper's tables:
+used in the paper's tables.  Every entry is a
+:class:`~repro.partitioners.base.Partitioner`: it runs on a
+:class:`~repro.graph.csr.CSRGraph` (in RAM or an opened on-disk store)
+through ``partition_array`` / ``run``.
 
 ``hash`` / ``modulo``
     Giraph's default placement baselines (Section V-B): ``hash(v) mod k``
     respectively ``v mod k``.
 ``random``
-    Uniformly random assignment (Spinner's own initialization state).
+    Uniformly random assignment (Spinner's own initialization state),
+    seeded with ``seed=0`` unless given another seed.
 ``ldg``
     Linear Deterministic Greedy streaming heuristic (Stanton & Kliot).
 ``fennel``
     The Fennel streaming objective (Tsourakakis et al.).
 ``metis``
-    Multilevel coarsen/partition/refine in the spirit of METIS.
+    Multilevel coarsen/partition/refine in the spirit of METIS, on a
+    canonical dictionary copy of the CSR graph.
 ``wang``
     LPA-coarsening + METIS of Wang et al. (balances vertices, not edges).
 ``spinner``
@@ -27,8 +32,8 @@ used in the paper's tables:
     ``storage_chunk=`` (half-edges per streamed chunk).
 ``spinner-pregel``
     Spinner as a Pregel computation on the array-native vector engine
-    (:class:`~repro.core.spinner.SpinnerPartitioner`); accepts
-    ``num_workers=``.
+    (:class:`~repro.core.spinner.SpinnerPartitioner`), fed a canonical
+    dictionary copy of the CSR graph; accepts ``num_workers=``.
 
 The Spinner entries accept a ``config=SpinnerConfig(...)`` keyword
 (paper defaults: ``c = 1.05``, ``epsilon = 0.001``, ``w = 5``); all
@@ -43,7 +48,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.core.config import SpinnerConfig
 from repro.partitioners.base import Partitioner
 from repro.partitioners.fennel import FennelPartitioner
 from repro.partitioners.hashing import HashPartitioner, ModuloPartitioner
@@ -98,8 +102,3 @@ def make_partitioner(name: str, **kwargs) -> Partitioner:
         known = ", ".join(available_partitioners())
         raise KeyError(f"unknown partitioner {name!r}; available: {known}") from None
     return factory(**kwargs)
-
-
-def default_spinner_config() -> SpinnerConfig:
-    """The paper's default Spinner configuration (c=1.05, eps=0.001, w=5)."""
-    return SpinnerConfig()

@@ -13,16 +13,12 @@ from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
 from repro.core.spinner import SpinnerPartitioner
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
-from repro.graph.undirected import UndirectedGraph
 from repro.partitioners.base import Partitioner
+from repro.partitioners.csr_stream import canonical_labels
 
 
 class SpinnerFastAdapter(Partitioner):
     """Vectorized Spinner behind the common partitioner interface.
-
-    Accepts CSR input directly so array-based callers skip the
-    dictionary-based graph conversion entirely.
 
     ``storage``, ``storage_dir`` and ``storage_chunk`` override the
     matching :class:`~repro.core.config.SpinnerConfig` fields:
@@ -51,13 +47,6 @@ class SpinnerFastAdapter(Partitioner):
             config = config.with_options(**overrides)
         self.config = config
 
-    def partition(
-        self, graph: UndirectedGraph | DiGraph | CSRGraph, num_partitions: int
-    ) -> dict[int, int]:
-        """Run FastSpinner and return its ``{vertex: partition}`` assignment."""
-        result = FastSpinner(self.config).partition(graph, num_partitions)
-        return result.to_assignment()
-
     def partition_array(self, graph: CSRGraph, num_partitions: int) -> np.ndarray:
         """Run FastSpinner on the CSR graph and return its dense label array."""
         result = FastSpinner(self.config).partition(
@@ -67,7 +56,12 @@ class SpinnerFastAdapter(Partitioner):
 
 
 class SpinnerPregelAdapter(Partitioner):
-    """Pregel-based Spinner behind the common partitioner interface."""
+    """Pregel-based Spinner behind the common partitioner interface.
+
+    The Pregel runtime builds its shards from a dictionary graph, so the
+    CSR input is materialized canonically (ascending ids, sorted edges)
+    first.
+    """
 
     name = "spinner-pregel"
 
@@ -79,9 +73,9 @@ class SpinnerPregelAdapter(Partitioner):
         self.config = config if config is not None else SpinnerConfig()
         self.num_workers = num_workers
 
-    def partition(
-        self, graph: UndirectedGraph | DiGraph, num_partitions: int
-    ) -> dict[int, int]:
-        """Run the Pregel Spinner and return its assignment."""
-        partitioner = SpinnerPartitioner(self.config, num_workers=self.num_workers)
-        return partitioner.partition(graph, num_partitions).assignment
+    def partition_array(self, graph: CSRGraph, num_partitions: int) -> np.ndarray:
+        """Run the Pregel Spinner and return its dense label array."""
+        spinner = SpinnerPartitioner(self.config, num_workers=self.num_workers)
+        return canonical_labels(
+            graph, lambda g: spinner.partition(g, num_partitions).assignment
+        )

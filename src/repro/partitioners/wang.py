@@ -17,21 +17,20 @@ Spinner paper calls them out:
   up split anyway, giving lower locality than Spinner for large ``k``.
 
 The expensive stage — the label-propagation sweeps over the full graph —
-has a chunked CSR kernel (:meth:`WangPartitioner.partition_array`) that
-is assignment-exact with the dictionary path.  Both paths iterate
-vertices and contract coarse edges in canonical ascending order, so the
-result depends only on the graph and the seed.  The coarse graph is
-orders of magnitude smaller than the input, so the (shared) multilevel
-partitioning of it is reused unchanged by the CSR path.
+runs as a chunked CSR kernel (:meth:`WangPartitioner.partition_array`)
+that is assignment-exact with the per-vertex dictionary loop the test
+suite keeps as its reference.  Vertices are iterated and coarse edges
+contracted in canonical ascending order, so the result depends only on
+the graph and the seed.  The coarse graph is orders of magnitude smaller
+than the input, so it is handed to the dictionary multilevel partitioner
+of :mod:`repro.partitioners.metis`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.conversion import ensure_undirected
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
 from repro.graph.undirected import UndirectedGraph
 from repro.partitioners.base import Partitioner
 from repro.partitioners.csr_stream import (
@@ -78,78 +77,6 @@ class WangPartitioner(Partitioner):
             int(self.max_community_fraction * num_vertices / max(num_partitions, 1)),
         )
 
-    def _coarsen_with_lpa(
-        self, graph: UndirectedGraph, num_partitions: int
-    ) -> dict[int, int]:
-        """Group vertices into size-bounded communities via label propagation."""
-        rng = np.random.default_rng(self.seed)
-        community = {vertex: vertex for vertex in graph.vertices()}
-        sizes = {vertex: 1 for vertex in graph.vertices()}
-        max_size = self._max_community_size(graph.num_vertices, num_partitions)
-        vertices = sorted(graph.vertices())
-        for _ in range(self.lpa_iterations):
-            rng.shuffle(vertices)
-            moved = 0
-            for vertex in vertices:
-                current = community[vertex]
-                counts: dict[int, float] = {}
-                for neighbour, weight in graph.neighbors(vertex).items():
-                    label = community[neighbour]
-                    counts[label] = counts.get(label, 0.0) + weight
-                if not counts:
-                    continue
-                best = max(counts, key=lambda label: (counts[label], -label))
-                if best == current:
-                    continue
-                if sizes.get(best, 0) >= max_size:
-                    continue
-                community[vertex] = best
-                sizes[best] = sizes.get(best, 0) + 1
-                sizes[current] -= 1
-                moved += 1
-            if moved == 0:
-                break
-        return community
-
-    # ------------------------------------------------------------------
-    def partition(
-        self, graph: UndirectedGraph | DiGraph | CSRGraph, num_partitions: int
-    ) -> dict[int, int]:
-        """Coarsen with LPA, then partition the communities METIS-style."""
-        if isinstance(graph, CSRGraph):
-            labels = self.partition_array(graph, num_partitions)
-            return {
-                int(vertex): int(label)
-                for vertex, label in zip(graph.original_ids.tolist(), labels.tolist())
-            }
-        undirected = ensure_undirected(graph)
-        if undirected.num_vertices == 0:
-            return {}
-        community = self._coarsen_with_lpa(undirected, num_partitions)
-
-        # Contract communities into super-vertices.
-        community_ids = sorted(set(community.values()))
-        dense_of = {cid: index for index, cid in enumerate(community_ids)}
-        edge_weights: dict[tuple[int, int], int] = {}
-        for u, v, weight in undirected.edges():
-            cu = dense_of[community[u]]
-            cv = dense_of[community[v]]
-            if cu == cv:
-                continue
-            key = (cu, cv) if cu < cv else (cv, cu)
-            edge_weights[key] = edge_weights.get(key, 0) + weight
-        community_sizes = {dense_of[cid]: 0.0 for cid in community_ids}
-        for cid in community.values():
-            community_sizes[dense_of[cid]] += 1.0
-        coarse_assignment = self._partition_coarse(
-            len(community_ids), edge_weights, community_sizes, num_partitions
-        )
-
-        return {
-            vertex: coarse_assignment[dense_of[community[vertex]]]
-            for vertex in undirected.vertices()
-        }
-
     def _partition_coarse(
         self,
         num_communities: int,
@@ -161,8 +88,8 @@ class WangPartitioner(Partitioner):
 
         Edges are inserted in ascending ``(u, v)`` order so the coarse
         graph's adjacency iteration order — which the multilevel
-        partitioner's matching phase is sensitive to — is identical no
-        matter which path (dictionary or CSR) produced the contraction.
+        partitioner's matching phase is sensitive to — depends only on
+        the contracted edge set, not on how it was computed.
         """
         coarse = UndirectedGraph()
         for index in range(num_communities):
@@ -178,7 +105,7 @@ class WangPartitioner(Partitioner):
     def partition_array(
         self, graph: CSRGraph, num_partitions: int, chunk: int = DEFAULT_CHUNK
     ) -> np.ndarray:
-        """CSR fast path: identical assignments to :meth:`partition`.
+        """Coarsen with LPA, then partition the communities METIS-style.
 
         The LPA sweeps run on the chunked CSR machinery; the contraction
         and the final projection are single vectorized passes.  On top of
@@ -189,9 +116,8 @@ class WangPartitioner(Partitioner):
         since).  Because skipped evaluations could not have changed any
         state, the skip is assignment-exact.
 
-        The dictionary reference cannot represent self-loops or
-        non-positive edge weights (``UndirectedGraph`` rejects both), so
-        the CSR kernel treats such entries as absent: a graph containing
+        The dictionary oracle cannot represent self-loops or non-positive
+        edge weights (``UndirectedGraph`` rejects both), so the kernel treats such entries as absent: a graph containing
         either is rebuilt without them before partitioning, which keeps
         the result consistent with the equivalent clean graph.
 
@@ -215,7 +141,7 @@ class WangPartitioner(Partitioner):
                 weights=weights[keep],
             )
             return self.partition_array(clean, num_partitions, chunk)
-        community = self._coarsen_with_lpa_csr(graph, num_partitions, chunk)
+        community = self._coarsen_with_lpa(graph, num_partitions, chunk)
 
         # Contract communities into super-vertices (vectorized).
         community_ids = np.unique(community)
@@ -256,10 +182,10 @@ class WangPartitioner(Partitioner):
         return coarse_labels[dense]
 
     # ------------------------------------------------------------------
-    def _coarsen_with_lpa_csr(
+    def _coarsen_with_lpa(
         self, graph: CSRGraph, num_partitions: int, chunk: int
     ) -> np.ndarray:
-        """Size-bounded LPA on CSR arrays, bit-exact with the dict sweeps."""
+        """Size-bounded LPA on CSR arrays, bit-exact with the oracle sweeps."""
         n = graph.num_vertices
         indptr, indices = graph.indptr, graph.indices
         weights_f = graph.weights.astype(np.float64)

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner, FastSpinnerResult
-from repro.errors import GraphError, ServingError
+from repro.errors import ServingError
 from repro.graph.dynamic import GraphDelta
 from repro.graph.undirected import UndirectedGraph
 from repro.serving.metrics import ServingMetrics
@@ -262,19 +262,13 @@ class ChurnPipeline:
         Returns the number of edges actually added (duplicates of
         existing edges and self-loops are dropped, matching
         :meth:`~repro.graph.dynamic.GraphDelta.apply`).  The whole delta
-        is validated first: a negative vertex id or a non-positive weight
-        anywhere raises :class:`~repro.errors.GraphError` before anything
-        is applied.  Must be called from the thread that owns the live
-        graph (the event loop under the service).
+        is validated first (:meth:`~repro.graph.dynamic.GraphDelta.validate`):
+        a negative vertex id or a non-positive weight anywhere raises
+        :class:`~repro.errors.GraphError` before anything is applied.
+        Must be called from the thread that owns the live graph (the
+        event loop under the service).
         """
-        for vertex in delta.added_vertices:
-            if vertex < 0:
-                raise GraphError(f"vertex ids must be non-negative, got {vertex}")
-        for u, v, weight in delta.added_edges:
-            if u < 0 or v < 0:
-                raise GraphError(f"vertex ids must be non-negative, got {min(u, v)}")
-            if weight <= 0:
-                raise GraphError(f"edge weights must be positive, got {weight}")
+        delta.validate()
         snapshot = self.store.current()
         new_vertices = 0
         for vertex in sorted(delta.added_vertices):

@@ -5,12 +5,15 @@ import pickle
 import numpy as np
 import pytest
 
+from oracles.baselines import DICT_PARTITIONS, dict_run
+
 import repro.cli as cli_module
-import repro.partitioners.base as base_module
+import repro.partitioners.csr_stream as csr_stream_module
 from repro.cli import build_parser, main
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinnerResult
 from repro.graph.conversion import ensure_undirected
+from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
 from repro.graph.digraph import DiGraph
 from repro.graph.io import (
@@ -23,7 +26,11 @@ from repro.graph.io import (
 from repro.graph.mmap_store import open_store
 from repro.metrics.quality import locality, max_normalized_load
 from repro.metrics.reporting import format_table
-from repro.partitioners.registry import SPINNER_PARTITIONERS, make_partitioner
+from repro.partitioners.registry import (
+    SPINNER_PARTITIONERS,
+    available_partitioners,
+    make_partitioner,
+)
 
 
 def test_parser_subcommands():
@@ -328,11 +335,15 @@ def test_recover_rejects_stale_dict_engine_snapshot(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# dataset runs on CSR arrays: byte-identical to the dictionary pipeline
+# every input runs on CSR arrays: pinned against the dictionary oracles
 # ----------------------------------------------------------------------
-# Every partitioner the CLI runs on CSR arrays is pinned against the
-# dictionary pipeline below.
-CSR_PATH_PARTITIONERS = sorted(cli_module._CSR_PARTITIONERS)
+# Partitioners with a dictionary oracle (the streaming and trivial
+# baselines) are checked against it.  The others have none: Spinner,
+# METIS and the Pregel Spinner are checked against the library run on a
+# CSR graph built from the dictionary graph.
+ARRAY_NATIVE_PARTITIONERS = sorted(
+    set(available_partitioners()) - {"metis", "spinner-pregel"}
+)
 ORACLE_SCALE = 0.05
 ORACLE_SEED = 11
 
@@ -347,6 +358,19 @@ def _oracle_partitioner(name, seed):
     return make_partitioner(name)
 
 
+def _reference(partitioner, graph, k):
+    """Reference assignment plus (phi, rho) on the dictionary graph."""
+    undirected = ensure_undirected(graph)
+    if partitioner.name in DICT_PARTITIONS:
+        return dict_run(partitioner, undirected, k)
+    assignment = partitioner.run(CSRGraph.from_undirected(undirected), k).assignment
+    return (
+        assignment,
+        locality(undirected, assignment),
+        max_normalized_load(undirected, assignment, k),
+    )
+
+
 def _quality_stdout(name, k, phi, rho, output_path):
     table = format_table(
         [{"partitioner": name, "k": k, "phi": phi, "rho": rho}],
@@ -356,19 +380,12 @@ def _quality_stdout(name, k, phi, rho, output_path):
 
 
 def _dict_oracle(graph, name, k, seed, tmp_path, output_path):
-    """Dictionary-graph reference: partition, write, phi/rho on the undirected view."""
+    """Expected output file and stdout of ``partition`` on ``graph``."""
     partitioner = _oracle_partitioner(name, seed)
-    assignment = dict(partitioner.partition(graph, k))
+    assignment, phi, rho = _reference(partitioner, graph, k)
     oracle_file = tmp_path / "oracle.txt"
-    write_partitioning(assignment, oracle_file)
-    undirected = ensure_undirected(graph)
-    stdout = _quality_stdout(
-        partitioner.name,
-        k,
-        locality(undirected, assignment),
-        max_normalized_load(undirected, assignment, k),
-        output_path,
-    )
+    write_partitioning(dict(sorted(assignment.items())), oracle_file)
+    stdout = _quality_stdout(partitioner.name, k, phi, rho, output_path)
     return oracle_file.read_bytes(), stdout
 
 
@@ -381,10 +398,11 @@ def _cli_partition(capsys, source, name, k, seed, output_path):
     return output_path.read_bytes(), capsys.readouterr().out
 
 
-# The dictionary-path partitioners (metis, the Pregel runtimes) ride along
-# on two datasets: their output must not change either.
+# metis and spinner-pregel ride along on two datasets.
 _ORACLE_CASES = [
-    (dataset, name) for dataset in ("LJ", "TU", "TW", "Y!") for name in CSR_PATH_PARTITIONERS
+    (dataset, name)
+    for dataset in ("LJ", "TU", "TW", "Y!")
+    for name in ARRAY_NATIVE_PARTITIONERS
 ] + [
     (dataset, name)
     for dataset in ("LJ", "TU")
@@ -402,9 +420,22 @@ def test_dataset_partition_matches_dict_oracle(tmp_path, capsys, dataset, name):
     assert _cli_partition(capsys, source, name, 4, ORACLE_SEED, output_path) == expected
 
 
-@pytest.mark.parametrize("name", ["spinner", "ldg", "random"])
+def _shuffled_edge_file(tmp_path):
+    """Directed pairs over sparse ids, in no particular order, with
+    reciprocal pairs (eq. (3) weight 2), duplicates and a self-loop."""
+    rng = np.random.default_rng(21)
+    ids = rng.choice(1000, size=40, replace=False)
+    pairs = ids[rng.integers(0, 40, size=(160, 2))]
+    pairs = np.vstack([pairs, pairs[:30, ::-1], pairs[:5], [[ids[0], ids[0]]]])
+    rng.shuffle(pairs)
+    edge_file = tmp_path / "shuffled.edges"
+    edge_file.write_text("".join(f"{u} {v}\n" for u, v in pairs.tolist()))
+    return edge_file
+
+
+@pytest.mark.parametrize("name", available_partitioners())
 def test_edge_list_partition_matches_dict_oracle(tmp_path, capsys, name):
-    edge_file = _edge_file(tmp_path)
+    edge_file = _shuffled_edge_file(tmp_path)
     output_path = tmp_path / "cli.txt"
     expected = _dict_oracle(
         read_directed_edge_list(edge_file), name, 3, ORACLE_SEED, tmp_path, output_path
@@ -413,15 +444,16 @@ def test_edge_list_partition_matches_dict_oracle(tmp_path, capsys, name):
     assert _cli_partition(capsys, source, name, 3, ORACLE_SEED, output_path) == expected
 
 
-def test_dataset_partition_builds_no_dict_graph(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("name", ARRAY_NATIVE_PARTITIONERS)
+def test_dataset_partition_builds_no_dict_graph(tmp_path, capsys, monkeypatch, name):
     def forbidden(*args, **kwargs):
         raise AssertionError("the CSR path built a dictionary graph")
 
     monkeypatch.setattr(cli_module, "load_dataset", forbidden)
     monkeypatch.setattr(FastSpinnerResult, "to_assignment", forbidden)
-    monkeypatch.setattr(base_module, "ensure_undirected", forbidden)
+    monkeypatch.setattr(csr_stream_module, "canonical_undirected", forbidden)
     source = ["--dataset", "LJ", "--scale", str(ORACLE_SCALE)]
-    data, _ = _cli_partition(capsys, source, "spinner", 4, 3, tmp_path / "out.txt")
+    data, _ = _cli_partition(capsys, source, name, 4, 3, tmp_path / "out.txt")
     assert data.startswith(b"# partitioning: vertex_id partition\n")
 
 
@@ -436,7 +468,10 @@ def test_random_partition_honours_seed(tmp_path, capsys):
 
 @pytest.mark.parametrize("dataset", ["LJ", "TU"])
 def test_compare_rows_match_dict_oracle(capsys, dataset):
-    names = ["hash", "modulo", "ldg", "fennel", "wang", "metis", "spinner", "spinner-pregel"]
+    names = [
+        "hash", "modulo", "random", "ldg", "fennel", "wang", "metis", "spinner",
+        "spinner-pregel",
+    ]
     graph = load_dataset(dataset, scale=ORACLE_SCALE)
     rows = []
     for name in names:
@@ -444,15 +479,8 @@ def test_compare_rows_match_dict_oracle(capsys, dataset):
             partitioner = make_partitioner(name, config=SpinnerConfig())
         else:
             partitioner = make_partitioner(name)
-        assignment = dict(partitioner.partition(graph, 4))
-        undirected = ensure_undirected(graph)
-        rows.append(
-            {
-                "partitioner": name,
-                "phi": locality(undirected, assignment),
-                "rho": max_normalized_load(undirected, assignment, 4),
-            }
-        )
+        _, phi, rho = _reference(partitioner, graph, 4)
+        rows.append({"partitioner": name, "phi": phi, "rho": rho})
     code = main(
         ["compare", "--dataset", dataset, "--scale", str(ORACLE_SCALE), "-k", "4",
          "--partitioners", *names]

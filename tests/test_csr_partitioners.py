@@ -2,7 +2,8 @@
 
 The CSR kernels of LDG, Fennel and Wang (and the vectorized paths of the
 trivial baselines) must produce *identical* assignments to the dictionary
-reference implementations for the same graph, seed and stream order —
+reference implementations in ``oracles.baselines`` (and the scalar
+rules) for the same graph, seed and stream order —
 including every tie and fallback rule.  These tests pin that contract on
 unweighted and weighted graphs, across all stream orders, odd chunk sizes
 (so chunk boundaries fall mid-stream), sparse original ids, and the
@@ -13,12 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import oracles.baselines as oracle
 
 from repro.graph.csr import CSRGraph
 from repro.graph.undirected import UndirectedGraph
-from repro.partitioners.csr_stream import stream_order
+from repro.partitioners.csr_stream import canonical_undirected, stream_order
 from repro.partitioners.fennel import FennelPartitioner
-from repro.partitioners.hashing import HashPartitioner, ModuloPartitioner
+from repro.partitioners.hashing import HashPartitioner, ModuloPartitioner, hash_label
 from repro.partitioners.ldg import LinearDeterministicGreedy
 from repro.partitioners.metis import MetisLikePartitioner
 from repro.partitioners.random_part import RandomPartitioner
@@ -64,7 +66,7 @@ def test_ldg_csr_matches_dict(order, weighted):
     graph, csr = _random_graph(800, 3200, seed=3, weighted=weighted)
     for seed in (0, 11):
         partitioner = LinearDeterministicGreedy(stream_order=order, seed=seed)
-        reference = _dense_reference(dict(partitioner.partition(graph, 6)), csr)
+        reference = _dense_reference(oracle.ldg_partition(partitioner, graph, 6), csr)
         labels = partitioner.partition_array(csr, 6, chunk=193)
         assert np.array_equal(reference, labels), (order, seed)
 
@@ -72,7 +74,8 @@ def test_ldg_csr_matches_dict(order, weighted):
 def test_ldg_partition_accepts_csr_directly():
     graph, csr = _random_graph(300, 900, seed=5)
     partitioner = LinearDeterministicGreedy(seed=2)
-    assert partitioner.partition(csr, 4) == dict(partitioner.partition(graph, 4))
+    reference = oracle.ldg_partition(partitioner, graph, 4)
+    assert partitioner.run(csr, 4).assignment == reference
 
 
 def test_ldg_csr_handles_isolated_vertices_and_empty_graph():
@@ -84,11 +87,11 @@ def test_ldg_csr_handles_isolated_vertices_and_empty_graph():
     csr = CSRGraph.from_edge_list(np.asarray([[0, 1]]), 10)
     for order in ("natural", "random", "bfs"):
         partitioner = LinearDeterministicGreedy(stream_order=order, seed=1)
-        reference = _dense_reference(dict(partitioner.partition(graph, 3)), csr)
+        reference = _dense_reference(oracle.ldg_partition(partitioner, graph, 3), csr)
         assert np.array_equal(reference, partitioner.partition_array(csr, 3))
     empty = CSRGraph.from_edge_list(np.empty((0, 2), dtype=np.int64), 0)
     assert LinearDeterministicGreedy().partition_array(empty, 3).shape == (0,)
-    assert LinearDeterministicGreedy().partition(empty, 3) == {}
+    assert oracle.ldg_partition(LinearDeterministicGreedy(), UndirectedGraph(), 3) == {}
 
 
 # ----------------------------------------------------------------------
@@ -100,7 +103,7 @@ def test_bfs_stream_order_is_breadth_first():
     edges = [(i, i + 1) for i in range(9)] + [(10, 11)]
     graph = UndirectedGraph.from_edges(edges, num_vertices=12)
     partitioner = LinearDeterministicGreedy(stream_order="bfs", seed=0)
-    order = partitioner._stream(graph)
+    order = oracle.ldg_stream(partitioner, graph)
     assert sorted(order) == list(range(12))
     position = {vertex: index for index, vertex in enumerate(order)}
     # Within the path component, BFS from the root yields positions that
@@ -117,7 +120,7 @@ def test_bfs_stream_order_is_breadth_first():
 def test_bfs_stream_csr_matches_dict_reference():
     graph, csr = _random_graph(400, 700, seed=9)  # sparse -> several components
     partitioner = LinearDeterministicGreedy(stream_order="bfs", seed=4)
-    assert partitioner._stream(graph) == stream_order(csr, "bfs", 4).tolist()
+    assert oracle.ldg_stream(partitioner, graph) == stream_order(csr, "bfs", 4).tolist()
 
 
 def test_bfs_uses_deque_not_quadratic_pop():
@@ -125,7 +128,7 @@ def test_bfs_uses_deque_not_quadratic_pop():
     # the BFS queue must drain via collections.deque.popleft.
     import inspect
 
-    source = inspect.getsource(LinearDeterministicGreedy._stream)
+    source = inspect.getsource(oracle.ldg_stream)
     assert "popleft" in source
     assert ".pop(0)" not in source
 
@@ -139,7 +142,7 @@ def test_fennel_csr_matches_dict(order, weighted):
     graph, csr = _random_graph(800, 3200, seed=6, weighted=weighted)
     for seed in (0, 11):
         partitioner = FennelPartitioner(stream_order=order, seed=seed)
-        reference = _dense_reference(dict(partitioner.partition(graph, 6)), csr)
+        reference = _dense_reference(oracle.fennel_partition(partitioner, graph, 6), csr)
         labels = partitioner.partition_array(csr, 6, chunk=193)
         assert np.array_equal(reference, labels), (order, seed)
 
@@ -150,7 +153,7 @@ def test_fennel_csr_respects_hard_capacity():
     labels = partitioner.partition_array(csr, 5, chunk=101)
     counts = np.bincount(labels, minlength=5)
     assert counts.max() <= 1.05 * 600 / 5 + 1
-    reference = _dense_reference(dict(partitioner.partition(graph, 5)), csr)
+    reference = _dense_reference(oracle.fennel_partition(partitioner, graph, 5), csr)
     assert np.array_equal(reference, labels)
 
 
@@ -159,7 +162,7 @@ def test_fennel_csr_single_partition_and_empty():
     partitioner = FennelPartitioner(seed=0)
     assert np.array_equal(
         partitioner.partition_array(csr, 1),
-        _dense_reference(dict(partitioner.partition(graph, 1)), csr),
+        _dense_reference(oracle.fennel_partition(partitioner, graph, 1), csr),
     )
     empty = CSRGraph.from_edge_list(np.empty((0, 2), dtype=np.int64), 0)
     assert FennelPartitioner().partition_array(empty, 4).shape == (0,)
@@ -173,7 +176,7 @@ def test_wang_csr_matches_dict(weighted):
     graph, csr = _random_graph(700, 2800, seed=4, weighted=weighted)
     for seed in (0, 9):
         partitioner = WangPartitioner(seed=seed)
-        reference = _dense_reference(dict(partitioner.partition(graph, 5)), csr)
+        reference = _dense_reference(oracle.wang_partition(partitioner, graph, 5), csr)
         labels = partitioner.partition_array(csr, 5, chunk=149)
         assert np.array_equal(reference, labels), seed
 
@@ -182,7 +185,7 @@ def test_wang_csr_with_size_bound_pressure():
     # A tight community bound exercises the blocked/re-evaluation logic.
     graph, csr = _random_graph(500, 3000, seed=12)
     partitioner = WangPartitioner(max_community_fraction=0.1, lpa_iterations=7, seed=5)
-    reference = _dense_reference(dict(partitioner.partition(graph, 4)), csr)
+    reference = _dense_reference(oracle.wang_partition(partitioner, graph, 4), csr)
     assert np.array_equal(reference, partitioner.partition_array(csr, 4, chunk=83))
 
 
@@ -195,7 +198,7 @@ def test_wang_csr_isolated_vertices():
         graph.add_edge(u, v)
     csr = CSRGraph.from_edge_list(np.asarray(edges), 12)
     partitioner = WangPartitioner(seed=1)
-    reference = _dense_reference(dict(partitioner.partition(graph, 3)), csr)
+    reference = _dense_reference(oracle.wang_partition(partitioner, graph, 3), csr)
     assert np.array_equal(reference, partitioner.partition_array(csr, 3))
 
 
@@ -238,19 +241,30 @@ def test_wang_csr_zero_weight_edges_behave_as_absent():
 # Trivial baselines and adapters
 # ----------------------------------------------------------------------
 def test_hash_modulo_random_arrays_match_dict():
-    graph, csr = _random_graph(300, 600, seed=1)
+    # The vectorized trivial baselines against their scalar rules, on
+    # sparse original ids: splitmix64 per id, id mod k, and the i-th
+    # seeded draw for the i-th smallest id.
+    _, dense = _random_graph(300, 600, seed=1)
+    ids = np.arange(300, dtype=np.int64) * 7 + 3
+    csr = CSRGraph(dense.indptr, dense.indices, dense.weights, ids)
+    expected = {
+        "hash": [hash_label(v, 7) for v in ids.tolist()],
+        "modulo": [v % 7 for v in ids.tolist()],
+        "random": np.random.default_rng(3).integers(7, size=300).tolist(),
+    }
     for partitioner in (HashPartitioner(), ModuloPartitioner(), RandomPartitioner(seed=3)):
-        reference = _dense_reference(dict(partitioner.partition(graph, 7)), csr)
-        assert np.array_equal(reference, partitioner.partition_array(csr, 7)), (
-            partitioner.name
-        )
+        labels = partitioner.partition_array(csr, 7)
+        assert labels.tolist() == expected[partitioner.name], partitioner.name
 
 
 def test_metis_partition_array_uses_canonical_fallback():
     _, csr = _random_graph(200, 800, seed=2)
-    labels = MetisLikePartitioner(seed=0).partition_array(csr, 4)
+    partitioner = MetisLikePartitioner(seed=0)
+    labels = partitioner.partition_array(csr, 4)
     assert labels.shape == (200,)
     assert labels.min() >= 0 and labels.max() < 4
+    reference = partitioner._partition_dict(canonical_undirected(csr), 4)
+    assert np.array_equal(_dense_reference(reference, csr), labels)
 
 
 def test_partition_array_maps_sparse_original_ids():
@@ -269,12 +283,12 @@ def test_partition_array_maps_sparse_original_ids():
         FennelPartitioner(seed=2),
         WangPartitioner(seed=2),
     ):
-        reference = _dense_reference(dict(partitioner.partition(graph, 3)), csr)
+        reference = _dense_reference(oracle.dict_partition(partitioner, graph, 3), csr)
         assert np.array_equal(reference, partitioner.partition_array(csr, 3)), (
             partitioner.name
         )
-        # partition() on the CSR graph reports original ids.
-        assignment = partitioner.partition(csr, 3)
+        # run() on the CSR graph reports original ids.
+        assignment = partitioner.run(csr, 3).assignment
         assert set(assignment) == set(ids)
 
 
@@ -290,4 +304,4 @@ def test_registry_forwards_stream_order_and_seed():
     for order in ("natural", "random"):
         a = make_partitioner("ldg", stream_order=order, seed=5)
         b = make_partitioner("ldg", stream_order=order, seed=5)
-        assert dict(a.partition(graph, 4)) == b.partition(csr, 4)
+        assert oracle.dict_partition(a, graph, 4) == b.run(csr, 4).assignment

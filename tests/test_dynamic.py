@@ -130,6 +130,33 @@ def test_apply_skips_already_present_edges(full_graph):
     assert snapshot.num_edges == before
 
 
+def _edge_set(graph):
+    return sorted((min(u, v), max(u, v), w) for u, v, w in graph.edges())
+
+
+@pytest.mark.parametrize(
+    "edges, vertices",
+    [
+        ([(0, 1, 1), (3, 4, 0)], set()),
+        ([(0, 1, 1), (3, -4, 1)], set()),
+        ([(0, 1, 1)], {7, -2}),
+    ],
+    ids=["zero-weight", "negative-endpoint", "negative-vertex"],
+)
+def test_apply_rejects_an_invalid_delta_without_changing_the_graph(edges, vertices):
+    graph = UndirectedGraph.from_edges([(1, 2), (2, 3), (3, 4)])
+    before = (sorted(graph.vertices()), _edge_set(graph))
+    with pytest.raises(GraphError):
+        GraphDelta(added_edges=edges, added_vertices=vertices).apply(graph)
+    assert (sorted(graph.vertices()), _edge_set(graph)) == before
+
+
+def test_apply_skips_self_loops_like_ingest():
+    graph = UndirectedGraph.from_edges([(1, 2), (2, 3)])
+    GraphDelta(added_edges=[(0, 1, 1), (2, 2, 1)]).apply(graph)
+    assert _edge_set(graph) == [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
+
+
 def test_random_new_edges_are_new(full_graph):
     delta = random_new_edges(full_graph, fraction=0.05, seed=3)
     for u, v, _w in delta.added_edges:

@@ -7,7 +7,6 @@ from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
 from repro.errors import InvalidPartitionCountError, PartitioningError
 from repro.graph.csr import CSRGraph
-from repro.metrics.quality import locality, max_normalized_load
 from repro.partitioners.hashing import HashPartitioner
 
 
@@ -22,8 +21,8 @@ def test_partition_returns_valid_labels(community_graph, quick_config):
 
 def test_quality_beats_hash_partitioning(community_graph, quick_config):
     spinner = FastSpinner(quick_config).partition(community_graph, 4)
-    hash_assignment = HashPartitioner().partition(community_graph, 4)
-    assert spinner.phi > locality(community_graph, hash_assignment)
+    hash_output = HashPartitioner().run(CSRGraph.from_undirected(community_graph), 4)
+    assert spinner.phi > hash_output.phi
 
 
 def test_balance_close_to_capacity_bound(community_graph, quick_config):

@@ -6,7 +6,6 @@ from repro.errors import GraphFormatError
 from repro.graph.digraph import DiGraph
 from repro.graph.io import (
     atomic_open,
-    atomic_write_bytes,
     atomic_write_text,
     read_directed_edge_list,
     read_partitioning,
@@ -84,12 +83,6 @@ def test_atomic_write_text_roundtrip(tmp_path):
     path = tmp_path / "out.txt"
     atomic_write_text(path, "hello\n")
     assert path.read_text() == "hello\n"
-
-
-def test_atomic_write_bytes_roundtrip(tmp_path):
-    path = tmp_path / "out.bin"
-    atomic_write_bytes(path, b"\x00\x01\x02")
-    assert path.read_bytes() == b"\x00\x01\x02"
 
 
 def test_atomic_open_rejects_read_modes(tmp_path):

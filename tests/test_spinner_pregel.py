@@ -12,6 +12,7 @@ from repro.core.program import (
 )
 from repro.core.spinner import SpinnerPartitioner
 from repro.errors import PartitioningError
+from repro.graph.csr import CSRGraph
 from repro.graph.conversion import to_weighted_undirected
 from repro.metrics.quality import locality
 from repro.partitioners.hashing import HashPartitioner
@@ -57,7 +58,7 @@ def test_partition_directed_graph_runs_conversion(small_directed, quick_config):
 def test_pregel_spinner_beats_hash(community_graph, quick_config):
     partitioner = SpinnerPartitioner(quick_config, num_workers=4)
     result = partitioner.partition(community_graph, 4)
-    hash_phi = locality(community_graph, HashPartitioner().partition(community_graph, 4))
+    hash_phi = HashPartitioner().run(CSRGraph.from_undirected(community_graph), 4).phi
     assert result.phi > hash_phi
 
 

@@ -29,7 +29,6 @@ from repro.graph.io import (
     ingest_edge_chunks,
     ingest_edge_list,
     iter_edge_list_chunks,
-    read_edge_list_csr,
     read_partitioning,
     write_partitioning_array,
 )
@@ -78,19 +77,6 @@ def test_malformed_lines_raise_with_line_numbers(tmp_path, content, fragment):
         list(iter_edge_list_chunks(path))
     with pytest.raises(GraphFormatError, match=fragment):
         ingest_edge_list(path, tmp_path / "store")
-
-
-def test_read_edge_list_csr_matches_from_edge_list(tmp_path):
-    path = tmp_path / "edges.txt"
-    path.write_text("3 0 2\n0 1\n2 2\n1 0 4\n")
-    expected = CSRGraph.from_edge_list(
-        np.array([[3, 0], [0, 1], [2, 2], [1, 0]]), 4, weights=[2, 1, 1, 4]
-    )
-    for chunk_edges in (1, 2, 1000):
-        got = read_edge_list_csr(path, chunk_edges=chunk_edges)
-        assert np.array_equal(got.indptr, expected.indptr)
-        assert np.array_equal(got.indices, expected.indices)
-        assert np.array_equal(got.weights, expected.weights)
 
 
 # ----------------------------------------------------------------------
