@@ -33,7 +33,7 @@ from collections.abc import Sequence
 
 from repro.core.config import SpinnerConfig
 from repro.errors import ReproError
-from repro.graph.conversion import ensure_undirected, to_weighted_csr
+from repro.graph.conversion import to_weighted_csr
 from repro.experiments import (
     fig3,
     fig4,
@@ -49,7 +49,7 @@ from repro.experiments import (
 from repro.experiments.common import ExperimentScale
 from repro.faults import FaultPlan
 from repro.graph.csr import CSRGraph
-from repro.graph.datasets import dataset_names, load_dataset, load_dataset_csr
+from repro.graph.datasets import dataset_names, load_dataset_csr
 from repro.graph.io import (
     DEFAULT_RUN_HALF_EDGES,
     ingest_edge_list,
@@ -580,11 +580,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     _check_graph_source(args)
 
     if args.dataset is not None:
-        graph = ensure_undirected(load_dataset(args.dataset, scale=args.scale))
+        graph = load_dataset_csr(args.dataset, scale=args.scale)
     elif args.edge_list is not None:
         if not os.path.isfile(args.edge_list):
             _fail(f"edge list {args.edge_list!r} does not exist")
-        graph = read_undirected_edge_list(args.edge_list)
+        graph = CSRGraph.from_undirected(read_undirected_edge_list(args.edge_list))
     else:
         _fail("provide either --dataset or --edge-list")
 

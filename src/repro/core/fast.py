@@ -82,6 +82,7 @@ from repro.core.config import SpinnerConfig
 from repro.core.elastic import resize_labels
 from repro.core.halting import HaltingTracker
 from repro.core.incremental import (
+    Assignment,
     incremental_initial_labels,
     map_assignment_to_dense,
     place_least_loaded,
@@ -244,15 +245,17 @@ class FastSpinner:
     def adapt_to_graph_changes(
         self,
         graph: GraphLike,
-        previous_assignment: Mapping[int, int],
+        previous_assignment: Assignment,
         num_partitions: int,
         track_history: bool = True,
     ) -> FastSpinnerResult:
         """Incremental repartitioning after graph changes (Section III-D).
 
-        The previous assignment is mapped straight onto the CSR vertex
-        order (no dictionary round-trip); vertices new to the graph go to
-        the least loaded partition before label propagation restarts.
+        ``previous_assignment`` is a ``{vertex: partition}`` mapping or a
+        sorted ``(ids, labels)`` array pair.  It is mapped straight onto
+        the CSR vertex order (no dictionary round-trip); vertices new to
+        the graph go to the least loaded partition before label
+        propagation restarts.
         """
         csr = self._to_csr(graph)
         initial = incremental_initial_labels(csr, previous_assignment, num_partitions)

@@ -16,10 +16,12 @@ implementation, and array-native ones
 :func:`place_least_loaded`) that operate directly on a
 :class:`~repro.graph.csr.CSRGraph` so the vectorized
 :class:`~repro.core.fast.FastSpinner` never round-trips through
-dictionaries.  Both apply the same placement rule; they only differ in
-the order equally heavy new vertices are considered (sorted vertex id
-vs. graph insertion order), which coincides for graphs materialized
-from a CSR view.
+dictionaries; they take the previous assignment as a mapping or as a
+sorted ``(ids, labels)`` array pair (:data:`Assignment`), which the
+serving layer passes straight from its snapshot.  Both families apply
+the same placement rule; they only differ in the order equally heavy
+new vertices are considered (sorted vertex id vs. graph insertion
+order), which coincides for graphs materialized from a CSR view.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from repro.core.state import PartitionLoadTracker, validate_label_array, validate_labels
+from repro.errors import PartitioningError
 from repro.graph.csr import CSRGraph
 from repro.graph.undirected import UndirectedGraph
 
@@ -77,9 +80,35 @@ def incremental_initial_assignment(
     return assignment
 
 
+#: A previous assignment: a ``{vertex id: partition}`` mapping, or the
+#: ``(ids, labels)`` array pair of one with ``ids`` strictly increasing
+#: (e.g. a serving snapshot's arrays).
+Assignment = Mapping[int, int] | tuple[np.ndarray, np.ndarray]
+
+
+def _assignment_arrays(assignment: Assignment) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``assignment`` as ``(ids, labels)`` int64 arrays sorted by id.
+
+    A mapping is sorted once; an array pair is checked to be parallel and
+    strictly increasing in id.
+    """
+    if isinstance(assignment, Mapping):
+        count = len(assignment)
+        keys = np.fromiter(assignment.keys(), dtype=np.int64, count=count)
+        values = np.fromiter(assignment.values(), dtype=np.int64, count=count)
+        order = np.argsort(keys, kind="stable")
+        return keys[order], values[order]
+    ids, labels = (np.asarray(array, dtype=np.int64) for array in assignment)
+    if ids.ndim != 1 or ids.shape != labels.shape:
+        raise PartitioningError("assignment ids and labels must be parallel 1-D arrays")
+    if ids.size > 1 and not bool(np.all(ids[1:] > ids[:-1])):
+        raise PartitioningError("assignment ids must be strictly increasing")
+    return ids, labels
+
+
 def map_assignment_to_dense(
     csr: CSRGraph,
-    assignment: Mapping[int, int],
+    assignment: Assignment,
     num_partitions: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map an original-id assignment onto dense CSR vertex ids.
@@ -91,20 +120,16 @@ def map_assignment_to_dense(
     values are validated (matching :func:`validate_labels` on the dict
     path).
     """
-    count = len(assignment)
-    keys = np.fromiter(assignment.keys(), dtype=np.int64, count=count)
-    values = np.fromiter(assignment.values(), dtype=np.int64, count=count)
+    ids, values = _assignment_arrays(assignment)
     validate_label_array(values, num_partitions)
+    count = ids.shape[0]
     n = csr.num_vertices
     labels = np.full(n, -1, dtype=np.int64)
     found = np.zeros(n, dtype=bool)
     if count and n:
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        sorted_values = values[order]
-        pos = np.minimum(np.searchsorted(sorted_keys, csr.original_ids), count - 1)
-        found = sorted_keys[pos] == csr.original_ids
-        labels[found] = sorted_values[pos[found]]
+        pos = np.minimum(np.searchsorted(ids, csr.original_ids), count - 1)
+        found = ids[pos] == csr.original_ids
+        labels[found] = values[pos[found]]
     return labels, found
 
 
@@ -140,7 +165,7 @@ def place_least_loaded(
 
 def incremental_initial_labels(
     csr: CSRGraph,
-    previous_assignment: Mapping[int, int],
+    previous_assignment: Assignment,
     num_partitions: int,
 ) -> np.ndarray:
     """Array-native :func:`incremental_initial_assignment` over a CSR graph.

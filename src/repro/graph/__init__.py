@@ -17,6 +17,8 @@ This subpackage provides the equivalent building blocks:
   real-world datasets (Table II).
 * :mod:`repro.graph.dynamic` — edge-arrival streams for the dynamic
   repartitioning experiments (Figure 7).
+* :mod:`repro.graph.delta_csr` — the serving layer's live graph: an
+  immutable CSR base plus an append-only delta of arrived edges.
 """
 
 from repro.graph.conversion import to_weighted_undirected

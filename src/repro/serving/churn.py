@@ -2,25 +2,31 @@
 
 The pipeline consumes :class:`~repro.graph.dynamic.GraphDelta` batches
 (e.g. drained from an :class:`~repro.graph.dynamic.EdgeArrivalStream` or
-one of the adversarial churn generators), applies them to the live
-graph, and keeps two cheap trigger signals up to date:
+one of the adversarial churn generators), appends them to the live
+graph, and keeps two cheap trigger signals up to date.  The live graph
+is a :class:`~repro.graph.delta_csr.DeltaCSR`: an immutable CSR base
+plus an append-only delta of the edges and vertices that arrived since
+the last repartition.  The two signals are:
 
 * the number of pending edges not yet covered by a published
   repartition, and
 * an incrementally-maintained estimate of the live assignment's
   locality ``phi`` — each arriving edge adjusts a running
   ``local_weight / total_weight`` pair using the *current* snapshot's
-  labels, so estimating the degradation costs O(1) per edge instead of
-  an O(m) metric pass.
+  labels (one vectorized lookup per delta), so estimating the
+  degradation costs O(delta) instead of an O(m) metric pass.
 
 When either threshold trips (``edge_threshold`` pending edges, or the
 estimated ``phi`` dropping ``phi_drift`` below the last published
 value), the service runs one repartition in the background:
-:meth:`ChurnPipeline.freeze` copies the live graph and the previous
-snapshot on the event loop (a bounded pause), :meth:`ChurnPipeline.execute`
-runs FastSpinner anywhere (an executor thread under the service, inline
-in tests and benchmarks), and :meth:`ChurnPipeline.publish` installs the
-result as the next store version with a bounded migration report.
+:meth:`ChurnPipeline.freeze` records the live graph's base and delta
+length and the previous snapshot on the event loop (no array is copied),
+:meth:`ChurnPipeline.execute` merges that version into new CSR arrays
+and runs FastSpinner on them anywhere (an executor thread under the
+service, inline in tests and benchmarks), and
+:meth:`ChurnPipeline.publish` installs the result as the next store
+version with a bounded migration report, makes the merged arrays the
+live graph's base and keeps the delta that arrived after the freeze.
 Lookups keep answering from the old snapshot throughout.
 
 The repartition itself is Spinner's Section III-D incremental restart:
@@ -29,7 +35,8 @@ partition (:mod:`repro.core.incremental`), and label propagation resumes
 from there on the vectorized :class:`~repro.core.fast.FastSpinner`,
 honouring the ``ram``/``mmap`` storage tier.  A churn-triggered run is
 bit-identical to invoking ``FastSpinner.adapt_to_graph_changes`` directly
-with the same seed, which the serving test suite pins.
+with the same seed on ``CSRGraph.from_undirected`` of a dictionary graph
+fed the same deltas, which the serving test suite pins.
 
 :meth:`ChurnPipeline.ingest` validates a whole delta before it changes
 anything, so a bad delta raises and leaves the live graph and the
@@ -46,8 +53,10 @@ import numpy as np
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner, FastSpinnerResult
 from repro.errors import ServingError
+from repro.graph.csr import CSRGraph
+from repro.graph.delta_csr import DeltaCSR, FrozenGraph
 from repro.graph.dynamic import GraphDelta
-from repro.graph.undirected import UndirectedGraph
+from repro.metrics.quality import locality, max_normalized_load
 from repro.serving.metrics import ServingMetrics
 from repro.serving.store import AssignmentSnapshot, AssignmentStore
 
@@ -117,8 +126,13 @@ class ServingConfig:
 
 @dataclass(frozen=True)
 class RepartitionOutcome:
-    """Result of one repartitioning run, in ascending vertex-id order."""
+    """Result of one repartitioning run, in ascending vertex-id order.
 
+    ``graph`` is the merged graph the run partitioned; publishing makes
+    it the live graph's base.
+    """
+
+    graph: DeltaCSR
     ids: np.ndarray
     labels: np.ndarray
     phi: float
@@ -160,11 +174,11 @@ class RepartitionJob:
     """Frozen inputs of one background repartition.
 
     Created on the event loop by :meth:`ChurnPipeline.freeze`; everything
-    it references is private to the job, so :meth:`ChurnPipeline.execute`
-    can run in a worker thread while the live graph keeps mutating.
+    it references is immutable, so :meth:`ChurnPipeline.execute` can run
+    in a worker thread while the live graph keeps growing.
     """
 
-    graph: UndirectedGraph
+    graph: FrozenGraph
     previous: AssignmentSnapshot
     pending_edges: int
     started_at: float = field(default_factory=time.perf_counter)
@@ -175,7 +189,7 @@ class ChurnPipeline:
 
     def __init__(
         self,
-        graph: UndirectedGraph,
+        graph: CSRGraph,
         store: AssignmentStore,
         config: ServingConfig,
         metrics: ServingMetrics | None = None,
@@ -185,7 +199,11 @@ class ChurnPipeline:
                 f"store is sized for k={store.num_partitions}, "
                 f"config wants k={config.num_partitions}"
             )
-        self.graph = graph
+        if not isinstance(graph, CSRGraph):
+            raise ServingError(
+                f"the live graph must start from a CSRGraph, got {type(graph).__name__}"
+            )
+        self.graph = DeltaCSR(graph)
         self.store = store
         self.config = config
         self.metrics = metrics if metrics is not None else ServingMetrics()
@@ -195,7 +213,6 @@ class ChurnPipeline:
         #: publication — the serving tests hold it open to pin that
         #: lookups racing an in-flight repartition stay consistent.
         self.post_execute_hook = None
-        self._pending: list[tuple[int, int, int]] = []
         self._base_phi = 1.0
         self._base_local = 0.0
         self._base_total = 0.0
@@ -203,12 +220,10 @@ class ChurnPipeline:
         self._pend_total = 0.0
 
     @staticmethod
-    def _outcome(result: FastSpinnerResult) -> RepartitionOutcome:
-        ids = result.original_ids
-        if ids is None:
-            ids = np.arange(result.labels.shape[0], dtype=np.int64)
+    def _outcome(graph: DeltaCSR, result: FastSpinnerResult) -> RepartitionOutcome:
         return RepartitionOutcome(
-            ids=ids,
+            graph=graph,
+            ids=graph.base.original_ids,
             labels=result.labels,
             phi=float(result.phi),
             rho=float(result.rho),
@@ -229,71 +244,70 @@ class ChurnPipeline:
 
         Used after a warm start: the snapshot was published without a
         repartition run, so the estimator's base locality is measured
-        directly (one O(m) pass, at startup only).
+        directly (one O(m) pass, at startup only).  Any delta is folded
+        into the base first, so nothing stays pending.
         """
-        from repro.metrics.quality import locality, max_normalized_load
-
-        labels, _ = snapshot.lookup_many(
-            np.fromiter(self.graph.vertices(), dtype=np.int64, count=self.graph.num_vertices)
-        )
-        assignment = {
-            int(v): int(label)
-            for v, label in zip(self.graph.vertices(), labels.tolist())
-        }
-        self._base_phi = locality(self.graph, assignment)
+        self.graph = self.graph.freeze().merge()
+        phi, rho = self.quality(snapshot)
+        self._base_phi = phi
         self._base_total = float(self.graph.total_weight)
         self._base_local = self._base_phi * self._base_total
-        self._pending.clear()
         self._pend_local = 0.0
         self._pend_total = 0.0
         self.metrics.set_gauge("version", float(snapshot.version))
         self.metrics.set_gauge("phi", self._base_phi)
-        self.metrics.set_gauge(
-            "rho",
-            max_normalized_load(self.graph, assignment, self.config.num_partitions),
+        self.metrics.set_gauge("rho", rho)
+
+    def quality(self, snapshot: AssignmentSnapshot) -> tuple[float, float]:
+        """Exact ``(phi, rho)`` of ``snapshot`` on the live graph (O(m)).
+
+        Vertices the snapshot does not cover take their hash fallback
+        label, as a lookup would answer them.
+        """
+        csr = self.graph.to_csr()
+        labels, _ = snapshot.lookup_many(csr.original_ids)
+        return (
+            locality(csr, labels),
+            max_normalized_load(csr, labels, self.config.num_partitions),
         )
 
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
     def ingest(self, delta: GraphDelta) -> int:
-        """Apply one delta to the live graph and the trigger signals.
+        """Append one delta to the live graph and update the trigger signals.
 
         Returns the number of edges actually added (duplicates of
-        existing edges and self-loops are dropped, matching
-        :meth:`~repro.graph.dynamic.GraphDelta.apply`).  The whole delta
-        is validated first (:meth:`~repro.graph.dynamic.GraphDelta.validate`):
-        a negative vertex id or a non-positive weight anywhere raises
+        existing edges, repeats within the delta and self-loops are
+        dropped, matching :meth:`~repro.graph.dynamic.GraphDelta.apply`).
+        The whole delta is validated first
+        (:meth:`~repro.graph.dynamic.GraphDelta.validate`): a negative
+        vertex id or a non-positive weight anywhere raises
         :class:`~repro.errors.GraphError` before anything is applied.
         Must be called from the thread that owns the live graph (the
         event loop under the service).
         """
-        delta.validate()
-        snapshot = self.store.current()
-        new_vertices = 0
-        for vertex in sorted(delta.added_vertices):
-            if vertex not in self.graph:
-                self.graph.add_vertex(vertex)
-                new_vertices += 1
-        added = 0
-        for u, v, weight in delta.added_edges:
-            if u == v or self.graph.has_edge(u, v):
-                continue
-            self.graph.add_edge(u, v, weight=weight)
-            self._pending.append((u, v, weight))
-            added += 1
-            label_u, _ = snapshot.lookup(u)
-            label_v, _ = snapshot.lookup(v)
-            self._pend_total += weight
-            if label_u == label_v:
-                self._pend_local += weight
-        self.metrics.observe_ingest(added, new_vertices)
-        return added
+        added, new_vertices = self.graph.append(delta)
+        local, total = self._score(self.store.current(), added)
+        self._pend_local += local
+        self._pend_total += total
+        self.metrics.observe_ingest(added.shape[0], new_vertices)
+        return added.shape[0]
+
+    @staticmethod
+    def _score(snapshot: AssignmentSnapshot, edges: np.ndarray) -> tuple[float, float]:
+        """``(local, total)`` weight of ``(u, v, w)`` rows under ``snapshot``."""
+        if edges.shape[0] == 0:
+            return 0.0, 0.0
+        m = edges.shape[0]
+        labels, _ = snapshot.lookup_many(np.concatenate([edges[:, 0], edges[:, 1]]))
+        weights = edges[:, 2]
+        return float(weights[labels[:m] == labels[m:]].sum()), float(weights.sum())
 
     @property
     def pending_edges(self) -> int:
         """Edges applied to the live graph but not yet repartitioned over."""
-        return len(self._pending)
+        return self.graph.pending_edges
 
     def estimated_phi(self) -> float:
         """Incremental estimate of the live assignment's locality."""
@@ -308,10 +322,11 @@ class ChurnPipeline:
 
     def should_trigger(self) -> bool:
         """Whether a repartition should start now (and none is in flight)."""
-        if self.in_flight or not self._pending:
+        pending = self.graph.pending_edges
+        if self.in_flight or not pending:
             return False
         threshold = self.config.edge_threshold
-        if threshold is not None and len(self._pending) >= threshold:
+        if threshold is not None and pending >= threshold:
             return True
         drift = self.config.phi_drift
         return drift is not None and self.estimated_drift() >= drift
@@ -320,26 +335,30 @@ class ChurnPipeline:
     # repartition protocol: freeze -> execute -> publish
     # ------------------------------------------------------------------
     def freeze(self) -> RepartitionJob:
-        """Snapshot the inputs of a repartition (bounded event-loop pause)."""
+        """Record the inputs of a repartition (no array is copied)."""
         if self.in_flight:
             raise ServingError("a repartition is already in flight")
         self.in_flight = True
         return RepartitionJob(
-            graph=self.graph.copy(),
+            graph=self.graph.freeze(),
             previous=self.store.current(),
-            pending_edges=len(self._pending),
+            pending_edges=self.graph.pending_edges,
         )
 
     def execute(self, job: RepartitionJob) -> RepartitionOutcome:
-        """Run FastSpinner on the frozen inputs (safe off the event loop)."""
+        """Merge the frozen graph and run FastSpinner on it (safe off the event loop)."""
+        merged = job.graph.merge()
         spinner = FastSpinner(self.config.spinner)
-        if job.previous.num_vertices == 0:
-            result = spinner.partition(job.graph, self.config.num_partitions)
+        previous = job.previous
+        if previous.num_vertices == 0:
+            result = spinner.partition(merged.base, self.config.num_partitions)
         else:
             result = spinner.adapt_to_graph_changes(
-                job.graph, job.previous.to_assignment(), self.config.num_partitions
+                merged.base,
+                (previous.ids, previous.labels),
+                self.config.num_partitions,
             )
-        outcome = self._outcome(result)
+        outcome = self._outcome(merged, result)
         if self.post_execute_hook is not None:
             self.post_execute_hook(job, outcome)
         return outcome
@@ -354,22 +373,16 @@ class ChurnPipeline:
         swap_seconds = time.perf_counter() - swap_start
 
         migrations, fraction = self._migration_report(job.previous, snapshot)
-        # Rebase the estimator: the run's phi is exact on the frozen
-        # graph; edges that arrived after the freeze stay pending and are
-        # re-scored against the fresh snapshot.
-        suffix = self._pending[job.pending_edges :]
-        self._pending = suffix
+        # Rebase the estimator: the run's phi is exact on the merged
+        # graph, which becomes the live base; edges that arrived after the
+        # freeze stay pending and are re-scored against the fresh snapshot.
+        self.graph.advance(job.graph, outcome.graph)
         self._base_phi = outcome.phi
-        self._base_total = float(job.graph.total_weight)
+        self._base_total = float(outcome.graph.total_weight)
         self._base_local = self._base_phi * self._base_total
-        self._pend_local = 0.0
-        self._pend_total = 0.0
-        for u, v, weight in suffix:
-            label_u, _ = snapshot.lookup(u)
-            label_v, _ = snapshot.lookup(v)
-            self._pend_total += weight
-            if label_u == label_v:
-                self._pend_local += weight
+        self._pend_local, self._pend_total = self._score(
+            snapshot, self.graph.delta_edges()
+        )
         self.in_flight = False
 
         report = RepartitionReport(

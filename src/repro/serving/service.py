@@ -42,7 +42,9 @@ Lookups are answered on the event loop directly from the current
 worker thread via :meth:`ChurnPipeline.execute` (NumPy releases the GIL
 for the heavy kernels), so the loop — and therefore lookup latency —
 never blocks on repartitioning.  The only loop-side repartition work is
-the bounded graph freeze and the O(1) snapshot swap.
+the O(1) graph freeze (it records the live graph's CSR base and delta
+length; the merge into new arrays runs in the worker thread) and the
+O(1) snapshot swap.
 
 **Pipelining.**  The connection handler drains every request line a
 client already sent (up to ``max_pipeline_batch``) before replying,
@@ -70,8 +72,8 @@ import time
 import numpy as np
 
 from repro.errors import ReproError, ServingError
+from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import GraphDelta
-from repro.graph.undirected import UndirectedGraph
 from repro.serving.churn import ChurnPipeline, ServingConfig
 from repro.serving.metrics import ServingMetrics
 from repro.serving.store import AssignmentStore
@@ -170,7 +172,9 @@ class ShardingService:
     Parameters
     ----------
     graph:
-        The live undirected graph (mutated by churn ingestion).
+        The initial weighted undirected graph as CSR arrays; churn
+        ingestion grows the pipeline's live graph on top of it and never
+        mutates these arrays.
     config:
         Service knobs (:class:`~repro.serving.churn.ServingConfig`).
     warm_start:
@@ -187,7 +191,7 @@ class ShardingService:
 
     def __init__(
         self,
-        graph: UndirectedGraph,
+        graph: CSRGraph,
         config: ServingConfig,
         *,
         warm_start: str | None = None,
@@ -599,25 +603,9 @@ class ShardingService:
         return payload
 
     def _op_quality(self) -> dict:
-        from repro.metrics.quality import locality, max_normalized_load
-
         snapshot = self.store.current()
-        graph = self.pipeline.graph
-        ids = np.fromiter(
-            graph.vertices(), dtype=np.int64, count=graph.num_vertices
-        )
-        labels, _ = snapshot.lookup_many(ids)
-        assignment = {
-            int(v): int(label) for v, label in zip(ids.tolist(), labels.tolist())
-        }
-        return {
-            "ok": True,
-            "version": snapshot.version,
-            "phi": locality(graph, assignment),
-            "rho": max_normalized_load(
-                graph, assignment, self.config.num_partitions
-            ),
-        }
+        phi, rho = self.pipeline.quality(snapshot)
+        return {"ok": True, "version": snapshot.version, "phi": phi, "rho": rho}
 
     async def _periodic_log(self) -> None:
         try:

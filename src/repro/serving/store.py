@@ -20,11 +20,6 @@ reference that is swapped atomically by :meth:`AssignmentStore.publish`,
 so readers racing a background repartition always observe one complete,
 internally consistent version: either the old snapshot or the new one,
 never a mixture.
-:class:`AssignmentStore` holds the current snapshot behind a single
-reference that is swapped atomically by :meth:`AssignmentStore.publish`,
-so readers racing a background repartition always observe one complete,
-internally consistent version: either the old snapshot or the new one,
-never a mixture.
 
 Versions start at 0 (the empty bootstrap snapshot: every lookup falls
 back to hashing) and increase by exactly 1 per publish — gapless and

@@ -7,7 +7,7 @@ import pytest
 
 from oracles.baselines import DICT_PARTITIONS, dict_run
 
-import repro.cli as cli_module
+import repro.graph.datasets as datasets_module
 import repro.partitioners.csr_stream as csr_stream_module
 from repro.cli import build_parser, main
 from repro.core.config import SpinnerConfig
@@ -449,7 +449,7 @@ def test_dataset_partition_builds_no_dict_graph(tmp_path, capsys, monkeypatch, n
     def forbidden(*args, **kwargs):
         raise AssertionError("the CSR path built a dictionary graph")
 
-    monkeypatch.setattr(cli_module, "load_dataset", forbidden)
+    monkeypatch.setattr(datasets_module, "load_dataset", forbidden)
     monkeypatch.setattr(FastSpinnerResult, "to_assignment", forbidden)
     monkeypatch.setattr(csr_stream_module, "canonical_undirected", forbidden)
     source = ["--dataset", "LJ", "--scale", str(ORACLE_SCALE)]

@@ -129,3 +129,24 @@ def test_array_twin_matches_on_random_previous(graph):
     }
     dict_assignment = incremental_initial_assignment(graph, previous, 4)
     assert _labels_via_csr(graph, previous, 4) == dict_assignment
+
+
+def test_sorted_id_label_pair_matches_the_mapping(graph):
+    rng = np.random.default_rng(11)
+    previous = {
+        vertex: int(rng.integers(4))
+        for vertex in graph.vertices()
+        if rng.random() < 0.8
+    }
+    previous[10**6] = 2  # stale entries are ignored on both paths
+    csr = CSRGraph.from_undirected(graph)
+    ids = np.asarray(sorted(previous), dtype=np.int64)
+    labels = np.asarray([previous[v] for v in ids.tolist()], dtype=np.int64)
+    from_pair = incremental_initial_labels(csr, (ids, labels), 4)
+    assert np.array_equal(from_pair, incremental_initial_labels(csr, previous, 4))
+    with pytest.raises(PartitioningError):
+        incremental_initial_labels(csr, (ids[::-1], labels[::-1]), 4)
+    with pytest.raises(PartitioningError):
+        incremental_initial_labels(csr, (ids, labels[:-1]), 4)
+    with pytest.raises(PartitioningError):
+        incremental_initial_labels(csr, (ids, np.full_like(labels, 4)), 4)

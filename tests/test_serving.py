@@ -7,8 +7,13 @@ Pins the serving layer's correctness contract:
   consistent version — never a mixture (held open with the pipeline's
   ``post_execute_hook``);
 * warm start round-trips the persisted assignment byte-exactly;
-* a churn-triggered repartition is bit-identical to calling the same
-  engine's ``adapt_to_graph_changes`` directly with the same seed;
+* a churn-triggered repartition is bit-identical to calling
+  ``FastSpinner.adapt_to_graph_changes`` directly with the same seed on a
+  dictionary graph fed the same deltas (the live graph is CSR arrays
+  plus an append-only delta; the generators of
+  :mod:`repro.graph.dynamic` draw from that dictionary mirror);
+* the ``quality`` op equals the dictionary oracle's metrics exactly, and
+  the churn path builds no dictionary graph at all;
 * hash-fallback miss semantics match :class:`HashPartitioner`'s rule and
   are flagged;
 * the ``serve`` CLI validates its flags with exit code 2 and serves the
@@ -28,11 +33,14 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core.config import SpinnerConfig
-from repro.core.fast import FastSpinner
+from repro.core.fast import FastSpinner, FastSpinnerResult
 from repro.errors import GraphError, ReproError, ServingError
+from repro.graph.csr import CSRGraph
+from repro.graph.datasets import load_dataset_csr
 from repro.graph.dynamic import GraphDelta, bursty_new_edges, random_new_edges
 from repro.graph.generators import erdos_renyi, powerlaw_cluster
-from repro.metrics.quality import locality
+from repro.graph.undirected import UndirectedGraph
+from repro.metrics.quality import locality, max_normalized_load
 from repro.partitioners.hashing import hash_labels_array
 from repro.serving import (
     AssignmentSnapshot,
@@ -50,12 +58,24 @@ def _graph(seed=3, n=400):
     return powerlaw_cluster(n, edges_per_vertex=6, triangle_probability=0.5, seed=seed)
 
 
+def _csr(graph):
+    return CSRGraph.from_undirected(graph)
+
+
 def _pipeline(graph, k=4, seed=3, **config_kwargs):
+    """A pipeline over the CSR view of ``graph``; ``graph`` stays its dict mirror."""
     config = ServingConfig(
         num_partitions=k, spinner=SpinnerConfig(seed=seed), **config_kwargs
     )
     store = AssignmentStore(k)
-    return ChurnPipeline(graph, store, config)
+    return ChurnPipeline(_csr(graph), store, config)
+
+
+def _ingest(pipeline, mirror, delta):
+    """Ingest ``delta`` and apply it to the dictionary mirror too."""
+    added = pipeline.ingest(delta)
+    delta.apply(mirror)
+    return added
 
 
 # ----------------------------------------------------------------------
@@ -178,10 +198,15 @@ def test_serving_config_validation(kwargs):
 
 
 def test_pipeline_rejects_mismatched_store():
-    graph = _graph()
+    graph = _csr(_graph())
     config = ServingConfig(num_partitions=4)
     with pytest.raises(ServingError):
         ChurnPipeline(graph, AssignmentStore(8), config)
+
+
+def test_pipeline_rejects_a_dict_graph():
+    with pytest.raises(ServingError):
+        ChurnPipeline(_graph(), AssignmentStore(4), ServingConfig(num_partitions=4))
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +220,7 @@ def test_churn_triggered_run_matches_direct_adapt():
     previous = pipeline.store.current().to_assignment()
 
     delta = bursty_new_edges(graph, fraction=0.05, seed=seed)
-    pipeline.ingest(delta)
+    _ingest(pipeline, graph, delta)
     pipeline.repartition_now()
 
     direct = FastSpinner(SpinnerConfig(seed=seed)).adapt_to_graph_changes(
@@ -216,7 +241,7 @@ def test_phi_estimator_is_exact_for_existing_vertices():
     pipeline = _pipeline(graph, k=4, seed=5)
     pipeline.bootstrap()
     delta = random_new_edges(graph, fraction=0.05, seed=9)
-    pipeline.ingest(delta)
+    _ingest(pipeline, graph, delta)
 
     snapshot = pipeline.store.current()
     ids = np.fromiter(graph.vertices(), dtype=np.int64, count=graph.num_vertices)
@@ -234,10 +259,10 @@ def test_should_trigger_on_edge_threshold():
     pipeline = _pipeline(graph, k=4, seed=5, edge_threshold=10)
     pipeline.bootstrap()
     assert not pipeline.should_trigger()
-    pipeline.ingest(random_new_edges(graph, fraction=0.002, seed=1))
+    _ingest(pipeline, graph, random_new_edges(graph, fraction=0.002, seed=1))
     assert pipeline.pending_edges < 10
     assert not pipeline.should_trigger()
-    pipeline.ingest(random_new_edges(graph, fraction=0.05, seed=2))
+    _ingest(pipeline, graph, random_new_edges(graph, fraction=0.05, seed=2))
     assert pipeline.pending_edges >= 10
     assert pipeline.should_trigger()
     pipeline.repartition_now()
@@ -294,14 +319,15 @@ def test_library_ingest_is_atomic(delta):
     graph = _graph()
     pipeline = _pipeline(graph)
     pipeline.bootstrap()
-    edges_before = sorted(graph.edges())
-    vertices_before = graph.num_vertices
+    csr_before = pipeline.graph.to_csr()
     phi_before = pipeline.estimated_phi()
     with pytest.raises(GraphError):
         pipeline.ingest(delta)
     # Validation runs over the whole delta first: nothing was applied.
-    assert sorted(graph.edges()) == edges_before
-    assert graph.num_vertices == vertices_before
+    live = pipeline.graph
+    assert live.num_edges == graph.num_edges
+    assert live.num_vertices == graph.num_vertices
+    assert live.to_csr() is csr_before
     assert pipeline.pending_edges == 0
     assert pipeline.estimated_phi() == phi_before
 
@@ -313,11 +339,90 @@ def test_migration_report_counts_common_vertices_only():
     # Bootstrap has no previous vertices -> no migrations by definition.
     assert report.migrations == 0
     assert report.migration_fraction == 0.0
-    pipeline.ingest(bursty_new_edges(graph, fraction=0.08, seed=2))
+    _ingest(pipeline, graph, bursty_new_edges(graph, fraction=0.08, seed=2))
     report = pipeline.repartition_now()
     assert 0 <= report.migrations <= graph.num_vertices
     assert 0.0 <= report.migration_fraction <= 1.0
     assert report.pending_edges_consumed > 0
+
+
+def test_quality_op_matches_dict_oracle_after_churn():
+    seed = 29
+    graph = _graph(seed=seed)
+    service = ShardingService(
+        _csr(graph),
+        ServingConfig(
+            num_partitions=4,
+            edge_threshold=None,
+            phi_drift=1.0,
+            spinner=SpinnerConfig(seed=seed),
+            log_interval=0.0,
+        ),
+    )
+    pipeline = service.pipeline
+    births = GraphDelta(
+        added_edges=[(1000, 3, 2), (1001, 1000, 1), (7, 8, 1)],
+        added_vertices={1002},
+    )
+    for step, delta in enumerate(
+        [
+            bursty_new_edges(graph, 0.04, seed=1),
+            births,
+            random_new_edges(graph, 0.03, seed=2),
+        ]
+    ):
+        _ingest(pipeline, graph, delta)
+        if step == 0:
+            pipeline.repartition_now()
+    # Pending churn, vertices the snapshot does not cover included.
+    assert pipeline.pending_edges > 0
+    quality = service._op_quality()
+
+    snapshot = service.store.current()
+    ids = np.fromiter(graph.vertices(), dtype=np.int64, count=graph.num_vertices)
+    labels, fallback = snapshot.lookup_many(ids)
+    assert fallback.any()
+    assignment = dict(zip(ids.tolist(), labels.tolist()))
+    assert quality["version"] == 2
+    assert quality["phi"] == locality(graph, assignment)
+    assert quality["rho"] == max_normalized_load(graph, assignment, 4)
+
+
+def test_churn_path_builds_no_dict_graph(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the churn path did O(m) dictionary work")
+
+    monkeypatch.setattr(CSRGraph, "from_undirected", classmethod(forbidden))
+    monkeypatch.setattr(UndirectedGraph, "copy", forbidden)
+    monkeypatch.setattr(AssignmentSnapshot, "to_assignment", forbidden)
+    monkeypatch.setattr(FastSpinnerResult, "to_assignment", forbidden)
+    # Scoring is one vectorized lookup_many per delta, never scalar probes.
+    monkeypatch.setattr(AssignmentSnapshot, "lookup", forbidden)
+
+    csr = load_dataset_csr("TU", 0.2)
+    pipeline = ChurnPipeline(
+        csr,
+        AssignmentStore(4),
+        ServingConfig(num_partitions=4, spinner=SpinnerConfig(seed=5)),
+    )
+    pipeline.bootstrap()
+    rng = np.random.default_rng(5)
+    n = csr.num_vertices
+    for batch in range(3):
+        u = rng.integers(0, n, 32)
+        v = rng.integers(0, n, 32)
+        born = n + batch
+        edges = [(int(a), int(b), 1) for a, b in zip(u, v)] + [(born, 0, 1)]
+        assert pipeline.ingest(GraphDelta(added_edges=edges, added_vertices={born})) > 0
+    pending = pipeline.pending_edges
+    job = pipeline.freeze()
+    outcome = pipeline.execute(job)
+    report = pipeline.publish(job, outcome)
+    assert report.version == 2
+    assert report.pending_edges_consumed == pending
+    assert pipeline.pending_edges == 0
+    assert pipeline.graph.num_vertices == n + 3
+    assert pipeline.store.current().num_vertices == n + 3
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +436,7 @@ def test_lookups_during_inflight_repartition_stay_consistent():
         spinner=SpinnerConfig(seed=7),
         log_interval=0.0,
     )
-    service = ShardingService(graph, config)
+    service = ShardingService(_csr(graph), config)
     probe = np.fromiter(
         list(graph.vertices())[:50], dtype=np.int64, count=50
     ).tolist()
@@ -381,14 +486,16 @@ def test_service_versions_gapless_across_churn_rounds():
         spinner=SpinnerConfig(seed=11),
         log_interval=0.0,
     )
-    service = ShardingService(graph, config)
+    service = ShardingService(_csr(graph), config)
 
     async def run():
         await service.start()
         try:
             versions = [service.store.version]
             for round_index in range(3):
-                service.ingest(random_new_edges(graph, 0.03, seed=round_index))
+                delta = random_new_edges(graph, 0.03, seed=round_index)
+                service.ingest(delta)
+                delta.apply(graph)
                 target = versions[-1] + 1
                 while service.store.version < target:
                     await asyncio.sleep(0.005)
@@ -428,7 +535,7 @@ def test_tcp_protocol_end_to_end():
         spinner=SpinnerConfig(seed=13),
         log_interval=0.0,
     )
-    service = ShardingService(graph, config)
+    service = ShardingService(_csr(graph), config)
     thread, port = _start_thread_service(service)
 
     max_id = max(graph.vertices())
@@ -510,12 +617,12 @@ def test_invalid_ingest_is_refused_whole_and_keeps_the_connection(bad_edge):
     config = ServingConfig(
         num_partitions=4, spinner=SpinnerConfig(seed=5), log_interval=0.0
     )
-    service = ShardingService(graph, config)
+    service = ShardingService(_csr(graph), config)
     thread, port = _start_thread_service(service)
     u, v = next(
         (u, v) for u in range(120) for v in range(u + 1, 120) if not graph.has_edge(u, v)
     )
-    edges_before = graph.num_edges
+    edges_before = service.pipeline.graph.num_edges
     # A valid edge ahead of the bad one: validation must reject the whole
     # delta before any of it reaches the live graph.
     lookup = {"op": "lookup", "vertex": 0}
@@ -527,7 +634,7 @@ def test_invalid_ingest_is_refused_whole_and_keeps_the_connection(bad_edge):
     )
     assert before["ok"] and after == before
     assert not refused["ok"] and "error" in refused
-    assert graph.num_edges == edges_before
+    assert service.pipeline.graph.num_edges == edges_before
     assert service.pipeline.pending_edges == 0
     (stats,) = send_requests("127.0.0.1", port, [{"op": "stats"}])
     assert stats["stats"]["pending_edges"] == 0
@@ -540,7 +647,7 @@ def test_library_error_in_a_request_is_answered_not_fatal(monkeypatch):
     config = ServingConfig(
         num_partitions=4, spinner=SpinnerConfig(seed=6), log_interval=0.0
     )
-    service = ShardingService(graph, config)
+    service = ShardingService(_csr(graph), config)
 
     def broken_ingest(delta):
         raise GraphError("ingest exploded")
@@ -567,7 +674,7 @@ def test_malformed_request_line_is_an_error_not_a_crash():
     config = ServingConfig(
         num_partitions=2, spinner=SpinnerConfig(seed=2), log_interval=0.0
     )
-    service = ShardingService(graph, config)
+    service = ShardingService(_csr(graph), config)
     thread, port = _start_thread_service(service)
     import socket
 
@@ -591,7 +698,7 @@ def _small_line_limit_service(monkeypatch, limit=256):
     config = ServingConfig(
         num_partitions=2, spinner=SpinnerConfig(seed=2), log_interval=0.0
     )
-    return _start_thread_service(ShardingService(graph, config))
+    return _start_thread_service(ShardingService(_csr(graph), config))
 
 
 def test_over_long_line_with_buffered_newline_gets_one_error(monkeypatch):
@@ -654,7 +761,7 @@ def test_failed_background_repartition_shows_in_stats(monkeypatch):
         spinner=SpinnerConfig(seed=8),
         log_interval=0.0,
     )
-    service = ShardingService(graph, config)
+    service = ShardingService(_csr(graph), config)
 
     def broken_execute(job):
         raise ServingError("execute exploded")
@@ -694,12 +801,12 @@ def test_warm_started_service_serves_saved_assignment(tmp_path):
     config = ServingConfig(
         num_partitions=4, spinner=SpinnerConfig(seed=19), log_interval=0.0
     )
-    service = ShardingService(graph, config)
+    service = ShardingService(_csr(graph), config)
     path = tmp_path / "warm.txt"
     service.store.save(path)
     expected = service.store.current().to_assignment()
 
-    warm = ShardingService(graph, config, warm_start=str(path))
+    warm = ShardingService(_csr(graph), config, warm_start=str(path))
     assert warm.store.version == 1
     assert warm.last_report is None
     assert warm.store.current().to_assignment() == expected

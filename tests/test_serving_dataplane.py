@@ -31,6 +31,7 @@ import pytest
 from repro.cli import main
 from repro.core.config import SpinnerConfig
 from repro.errors import ServingError
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import powerlaw_cluster
 from repro.partitioners.hashing import hash_label, hash_labels_array
 from repro.serving import (
@@ -173,7 +174,7 @@ def _make_service(seed=23):
         spinner=SpinnerConfig(seed=seed),
         log_interval=0.0,
     )
-    return ShardingService(graph, config)
+    return ShardingService(CSRGraph.from_undirected(graph), config)
 
 
 def _start(service):
