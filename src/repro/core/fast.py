@@ -386,9 +386,17 @@ class FastSpinner:
             def local_weight_fn(current_labels: np.ndarray) -> float:
                 return _chunked_local_weight(csr, current_labels, chunk)
         else:
+            # Reused every iteration: fresh ~2m-sized temporaries would be
+            # returned to the OS and faulted back in on each call.
+            source_labels = np.empty(half_edges, dtype=np.int64)
+            target_labels = np.empty(half_edges, dtype=np.int64)
+            local_mask = np.empty(half_edges, dtype=bool)
+
             def local_weight_fn(current_labels: np.ndarray) -> float:
-                mask = current_labels[sources] == current_labels[targets]
-                return float(weights_f[mask].sum())
+                np.take(current_labels, sources, out=source_labels, mode="clip")
+                np.take(current_labels, targets, out=target_labels, mode="clip")
+                np.equal(source_labels, target_labels, out=local_mask)
+                return float(weights_f[local_mask].sum())
 
         # Persistent kernel state (see module docstring).
         label_weight: np.ndarray | None = None  # (n, k) histogram

@@ -13,7 +13,11 @@ it from here and assert bit-exact agreement:
 * :mod:`oracles.spinner` — the per-vertex Spinner program, reference for
   :class:`~repro.core.batch_program.BatchSpinnerProgram`;
 * :mod:`oracles.dense_kernel` — FastSpinner's dense kernel, reference for
-  its frontier kernel.
+  its frontier kernel;
+* :mod:`oracles.baselines` — the dictionary LDG/Fennel/Wang loops and
+  scalar hash/modulo/random rules, reference for the CSR partitioners;
+* :mod:`oracles.generators` — the graph generators with one numpy
+  ``Generator`` call per draw, reference for the raw-block draw stream.
 
 Nothing under ``src/`` imports this package.  The oracles run
 uninterrupted only: they neither checkpoint nor inject faults.
