@@ -19,10 +19,11 @@ exact** under the seeded RNG contract, not approximate:
   reference engine visits vertices — and the global score / local-weight
   aggregators use the strictly sequential ``np.cumsum``;
 * the score of every ``(vertex, label)`` pair is computed with the exact
-  elementwise operations of :func:`repro.core.scoring.label_score`, and
-  the label argmax replays :func:`repro.core.scoring.choose_label`'s
-  sequential scan (including its ``1e-12`` tie tolerance and the
-  ``prefer_current_label`` rule) as ``k`` vectorized passes;
+  elementwise operations of the reference ``label_score``, and the label
+  argmax replays the reference ``choose_label``'s sequential scan
+  (including its :data:`~repro.core.scoring.TIE_EPSILON` tie tolerance
+  and the ``prefer_current_label`` rule) as ``k`` vectorized passes (both
+  scalar helpers live with the test oracles, ``tests/oracles/scoring.py``);
 * migration draws come from one ``Generator.random(n)`` call over the
   candidates in canonical vertex order, which yields the same stream as
   the reference program's per-candidate scalar ``random()`` calls

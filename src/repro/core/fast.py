@@ -1,11 +1,11 @@
 """Vectorized Spinner implementation.
 
-The Pregel implementation in :mod:`repro.core.spinner` is faithful to the
-paper's superstep structure but — being pure Python over per-vertex
-dictionaries — it is only practical for graphs up to a few hundred
-thousand edges.  The evaluation's larger parameter sweeps therefore use
-:class:`FastSpinner`, a NumPy implementation of the *identical*
-algorithm:
+:mod:`repro.core.spinner` runs the paper's superstep structure: the
+batch vertex program (:class:`~repro.core.batch_program.BatchSpinnerProgram`)
+on the vectorized Pregel engine, with workers, message counts and
+aggregators.  The evaluation's larger parameter sweeps and the serving
+path use :class:`FastSpinner`, a single-machine NumPy kernel of the
+*identical* algorithm:
 
 * the same weighted undirected representation (eq. 3),
 * the same score function with the balance penalty (eq. 8),
@@ -34,27 +34,36 @@ iterations:
 * ``q = label_weight / degree`` — a divide cache of the
   degree-normalized scores before the balance penalty.
 
-After each migration step the adjacency lists of the migrants (the
-*frontier*) are gathered in one shot, and exactly the ``2 x volume``
-histogram entries that changed — ``(neighbour, old_label)`` and
-``(neighbour, new_label)`` — are updated with one scatter-add, so the
-per-iteration update cost is proportional to the frontier volume, not
-to ``m``.  Because Spinner's capacity constraint (eq. 5) bounds the
+Both are built once before the first iteration.  After each migration
+step the adjacency lists of the migrants (the *frontier*) are gathered
+in one shot, and exactly the ``2 x volume`` histogram entries that
+changed — ``(neighbour, old_label)`` and ``(neighbour, new_label)`` —
+are updated with one scatter-add within the same iteration, so the
+histogram is in sync with the labels at the end of every iteration and
+the per-iteration update cost is proportional to the frontier volume,
+not to ``m``.  Because Spinner's capacity constraint (eq. 5) bounds the
 load that may migrate per iteration, the frontier is a small fraction
 of the graph throughout the run — and it collapses to near zero in
 the converged and incremental-repartitioning regimes (Section III-D),
-which is where the kernel shines.  The full pass (first iteration, or
-whenever the frontier volume approaches ``2m``) uses a single
-composite-key reduction instead of ``np.add.at``::
+which is where the kernel shines.  The full pass (before the first
+iteration, or whenever the frontier volume approaches ``2m``) uses a
+single composite-key reduction instead of ``np.add.at``::
 
     np.bincount(source * k + labels[target], weights=w, minlength=n * k)
+
+The synced histogram is also the locality aggregator: the weight of the
+intra-partition half-edges is ``sum_v w(v, l(v))``, one O(n) gather, so
+the per-iteration history and the final ``phi`` never make a second pass
+over the edges (the paper's Pregel design likewise aggregates quality
+from what each vertex already holds).
 
 The balance penalty changes globally every iteration, so candidate
 selection still scans all ``n`` rows; that scan streams ``q`` once in
 L2-sized row blocks (the kernel is memory-bandwidth bound, so the
 penalty subtraction, tie-biased ``argmax`` and candidate gathers all
 run on a hot ~1 MiB buffer).  Rows of ``q`` are re-divided only when
-their histogram row changed.
+their histogram row changed, at the top of the next iteration, so the
+halting iteration never refreshes ``q``.
 
 Byte-identical labels fall out of exactness, not luck: every
 histogram entry is an exact small integer (sums of integer edge
@@ -125,18 +134,87 @@ def _accumulate_histogram(
     return out
 
 
-def _chunked_local_weight(
-    csr: CSRGraph, labels: np.ndarray, chunk_half_edges: int
-) -> float:
-    """Sum the weights of intra-partition half-edges, one chunk at a time.
+def _fold_migrants(
+    csr: CSRGraph,
+    label_weight: np.ndarray,
+    migrants: np.ndarray,
+    old_labels: np.ndarray,
+    new_labels: np.ndarray,
+    frontier: np.ndarray,
+    targets: np.ndarray | None,
+    weights_h: np.ndarray | None,
+    chunk_half_edges: int | None,
+) -> np.ndarray:
+    """Move the migrants' edge weight between histogram columns in place.
 
-    Every chunk contribution is an exact integer, so the total equals the
-    single-pass masked sum bit-for-bit regardless of chunk size.
+    Only the ``2 x volume`` entries that change are touched:
+    ``(neighbour, old label)`` loses the edge weight and ``(neighbour,
+    new label)`` gains it.  In RAM the frontier's half-edges come from
+    ``targets`` / ``weights_h``; out of core (``targets is None``) they are
+    gathered off the mapping in blocks of at most ``chunk_half_edges``, so
+    the temporaries stay O(chunk) instead of O(frontier).  The scatter-adds
+    are exact integer sums, so the block order cannot change the result.
+    Returns the sorted ids of the rows that changed.
     """
-    total = 0.0
-    for _, _, src, tgt, w in csr.iter_edge_chunks(chunk_half_edges):
-        total += float(w[labels[src] == labels[tgt]].sum())
-    return total
+    n, k = label_weight.shape
+    indptr = csr.indptr
+    touched = np.zeros(n, dtype=bool)
+    if targets is None:
+        cum = np.cumsum(frontier)
+        bounds = [0]
+        while bounds[-1] < migrants.shape[0]:
+            a = bounds[-1]
+            base = int(cum[a - 1]) if a else 0
+            b = int(np.searchsorted(cum, base + chunk_half_edges, side="right"))
+            bounds.append(max(b, a + 1))
+    else:
+        bounds = [0, migrants.shape[0]]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        block_migrants = migrants[a:b]
+        block_frontier = frontier[a:b]
+        offsets = np.cumsum(block_frontier) - block_frontier
+        positions = np.arange(int(block_frontier.sum()), dtype=np.int64) + np.repeat(
+            indptr[block_migrants] - offsets, block_frontier
+        )
+        if targets is None:
+            # Gather only the block's half-edges off the mapping (fancy
+            # indexing copies into RAM), then drop the pages it touched.
+            neighbours = np.asarray(csr.indices[positions])
+            moved_weights = np.asarray(csr.weights[positions]).astype(label_weight.dtype)
+            csr.release_pages()
+        else:
+            neighbours = targets[positions]
+            moved_weights = weights_h[positions]
+        neighbour_keys = neighbours * k
+        # Unbuffered np.add.at is slow per element, but the element count
+        # here is the frontier volume, not m.
+        np.add.at(
+            label_weight.reshape(-1),
+            np.concatenate(
+                [
+                    neighbour_keys + np.repeat(old_labels[a:b], block_frontier),
+                    neighbour_keys + np.repeat(new_labels[a:b], block_frontier),
+                ]
+            ),
+            np.concatenate([-moved_weights, moved_weights]),
+        )
+        touched[neighbours] = True
+    return np.flatnonzero(touched)
+
+
+def _local_weight(
+    label_weight: np.ndarray, row_keys: np.ndarray, labels: np.ndarray
+) -> float:
+    """Weight of the intra-partition half-edges, ``sum_v w(v, l(v))``.
+
+    One O(n) gather off the synced histogram instead of a masked pass over
+    the ``2m`` half-edges.  Every cell is an exact integer below ``2**53``
+    (int64 accumulation for the int32 histogram, float64 for the float64
+    one), so the value equals the masked half-edge sum bit for bit.
+    """
+    accumulator = np.float64 if label_weight.dtype == np.float64 else np.int64
+    cells = np.take(label_weight.reshape(-1), row_keys + labels)
+    return float(cells.sum(dtype=accumulator))
 
 
 @dataclass
@@ -190,6 +268,12 @@ class FastSpinner:
         ``initial_labels`` may be a dense NumPy array (aligned with the CSR
         vertex order) or a mapping keyed by original vertex ids; when
         omitted every vertex starts with a uniformly random label.
+
+        ``track_history`` records one :class:`IterationRecord` per
+        iteration.  Its ``phi`` is read off the kernel's synced label
+        histogram (one O(n) gather, no pass over the edges) and its
+        ``rho`` off the partition loads; labels, ``phi``, ``rho`` and
+        halting are the same with it on or off.
         """
         if num_partitions <= 0:
             raise InvalidPartitionCountError(num_partitions, "must be positive")
@@ -352,17 +436,26 @@ class FastSpinner:
         indptr = csr.indptr
         half_edges = int(indptr[-1])
         stream = csr.storage == "mmap"
+        # Histogram entries are bounded by the weighted degree, so they
+        # normally fit int32 — half the memory traffic of float64 on the
+        # bandwidth-bound scoring pass, while int -> float64 conversion
+        # stays exact (so scores match the dense kernel bit-for-bit).
+        max_degree = int(csr.weighted_degrees.max()) if n else 0
+        hist_dtype = np.int32 if max_degree < np.iinfo(np.int32).max else np.float64
         if stream:
-            # Out-of-core: never materialize a full-edge array.  The full
-            # pass streams chunks, the delta path gathers only the
-            # frontier's half-edges from the mapping (and releases the
-            # touched pages), and phi sums chunk-wise — all exact.
+            # Out-of-core: never materialize a full-edge array.  A full
+            # histogram pass streams chunks and the delta path gathers only
+            # the frontier's half-edges from the mapping (releasing the
+            # touched pages) — both exact.
             chunk = self._storage_chunk()
-            sources = targets = weights_f = None
+            targets = weights_h = None
         else:
-            sources, targets, weights = csr.edge_array()
+            chunk = None
+            # ``edge_array`` builds the sources afresh: scale them in place.
+            source_keys, targets, weights = csr.edge_array()
+            source_keys *= k
             weights_f = weights.astype(np.float64)
-            source_keys = sources * k
+            weights_h = weights.astype(hist_dtype)
         degrees = csr.weighted_degrees_f
         safe_degrees = np.where(degrees > 0, degrees, 1.0)
         total_load = float(degrees.sum())
@@ -374,38 +467,28 @@ class FastSpinner:
         halted_by = "max_iterations"
         total_messages = half_edges
 
-        # Histogram entries are bounded by the weighted degree, so they
-        # normally fit int32 — half the memory traffic of float64 on the
-        # bandwidth-bound scoring pass, while int -> float64 conversion
-        # stays exact (so scores match the dense kernel bit-for-bit).
-        max_degree = int(csr.weighted_degrees.max()) if n else 0
-        hist_dtype = np.int32 if max_degree < np.iinfo(np.int32).max else np.float64
-        weights_h = None if stream else weights.astype(hist_dtype)
+        def full_histogram() -> np.ndarray:
+            """Composite-key reduction over all half-edges."""
+            if stream:
+                hist = np.zeros((n, k), dtype=hist_dtype)
+                return _accumulate_histogram(csr, labels, k, chunk, hist)
+            return (
+                np.bincount(source_keys + labels[targets], weights=weights_f, minlength=n * k)
+                .astype(hist_dtype, copy=False)
+                .reshape(n, k)
+            )
 
-        if stream:
-            def local_weight_fn(current_labels: np.ndarray) -> float:
-                return _chunked_local_weight(csr, current_labels, chunk)
-        else:
-            # Reused every iteration: fresh ~2m-sized temporaries would be
-            # returned to the OS and faulted back in on each call.
-            source_labels = np.empty(half_edges, dtype=np.int64)
-            target_labels = np.empty(half_edges, dtype=np.int64)
-            local_mask = np.empty(half_edges, dtype=bool)
-
-            def local_weight_fn(current_labels: np.ndarray) -> float:
-                np.take(current_labels, sources, out=source_labels, mode="clip")
-                np.take(current_labels, targets, out=target_labels, mode="clip")
-                np.equal(source_labels, target_labels, out=local_mask)
-                return float(weights_f[local_mask].sum())
-
-        # Persistent kernel state (see module docstring).
-        label_weight: np.ndarray | None = None  # (n, k) histogram
+        # Persistent kernel state (see module docstring): the (n, k)
+        # histogram, in sync with ``labels`` at the end of every iteration,
+        # and its divide cache, refreshed lazily at the top of the next one.
+        label_weight = full_histogram()
         q = np.empty((n, k), dtype=np.float64)  # divide cache: histogram / degree
+        refresh_full = True
+        refresh_rows: np.ndarray | None = None
+        row_keys = np.arange(n, dtype=np.int64) * k
         # A delta pays for two composite keys per frontier half-edge; fall
         # back to the single full-pass bincount before that exceeds 2m keys.
         rebuild_volume = max(half_edges // 2, 1)
-        # (migrant ids, their pre-migration labels) awaiting folding in.
-        pending: tuple[np.ndarray, np.ndarray] | None = None
 
         # Blocked scoring state: ~1 MiB score buffer so each block stays
         # resident in L2 across divide / penalty / bias / argmax.
@@ -420,92 +503,10 @@ class FastSpinner:
         for iteration in range(config.max_iterations):
             iterations_run = iteration + 1
 
-            # --- maintain the histogram and its divide cache -----------
-            refresh_full = False
-            if label_weight is None:
-                # Full pass: composite-key reduction over all half-edges.
-                if stream:
-                    label_weight = np.zeros((n, k), dtype=hist_dtype)
-                    _accumulate_histogram(csr, labels, k, chunk, label_weight)
-                else:
-                    label_weight = (
-                        np.bincount(
-                            source_keys + labels[targets],
-                            weights=weights_f,
-                            minlength=n * k,
-                        )
-                        .astype(hist_dtype, copy=False)
-                        .reshape(n, k)
-                    )
-                refresh_full = True
-            elif pending is not None:
-                migrants, old_labels = pending
-                frontier = vertex_degrees[migrants]
-                volume = int(frontier.sum())
-                if volume:
-                    touched = np.zeros(n, dtype=bool)
-                    if stream:
-                        # Split the migrants so each block's frontier is at
-                        # most ~chunk half-edges: the delta temporaries stay
-                        # O(chunk) instead of O(frontier).  The scatter-adds
-                        # are exact integer sums, so the block order cannot
-                        # change the histogram.
-                        cum = np.cumsum(frontier)
-                        bounds = [0]
-                        while bounds[-1] < migrants.shape[0]:
-                            a = bounds[-1]
-                            base = int(cum[a - 1]) if a else 0
-                            b = int(np.searchsorted(cum, base + chunk, side="right"))
-                            bounds.append(max(b, a + 1))
-                    else:
-                        bounds = [0, migrants.shape[0]]
-                    for a, b in zip(bounds[:-1], bounds[1:]):
-                        block_migrants = migrants[a:b]
-                        block_frontier = frontier[a:b]
-                        offsets = np.cumsum(block_frontier) - block_frontier
-                        positions = np.arange(
-                            int(block_frontier.sum()), dtype=np.int64
-                        ) + np.repeat(indptr[block_migrants] - offsets, block_frontier)
-                        if stream:
-                            # Gather only the block's half-edges off the
-                            # mapping (fancy indexing copies into RAM), then
-                            # drop the pages the gather touched.
-                            neighbours = np.asarray(csr.indices[positions])
-                            moved_weights = np.asarray(csr.weights[positions]).astype(
-                                hist_dtype
-                            )
-                            csr.release_pages()
-                        else:
-                            neighbours = targets[positions]
-                            moved_weights = weights_h[positions]
-                        neighbour_keys = neighbours * k
-                        # Scatter-add only the 2 * volume histogram entries
-                        # that actually change: (neighbour, old) loses the
-                        # edge weight, (neighbour, new) gains it.  Unbuffered
-                        # np.add.at is slow per element but the element count
-                        # here is the frontier volume, not m.
-                        np.add.at(
-                            label_weight.reshape(-1),
-                            np.concatenate(
-                                [
-                                    neighbour_keys
-                                    + np.repeat(old_labels[a:b], block_frontier),
-                                    neighbour_keys
-                                    + np.repeat(labels[block_migrants], block_frontier),
-                                ]
-                            ),
-                            np.concatenate([-moved_weights, moved_weights]),
-                        )
-                        touched[neighbours] = True
-                    # Refresh the divide cache for the touched rows only;
-                    # if most rows changed, a streaming per-block refresh
-                    # is cheaper than the scattered row update.
-                    rows = np.flatnonzero(touched)
-                    if rows.shape[0] > n // 4:
-                        refresh_full = True
-                    else:
-                        q[rows] = label_weight[rows] / safe_degrees[rows, None]
-            pending = None
+            # --- refresh the divide cache for last iteration's rows ----
+            if refresh_rows is not None:
+                q[refresh_rows] = label_weight[refresh_rows] / safe_degrees[refresh_rows, None]
+                refresh_rows = None
 
             # --- ComputeScores (blocked) -------------------------------
             loads = np.bincount(labels, weights=degrees, minlength=k).astype(np.float64)
@@ -549,6 +550,7 @@ class FastSpinner:
                     )
                 best[start:stop] = block_best
                 best_scores[start:stop] = scores[block_index, block_best]
+            refresh_full = False
 
             is_candidate = (best != labels) & (best_scores > current_scores + 1e-12)
 
@@ -573,22 +575,34 @@ class FastSpinner:
             else:
                 migrate = np.zeros(n, dtype=bool)
 
+            # --- migrate and fold the migrants into the histogram -------
             migrations = int(migrate.sum())
             if migrations:
                 migrants = np.flatnonzero(migrate)
                 old_labels = labels[migrants].copy()
                 labels[migrants] = best[migrants]
-                frontier_volume = int(vertex_degrees[migrants].sum())
+                frontier = vertex_degrees[migrants]
+                frontier_volume = int(frontier.sum())
                 total_messages += frontier_volume
                 if 2 * frontier_volume >= rebuild_volume:
-                    label_weight = None  # next iteration does a full pass
-                else:
-                    pending = (migrants, old_labels)
+                    label_weight = full_histogram()
+                    refresh_full = True
+                elif frontier_volume:
+                    rows = _fold_migrants(
+                        csr, label_weight, migrants, old_labels, labels[migrants],
+                        frontier, targets, weights_h, chunk,
+                    )
+                    # If most rows changed, a streaming per-block refresh
+                    # is cheaper than the scattered row update.
+                    if rows.shape[0] > n // 4:
+                        refresh_full = True
+                    else:
+                        refresh_rows = rows
 
             # --- bookkeeping & halting ----------------------------------
             score_value = float(current_scores.sum())
             if track_history:
-                local_weight = local_weight_fn(labels)
+                local_weight = _local_weight(label_weight, row_keys, labels)
                 phi = local_weight / total_load if total_load else 1.0
                 post_loads = np.bincount(labels, weights=degrees, minlength=k)
                 ideal = total_load / k
@@ -609,7 +623,8 @@ class FastSpinner:
 
         return self._finalize(
             csr, num_partitions, labels, degrees, total_load, iterations_run,
-            history, halted_by, total_messages, local_weight_fn(labels),
+            history, halted_by, total_messages,
+            _local_weight(label_weight, row_keys, labels),
         )
 
     def _finalize(

@@ -10,7 +10,8 @@ Substitution (documented in DESIGN.md): the paper's wall-clock numbers
 come from Hadoop clusters with up to 116 machines and billion-vertex
 graphs.  Here (a) and (c) time the vectorized kernel's first iteration on
 growing graphs (built as CSR arrays before the clock starts, so only the
-iteration is timed), and (b) uses the simulated Pregel cluster's cost model,
+iteration is timed; rows report the median of the repeats and their
+interquartile spread), and (b) uses the simulated Pregel cluster's cost model,
 whose superstep time is the maximum per-worker cost — the same quantity
 the paper measures, in arbitrary units.
 """
@@ -18,6 +19,8 @@ the paper measures, in arbitrary units.
 from __future__ import annotations
 
 import time
+
+import numpy as np
 
 from repro.core.fast import FastSpinner
 from repro.core.spinner import SpinnerPartitioner
@@ -27,20 +30,30 @@ from repro.graph.generators import _watts_strogatz_builder, watts_strogatz
 from repro.pregel.cost_model import ClusterCostModel
 
 
-def _first_iteration_runtime(graph: CSRGraph, num_partitions: int, seed: int) -> float:
-    """Wall-clock seconds of one full Spinner iteration (vectorized kernel)."""
+#: Timed repeats per configuration; rows report their median and spread.
+REPEATS = 5
+
+
+def _first_iteration_runtime(
+    graph: CSRGraph, num_partitions: int, seed: int
+) -> tuple[float, float]:
+    """Median wall-clock seconds of one full Spinner iteration, with spread.
+
+    Returns ``(median, interquartile range)`` over :data:`REPEATS` timed
+    runs of the vectorized kernel.
+    """
     config = spinner_config(seed, max_iterations=1)
     spinner = FastSpinner(config)
     # Warm-up run so first-call costs (page faults, allocator, cached
-    # degree views) don't pollute the first measured configuration, then
-    # best-of-three to keep the scaling trend above scheduler noise.
+    # degree views) don't pollute the first measured configuration.
     spinner.partition(graph, num_partitions, track_history=False)
-    best = float("inf")
-    for _ in range(3):
+    samples = []
+    for _ in range(REPEATS):
         start = time.perf_counter()
         spinner.partition(graph, num_partitions, track_history=False)
-        best = min(best, time.perf_counter() - start)
-    return best
+        samples.append(time.perf_counter() - start)
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return float(median), float(q3 - q1)
 
 
 def run_fig6a(
@@ -55,12 +68,13 @@ def run_fig6a(
     rows = []
     for n in vertex_counts:
         graph = _watts_strogatz_builder(n, degree, beta, scale.seed).to_csr()
-        runtime = _first_iteration_runtime(graph, num_partitions, scale.seed)
+        runtime, spread = _first_iteration_runtime(graph, num_partitions, scale.seed)
         rows.append(
             {
                 "vertices": n,
                 "edges": graph.num_edges,
                 "runtime_ms": round(runtime * 1000.0, 2),
+                "runtime_iqr_ms": round(spread * 1000.0, 2),
             }
         )
     return rows
@@ -112,6 +126,12 @@ def run_fig6c(
     graph = _watts_strogatz_builder(num_vertices, degree, 0.3, scale.seed).to_csr()
     rows = []
     for k in partition_counts:
-        runtime = _first_iteration_runtime(graph, k, scale.seed)
-        rows.append({"partitions": k, "runtime_ms": round(runtime * 1000.0, 2)})
+        runtime, spread = _first_iteration_runtime(graph, k, scale.seed)
+        rows.append(
+            {
+                "partitions": k,
+                "runtime_ms": round(runtime * 1000.0, 2),
+                "runtime_iqr_ms": round(spread * 1000.0, 2),
+            }
+        )
     return rows

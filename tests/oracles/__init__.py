@@ -10,7 +10,9 @@ it from here and assert bit-exact agreement:
   :class:`~repro.pregel.vector_coordinator.VectorPregelEngine`;
 * :mod:`oracles.apps` — the per-vertex applications, reference for
   :mod:`repro.apps`;
-* :mod:`oracles.spinner` — the per-vertex Spinner program, reference for
+* :mod:`oracles.spinner` (with :mod:`oracles.scoring`, the scalar score,
+  label-choice and migration-probability helpers) — the per-vertex
+  Spinner program, reference for
   :class:`~repro.core.batch_program.BatchSpinnerProgram`;
 * :mod:`oracles.dense_kernel` — FastSpinner's dense kernel, reference for
   its frontier kernel;

@@ -28,7 +28,6 @@ from repro.core.program import (
     candidate_aggregator_name,
     load_aggregator_name,
 )
-from repro.core.scoring import choose_label, label_frequencies, migration_probability
 from repro.core.spinner import SpinnerPartitioner
 from repro.graph.digraph import DiGraph
 from repro.graph.undirected import UndirectedGraph
@@ -36,6 +35,7 @@ from repro.pregel.aggregators import AggregatorRegistry
 
 from oracles.engine import PregelEngine, PregelResult
 from oracles.program import ComputeContext, VertexProgram
+from oracles.scoring import choose_label, label_frequencies, migration_probability
 from oracles.vertex import Vertex
 
 #: Worker-store key holding the per-worker asynchronous load deltas.

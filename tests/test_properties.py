@@ -11,13 +11,14 @@ from repro.core.elastic import expand_assignment, shrink_assignment
 from repro.core.fast import FastSpinner
 from repro.core.halting import HaltingTracker
 from repro.core.incremental import incremental_initial_assignment
-from repro.core.scoring import migration_probability
 from repro.graph.conversion import to_weighted_undirected
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.undirected import UndirectedGraph
 from repro.metrics.quality import locality, max_normalized_load, partition_loads
 from repro.metrics.stability import partitioning_difference
+
+from oracles.scoring import migration_probability
 
 
 # ----------------------------------------------------------------------

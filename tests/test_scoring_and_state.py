@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.config import SpinnerConfig
-from repro.core.scoring import (
+from repro.core.state import PartitionLoadTracker, validate_labels
+from repro.errors import InvalidPartitionCountError, PartitioningError
+
+from oracles.scoring import (
     choose_label,
     label_frequencies,
     label_score,
     migration_probability,
 )
-from repro.core.state import PartitionLoadTracker, validate_labels
-from repro.errors import InvalidPartitionCountError, PartitioningError
 
 
 def test_label_frequencies_skip_unknown_labels():
