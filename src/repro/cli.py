@@ -2,70 +2,55 @@
 
 ``spinner-repro`` exposes the most common operations:
 
-* ``partition`` — partition an edge-list file (or a named dataset proxy)
-  with any registered partitioner and write the ``vertex partition``
-  assignment to a file;
+* ``partition`` — partition an edge-list file (or a named dataset proxy,
+  or an ``ingest`` store) with any registered partitioner and write the
+  ``vertex partition`` assignment to a file;
 * ``compare`` — run several partitioners on the same graph and print their
   locality / balance;
 * ``experiment`` — run one of the paper's table/figure harnesses and print
   the rows it produces;
 * ``recover`` — resume a checkpointed Pregel run from the newest snapshot
   in a checkpoint directory and run it to completion;
-* ``ingest`` — stream an undirected edge-list file through the chunked
-  external sort into an on-disk CSR store (``--edge-store`` input for
-  ``partition``), with peak memory bounded regardless of the file size;
+* ``ingest`` — stream an edge-list file through the chunked external sort
+  into an on-disk CSR store (``--edge-store`` input for ``partition``),
+  with peak memory bounded regardless of the file size;
 * ``serve`` — run the online sharding service: answer vertex→partition
   lookups over a JSON-lines TCP protocol from a versioned assignment
   store while churn ingestion triggers incremental repartitioning in the
   background (:mod:`repro.serving`).
 
+Every ``--edge-list`` goes through the block reader of
+:mod:`repro.graph.io`, but each command reads the file as its own graph
+(stated in its ``--help``): ``partition``/``compare`` as directed pairs
+weighted by eq. (3), ``serve`` as undirected edges keeping a repeated
+pair's first weight, ``ingest`` as an undirected multigraph.
+
+This module imports at the top only what argument parsing needs; each
+``_cmd_*`` handler imports the modules its command runs, and
+``experiment`` resolves its harness by name.  So ``partition`` and
+``ingest`` never load the serving stack, the Pregel runtime, the
+experiment harnesses or METIS.
+
 All user errors (invalid flag combinations, malformed fault plans, bad
-checkpoint directories, any :class:`~repro.errors.ReproError`) exit with
-status 2 and a one-line ``spinner-repro: error: ...`` message on stderr.
+checkpoint directories, missing or malformed edge lists, any
+:class:`~repro.errors.ReproError`) exit with status 2 and a one-line
+``spinner-repro: error: ...`` message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from repro.core.config import SpinnerConfig
 from repro.errors import ReproError
-from repro.graph.conversion import to_weighted_csr
-from repro.experiments import (
-    fig3,
-    fig4,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
-    table1,
-    table3,
-    table4,
-)
-from repro.experiments.common import ExperimentScale
-from repro.faults import FaultPlan
-from repro.graph.csr import CSRGraph
-from repro.graph.datasets import dataset_names, load_dataset_csr
-from repro.graph.io import (
-    DEFAULT_RUN_HALF_EDGES,
-    ingest_edge_list,
-    read_directed_edge_list,
-    read_undirected_edge_list,
-    write_partitioning_array,
-)
-from repro.metrics.reporting import format_table
-from repro.pregel.checkpoint import load_latest_snapshot, resume_from_checkpoint
-from repro.partitioners.base import PartitioningOutput
-from repro.partitioners.registry import (
-    SPINNER_PARTITIONERS,
-    available_partitioners,
-    make_partitioner,
-)
-from repro.serving import ServingConfig, ShardingService
+
+if TYPE_CHECKING:
+    from repro.graph.csr import CSRGraph
+    from repro.partitioners.base import PartitioningOutput
 
 # Partitioners whose stream order is configurable (--stream-order), with
 # the orders each one supports.
@@ -85,19 +70,20 @@ def _fail(message: str) -> None:
     raise SystemExit(2)
 
 
+#: Experiment name → (module under ``repro.experiments``, harness function).
 _EXPERIMENTS = {
-    "table1": table1.run_table1,
-    "table3": table3.run_table3,
-    "table4": table4.run_table4,
-    "fig3": fig3.run_fig3,
-    "fig4": fig4.run_fig4,
-    "fig5": fig5.run_fig5,
-    "fig6a": fig6.run_fig6a,
-    "fig6b": fig6.run_fig6b,
-    "fig6c": fig6.run_fig6c,
-    "fig7": fig7.run_fig7,
-    "fig8": fig8.run_fig8,
-    "fig9": fig9.run_fig9,
+    "table1": ("table1", "run_table1"),
+    "table3": ("table3", "run_table3"),
+    "table4": ("table4", "run_table4"),
+    "fig3": ("fig3", "run_fig3"),
+    "fig4": ("fig4", "run_fig4"),
+    "fig5": ("fig5", "run_fig5"),
+    "fig6a": ("fig6", "run_fig6a"),
+    "fig6b": ("fig6", "run_fig6b"),
+    "fig6c": ("fig6", "run_fig6c"),
+    "fig7": ("fig7", "run_fig7"),
+    "fig8": ("fig8", "run_fig8"),
+    "fig9": ("fig9", "run_fig9"),
 }
 
 
@@ -110,10 +96,21 @@ def _load_graph(args: argparse.Namespace) -> CSRGraph:
     """
     _check_graph_source(args)
     if args.dataset is not None:
+        from repro.graph.datasets import load_dataset_csr
+
         return load_dataset_csr(args.dataset, scale=args.scale)
     if args.edge_list is not None:
-        return to_weighted_csr(read_directed_edge_list(args.edge_list))
+        from repro.graph.io import load_directed_edge_list
+
+        _check_edge_list(args.edge_list)
+        return load_directed_edge_list(args.edge_list)
     _fail("provide either --dataset or --edge-list")
+
+
+def _check_edge_list(path: str) -> None:
+    """Reject an edge-list path that is not a file."""
+    if not os.path.isfile(path):
+        _fail(f"edge list {path!r} does not exist")
 
 
 def _check_graph_source(args: argparse.Namespace) -> None:
@@ -122,20 +119,33 @@ def _check_graph_source(args: argparse.Namespace) -> None:
         _fail("--dataset and --edge-list are mutually exclusive")
 
 
-def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_graph_arguments(parser: argparse.ArgumentParser, edge_list_help: str) -> None:
+    from repro.graph.datasets import dataset_names
+
     parser.add_argument(
         "--dataset",
         choices=dataset_names(),
         help="use a built-in dataset proxy instead of an edge list",
     )
-    parser.add_argument("--edge-list", help="path to a 'source target' edge-list file")
+    parser.add_argument("--edge-list", help=edge_list_help)
     parser.add_argument(
         "--scale", type=float, default=0.25, help="dataset proxy size multiplier"
     )
 
 
+#: How ``partition`` and ``compare`` read ``--edge-list``.
+_DIRECTED_READING = (
+    "path to a 'source target [weight]' edge-list file, read as directed "
+    "pairs: the pair {u, v} gets weight 2 when both directions occur, else "
+    "1 (eq. 3); the weight column, duplicates and self-loop edges are ignored"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for the ``spinner-repro`` command."""
+    from repro.graph.io import DEFAULT_RUN_HALF_EDGES
+    from repro.partitioners.registry import available_partitioners
+
     parser = argparse.ArgumentParser(
         prog="spinner-repro",
         description="Spinner (ICDE 2017) reproduction toolkit",
@@ -143,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     partition = subparsers.add_parser("partition", help="partition a graph")
-    _add_graph_arguments(partition)
+    _add_graph_arguments(partition, _DIRECTED_READING)
     partition.add_argument("-k", "--num-partitions", type=int, required=True)
     partition.add_argument(
         "--partitioner", default="spinner", choices=available_partitioners()
@@ -207,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     compare = subparsers.add_parser("compare", help="compare partitioners on one graph")
-    _add_graph_arguments(compare)
+    _add_graph_arguments(compare, _DIRECTED_READING)
     compare.add_argument("-k", "--num-partitions", type=int, required=True)
     compare.add_argument(
         "--partitioners",
@@ -227,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--edge-list",
         required=True,
-        help="path to a 'source target [weight]' edge-list file; each line "
-        "is one undirected edge (self-loops and duplicates kept)",
+        help="path to a 'source target [weight]' edge-list file, read as an "
+        "undirected multigraph: each line is one edge of its weight (default "
+        "1, must be positive); self-loops and duplicates are kept",
     )
     ingest.add_argument(
         "--store", required=True, help="output store directory (created if missing)"
@@ -267,7 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve = subparsers.add_parser(
         "serve", help="run the online sharding service (lookup + churn TCP server)"
     )
-    _add_graph_arguments(serve)
+    _add_graph_arguments(
+        serve,
+        "path to a 'source target [weight]' edge-list file, read as undirected "
+        "edges: self-loops are dropped and a repeated pair keeps its first "
+        "weight (default 1)",
+    )
     serve.add_argument("-k", "--num-partitions", type=int, required=True)
     serve.add_argument(
         "--assignment",
@@ -350,6 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
+    from repro.core.config import SpinnerConfig
+    from repro.partitioners.registry import SPINNER_PARTITIONERS, make_partitioner
+
     # Validate flag combinations before the (potentially expensive) graph
     # generation.
     if args.stream_order is not None:
@@ -403,6 +422,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                 f"checkpoint dir {args.checkpoint_dir!r} exists and is not a directory"
             )
         if args.fault_plan is not None:
+            from repro.faults import FaultPlan
+
             fault_plan = FaultPlan.parse(args.fault_plan, seed=args.seed)
     if args.partitioner in SPINNER_PARTITIONERS:
         config = SpinnerConfig(
@@ -439,6 +460,9 @@ def _report_partitioning(
     args: argparse.Namespace, output: PartitioningOutput
 ) -> int:
     """Print the quality table and write the assignment from its arrays."""
+    from repro.graph.io import write_partitioning_array
+    from repro.metrics.reporting import format_table
+
     print(
         format_table(
             [
@@ -459,8 +483,12 @@ def _report_partitioning(
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    if not os.path.isfile(args.edge_list):
-        _fail(f"edge list {args.edge_list!r} does not exist")
+    from repro.graph.io import ingest_edge_list
+    from repro.metrics.reporting import format_table
+
+    _check_edge_list(args.edge_list)
+    if os.path.exists(args.store) and not os.path.isdir(args.store):
+        _fail(f"store {args.store!r} exists and is not a directory")
     if args.run_half_edges < 1:
         _fail(f"--run-half-edges must be >= 1, got {args.run_half_edges}")
     if args.num_vertices is not None and args.num_vertices < 0:
@@ -489,6 +517,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.core.config import SpinnerConfig
+    from repro.metrics.reporting import format_table
+    from repro.partitioners.registry import SPINNER_PARTITIONERS, make_partitioner
+
     graph = _load_graph(args)
     rows = []
     for name in args.partitioners:
@@ -505,13 +537,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    scale = ExperimentScale(graph_scale=args.scale, seed=args.seed)
-    rows = _EXPERIMENTS[args.name](scale=scale)
+    from repro.experiments.common import ExperimentScale
+    from repro.metrics.reporting import format_table
+
+    module, harness = _EXPERIMENTS[args.name]
+    run = getattr(importlib.import_module(f"repro.experiments.{module}"), harness)
+    rows = run(scale=ExperimentScale(graph_scale=args.scale, seed=args.seed))
     print(format_table(rows, title=f"Experiment {args.name}"))
     return 0
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
+    from repro.faults import FaultPlan
+    from repro.metrics.reporting import format_table
+    from repro.pregel.checkpoint import load_latest_snapshot, resume_from_checkpoint
+
     if not os.path.isdir(args.checkpoint_dir):
         _fail(
             f"checkpoint dir {args.checkpoint_dir!r} does not exist "
@@ -545,6 +585,10 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import logging
+
+    from repro.core.config import SpinnerConfig
+    from repro.metrics.reporting import format_table
+    from repro.serving import ServingConfig, ShardingService
 
     if args.num_partitions < 1:
         _fail(f"--num-partitions must be >= 1, got {args.num_partitions}")
@@ -580,11 +624,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     _check_graph_source(args)
 
     if args.dataset is not None:
+        from repro.graph.datasets import load_dataset_csr
+
         graph = load_dataset_csr(args.dataset, scale=args.scale)
     elif args.edge_list is not None:
-        if not os.path.isfile(args.edge_list):
-            _fail(f"edge list {args.edge_list!r} does not exist")
-        graph = CSRGraph.from_undirected(read_undirected_edge_list(args.edge_list))
+        from repro.graph.io import load_undirected_edge_list
+
+        _check_edge_list(args.edge_list)
+        graph = load_undirected_edge_list(args.edge_list)
     else:
         _fail("provide either --dataset or --edge-list")
 

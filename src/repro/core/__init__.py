@@ -13,21 +13,8 @@ Two implementations of the same algorithm are provided:
   migration and halting heuristic) used for large parameter sweeps.
 
 Both share :class:`repro.core.config.SpinnerConfig` and produce results
-carrying per-iteration quality history, so any experiment can swap one for
-the other.
+carrying per-iteration quality history
+(:class:`repro.core.halting.IterationRecord`), so any experiment can swap
+one for the other.  Import each from its module: this package re-exports
+nothing, so loading FastSpinner never loads the Pregel runtime.
 """
-
-from repro.core.batch_program import BatchSpinnerProgram, build_spinner_shard
-from repro.core.config import SpinnerConfig
-from repro.core.fast import FastSpinner, FastSpinnerResult
-from repro.core.spinner import SpinnerPartitioner, SpinnerResult
-
-__all__ = [
-    "BatchSpinnerProgram",
-    "FastSpinner",
-    "FastSpinnerResult",
-    "SpinnerConfig",
-    "SpinnerPartitioner",
-    "SpinnerResult",
-    "build_spinner_shard",
-]

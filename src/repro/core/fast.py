@@ -89,14 +89,13 @@ import numpy as np
 
 from repro.core.config import SpinnerConfig
 from repro.core.elastic import resize_labels
-from repro.core.halting import HaltingTracker
+from repro.core.halting import HaltingTracker, IterationRecord
 from repro.core.incremental import (
     Assignment,
     incremental_initial_labels,
     map_assignment_to_dense,
     place_least_loaded,
 )
-from repro.core.program import IterationRecord
 from repro.errors import InvalidPartitionCountError, PartitioningError
 from repro.graph.conversion import to_weighted_csr
 from repro.graph.csr import CSRGraph

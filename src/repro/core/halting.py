@@ -4,12 +4,24 @@ Spinner halts when the aggregate partitioning score has not improved by
 more than a threshold ``epsilon`` for ``w`` consecutive iterations.  Both
 Spinner implementations (Pregel and vectorized) feed their per-iteration
 score into a :class:`HaltingTracker` and stop when it reports a steady
-state.
+state; both record each iteration's quality as an
+:class:`IterationRecord`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class IterationRecord:
+    """Quality metrics of one label-propagation iteration."""
+
+    iteration: int
+    phi: float
+    rho: float
+    score: float
+    migrations: int = 0
 
 
 @dataclass

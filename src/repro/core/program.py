@@ -33,12 +33,10 @@ program itself is :class:`~repro.core.batch_program.BatchSpinnerProgram`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.config import SpinnerConfig
-from repro.core.halting import HaltingTracker
+from repro.core.halting import HaltingTracker, IterationRecord
 from repro.pregel.aggregators import (
     AggregatorRegistry,
     DoubleSumAggregator,
@@ -52,16 +50,6 @@ NEIGHBOR_DISCOVERY = "neighbor_discovery"
 INITIALIZE = "initialize"
 COMPUTE_SCORES = "compute_scores"
 COMPUTE_MIGRATIONS = "compute_migrations"
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """Quality metrics of one label-propagation iteration."""
-
-    iteration: int
-    phi: float
-    rho: float
-    score: float
-    migrations: int = 0
 
 
 def load_aggregator_name(label: int) -> str:

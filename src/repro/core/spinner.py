@@ -19,8 +19,9 @@ import numpy as np
 from repro.core.batch_program import BatchSpinnerProgram, build_spinner_shard
 from repro.core.config import SpinnerConfig
 from repro.core.elastic import resize_assignment
+from repro.core.halting import IterationRecord
 from repro.core.incremental import incremental_initial_assignment
-from repro.core.program import IterationRecord, SpinnerMasterCompute
+from repro.core.program import SpinnerMasterCompute
 from repro.errors import InvalidPartitionCountError, PartitioningError
 from repro.graph.conversion import ensure_undirected
 from repro.graph.digraph import DiGraph

@@ -99,9 +99,10 @@ def directed_pair_weights(
     connected in either direction appears once, and its multiplicity in
     the input — 1 (single direction) or 2 (reciprocal pair) — *is* the
     eq. (3) weight.  Detected with one composite-key ``np.unique`` pass;
-    shared by :func:`to_weighted_csr` and the batch Spinner's shard
-    builder (:mod:`repro.core.batch_program`) so the encoding lives in
-    exactly one place.
+    shared by :func:`to_weighted_csr`, the edge-list reader
+    (:func:`repro.graph.io.load_directed_edge_list`) and the batch
+    Spinner's shard builder (:mod:`repro.core.batch_program`) so the
+    encoding lives in exactly one place.
     """
     n = np.int64(num_vertices)
     keys, counts = np.unique(

@@ -8,38 +8,49 @@ implements the equivalent plain-file formats:
   pair per line, ``#`` comments allowed;
 * *partitioning file*: one ``vertex_id partition`` pair per line.
 
-Edge lists can be consumed two ways, both streaming (no function here
-ever materializes the whole edge list as Python objects):
+Edge lists are read by one block reader: complete lines a few MiB at a
+time, each block decoded as strict UTF-8 and converted by one
+:func:`numpy.loadtxt` call.  A block the fast path cannot vouch for
+(inline ``#``, signs, non-ASCII digits, mixed column counts, values past
+int64, bad UTF-8) is re-parsed line by line, which accepts exactly the
+same input and reports a malformed line as
+:class:`~repro.errors.GraphFormatError` with its line number.  The rows
+feed three readings of a file, one per command:
 
-* :func:`read_directed_edge_list` / :func:`read_undirected_edge_list`
-  build the dictionary graphs line by line;
-* :func:`ingest_edge_list` / :func:`ingest_edge_chunks` run a chunked
-  external sort and write an out-of-core store for
-  :mod:`repro.graph.mmap_store`, with peak RSS bounded by the run size
-  regardless of the input size.
+* :func:`load_directed_edge_list` (``partition``/``compare``): directed
+  pairs, weighted by eq. (3) into CSR arrays;
+* :func:`load_undirected_edge_list` (``serve``): undirected edges,
+  self-loops dropped, a repeated pair keeps its first weight;
+* :func:`ingest_edge_list` / :func:`ingest_edge_chunks` (``ingest``): an
+  undirected multigraph through a chunked external sort into an
+  out-of-core store for :mod:`repro.graph.mmap_store`, with peak RSS
+  bounded by the run size regardless of the input size.
 
 All writers are *atomic*: content goes to a temporary file in the target
 directory which is renamed over the destination with :func:`os.replace`
 only once fully written, so a crash mid-write can never leave a truncated
-edge list, partitioning, checkpoint snapshot or ``BENCH_*.json`` behind —
-the destination either keeps its previous content or holds the complete
-new one.  :func:`atomic_open` / :func:`atomic_write_text` expose the
-same guarantee to the checkpoint subsystem (:mod:`repro.pregel.checkpoint`) and the benchmark emitters.
+partitioning, checkpoint snapshot or ``BENCH_*.json`` behind — the
+destination either keeps its previous content or holds the complete new
+one.  :func:`atomic_open` / :func:`atomic_write_text` expose the same
+guarantee to the checkpoint subsystem (:mod:`repro.pregel.checkpoint`)
+and the benchmark emitters.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import re
 import shutil
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from typing import IO
 
 import numpy as np
 
 from repro.errors import GraphError, GraphFormatError
-from repro.graph.digraph import DiGraph
-from repro.graph.undirected import UndirectedGraph
+from repro.graph.conversion import directed_pair_weights
+from repro.graph.csr import CSRGraph, build_csr_arrays
 
 #: Edges parsed per text batch by the streaming readers/ingesters.
 DEFAULT_PARSE_CHUNK_EDGES = 1 << 18
@@ -85,69 +96,6 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         handle.write(text)
 
 
-def _parse_edge_line(line: str, line_number: int) -> tuple[int, int, int] | None:
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
-        return None
-    parts = stripped.split()
-    if len(parts) not in (2, 3):
-        raise GraphFormatError(
-            f"line {line_number}: expected 2 or 3 fields, got {len(parts)}"
-        )
-    try:
-        source = int(parts[0])
-        target = int(parts[1])
-        weight = int(parts[2]) if len(parts) == 3 else 1
-    except ValueError as exc:
-        raise GraphFormatError(f"line {line_number}: non-integer field") from exc
-    return source, target, weight
-
-
-def read_directed_edge_list(path: str | os.PathLike) -> DiGraph:
-    """Read a directed graph from an edge-list file."""
-    graph = DiGraph()
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            parsed = _parse_edge_line(line, line_number)
-            if parsed is None:
-                continue
-            source, target, _weight = parsed
-            graph.add_edge(source, target)
-    return graph
-
-
-def read_undirected_edge_list(path: str | os.PathLike) -> UndirectedGraph:
-    """Read a weighted undirected graph from an edge-list file."""
-    graph = UndirectedGraph()
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            parsed = _parse_edge_line(line, line_number)
-            if parsed is None:
-                continue
-            u, v, weight = parsed
-            if u == v:
-                continue
-            if not graph.has_edge(u, v):
-                graph.add_edge(u, v, weight=weight)
-    return graph
-
-
-def write_directed_edge_list(graph: DiGraph, path: str | os.PathLike) -> None:
-    """Write a directed graph as a ``source target`` edge list (atomically)."""
-    with atomic_open(path, "w") as handle:
-        handle.write("# directed edge list: source target\n")
-        for source, target in graph.edges():
-            handle.write(f"{source} {target}\n")
-
-
-def write_undirected_edge_list(graph: UndirectedGraph, path: str | os.PathLike) -> None:
-    """Write an undirected graph as a ``u v weight`` edge list (atomically)."""
-    with atomic_open(path, "w") as handle:
-        handle.write("# undirected edge list: u v weight\n")
-        for u, v, weight in graph.edges():
-            handle.write(f"{u} {v} {weight}\n")
-
-
 def write_partitioning(
     assignment: Mapping[int, int], path: str | os.PathLike
 ) -> None:
@@ -179,9 +127,148 @@ def read_partitioning(path: str | os.PathLike) -> dict[int, int]:
 
 
 # ----------------------------------------------------------------------
-# streaming CSR ingestion (chunked external sort)
+# edge-list reader (block-vectorized, with a per-line rescan)
 # ----------------------------------------------------------------------
 EdgeChunk = tuple[np.ndarray, np.ndarray, "np.ndarray | None"]
+
+#: Bytes read per block; a block always ends at a line end, so a line
+#: longer than this extends its block.
+_BLOCK_BYTES = 1 << 22
+#: A comment line: optional blanks, then ``#`` first.
+_COMMENT_LINE = re.compile(rb"^[ \t]*#[^\n]*", re.MULTILINE)
+#: The only bytes a block may hold, once its comment lines are removed,
+#: for :func:`numpy.loadtxt` to read it.
+_PLAIN_BYTES = b"0123456789 \t\n"
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+
+
+def _read_blocks(path: str | os.PathLike) -> Iterator[tuple[bytes, int]]:
+    """Yield ``(block, first line number)`` of complete lines.
+
+    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in a text-mode
+    read; a block is cut after its last line end, so ``\\r\\n`` is never
+    split.  The last block may lack a final line end.
+    """
+    line_number = 1
+    carry = b""
+    with open(path, "rb") as handle:
+        while True:
+            data = handle.read(_BLOCK_BYTES)
+            if not data:
+                break
+            data = carry + data
+            # A trailing "\r" may be the first half of "\r\n": keep it back.
+            cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+            block, carry = data[:cut], data[cut:]
+            if block:
+                yield block, line_number
+                line_number += block.count(b"\n")
+                if b"\r" in block:
+                    line_number += block.count(b"\r") - block.count(b"\r\n")
+    if carry:
+        yield carry, line_number
+
+
+def _plain_rows(block: bytes) -> np.ndarray | None:
+    """The block's ``(m, 3)`` rows in one numpy read, or ``None`` to rescan.
+
+    Only a block of strict UTF-8 whose non-comment lines hold nothing but
+    ASCII digits and blanks, in a uniform 2 or 3 columns that fit int64,
+    is read here; anything else (inline ``#``, signs, ``_``, non-ASCII
+    digits, lone ``\\r``, mixed column counts, overflow) goes to the
+    per-line rule, which decides it.
+    """
+    try:
+        block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")
+        if b"\r" in block:
+            return None
+    if b"#" in block:
+        block = _COMMENT_LINE.sub(b"", block)
+    if block.translate(None, _PLAIN_BYTES):
+        return None
+    if not block.strip():
+        return np.empty((0, 3), dtype=np.int64)
+    try:
+        table = np.loadtxt(
+            io.StringIO(block.decode("ascii")), dtype=np.int64, comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    if table.shape[1] == 3:
+        return table
+    if table.shape[1] != 2:
+        return None
+    rows = np.ones((table.shape[0], 3), dtype=np.int64)
+    rows[:, :2] = table
+    return rows
+
+
+def _parse_line(line: str, line_number: int) -> tuple[int, int, int] | None:
+    """The per-line rule: ``source target [weight]``, ``#`` comments."""
+    fields = line.split()
+    if not fields or fields[0].startswith("#"):
+        return None
+    if len(fields) not in (2, 3):
+        raise GraphFormatError(
+            f"line {line_number}: expected 2 or 3 fields, got {len(fields)}"
+        )
+    try:
+        values = [int(field) for field in fields]
+    except ValueError as exc:
+        raise GraphFormatError(f"line {line_number}: non-integer field") from exc
+    if not all(_INT64_MIN <= value <= _INT64_MAX for value in values):
+        raise GraphFormatError(f"line {line_number}: integer field outside int64")
+    if len(values) == 2:
+        values.append(1)
+    return values[0], values[1], values[2]
+
+
+def _scanned_rows(
+    block: bytes, first_line: int
+) -> tuple[np.ndarray, GraphFormatError | None]:
+    """Rows of ``block`` by the per-line rule, up to its first bad line.
+
+    Returns the rows before the first malformed line and that line's
+    error (``None`` when every line parses).
+    """
+    rows: list[tuple[int, int, int]] = []
+    error = None
+    for offset, raw in enumerate(block.splitlines()):
+        line_number = first_line + offset
+        try:
+            parsed = _parse_line(raw.decode("utf-8"), line_number)
+        except UnicodeDecodeError:
+            error = GraphFormatError(f"line {line_number}: invalid UTF-8")
+            break
+        except GraphFormatError as exc:
+            error = exc
+            break
+        if parsed is not None:
+            rows.append(parsed)
+    return np.array(rows, dtype=np.int64).reshape(-1, 3), error
+
+
+def _iter_rows(path: str | os.PathLike) -> Iterator[np.ndarray]:
+    """Yield the file's ``(source, target, weight)`` rows, one block at a time.
+
+    A malformed line raises :class:`~repro.errors.GraphFormatError` with
+    its line number, once the rows before it have been yielded, so a
+    consumer sees the same prefix the per-line readers did.
+    """
+    for block, first_line in _read_blocks(path):
+        rows = _plain_rows(block)
+        if rows is not None:
+            yield rows
+            continue
+        rows, error = _scanned_rows(block, first_line)
+        yield rows
+        if error is not None:
+            raise error
 
 
 def iter_edge_list_chunks(
@@ -189,44 +276,152 @@ def iter_edge_list_chunks(
 ) -> Iterator[EdgeChunk]:
     """Parse an edge-list file into ``(sources, targets, weights)`` batches.
 
+    Every batch but the last holds exactly ``chunk_edges`` edges.
     ``weights`` is ``None`` for a batch in which every edge has the
-    default weight 1.  Comments and blank lines are skipped; malformed
-    lines raise :class:`~repro.errors.GraphFormatError` with their line
-    number, exactly like the dictionary readers.
+    default weight 1.  Comments and blank lines are skipped; a malformed
+    line raises :class:`~repro.errors.GraphFormatError` with its line
+    number once the full batches before it are yielded.
     """
-    sources: list[int] = []
-    targets: list[int] = []
-    weights: list[int] = []
-    any_weight = False
+    size = max(1, chunk_edges)
+    pending: list[np.ndarray] = []
+    count = 0
+    for rows in _iter_rows(path):
+        pending.append(rows)
+        count += rows.shape[0]
+        while count >= size:
+            rows = np.concatenate(pending) if len(pending) > 1 else pending[0]
+            yield _edge_chunk(rows[:size])
+            pending = [rows[size:]]
+            count -= size
+    if count:
+        yield _edge_chunk(np.concatenate(pending))
 
-    def _flush() -> EdgeChunk:
-        nonlocal any_weight
-        chunk = (
-            np.asarray(sources, dtype=np.int64),
-            np.asarray(targets, dtype=np.int64),
-            np.asarray(weights, dtype=np.int64) if any_weight else None,
+
+def _edge_chunk(rows: np.ndarray) -> EdgeChunk:
+    weights = np.ascontiguousarray(rows[:, 2])
+    return (
+        np.ascontiguousarray(rows[:, 0]),
+        np.ascontiguousarray(rows[:, 1]),
+        None if bool((weights == 1).all()) else weights,
+    )
+
+
+def _build_from_file(
+    path: str | os.PathLike, build: Callable[[np.ndarray], CSRGraph]
+) -> CSRGraph:
+    """``build`` over every row of the file, with errors in line order.
+
+    When a line is malformed, the rows before it are built first, so an
+    error ``build`` raises for an earlier line wins, as it did when the
+    per-line readers built a graph edge by edge.
+    """
+    parts = [np.empty((0, 3), dtype=np.int64)]
+    try:
+        for rows in _iter_rows(path):
+            parts.append(rows)
+    except GraphFormatError:
+        build(np.concatenate(parts))
+        raise
+    return build(np.concatenate(parts))
+
+
+def _first_positions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct values, each one's first position, and each entry's rank.
+
+    Returns ``(distinct, first, rank)``: ``distinct`` ascending, ``first[i]``
+    the lowest index holding ``distinct[i]``, and ``rank`` with
+    ``distinct[rank] == values``.  One argsort plus an adjacent-difference
+    mask; no ``np.unique``.
+    """
+    if values.shape[0] == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.ones(ordered.shape[0], dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    rank = np.empty(values.shape[0], dtype=np.int64)
+    rank[order] = np.cumsum(starts) - 1
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    return ordered[starts], first, rank
+
+
+def load_directed_edge_list(path: str | os.PathLike) -> CSRGraph:
+    """Read an edge list as directed pairs into Spinner's weighted CSR graph.
+
+    This is the reading of ``partition``/``compare --edge-list``: each
+    row is a directed edge ``source -> target``; the weight column is
+    checked but ignored and parallel edges collapse.  Every endpoint is a
+    vertex (a self-loop's too); self-loops carry no edge.  The pair
+    ``{u, v}`` gets the eq. (3) weight: 2 when both directions occur, else
+    1.  Dense ids follow ascending original id, and the arrays equal
+    :func:`~repro.graph.conversion.to_weighted_csr` of the same edges.
+    """
+    return _build_from_file(path, _directed_csr)
+
+
+def _directed_csr(rows: np.ndarray) -> CSRGraph:
+    ends = rows[:, :2].ravel()
+    negative = ends < 0
+    if negative.any():
+        raise GraphError(
+            f"vertex ids must be non-negative, got {ends[np.argmax(negative)]}"
         )
-        sources.clear()
-        targets.clear()
-        weights.clear()
-        any_weight = False
-        return chunk
+    ids, _, rank = _first_positions(ends)
+    n = ids.shape[0]
+    sources, targets = rank[0::2], rank[1::2]
+    keep = sources != targets
+    pairs = _first_positions(sources[keep] * n + targets[keep])[0]
+    u, v, w = directed_pair_weights(n, pairs // n, pairs % n)
+    indptr, indices, weights = build_csr_arrays(
+        np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w]), n
+    )
+    return CSRGraph(indptr, indices, weights, ids)
 
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            parsed = _parse_edge_line(line, line_number)
-            if parsed is None:
-                continue
-            source, target, weight = parsed
-            sources.append(source)
-            targets.append(target)
-            weights.append(weight)
-            if weight != 1:
-                any_weight = True
-            if len(sources) >= chunk_edges:
-                yield _flush()
-    if sources:
-        yield _flush()
+
+def load_undirected_edge_list(path: str | os.PathLike) -> CSRGraph:
+    """Read an edge list as undirected weighted edges into a CSR graph.
+
+    This is the reading of ``serve --edge-list``: each row is the
+    undirected edge ``{source, target}`` with its weight (default 1);
+    self-loops are dropped, endpoints included, and a repeated pair keeps
+    its first weight.  The arrays equal those of
+    :meth:`CSRGraph.from_undirected` over the graph built edge by edge in
+    file order, half-edge order included.
+    """
+    return _build_from_file(path, _undirected_csr)
+
+
+def _undirected_csr(rows: np.ndarray) -> CSRGraph:
+    rows = rows[rows[:, 0] != rows[:, 1]]
+    ids, first_seen, rank = _first_positions(rows[:, :2].ravel())
+    n = ids.shape[0]
+    low = np.minimum(rank[0::2], rank[1::2])
+    high = np.maximum(rank[0::2], rank[1::2])
+    # The rows that add an edge (each pair's first), in line order.
+    edges = np.sort(_first_positions(low * n + high)[1])
+    added = rows[edges]
+    bad = (added[:, 2] <= 0) | (added[:, 0] < 0) | (added[:, 1] < 0)
+    if bad.any():
+        source, target, weight = added[np.argmax(bad)].tolist()
+        if weight <= 0:
+            raise GraphError(f"edge weights must be positive, got {weight}")
+        raise GraphError(
+            f"vertex ids must be non-negative, got {source if source < 0 else target}"
+        )
+    # The order a dictionary graph lists its edges in: by when the lower
+    # endpoint first appeared, then by when the edge did.
+    edges = edges[np.argsort(first_seen[low[edges]], kind="stable")]
+    u, v, w = low[edges], high[edges], rows[edges, 2]
+    indptr, indices, weights = build_csr_arrays(
+        np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w]), n
+    )
+    return CSRGraph(indptr, indices, weights, ids)
+
+
+# ----------------------------------------------------------------------
+# streaming CSR ingestion (chunked external sort)
+# ----------------------------------------------------------------------
 
 
 def write_partitioning_array(
@@ -386,16 +581,25 @@ def ingest_edge_chunks(
     source reproduces the arrival order exactly — and streams the final
     ``indices``/``weights`` shards out sequentially.
 
+    Edge weights must be positive.  A failed ingest removes the store
+    directory if it created it; a directory that existed keeps its files
+    (bad input is rejected in pass A, before any shard is written).
+
     Returns the store's ``meta.json`` dictionary.
     """
     if run_half_edges < 1:
         raise GraphError(f"run_half_edges must be >= 1, got {run_half_edges}")
     destination = os.fspath(store_dir)
+    created = not os.path.isdir(destination)
     os.makedirs(destination, exist_ok=True)
     workdir = os.path.join(destination, f".ingest-tmp.{os.getpid()}")
     os.makedirs(workdir, exist_ok=True)
     try:
         meta = _ingest(chunks, destination, workdir, num_vertices, run_half_edges)
+    except BaseException:
+        if created:
+            shutil.rmtree(destination, ignore_errors=True)
+        raise
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return meta
@@ -423,6 +627,8 @@ def _ingest(
         if u.shape != v.shape or u.ndim != 1:
             raise GraphError("edge chunks must be parallel 1-D arrays")
         _validate_ids(u, v, num_vertices)
+        if w is not None and w.size and w.min() <= 0:
+            raise GraphError(f"edge weights must be positive, got {int(w.min())}")
         spool.append(u, v, w)
         counts.add(u, v, w)
     weighted_spool = spool.finish()
@@ -558,11 +764,13 @@ def ingest_edge_list(
 ) -> dict:
     """Ingest an edge-list *file* into an out-of-core CSR store.
 
-    Streaming end to end: the text is parsed in ``chunk_edges`` batches
-    and fed through :func:`ingest_edge_chunks`, so ingesting a file far
-    larger than RAM needs only ``O(run_half_edges)`` memory.  Ingesting
-    the same file twice produces byte-identical stores.  Returns the
-    store's ``meta.json`` dictionary.
+    Each row is one undirected edge of its weight; self-loops and repeated
+    rows are kept (a multigraph).  Streaming end to end: the block reader
+    hands on ``chunk_edges`` batches to :func:`ingest_edge_chunks`, so
+    ingesting a file far larger than RAM needs only
+    ``O(block + run_half_edges)`` memory.  Ingesting the same file twice
+    produces byte-identical stores.  Returns the store's ``meta.json``
+    dictionary.
     """
     return ingest_edge_chunks(
         iter_edge_list_chunks(path, chunk_edges),

@@ -18,26 +18,8 @@ freely:
   partitioner in the spirit of METIS (coarsen / initial partition / refine).
 * :class:`repro.partitioners.wang.WangPartitioner` — the LPA-coarsening +
   METIS approach of Wang et al. (ICDE 2014), which balances on vertices.
+
+Import each from its module, or build one by name with
+:func:`repro.partitioners.registry.make_partitioner`, which imports only
+the partitioner it builds; this package re-exports nothing.
 """
-
-from repro.partitioners.base import Partitioner, PartitioningOutput
-from repro.partitioners.fennel import FennelPartitioner
-from repro.partitioners.hashing import HashPartitioner
-from repro.partitioners.ldg import LinearDeterministicGreedy
-from repro.partitioners.metis import MetisLikePartitioner
-from repro.partitioners.random_part import RandomPartitioner
-from repro.partitioners.registry import available_partitioners, make_partitioner
-from repro.partitioners.wang import WangPartitioner
-
-__all__ = [
-    "FennelPartitioner",
-    "HashPartitioner",
-    "LinearDeterministicGreedy",
-    "MetisLikePartitioner",
-    "Partitioner",
-    "PartitioningOutput",
-    "RandomPartitioner",
-    "WangPartitioner",
-    "available_partitioners",
-    "make_partitioner",
-]

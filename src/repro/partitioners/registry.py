@@ -42,39 +42,37 @@ particular the streaming baselines take ``stream_order=`` (``ldg``:
 ``"natural"``/``"random"``/``"bfs"``; ``fennel``:
 ``"natural"``/``"random"``) and ``seed=``, so sweeps can vary the stream
 order through :func:`make_partitioner` or the CLI's ``--stream-order``.
+
+The table below names each implementation by module and class, so
+listing the names imports none of them and :func:`make_partitioner`
+imports only the one it builds (``spinner`` never loads METIS or the
+Pregel runtime).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import importlib
+from typing import TYPE_CHECKING
 
-from repro.partitioners.base import Partitioner
-from repro.partitioners.fennel import FennelPartitioner
-from repro.partitioners.hashing import HashPartitioner, ModuloPartitioner
-from repro.partitioners.ldg import LinearDeterministicGreedy
-from repro.partitioners.metis import MetisLikePartitioner
-from repro.partitioners.random_part import RandomPartitioner
-from repro.partitioners.spinner_adapter import SpinnerFastAdapter, SpinnerPregelAdapter
-from repro.partitioners.wang import WangPartitioner
+if TYPE_CHECKING:
+    from repro.partitioners.base import Partitioner
 
-def _spinner_mmap(**kwargs) -> SpinnerFastAdapter:
-    """FastSpinner pinned to the out-of-core mmap storage tier."""
-    kwargs.setdefault("storage", "mmap")
-    return SpinnerFastAdapter(**kwargs)
-
-
-_FACTORIES: dict[str, Callable[..., Partitioner]] = {
-    "hash": HashPartitioner,
-    "modulo": ModuloPartitioner,
-    "random": RandomPartitioner,
-    "ldg": LinearDeterministicGreedy,
-    "fennel": FennelPartitioner,
-    "metis": MetisLikePartitioner,
-    "wang": WangPartitioner,
-    "spinner": SpinnerFastAdapter,
-    "spinner-mmap": _spinner_mmap,
-    "spinner-pregel": SpinnerPregelAdapter,
+#: Registry name → (module under ``repro.partitioners``, class name).
+_CLASSES: dict[str, tuple[str, str]] = {
+    "hash": ("hashing", "HashPartitioner"),
+    "modulo": ("hashing", "ModuloPartitioner"),
+    "random": ("random_part", "RandomPartitioner"),
+    "ldg": ("ldg", "LinearDeterministicGreedy"),
+    "fennel": ("fennel", "FennelPartitioner"),
+    "metis": ("metis", "MetisLikePartitioner"),
+    "wang": ("wang", "WangPartitioner"),
+    "spinner": ("spinner_adapter", "SpinnerFastAdapter"),
+    "spinner-mmap": ("spinner_adapter", "SpinnerFastAdapter"),
+    "spinner-pregel": ("spinner_adapter", "SpinnerPregelAdapter"),
 }
+
+#: Keyword defaults a registry name adds to its class's own.
+_DEFAULTS: dict[str, dict[str, object]] = {"spinner-mmap": {"storage": "mmap"}}
 
 #: Registry names that accept a ``config=SpinnerConfig(...)`` keyword.
 SPINNER_PARTITIONERS = frozenset({"spinner", "spinner-mmap", "spinner-pregel"})
@@ -82,11 +80,11 @@ SPINNER_PARTITIONERS = frozenset({"spinner", "spinner-mmap", "spinner-pregel"})
 
 def available_partitioners() -> list[str]:
     """Names accepted by :func:`make_partitioner`, sorted alphabetically."""
-    return sorted(_FACTORIES)
+    return sorted(_CLASSES)
 
 
 def make_partitioner(name: str, **kwargs) -> Partitioner:
-    """Instantiate a partitioner by name.
+    """Instantiate a partitioner by name, importing only its module.
 
     ``kwargs`` are forwarded to the constructor; for the Spinner adapters a
     ``config`` keyword accepts a :class:`~repro.core.config.SpinnerConfig`.
@@ -97,8 +95,9 @@ def make_partitioner(name: str, **kwargs) -> Partitioner:
         If ``name`` is not a known partitioner.
     """
     try:
-        factory = _FACTORIES[name]
+        module, class_name = _CLASSES[name]
     except KeyError:
         known = ", ".join(available_partitioners())
         raise KeyError(f"unknown partitioner {name!r}; available: {known}") from None
-    return factory(**kwargs)
+    factory = getattr(importlib.import_module(f"repro.partitioners.{module}"), class_name)
+    return factory(**{**_DEFAULTS.get(name, {}), **kwargs})

@@ -2,7 +2,9 @@
 
 The comparison harness (Table I, Figure 3) treats every approach through
 the :class:`~repro.partitioners.base.Partitioner` interface; these thin
-adapters let Spinner participate.
+adapters let Spinner participate.  The Pregel runtime is imported only
+when :class:`SpinnerPregelAdapter` runs, so the FastSpinner adapter never
+loads it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import numpy as np
 
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
-from repro.core.spinner import SpinnerPartitioner
 from repro.graph.csr import CSRGraph
 from repro.partitioners.base import Partitioner
 from repro.partitioners.csr_stream import canonical_labels
@@ -75,6 +76,8 @@ class SpinnerPregelAdapter(Partitioner):
 
     def partition_array(self, graph: CSRGraph, num_partitions: int) -> np.ndarray:
         """Run the Pregel Spinner and return its dense label array."""
+        from repro.core.spinner import SpinnerPartitioner
+
         spinner = SpinnerPartitioner(self.config, num_workers=self.num_workers)
         return canonical_labels(
             graph, lambda g: spinner.partition(g, num_partitions).assignment

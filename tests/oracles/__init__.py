@@ -19,7 +19,9 @@ it from here and assert bit-exact agreement:
 * :mod:`oracles.baselines` — the dictionary LDG/Fennel/Wang loops and
   scalar hash/modulo/random rules, reference for the CSR partitioners;
 * :mod:`oracles.generators` — the graph generators with one numpy
-  ``Generator`` call per draw, reference for the raw-block draw stream.
+  ``Generator`` call per draw, reference for the raw-block draw stream;
+* :mod:`oracles.edge_list` — the per-line edge-list readers, reference
+  for the block reader of :mod:`repro.graph.io`.
 
 Nothing under ``src/`` imports this package.  The oracles run
 uninterrupted only: they neither checkpoint nor inject faults.

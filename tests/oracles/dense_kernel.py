@@ -16,8 +16,7 @@ import numpy as np
 
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner, FastSpinnerResult
-from repro.core.halting import HaltingTracker
-from repro.core.program import IterationRecord
+from repro.core.halting import HaltingTracker, IterationRecord
 from repro.graph.csr import CSRGraph
 
 

@@ -1,11 +1,16 @@
 """Tests for the command-line interface."""
 
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from oracles.baselines import DICT_PARTITIONS, dict_run
+from oracles.edge_list import read_directed_edge_list, write_directed_edge_list
 
 import repro.graph.datasets as datasets_module
 import repro.partitioners.csr_stream as csr_stream_module
@@ -17,9 +22,10 @@ from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
 from repro.graph.digraph import DiGraph
 from repro.graph.io import (
-    read_directed_edge_list,
+    ingest_edge_list,
+    load_directed_edge_list,
+    load_undirected_edge_list,
     read_partitioning,
-    write_directed_edge_list,
     write_partitioning,
     write_partitioning_array,
 )
@@ -518,3 +524,143 @@ def test_edge_store_partition_unchanged(tmp_path, capsys, name):
         oracle_file.read_bytes(),
         stdout,
     )
+
+
+# ----------------------------------------------------------------------
+# edge-list input: validation, readings, scoped imports
+# ----------------------------------------------------------------------
+def _reading_commands(edge_list, tmp_path):
+    """Every command that reads ``--edge-list``, with a minimal argv."""
+    return {
+        "ingest": ["ingest", "--edge-list", edge_list, "--store", str(tmp_path / "store")],
+        "partition": ["partition", "--edge-list", edge_list, "-k", "2"],
+        "compare": ["compare", "--edge-list", edge_list, "-k", "2", "--partitioners", "hash"],
+        "serve": ["serve", "--edge-list", edge_list, "-k", "2"],
+    }
+
+
+def _one_line_error(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spinner-repro: error:") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    ("content", "fragment"),
+    [
+        (b"0 1\n9223372036854775808 2\n", "line 2: integer field outside int64"),
+        (b"0 1\n3 18446744073709551616\n", "line 2: integer field outside int64"),
+        (b"# \xc3\xa9t\xc3\xa9\n0 1\n1 \xff2\n", "line 3: invalid UTF-8"),
+        (b"0 1\n-3 2\n", "-3"),
+    ],
+)
+@pytest.mark.parametrize("command", ["ingest", "partition", "compare", "serve"])
+def test_bad_edge_list_exits_2_with_one_line(tmp_path, capsys, command, content, fragment):
+    edge_list = tmp_path / "bad.edges"
+    edge_list.write_bytes(content)
+    argv = _reading_commands(str(edge_list), tmp_path)[command]
+    assert fragment in _one_line_error(capsys, argv)
+    assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "partition", "compare", "serve"])
+def test_missing_edge_list_exits_2(tmp_path, capsys, command):
+    argv = _reading_commands(str(tmp_path / "missing.edges"), tmp_path)[command]
+    assert "does not exist" in _one_line_error(capsys, argv)
+
+
+@pytest.mark.parametrize("weight", ["0", "-2"])
+def test_ingest_rejects_non_positive_weights(tmp_path, capsys, weight):
+    edge_list = tmp_path / "weights.edges"
+    edge_list.write_text(f"0 1 3\n1 2 {weight}\n")
+    argv = _reading_commands(str(edge_list), tmp_path)["ingest"]
+    assert f"edge weights must be positive, got {weight}" in _one_line_error(capsys, argv)
+    assert not (tmp_path / "store").exists()
+
+
+def test_ingest_rejects_a_store_path_that_is_a_file(tmp_path, capsys):
+    edge_list = tmp_path / "edges.txt"
+    edge_list.write_text("0 1\n")
+    store = tmp_path / "store"
+    store.write_text("not a directory\n")
+    argv = ["ingest", "--edge-list", str(edge_list), "--store", str(store)]
+    assert "is not a directory" in _one_line_error(capsys, argv)
+    assert store.read_text() == "not a directory\n"
+
+
+def test_failed_ingest_leaves_an_existing_store_as_it_was(tmp_path, capsys):
+    good = tmp_path / "good.edges"
+    good.write_text("0 1\n1 2 4\n")
+    store = tmp_path / "store"
+    assert main(["ingest", "--edge-list", str(good), "--store", str(store)]) == 0
+    before = {name: (store / name).read_bytes() for name in sorted(os.listdir(store))}
+    bad = tmp_path / "bad.edges"
+    bad.write_text("0 1\n1 2 0\n")
+    _one_line_error(capsys, ["ingest", "--edge-list", str(bad), "--store", str(store)])
+    after = {name: (store / name).read_bytes() for name in sorted(os.listdir(store))}
+    assert after == before
+
+
+def test_three_readings_of_one_edge_list(tmp_path):
+    """``partition``/``compare`` read directed pairs weighted by eq. (3);
+    ``serve`` reads undirected edges keeping the first weight; ``ingest``
+    reads an undirected multigraph.  One file, three graphs."""
+    edge_list = tmp_path / "edges.txt"
+    edge_list.write_text("0 1 5\n1 0 3\n0 1 2\n1 2\n2 2 4\n")
+
+    def pairs(graph):
+        sources = np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr))
+        ids = graph.original_ids
+        return sorted(
+            (int(ids[u]), int(ids[v]), int(w))
+            for u, v, w in zip(sources, graph.indices, graph.weights)
+            if ids[u] < ids[v]
+        )
+
+    directed = load_directed_edge_list(edge_list)
+    assert directed.original_ids.tolist() == [0, 1, 2]
+    assert pairs(directed) == [(0, 1, 2), (1, 2, 1)]
+    undirected = load_undirected_edge_list(edge_list)
+    assert pairs(undirected) == [(0, 1, 5), (1, 2, 1)]
+    meta = ingest_edge_list(edge_list, tmp_path / "store")
+    assert (meta["num_half_edges"], meta["total_weight"]) == (10, 15)
+    rows = np.array([[0, 1], [1, 0], [0, 1], [1, 2], [2, 2]])
+    expected = CSRGraph.from_edge_list(rows, 3, [5, 3, 2, 1, 4])
+    with open_store(tmp_path / "store") as store:
+        assert np.array_equal(store.indices, expected.indices)
+        assert np.array_equal(store.weights, expected.weights)
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    """``ingest`` and ``partition`` never load the serving stack, the
+    Pregel runtime, the experiment harnesses or METIS."""
+    edge_list = tmp_path / "edges.txt"
+    edge_list.write_text("".join(f"{i} {(i * 7 + 1) % 40}\n" for i in range(40)))
+    store = tmp_path / "store"
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from repro.cli import main
+
+        for argv in (
+            ["ingest", "--edge-list", {str(edge_list)!r}, "--store", {str(store)!r}],
+            ["partition", "--edge-store", {str(store)!r}, "-k", "2"],
+            ["partition", "--dataset", "TU", "--scale", "0.05", "-k", "2"],
+            ["partition", "--edge-list", {str(edge_list)!r}, "-k", "2"],
+        ):
+            assert main(argv) == 0
+        forbidden = ("asyncio", "repro.serving", "repro.pregel", "repro.experiments",
+                     "repro.partitioners.metis")
+        print("LOADED", [name for name in forbidden if name in sys.modules])
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(main.__code__.co_filename)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "LOADED []"

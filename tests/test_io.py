@@ -2,17 +2,19 @@
 
 import pytest
 
+from oracles.edge_list import (
+    read_directed_edge_list,
+    read_undirected_edge_list,
+    write_directed_edge_list,
+    write_undirected_edge_list,
+)
 from repro.errors import GraphFormatError
 from repro.graph.digraph import DiGraph
 from repro.graph.io import (
     atomic_open,
     atomic_write_text,
-    read_directed_edge_list,
     read_partitioning,
-    read_undirected_edge_list,
-    write_directed_edge_list,
     write_partitioning,
-    write_undirected_edge_list,
 )
 from repro.graph.undirected import UndirectedGraph
 
