@@ -28,8 +28,8 @@ trajectory is tracked from PR to PR:
   ``SERVING_BENCH_MAX_SWAP_SECONDS``.
 * **steady-state quality under churn** — sustained adversarial churn
   (each generator of :mod:`repro.graph.dynamic` in rotation, drawing
-  from a dictionary mirror of the live graph; the service itself runs on
-  CSR arrays) with a background-style repartition after each burst must
+  from the live graph's CSR arrays) with a background-style repartition
+  after each burst must
   keep the published
   locality ``phi`` within ``SERVING_BENCH_PHI_MARGIN`` of a full
   from-scratch FastSpinner recompute on the final graph — the paper's
@@ -56,8 +56,7 @@ import numpy as np
 
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
-from repro.graph.csr import CSRGraph
-from repro.graph.generators import powerlaw_cluster
+from repro.graph.generators import _powerlaw_cluster_builder
 from repro.graph.dynamic import bursty_new_edges, hub_birth_edges, random_new_edges
 from repro.metrics.stability import partitioning_difference
 from repro.serving import (
@@ -306,20 +305,19 @@ def _timed_repartition(pipeline: ChurnPipeline):
     return pipeline.publish(job, pipeline.execute(job)), freeze_seconds
 
 
-def _steady_state_churn(graph, pipeline: ChurnPipeline) -> dict:
+def _steady_state_churn(pipeline: ChurnPipeline) -> dict:
     """Sustained adversarial churn with a repartition after every burst.
 
-    ``graph`` is the dictionary mirror the churn generators draw from;
-    every delta is applied to it as well as ingested.
+    The churn generators draw from the live graph, which each synchronous
+    repartition has just folded into one CSR base.
     """
     max_swap = 0.0
     max_freeze = 0.0
     migration_fractions = []
     for round_index in range(CHURN_ROUNDS):
         _, generator = CHURN_GENERATORS[round_index % len(CHURN_GENERATORS)]
-        delta = generator(graph, CHURN_FRACTION, seed=SEED + round_index)
+        delta = generator(pipeline.graph.to_csr(), CHURN_FRACTION, seed=SEED + round_index)
         pipeline.ingest(delta)
-        delta.apply(graph)
         report, freeze_seconds = _timed_repartition(pipeline)
         max_freeze = max(max_freeze, freeze_seconds)
         max_swap = max(max_swap, report.swap_seconds)
@@ -332,7 +330,7 @@ def _steady_state_churn(graph, pipeline: ChurnPipeline) -> dict:
     return {
         "rounds": CHURN_ROUNDS,
         "fraction_per_round": CHURN_FRACTION,
-        "final_edges": graph.num_edges,
+        "final_edges": pipeline.graph.num_edges,
         "phi_serving": round(report.phi, 4),
         "phi_full_recompute": round(float(full.phi), 4),
         "phi_margin": PHI_MARGIN,
@@ -349,12 +347,10 @@ def _stability_sweep() -> list[dict]:
     """One incremental-repartition stability row per churn generator."""
     rows = []
     for name, generator in CHURN_GENERATORS:
-        graph = powerlaw_cluster(
-            NUM_VERTICES // 4, edges_per_vertex=8, triangle_probability=0.5, seed=SEED
-        )
+        graph = _powerlaw_cluster_builder(NUM_VERTICES // 4, 8, 0.5, seed=SEED).to_csr()
         store = AssignmentStore(NUM_PARTITIONS)
         pipeline = ChurnPipeline(
-            CSRGraph.from_undirected(graph),
+            graph,
             store,
             ServingConfig(num_partitions=NUM_PARTITIONS, spinner=SpinnerConfig(seed=SEED)),
         )
@@ -380,9 +376,7 @@ def _stability_sweep() -> list[dict]:
 
 def test_serving_speed() -> None:
     """Benchmark the service end to end and write ``BENCH_serving.json``."""
-    graph = powerlaw_cluster(
-        NUM_VERTICES, edges_per_vertex=10, triangle_probability=0.7, seed=SEED
-    )
+    graph = _powerlaw_cluster_builder(NUM_VERTICES, 10, 0.7, seed=SEED).to_csr()
     num_vertices = graph.num_vertices
     num_edges = graph.num_edges
     config = ServingConfig(
@@ -391,7 +385,7 @@ def test_serving_speed() -> None:
         spinner=SpinnerConfig(seed=SEED),
         log_interval=0.0,
     )
-    service = ShardingService(CSRGraph.from_undirected(graph), config)
+    service = ShardingService(graph, config)
     bootstrap_report = service.last_report
     thread, port = _start_service(service)
     try:
@@ -408,7 +402,7 @@ def test_serving_speed() -> None:
     assert stats["pipeline_depth_max"] >= 2.0  # the bursts really pipelined
     store_paths = _measure_store_paths()
 
-    churn = _steady_state_churn(graph, service.pipeline)
+    churn = _steady_state_churn(service.pipeline)
     churn["max_swap_seconds"] = max(
         churn["max_swap_seconds"], bootstrap_report.swap_seconds
     )

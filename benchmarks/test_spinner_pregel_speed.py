@@ -26,7 +26,7 @@ import time
 
 from repro.core.config import SpinnerConfig
 from repro.core.spinner import SpinnerPartitioner
-from repro.graph.generators import watts_strogatz
+from repro.graph.generators import _watts_strogatz_builder
 from bench_io import bench_path, env_float, env_int, write_bench
 from oracles.spinner import DictSpinnerPartitioner
 
@@ -53,7 +53,7 @@ def _assert_equivalent(dict_result, vector_result) -> None:
 
 
 def test_batch_spinner_speedup_on_100k():
-    graph = watts_strogatz(NUM_VERTICES, degree=DEGREE, beta=REWIRE_BETA, seed=7)
+    graph = _watts_strogatz_builder(NUM_VERTICES, DEGREE, REWIRE_BETA, seed=7).to_csr()
 
     results = {}
     for label, worker_local_updates in (

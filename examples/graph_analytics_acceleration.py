@@ -18,22 +18,21 @@ from repro.apps.wcc import BatchWeaklyConnectedComponents
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
 from repro.experiments.giraph import run_application
-from repro.graph.conversion import ensure_undirected
-from repro.graph.datasets import load_dataset
+from repro.graph.datasets import load_dataset_csr
 from repro.metrics.reporting import format_table, improvement_percentage
 
 
 def main() -> None:
     workers = 8
 
-    graph = ensure_undirected(load_dataset("LJ", scale=0.3, seed=3))
+    graph = load_dataset_csr("LJ", scale=0.3, seed=3)
     print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges, "
           f"{workers} workers")
 
     # Partition once with Spinner; reuse the assignment for every workload.
     assignment = FastSpinner(SpinnerConfig(seed=3)).partition(graph, workers).to_assignment()
 
-    source = next(iter(graph.vertices()))
+    source = int(graph.original_ids[0])
     applications = {
         "shortest paths (BFS)": lambda: BatchShortestPaths(source=source),
         "pagerank (10 iter)": lambda: BatchPageRank(num_iterations=10),

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
-from repro.graph.csr import CSRGraph
-from repro.graph.generators import powerlaw_cluster
+from repro.graph.generators import _powerlaw_cluster_builder
 from repro.metrics.quality import quality_summary
 from repro.metrics.reporting import format_table
 from repro.partitioners.hashing import HashPartitioner
@@ -22,10 +21,9 @@ from repro.partitioners.hashing import HashPartitioner
 def main() -> None:
     num_partitions = 8
 
-    # 1. Build a graph (any repro.graph structure or your own edge list).
-    graph = powerlaw_cluster(
-        num_vertices=3000, edges_per_vertex=8, triangle_probability=0.6, seed=1
-    )
+    # 1. Build a CSR graph (a generator, a dataset proxy or an edge list:
+    #    repro.graph.io.load_directed_edge_list).
+    graph = _powerlaw_cluster_builder(3000, 8, 0.6, seed=1).to_csr()
     print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges")
 
     # 2. Partition it with Spinner (paper defaults: c=1.05, eps=0.001, w=5).
@@ -37,13 +35,12 @@ def main() -> None:
     )
 
     # 3. Compare against hash partitioning (partitioners run on CSR arrays).
-    hash_output = HashPartitioner().run(CSRGraph.from_undirected(graph), num_partitions)
-    hash_assignment = hash_output.assignment
+    hash_labels = HashPartitioner().partition_array(graph, num_partitions)
     rows = [
-        {"partitioner": "spinner", **quality_summary(graph, result.to_assignment(),
-                                                     num_partitions).as_row()},
-        {"partitioner": "hash", **quality_summary(graph, hash_assignment,
-                                                  num_partitions).as_row()},
+        {"partitioner": "spinner",
+         **quality_summary(graph, result.labels, num_partitions).as_row()},
+        {"partitioner": "hash",
+         **quality_summary(graph, hash_labels, num_partitions).as_row()},
     ]
     print()
     print(format_table(rows, title=f"Partitioning quality (k={num_partitions})"))

@@ -15,10 +15,20 @@ from __future__ import annotations
 
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
-from repro.graph.datasets import load_dataset
+from repro.graph.csr import CSRGraph
+from repro.graph.datasets import load_dataset_csr
+from repro.graph.delta_csr import DeltaCSR
 from repro.graph.dynamic import EdgeArrivalStream
 from repro.metrics.reporting import format_table, improvement_percentage
 from repro.metrics.stability import partitioning_difference
+
+
+def grow(snapshot: CSRGraph, stream: EdgeArrivalStream, fraction: float) -> CSRGraph:
+    """The snapshot plus the first ``fraction`` (of its edges) of new friendships."""
+    stream.reset()
+    live = DeltaCSR(snapshot)
+    live.append(stream.delta(fraction_of_snapshot=fraction))
+    return live.to_csr()
 
 
 def main() -> None:
@@ -27,7 +37,7 @@ def main() -> None:
 
     # The "future" social graph; we withhold 30% of friendships and replay
     # them later as growth.
-    full_graph = load_dataset("TU", scale=0.4, seed=7)
+    full_graph = load_dataset_csr("TU", scale=0.4, seed=7)
     stream = EdgeArrivalStream(full_graph, holdout_fraction=0.3, seed=7)
     snapshot = stream.snapshot()
     print(
@@ -44,10 +54,7 @@ def main() -> None:
     rows = []
     assignment = initial.to_assignment()
     for growth in (0.01, 0.05, 0.10):
-        grown = stream.snapshot()
-        stream.reset()
-        stream.delta(fraction_of_snapshot=growth).apply(grown)
-
+        grown = grow(snapshot, stream, growth)
         adapted = spinner.adapt_to_graph_changes(grown, assignment, servers)
         scratch = FastSpinner(SpinnerConfig(seed=8)).partition(grown, servers)
         rows.append(
@@ -69,9 +76,7 @@ def main() -> None:
     print(format_table(rows, title="Adapting to graph growth (vs repartitioning)"))
 
     # --- the cluster grows: elastic adaptation -----------------------------
-    grown = stream.snapshot()
-    stream.reset()
-    stream.delta(fraction_of_snapshot=0.05).apply(grown)
+    grown = grow(snapshot, stream, 0.05)
     adapted = spinner.adapt_to_graph_changes(grown, assignment, servers)
 
     new_servers = servers + 2

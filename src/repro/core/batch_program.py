@@ -44,6 +44,7 @@ speedup in ``BENCH_spinner.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,10 +64,8 @@ from repro.core.program import (
     load_aggregator_name,
 )
 from repro.errors import PartitioningError
-from repro.graph.conversion import directed_pair_weights
-from repro.graph.csr import _segment_sums, build_csr_arrays
-from repro.graph.digraph import DiGraph
-from repro.graph.undirected import UndirectedGraph
+from repro.graph.conversion import directed_pair_weights, directed_to_csr
+from repro.graph.csr import CSRGraph, _segment_sums, build_csr_arrays
 from repro.pregel.batch import (
     BatchComputeContext,
     BatchStep,
@@ -127,10 +126,45 @@ class SpinnerShard:
         return self.directed_plan is not None
 
 
-def _dense_positions(ids: np.ndarray, originals: np.ndarray) -> np.ndarray:
-    """Map original vertex ids to dense insertion-order positions."""
+class DirectedEdges(NamedTuple):
+    """A directed graph as arrays, the input whose eq. (3) conversion the
+    Pregel Spinner replays: vertex ``ids`` in visit order, and one
+    ``sources``/``targets`` row (original ids, no parallel duplicates)
+    per directed edge in send order."""
+
+    ids: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+
+
+#: What the Pregel Spinner partitions.
+SpinnerInput = CSRGraph | DirectedEdges
+
+
+def _dense_edges(graph: DirectedEdges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ids, sources, targets)`` with the endpoints mapped to positions in ``ids``."""
+    ids = np.asarray(graph.ids, dtype=np.int64)
     sorter = np.argsort(ids, kind="stable")
-    return sorter[np.searchsorted(ids, originals, sorter=sorter)]
+    sorted_ids = ids[sorter]
+    dense = []
+    for originals in (graph.sources, graph.targets):
+        originals = np.asarray(originals, dtype=np.int64)
+        position = np.searchsorted(sorted_ids, originals)
+        found = position < ids.shape[0]
+        found[found] = sorted_ids[position[found]] == originals[found]
+        if not found.all():
+            raise PartitioningError("directed edge endpoint is not among the vertex ids")
+        dense.append(sorter[position])
+    return ids, dense[0], dense[1]
+
+
+def weighted_view(graph: SpinnerInput) -> CSRGraph:
+    """The weighted undirected CSR graph a Spinner run is measured on: the
+    input itself, or a directed input's eq. (3) conversion (self-loops
+    dropped) with dense ids in visit order."""
+    if isinstance(graph, CSRGraph):
+        return graph
+    return directed_to_csr(*_dense_edges(graph))
 
 
 def _converted_half_edges(
@@ -158,30 +192,20 @@ def _converted_half_edges(
 
 
 def build_spinner_shard(
-    engine: VectorPregelEngine, graph: DiGraph | UndirectedGraph
+    engine: VectorPregelEngine, graph: SpinnerInput
 ) -> SpinnerShard:
     """Shard ``graph`` for a :class:`BatchSpinnerProgram` run.
 
-    Undirected graphs shard directly (two half-edges per edge, weights
-    preserved).  Directed graphs are pre-converted to the weighted
-    undirected form of eq. (3) — the adjacency the reference program
-    builds during its two conversion supersteps — and additionally carry
-    a :class:`DirectedSendPlan` so superstep 0's messages and statistics
-    can be replayed over the *original* directed edges.  Dense vertex
-    ids follow graph insertion order in both cases, matching the
-    reference engine's visit order.
+    A CSR graph shards directly (weights preserved).  A directed edge
+    array is pre-converted to the weighted undirected form of eq. (3) —
+    the adjacency the reference program builds during its two conversion
+    supersteps — and additionally carries a :class:`DirectedSendPlan` so
+    superstep 0's messages and statistics can be replayed over the
+    *original* directed edges.  Dense vertex ids follow ``graph.ids``.
     """
-    if isinstance(graph, UndirectedGraph):
-        return SpinnerShard(shard=engine.shard_undirected(graph))
-    ids = np.fromiter(graph.vertices(), dtype=np.int64, count=graph.num_vertices)
-    edge_rows = [(source, target) for source, target in graph.edges()]
-    if edge_rows:
-        pairs = np.asarray(edge_rows, dtype=np.int64)
-        sources = _dense_positions(ids, pairs[:, 0])
-        targets = _dense_positions(ids, pairs[:, 1])
-    else:
-        sources = np.empty(0, dtype=np.int64)
-        targets = np.empty(0, dtype=np.int64)
+    if isinstance(graph, CSRGraph):
+        return SpinnerShard(shard=engine.shard_csr(graph))
+    ids, sources, targets = _dense_edges(graph)
     half_src, half_dst, half_w = _converted_half_edges(ids.shape[0], sources, targets)
     indptr, adj_targets, adj_weights = build_csr_arrays(
         half_src, half_dst, half_w, ids.shape[0]

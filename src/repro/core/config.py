@@ -7,8 +7,8 @@ capacity ``c`` (eq. 5), plus the halting thresholds ``epsilon`` and ``w``
 
 The remaining switches expose the design choices that the ablation
 benchmarks toggle (balance penalty, probabilistic migration dampening,
-per-worker asynchronous load updates, direction-aware conversion,
-preference for the current label on ties).
+per-worker asynchronous load updates, preference for the current label
+on ties).
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class SpinnerConfig:
     worker_local_updates:
         Whether candidates update per-worker load counters asynchronously
         within a superstep (Section IV-A4; Pregel implementation only).
-    direction_aware:
-        Whether directed inputs are converted with the weighted conversion
-        of eq. (3) (weight 2 for reciprocal pairs) or naively.
     prefer_current_label:
         Whether ties in the score function keep the current label
         (Section III-A's tie-breaking rule).
@@ -105,7 +102,6 @@ class SpinnerConfig:
     balance_penalty: bool = True
     probabilistic_migration: bool = True
     worker_local_updates: bool = True
-    direction_aware: bool = True
     prefer_current_label: bool = True
     checkpoint_interval: int | None = None
     checkpoint_dir: str | None = None

@@ -97,12 +97,7 @@ from repro.core.incremental import (
     place_least_loaded,
 )
 from repro.errors import InvalidPartitionCountError, PartitioningError
-from repro.graph.conversion import to_weighted_csr
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
-from repro.graph.undirected import UndirectedGraph
-
-GraphLike = DiGraph | UndirectedGraph | CSRGraph
 
 
 def _accumulate_histogram(
@@ -257,7 +252,7 @@ class FastSpinner:
     # ------------------------------------------------------------------
     def partition(
         self,
-        graph: GraphLike,
+        graph: CSRGraph,
         num_partitions: int,
         initial_labels: np.ndarray | Mapping[int, int] | None = None,
         track_history: bool = True,
@@ -276,13 +271,12 @@ class FastSpinner:
         """
         if num_partitions <= 0:
             raise InvalidPartitionCountError(num_partitions, "must be positive")
-        csr = self._to_csr(graph)
-        if self.config.storage == "mmap" and csr.storage != "mmap":
+        if self.config.storage == "mmap" and graph.storage != "mmap":
             return self._partition_spilled(
-                csr, num_partitions, initial_labels, track_history
+                graph, num_partitions, initial_labels, track_history
             )
-        labels = self._resolve_initial_labels(csr, num_partitions, initial_labels)
-        return self._run(csr, num_partitions, labels, track_history)
+        labels = self._resolve_initial_labels(graph, num_partitions, initial_labels)
+        return self._run(graph, num_partitions, labels, track_history)
 
     def _partition_spilled(
         self,
@@ -327,7 +321,7 @@ class FastSpinner:
 
     def adapt_to_graph_changes(
         self,
-        graph: GraphLike,
+        graph: CSRGraph,
         previous_assignment: Assignment,
         num_partitions: int,
         track_history: bool = True,
@@ -340,14 +334,13 @@ class FastSpinner:
         the graph go to the least loaded partition before label
         propagation restarts.
         """
-        csr = self._to_csr(graph)
-        initial = incremental_initial_labels(csr, previous_assignment, num_partitions)
-        return self.partition(csr, num_partitions, initial_labels=initial,
+        initial = incremental_initial_labels(graph, previous_assignment, num_partitions)
+        return self.partition(graph, num_partitions, initial_labels=initial,
                               track_history=track_history)
 
     def adapt_to_partition_change(
         self,
-        graph: GraphLike,
+        graph: CSRGraph,
         previous_assignment: Mapping[int, int],
         old_num_partitions: int,
         new_num_partitions: int,
@@ -359,9 +352,8 @@ class FastSpinner:
         draws; vertices missing from the previous assignment are placed on
         the least loaded partition afterwards.
         """
-        csr = self._to_csr(graph)
         labels, found = map_assignment_to_dense(
-            csr, previous_assignment, old_num_partitions
+            graph, previous_assignment, old_num_partitions
         )
         if found.any():
             labels[found] = resize_labels(
@@ -370,21 +362,14 @@ class FastSpinner:
                 new_num_partitions,
                 seed=self.config.seed,
             )
-        place_least_loaded(labels, ~found, csr.weighted_degrees, new_num_partitions)
+        place_least_loaded(labels, ~found, graph.weighted_degrees, new_num_partitions)
         return self.partition(
-            csr, new_num_partitions, initial_labels=labels, track_history=track_history
+            graph, new_num_partitions, initial_labels=labels, track_history=track_history
         )
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _to_csr(self, graph: GraphLike) -> CSRGraph:
-        if isinstance(graph, CSRGraph):
-            return graph
-        if isinstance(graph, DiGraph):
-            return to_weighted_csr(graph, self.config.direction_aware)
-        return CSRGraph.from_undirected(graph)
-
     def _resolve_initial_labels(
         self,
         csr: CSRGraph,

@@ -16,16 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.batch_program import BatchSpinnerProgram, build_spinner_shard
+from repro.core.batch_program import (
+    BatchSpinnerProgram,
+    SpinnerInput,
+    build_spinner_shard,
+    weighted_view,
+)
 from repro.core.config import SpinnerConfig
 from repro.core.elastic import resize_assignment
 from repro.core.halting import IterationRecord
-from repro.core.incremental import incremental_initial_assignment
+from repro.core.incremental import incremental_initial_labels, map_assignment_to_dense
 from repro.core.program import SpinnerMasterCompute
 from repro.errors import InvalidPartitionCountError, PartitioningError
-from repro.graph.conversion import ensure_undirected
-from repro.graph.digraph import DiGraph
-from repro.graph.undirected import UndirectedGraph
+from repro.graph.csr import CSRGraph
 from repro.metrics.quality import locality, max_normalized_load
 from repro.pregel.cost_model import ClusterCostModel
 from repro.pregel.vector_coordinator import VectorPregelEngine, VectorPregelResult
@@ -114,24 +117,39 @@ class SpinnerPartitioner:
     # ------------------------------------------------------------------
     def partition(
         self,
-        graph: DiGraph | UndirectedGraph,
+        graph: SpinnerInput,
         num_partitions: int,
         initial_assignment: Mapping[int, int] | None = None,
     ) -> SpinnerResult:
         """Partition ``graph`` into ``num_partitions`` parts from scratch.
 
-        When ``initial_assignment`` is provided it seeds the labels instead
-        of the random initialization (it must cover every vertex); this is
-        the hook the incremental and elastic entry points build on.
+        ``graph`` is a :class:`~repro.graph.csr.CSRGraph` or a
+        :class:`~repro.core.batch_program.DirectedEdges` array (converted
+        with eq. (3) in the first two supersteps).  ``initial_assignment``,
+        when given, seeds the labels instead of the random initialization
+        and must cover every vertex.
         """
         if num_partitions <= 0:
             raise InvalidPartitionCountError(num_partitions, "must be positive")
-        initial = self._resolve_initial_assignment(graph, num_partitions, initial_assignment)
-        return self._run(graph, num_partitions, initial)
+        view = weighted_view(graph)
+        if initial_assignment is None:
+            rng = np.random.default_rng(self.config.seed)
+            labels = rng.integers(num_partitions, size=view.num_vertices)
+        else:
+            labels, found = map_assignment_to_dense(
+                view, initial_assignment, num_partitions
+            )
+            if not found.all():
+                missing = view.original_ids[~found]
+                raise PartitioningError(
+                    f"initial assignment misses {missing.shape[0]} vertices "
+                    f"(e.g. {missing[:3].tolist()})"
+                )
+        return self._run(graph, view, num_partitions, labels)
 
     def adapt_to_graph_changes(
         self,
-        graph: UndirectedGraph | DiGraph,
+        graph: SpinnerInput,
         previous_assignment: Mapping[int, int],
         num_partitions: int,
     ) -> SpinnerResult:
@@ -141,15 +159,13 @@ class SpinnerPartitioner:
         graph are placed on the least loaded partition (Section III-D), and
         label propagation restarts from that state.
         """
-        undirected = ensure_undirected(graph, self.config.direction_aware)
-        initial = incremental_initial_assignment(
-            undirected, previous_assignment, num_partitions
-        )
-        return self._run(graph, num_partitions, initial)
+        view = weighted_view(graph)
+        initial = incremental_initial_labels(view, previous_assignment, num_partitions)
+        return self._run(graph, view, num_partitions, initial)
 
     def adapt_to_partition_change(
         self,
-        graph: UndirectedGraph | DiGraph,
+        graph: SpinnerInput,
         previous_assignment: Mapping[int, int],
         old_num_partitions: int,
         new_num_partitions: int,
@@ -165,67 +181,46 @@ class SpinnerPartitioner:
             new_num_partitions,
             seed=self.config.seed,
         )
-        undirected = ensure_undirected(graph, self.config.direction_aware)
-        initial = incremental_initial_assignment(undirected, resized, new_num_partitions)
-        return self._run(graph, new_num_partitions, initial)
+        view = weighted_view(graph)
+        initial = incremental_initial_labels(view, resized, new_num_partitions)
+        return self._run(graph, view, new_num_partitions, initial)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _resolve_initial_assignment(
-        self,
-        graph: DiGraph | UndirectedGraph,
-        num_partitions: int,
-        initial_assignment: Mapping[int, int] | None,
-    ) -> dict[int, int]:
-        vertex_ids = list(graph.vertices())
-        if initial_assignment is None:
-            rng = np.random.default_rng(self.config.seed)
-            labels = rng.integers(num_partitions, size=len(vertex_ids))
-            return {vertex: int(label) for vertex, label in zip(vertex_ids, labels)}
-        missing = [v for v in vertex_ids if v not in initial_assignment]
-        if missing:
-            raise PartitioningError(
-                f"initial assignment misses {len(missing)} vertices (e.g. {missing[:3]})"
-            )
-        return {v: int(initial_assignment[v]) for v in vertex_ids}
-
     def _run(
         self,
-        graph: DiGraph | UndirectedGraph,
+        graph: SpinnerInput,
+        view: CSRGraph,
         num_partitions: int,
-        initial_assignment: dict[int, int],
+        initial_labels: np.ndarray,
     ) -> SpinnerResult:
-        assignment, pregel_result = self._execute(graph, num_partitions, initial_assignment)
+        labels, pregel_result = self._execute(graph, num_partitions, initial_labels)
         # After a crash recovery the engine finished on restored objects;
         # the result's master is the authoritative one, not the instance
         # _execute constructed.
         master = pregel_result.master
-        undirected = ensure_undirected(graph, self.config.direction_aware)
-        phi = locality(undirected, assignment)
-        rho = max_normalized_load(undirected, assignment, num_partitions)
         return SpinnerResult(
-            assignment=assignment,
+            assignment=dict(zip(view.original_ids.tolist(), labels.tolist())),
             num_partitions=num_partitions,
             iterations=len(master.history),
             history=master.history,
-            phi=phi,
-            rho=rho,
+            phi=locality(view, labels),
+            rho=max_normalized_load(view, labels, num_partitions),
             pregel_result=pregel_result,
         )
 
     def _execute(
         self,
-        graph: DiGraph | UndirectedGraph,
+        graph: SpinnerInput,
         num_partitions: int,
-        initial_assignment: dict[int, int],
-    ) -> tuple[dict[int, int], VectorPregelResult]:
-        """Run the Pregel program; return the assignment and the raw run."""
-        convert_directed = isinstance(graph, DiGraph)
+        initial_labels: np.ndarray,
+    ) -> tuple[np.ndarray, VectorPregelResult]:
+        """Run the Pregel program; return the dense labels and the raw run."""
         program = BatchSpinnerProgram(
             num_partitions=num_partitions,
             config=self.config,
-            convert_directed=convert_directed,
+            convert_directed=not isinstance(graph, CSRGraph),
         )
         master = SpinnerMasterCompute(program)
         engine = VectorPregelEngine(
@@ -238,18 +233,9 @@ class SpinnerPartitioner:
             fault_plan=self.config.fault_plan,
         )
         spinner_shard = build_spinner_shard(engine, graph)
-        original_ids = spinner_shard.shard.original_ids.tolist()
-        initial_labels = np.fromiter(
-            (initial_assignment[vertex] for vertex in original_ids),
-            dtype=np.int64,
-            count=len(original_ids),
-        )
         program.bind(spinner_shard, initial_labels)
         pregel_result = engine.run(program, spinner_shard.shard, master=master)
         # Labels come from the result's value array (the batch program
         # returns the label array as its values): after a recovery the
         # local ``program`` is a stale copy of the restored run.
-        assignment = dict(
-            zip(original_ids, pregel_result.values.astype(np.int64).tolist())
-        )
-        return assignment, pregel_result
+        return pregel_result.values.astype(np.int64), pregel_result

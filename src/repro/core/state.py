@@ -1,14 +1,12 @@
 """Shared partitioning state helpers.
 
-Small, well-tested pieces used by both Spinner implementations and by the
-incremental / elastic initializers: label validation, load bookkeeping and
-the least-loaded-partition rule for newly arrived vertices.
+Label validation shared by the incremental / elastic initializers and
+the serving store.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -39,70 +37,3 @@ def validate_label_array(labels: np.ndarray, num_partitions: int) -> None:
         if bad.any():
             label = int(labels[np.argmax(bad)])
             raise PartitioningError(f"label {label} outside [0, {num_partitions})")
-
-
-@dataclass
-class PartitionLoadTracker:
-    """Mutable per-partition load vector.
-
-    Used by the incremental initializer (new vertices go to the least
-    loaded partition, Section III-D) and by streaming baselines.
-    """
-
-    num_partitions: int
-    loads: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.num_partitions <= 0:
-            raise InvalidPartitionCountError(self.num_partitions, "must be positive")
-        self.loads = np.zeros(self.num_partitions, dtype=np.float64)
-
-    @classmethod
-    def from_assignment(
-        cls,
-        assignment: Mapping[int, int],
-        num_partitions: int,
-        weight_of: Mapping[int, int] | None = None,
-    ) -> "PartitionLoadTracker":
-        """Build a tracker from an existing assignment.
-
-        ``weight_of`` maps vertices to their load contribution (typically
-        the weighted degree); vertices missing from it contribute 1.
-        """
-        tracker = cls(num_partitions)
-        for vertex, label in assignment.items():
-            weight = 1.0 if weight_of is None else float(weight_of.get(vertex, 1))
-            tracker.add(label, weight)
-        return tracker
-
-    def add(self, label: int, weight: float = 1.0) -> None:
-        """Add ``weight`` to the load of ``label``."""
-        if not 0 <= label < self.num_partitions:
-            raise PartitioningError(f"label {label} outside [0, {self.num_partitions})")
-        self.loads[label] += weight
-
-    def remove(self, label: int, weight: float = 1.0) -> None:
-        """Subtract ``weight`` from the load of ``label``."""
-        if not 0 <= label < self.num_partitions:
-            raise PartitioningError(f"label {label} outside [0, {self.num_partitions})")
-        self.loads[label] -= weight
-
-    def least_loaded(self) -> int:
-        """Return the label with the smallest current load."""
-        return int(np.argmin(self.loads))
-
-    def most_loaded(self) -> int:
-        """Return the label with the largest current load."""
-        return int(np.argmax(self.loads))
-
-    @property
-    def total(self) -> float:
-        """Sum of all loads."""
-        return float(self.loads.sum())
-
-    def normalized_max(self) -> float:
-        """``rho`` of the current loads (1.0 when perfectly balanced)."""
-        total = self.total
-        if total == 0:
-            return 1.0
-        return float(self.loads.max() * self.num_partitions / total)

@@ -77,9 +77,5 @@ class RecoveryAbortedError(PregelError):
         self.recoveries = recoveries
 
 
-class ExperimentError(ReproError):
-    """Raised when an experiment harness is configured incorrectly."""
-
-
 class ServingError(ReproError):
     """Raised for invalid operations against the online sharding service."""

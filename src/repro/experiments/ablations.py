@@ -1,8 +1,9 @@
 """Ablations of Spinner's design choices (DESIGN.md section 4).
 
-Each ablation toggles one of the switches in
-:class:`~repro.core.config.SpinnerConfig` and measures its effect on the
-final partitioning quality and on convergence:
+Each ablation toggles one of Spinner's design choices (a switch in
+:class:`~repro.core.config.SpinnerConfig`, or the input conversion) and
+measures its effect on the final partitioning quality and on
+convergence:
 
 * ``balance_penalty`` off — pure LPA: locality may rise but balance
   collapses (large ``rho``), which is exactly why eq. (8) exists;
@@ -10,21 +11,23 @@ final partitioning quality and on convergence:
   capacity can be overshot and the score oscillates;
 * ``prefer_current_label`` off — ties no longer keep the current label,
   causing unnecessary migrations;
-* ``direction_aware`` off — directed inputs converted naively (weight 1
-  everywhere), so the locality metric no longer counts directed messages
-  and the effective message locality drops;
+* naive conversion — a directed input partitioned with weight 1 on every
+  edge instead of eq. (3), so the score no longer counts directed
+  messages and the effective message locality drops;
 * ``worker_local_updates`` off (Pregel implementation only) — migration
   decisions use stale loads within a superstep, slowing convergence.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
 from repro.core.spinner import SpinnerPartitioner
 from repro.experiments.common import ExperimentScale, undirected_dataset
-from repro.graph.datasets import load_dataset
-from repro.graph.conversion import ensure_undirected
+from repro.graph.csr import CSRGraph
+from repro.graph.datasets import load_dataset_csr
 from repro.metrics.quality import locality, max_normalized_load
 
 ABLATION_SWITCHES = (
@@ -74,25 +77,26 @@ def run_conversion_ablation(
 ) -> list[dict]:
     """Direction-aware vs naive conversion on the (directed) Twitter proxy.
 
-    The locality of *directed messages* is measured on the weighted view in
+    The naive view is the eq. (3) graph with every weight set to 1.  The
+    locality of *directed messages* is measured on the weighted view in
     both cases, so the comparison isolates the effect of ignoring edge
     direction during partitioning (Section III-A's example).
     """
     scale = scale or ExperimentScale.default()
-    digraph = load_dataset("TW", scale=scale.graph_scale, seed=scale.seed)
-    weighted_view = ensure_undirected(digraph, direction_aware=True)
+    weighted = load_dataset_csr("TW", scale=scale.graph_scale, seed=scale.seed)
+    naive = CSRGraph(
+        weighted.indptr, weighted.indices, np.ones_like(weighted.weights),
+        weighted.original_ids,
+    )
+    spinner = FastSpinner(SpinnerConfig(seed=scale.seed))
     rows: list[dict] = []
-    for direction_aware in (True, False):
-        config = SpinnerConfig(seed=scale.seed, direction_aware=direction_aware)
-        result = FastSpinner(config).partition(digraph, num_partitions)
-        assignment = result.to_assignment()
+    for variant, graph in (("weighted", weighted), ("naive", naive)):
+        labels = spinner.partition(graph, num_partitions).labels
         rows.append(
             {
-                "variant": "weighted" if direction_aware else "naive",
-                "message_phi": round(locality(weighted_view, assignment), 3),
-                "rho": round(
-                    max_normalized_load(weighted_view, assignment, num_partitions), 3
-                ),
+                "variant": variant,
+                "message_phi": round(locality(weighted, labels), 3),
+                "rho": round(max_normalized_load(weighted, labels, num_partitions), 3),
             }
         )
     return rows

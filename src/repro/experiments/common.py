@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 from repro.core.config import SpinnerConfig
 from repro.errors import ConfigurationError
-from repro.graph.conversion import ensure_undirected
-from repro.graph.datasets import load_dataset
-from repro.graph.undirected import UndirectedGraph
+from repro.graph.csr import CSRGraph
+from repro.graph.datasets import load_dataset_csr
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,9 @@ def spinner_config(seed: int = 7, **overrides) -> SpinnerConfig:
     return SpinnerConfig(seed=seed, **overrides)
 
 
-def undirected_dataset(name: str, scale: ExperimentScale) -> UndirectedGraph:
-    """Load a dataset proxy and return its weighted undirected view."""
-    graph = load_dataset(name, scale=scale.graph_scale)
-    return ensure_undirected(graph)
+def undirected_dataset(name: str, scale: ExperimentScale) -> CSRGraph:
+    """Load a dataset proxy as its weighted undirected CSR view.
+
+    The proxy's own default seed is used, not ``scale.seed``.
+    """
+    return load_dataset_csr(name, scale=scale.graph_scale)

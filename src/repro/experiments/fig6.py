@@ -26,7 +26,7 @@ from repro.core.fast import FastSpinner
 from repro.core.spinner import SpinnerPartitioner
 from repro.experiments.common import ExperimentScale, spinner_config
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import _watts_strogatz_builder, watts_strogatz
+from repro.graph.generators import _watts_strogatz_builder
 from repro.pregel.cost_model import ClusterCostModel
 
 
@@ -94,7 +94,7 @@ def run_fig6b(
     workers) is visible.
     """
     scale = scale or ExperimentScale.default()
-    graph = watts_strogatz(num_vertices, degree=degree, beta=0.3, seed=scale.seed)
+    graph = _watts_strogatz_builder(num_vertices, degree, 0.3, scale.seed).to_csr()
     cost_model = ClusterCostModel()
     rows = []
     for workers in worker_counts:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from repro.core.fast import FastSpinner
 from repro.experiments.common import ExperimentScale, spinner_config
-from repro.graph.datasets import load_dataset
+from repro.graph.datasets import load_dataset_csr
+from repro.graph.delta_csr import DeltaCSR
 from repro.graph.dynamic import EdgeArrivalStream
 from repro.metrics.reporting import improvement_percentage
 from repro.metrics.stability import partitioning_difference
@@ -34,7 +35,7 @@ def run_fig7(
 ) -> list[dict]:
     """Return one row per change fraction with savings and stability."""
     scale = scale or ExperimentScale.default()
-    full_graph = load_dataset("TU", scale=scale.graph_scale, seed=scale.seed)
+    full_graph = load_dataset_csr("TU", scale=scale.graph_scale, seed=scale.seed)
     stream = EdgeArrivalStream(full_graph, holdout_fraction=0.35, seed=scale.seed)
     snapshot = stream.snapshot()
 
@@ -46,9 +47,9 @@ def run_fig7(
     rows: list[dict] = []
     for fraction in change_fractions:
         stream.reset()
-        changed = stream.snapshot()
-        delta = stream.delta(fraction_of_snapshot=fraction)
-        delta.apply(changed)
+        live = DeltaCSR(snapshot)
+        live.append(stream.delta(fraction_of_snapshot=fraction))
+        changed = live.to_csr()
 
         adaptive = spinner.adapt_to_graph_changes(
             changed, initial_assignment, num_partitions, track_history=False

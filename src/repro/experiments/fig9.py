@@ -49,7 +49,7 @@ def run_fig9(
         assignment = spinner.partition(
             graph, num_partitions, track_history=False
         ).to_assignment()
-        source = next(iter(graph.vertices()))
+        source = int(graph.original_ids[0])
         for app in applications:
             hash_run = run_application(
                 _make_program(app, source),

@@ -20,8 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.faults import FaultPlan
-from repro.graph.digraph import DiGraph
-from repro.graph.undirected import UndirectedGraph
+from repro.graph.csr import CSRGraph
 from repro.pregel.batch import BatchVertexProgram
 from repro.pregel.cost_model import ClusterCostModel, RunStats
 from repro.pregel.vector_coordinator import VectorPregelEngine, VectorPregelResult
@@ -68,7 +67,7 @@ class ApplicationRun:
 
 def run_application(
     program: BatchVertexProgram,
-    graph: UndirectedGraph | DiGraph,
+    graph: CSRGraph,
     num_workers: int,
     assignment: Mapping[int, int] | None = None,
     cost_model: ClusterCostModel | None = None,
@@ -99,8 +98,5 @@ def run_application(
         checkpoint_dir=checkpoint_dir,
         fault_plan=fault_plan,
     )
-    if isinstance(graph, DiGraph):
-        result = engine.run_on_digraph(program, graph)
-    else:
-        result = engine.run_on_undirected(program, graph)
+    result = engine.run_on_csr(program, graph)
     return ApplicationRun(placement=placement_name, result=result, cost_model=cost_model)

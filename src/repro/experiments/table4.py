@@ -20,8 +20,7 @@ from repro.apps import make_app_program
 from repro.core.fast import FastSpinner
 from repro.experiments.common import ExperimentScale, spinner_config
 from repro.experiments.giraph import run_application
-from repro.graph.conversion import ensure_undirected
-from repro.graph.datasets import load_dataset
+from repro.graph.datasets import load_dataset_csr
 
 
 def run_table4(
@@ -32,17 +31,16 @@ def run_table4(
 ) -> list[dict]:
     """Return one row per approach with mean/max/min superstep worker time."""
     scale = scale or ExperimentScale.default()
-    graph = load_dataset("TW", scale=scale.graph_scale, seed=scale.seed)
-    undirected = ensure_undirected(graph)
+    graph = load_dataset_csr("TW", scale=scale.graph_scale, seed=scale.seed)
 
     spinner = FastSpinner(spinner_config(scale.seed))
-    assignment = spinner.partition(undirected, num_partitions, track_history=False).to_assignment()
+    assignment = spinner.partition(graph, num_partitions, track_history=False).to_assignment()
 
     rows: list[dict] = []
     for approach, placement_assignment in (("random", None), ("spinner", assignment)):
         run = run_application(
             make_app_program("pagerank", num_iterations=pagerank_iterations),
-            undirected,
+            graph,
             num_workers=num_workers,
             assignment=placement_assignment,
         )

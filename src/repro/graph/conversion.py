@@ -10,15 +10,22 @@ directed edges connect ``u`` and ``v`` in the input graph:
 The weighted score function of eq. (4) then counts exactly the number of
 messages that would be exchanged locally by a Pregel application running
 on the original directed graph.
+
+The library converts arrays (:func:`directed_to_csr`); the dictionary
+conversions serve the dict dataset view the benchmark harness traces.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.graph.csr import CSRGraph, build_csr_arrays
-from repro.graph.digraph import DiGraph
-from repro.graph.undirected import UndirectedGraph
+
+if TYPE_CHECKING:
+    from repro.graph.digraph import DiGraph
+    from repro.graph.undirected import UndirectedGraph
 
 #: Weight of an undirected edge backed by a single directed edge.
 SINGLE_DIRECTION_WEIGHT = 1
@@ -43,6 +50,7 @@ def to_weighted_undirected(graph: DiGraph) -> UndirectedGraph:
 
     Examples
     --------
+    >>> from repro.graph.digraph import DiGraph
     >>> d = DiGraph.from_edges([(0, 1), (1, 0), (1, 2)])
     >>> u = to_weighted_undirected(d)
     >>> u.weight(0, 1), u.weight(1, 2)
@@ -50,6 +58,8 @@ def to_weighted_undirected(graph: DiGraph) -> UndirectedGraph:
     >>> u.total_weight == d.num_edges
     True
     """
+    from repro.graph.undirected import UndirectedGraph
+
     undirected = UndirectedGraph()
     for vertex_id in graph.vertices():
         undirected.add_vertex(vertex_id)
@@ -74,10 +84,11 @@ def to_weighted_undirected(graph: DiGraph) -> UndirectedGraph:
 def undirected_view_unweighted(graph: DiGraph) -> UndirectedGraph:
     """Naive conversion that ignores edge direction (weight always 1).
 
-    This is the conversion the paper argues against in Section III-A; it is
-    kept as an ablation baseline so the benefit of direction-aware weights
-    can be measured (``benchmarks/test_ablations.py``).
+    This is the conversion the paper argues against in Section III-A; the
+    conversion ablation measures it as the eq. (3) CSR with unit weights.
     """
+    from repro.graph.undirected import UndirectedGraph
+
     undirected = UndirectedGraph()
     for vertex_id in graph.vertices():
         undirected.add_vertex(vertex_id)
@@ -99,10 +110,9 @@ def directed_pair_weights(
     connected in either direction appears once, and its multiplicity in
     the input — 1 (single direction) or 2 (reciprocal pair) — *is* the
     eq. (3) weight.  Detected with one composite-key ``np.unique`` pass;
-    shared by :func:`to_weighted_csr`, the edge-list reader
-    (:func:`repro.graph.io.load_directed_edge_list`) and the batch
-    Spinner's shard builder (:mod:`repro.core.batch_program`) so the
-    encoding lives in exactly one place.
+    shared by :func:`directed_to_csr` and the batch Spinner's shard
+    builder (:mod:`repro.core.batch_program`) so the encoding lives in
+    exactly one place.
     """
     n = np.int64(num_vertices)
     keys, counts = np.unique(
@@ -112,6 +122,26 @@ def directed_pair_weights(
     return keys // n, keys % n, counts.astype(np.int64)
 
 
+def directed_to_csr(
+    ids: np.ndarray, sources: np.ndarray, targets: np.ndarray
+) -> CSRGraph:
+    """Eq. (3) weighted undirected CSR graph of a dense directed edge list.
+
+    ``sources``/``targets`` index into ``ids`` (dense vertex ``i`` is
+    original id ``ids[i]``) and hold no parallel duplicates.  Self-loops
+    are dropped.  Shared by :func:`to_weighted_csr`, the edge-list reader
+    (:func:`repro.graph.io.load_directed_edge_list`) and the Pregel
+    Spinner's metric view (:func:`repro.core.batch_program.weighted_view`).
+    """
+    n = ids.shape[0]
+    keep = sources != targets
+    u, v, w = directed_pair_weights(n, sources[keep], targets[keep])
+    indptr, indices, weights = build_csr_arrays(
+        np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w]), n
+    )
+    return CSRGraph(indptr, indices, weights, ids)
+
+
 def to_weighted_csr(graph: DiGraph, direction_aware: bool = True) -> CSRGraph:
     """Convert a directed graph straight to the weighted undirected CSR form.
 
@@ -119,33 +149,22 @@ def to_weighted_csr(graph: DiGraph, direction_aware: bool = True) -> CSRGraph:
     :func:`to_weighted_undirected` (or to
     :func:`undirected_view_unweighted` when ``direction_aware`` is
     ``False``) without materializing the intermediate dictionary-based
-    :class:`UndirectedGraph`.  Reciprocal directed pairs are detected with
-    one composite-key ``np.unique`` over the densified edge list: each
-    unordered pair occurs once or twice, and that multiplicity *is* the
-    eq. (3) weight.  Self-loops are dropped, matching the dict-based
-    conversions.
+    :class:`UndirectedGraph`: the edges are densified against the sorted
+    vertex ids and handed to :func:`directed_to_csr` (a ``DiGraph``
+    collapses parallel edges, so each pair's multiplicity is 1 or 2).
     """
     n = graph.num_vertices
     original_ids = np.fromiter(graph.vertices(), dtype=np.int64, count=n)
     original_ids.sort()
-    pairs = [(s, t) for s, t in graph.edges() if s != t]
-    if not pairs:
-        empty = np.empty(0, dtype=np.int64)
-        return CSRGraph(np.zeros(n + 1, dtype=np.int64), empty, empty, original_ids)
-    arr = np.asarray(pairs, dtype=np.int64)
-    s = np.searchsorted(original_ids, arr[:, 0])
-    t = np.searchsorted(original_ids, arr[:, 1])
-    # DiGraph collapses parallel edges, so the multiplicity is 1 or 2 (eq. 3).
-    u, v, w = directed_pair_weights(n, s, t)
-    if not direction_aware:
-        w = np.ones(u.shape[0], dtype=np.int64)
-    indptr, indices, weights = build_csr_arrays(
-        np.concatenate([u, v]),
-        np.concatenate([v, u]),
-        np.concatenate([w, w]),
-        n,
+    arr = np.asarray(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+    csr = directed_to_csr(
+        original_ids,
+        np.searchsorted(original_ids, arr[:, 0]),
+        np.searchsorted(original_ids, arr[:, 1]),
     )
-    return CSRGraph(indptr, indices, weights, original_ids)
+    if direction_aware:
+        return csr
+    return CSRGraph(csr.indptr, csr.indices, np.ones_like(csr.weights), original_ids)
 
 
 def ensure_undirected(
@@ -157,6 +176,8 @@ def ensure_undirected(
     with :func:`to_weighted_undirected` (or the naive conversion when
     ``direction_aware`` is ``False``).
     """
+    from repro.graph.undirected import UndirectedGraph
+
     if isinstance(graph, UndirectedGraph):
         return graph
     if direction_aware:

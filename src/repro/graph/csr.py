@@ -20,11 +20,14 @@ original ids is kept in ``original_ids``.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.undirected import UndirectedGraph
+
+if TYPE_CHECKING:
+    from repro.graph.undirected import UndirectedGraph
 
 
 def _segment_sums(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -251,26 +254,6 @@ class CSRGraph:
             num_vertices,
         )
         return cls(indptr, targets, both_weights)
-
-    def to_undirected(self) -> UndirectedGraph:
-        """Materialize back into an :class:`UndirectedGraph` (original ids).
-
-        The forward half of every edge is selected and mapped back to
-        original ids in array form; only the dictionary inserts remain
-        per-edge Python work.
-        """
-        graph = UndirectedGraph()
-        for original in self.original_ids.tolist():
-            graph.add_vertex(original)
-        sources, targets, weights = self.edge_array()
-        forward = sources < targets
-        for u, v, w in zip(
-            self.original_ids[sources[forward]].tolist(),
-            self.original_ids[targets[forward]].tolist(),
-            self.weights[forward].tolist(),
-        ):
-            graph.add_edge(u, v, weight=w)
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"CSRGraph(|V|={self.num_vertices}, |E|={self.num_edges})"

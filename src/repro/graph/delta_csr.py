@@ -103,8 +103,9 @@ class DeltaCSR:
 
     Owned by one thread (the event loop under the service): only
     :meth:`append` and :meth:`advance` mutate it.  Edges are undirected
-    and stored once; self-loops and edges already present are dropped,
-    exactly like :meth:`~repro.graph.dynamic.GraphDelta.apply`.
+    and stored once; self-loops, edges already present and repeats
+    within a delta are dropped.  ``DeltaCSR(csr)``, :meth:`append` and
+    :meth:`to_csr` also apply a delta to a plain CSR graph.
     """
 
     def __init__(self, base: CSRGraph, *, base_keys: np.ndarray | None = None) -> None:

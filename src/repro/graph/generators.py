@@ -4,24 +4,19 @@ The Spinner evaluation uses Watts–Strogatz small-world graphs for the
 scalability study (Section V-B) and real social/web graphs elsewhere.
 This module implements the generators needed to reproduce the synthetic
 workloads and to build scaled-down structural proxies of the real
-datasets (see :mod:`repro.graph.datasets`):
-
-* :func:`watts_strogatz` — ring lattice with random rewiring.
-* :func:`barabasi_albert` — preferential attachment (power-law degrees,
-  hubs — the "Twitter-like" structure).
-* :func:`erdos_renyi` — uniform random graph.
-* :func:`powerlaw_cluster` — preferential attachment with triad closure
-  (power-law degrees plus clustering — the "social-network-like"
-  structure).
-* :func:`ring_lattice` — the deterministic skeleton used by
-  :func:`watts_strogatz`.
+datasets (see :mod:`repro.graph.datasets`): Watts–Strogatz (over a ring
+lattice), Barabási–Albert, Erdős–Rényi and Holme–Kim power-law cluster
+graphs.
 
 All generators take an explicit ``seed`` and are deterministic for a given
 seed, which the experiment harness relies on.  Each random process is
-written once, against a slim insertion-ordered adjacency builder; the
-builder hands its neighbour dicts to an :class:`UndirectedGraph` or
-assembles them into a :class:`~repro.graph.csr.CSRGraph`, so both views
-of a seed are the same graph by construction.
+written once, against a slim insertion-ordered adjacency builder
+(``_*_builder``); the builder assembles its edges into a
+:class:`~repro.graph.csr.CSRGraph` (``.to_csr()``, what the library runs
+on) or hands its neighbour dicts to an :class:`UndirectedGraph`
+(``.to_undirected()``, for the dict dataset view and the test suites'
+dict graphs), so both views of a seed are the same graph by
+construction.
 
 The processes draw their scalars from ``_Draws``, which reproduces
 numpy's ``Generator.random()`` and ``Generator.integers(n)`` bit for bit
@@ -38,13 +33,16 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import length_hint
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
-from repro.graph.undirected import UndirectedGraph
+
+if TYPE_CHECKING:
+    from repro.graph.digraph import DiGraph
+    from repro.graph.undirected import UndirectedGraph
 
 
 def _rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -187,6 +185,8 @@ class _EdgeListBuilder:
 
         The builder must not be used afterwards: the graph owns the dicts.
         """
+        from repro.graph.undirected import UndirectedGraph
+
         return UndirectedGraph.adopt_adjacency(self._adj)
 
     def to_csr(self) -> CSRGraph:
@@ -215,12 +215,16 @@ class _NeighbourListBuilder(_EdgeListBuilder):
 
     def to_undirected(self) -> UndirectedGraph:
         """An :class:`UndirectedGraph` over unit-weight copies of the lists."""
+        from repro.graph.undirected import UndirectedGraph
+
         return UndirectedGraph.adopt_adjacency(
             [dict.fromkeys(neighbours, 1) for neighbours in self._adj]
         )
 
 
 def _ring_lattice_builder(num_vertices: int, degree: int) -> _EdgeListBuilder:
+    """Ring lattice: each vertex joins its ``degree // 2`` nearest neighbours
+    on each side (``degree`` even, below ``num_vertices``)."""
     if degree % 2 != 0:
         raise GraphError("ring lattice degree must be even")
     if num_vertices <= degree:
@@ -233,26 +237,15 @@ def _ring_lattice_builder(num_vertices: int, degree: int) -> _EdgeListBuilder:
     return builder
 
 
-def ring_lattice(num_vertices: int, degree: int) -> UndirectedGraph:
-    """Return a ring lattice where each vertex connects to ``degree`` nearest
-    neighbours (``degree // 2`` on each side).
-
-    Parameters
-    ----------
-    num_vertices:
-        Number of vertices; must be larger than ``degree``.
-    degree:
-        Even number of neighbours per vertex.
-    """
-    return _ring_lattice_builder(num_vertices, degree).to_undirected()
-
-
 def _watts_strogatz_builder(
     num_vertices: int,
     degree: int,
     beta: float,
     seed: int | np.random.Generator | None = None,
 ) -> _EdgeListBuilder:
+    """Watts–Strogatz small world: a ring lattice whose edges' far endpoints
+    are rewired with probability ``beta`` (the paper's scalability graphs
+    use degree 40, ``beta = 0.3``)."""
     if not 0.0 <= beta <= 1.0:
         raise GraphError("beta must lie in [0, 1]")
     builder = _ring_lattice_builder(num_vertices, degree)
@@ -275,26 +268,12 @@ def _watts_strogatz_builder(
     return builder
 
 
-def watts_strogatz(
-    num_vertices: int,
-    degree: int,
-    beta: float,
-    seed: int | np.random.Generator | None = None,
-) -> UndirectedGraph:
-    """Watts–Strogatz small-world graph.
-
-    Starts from :func:`ring_lattice` and rewires each edge's far endpoint
-    with probability ``beta``, matching the construction used for the
-    scalability experiments of the paper (degree 40, ``beta = 0.3``).
-    """
-    return _watts_strogatz_builder(num_vertices, degree, beta, seed).to_undirected()
-
-
 def _erdos_renyi_builder(
     num_vertices: int,
     num_edges: int,
     seed: int | np.random.Generator | None = None,
 ) -> _EdgeListBuilder:
+    """Uniform random graph with (about) ``num_edges`` distinct edges."""
     builder = _EdgeListBuilder(num_vertices)
     added = 0
     attempts = 0
@@ -309,15 +288,6 @@ def _erdos_renyi_builder(
             if builder.add_edge(u, v):
                 added += 1
     return builder
-
-
-def erdos_renyi(
-    num_vertices: int,
-    num_edges: int,
-    seed: int | np.random.Generator | None = None,
-) -> UndirectedGraph:
-    """Uniform random graph with (approximately) ``num_edges`` distinct edges."""
-    return _erdos_renyi_builder(num_vertices, num_edges, seed).to_undirected()
 
 
 def _barabasi_albert_edges(
@@ -354,32 +324,12 @@ def _barabasi_albert_builder(
     edges_per_vertex: int,
     seed: int | np.random.Generator | None = None,
 ) -> _EdgeListBuilder:
+    """Barabási–Albert preferential attachment: power-law degrees with the
+    pronounced hubs the paper highlights for Twitter."""
     builder = _EdgeListBuilder(num_vertices)
     for u, v in _barabasi_albert_edges(num_vertices, edges_per_vertex, seed):
         builder.add_edge(u, v)
     return builder
-
-
-def barabasi_albert(
-    num_vertices: int,
-    edges_per_vertex: int,
-    seed: int | np.random.Generator | None = None,
-    directed: bool = False,
-) -> UndirectedGraph | DiGraph:
-    """Barabási–Albert preferential attachment graph.
-
-    Each new vertex attaches to ``edges_per_vertex`` existing vertices with
-    probability proportional to their degree, producing a power-law degree
-    distribution with pronounced hubs (the structure the paper highlights
-    for the Twitter graph).
-
-    When ``directed`` is ``True`` the attachment edges point from the new
-    vertex to the chosen targets, which mimics "follower" style graphs.
-    """
-    if directed:
-        edges = _barabasi_albert_edges(num_vertices, edges_per_vertex, seed)
-        return DiGraph.from_edges(edges, num_vertices=num_vertices)
-    return _barabasi_albert_builder(num_vertices, edges_per_vertex, seed).to_undirected()
 
 
 def _powerlaw_cluster_builder(
@@ -388,6 +338,9 @@ def _powerlaw_cluster_builder(
     triangle_probability: float,
     seed: int | np.random.Generator | None = None,
 ) -> _EdgeListBuilder:
+    """Holme–Kim power-law graph: preferential attachment plus, with
+    probability ``triangle_probability``, triad closure to a neighbour of
+    the previous target — heavy tails and the clustering of social graphs."""
     if not 0.0 <= triangle_probability <= 1.0:
         raise GraphError("triangle_probability must lie in [0, 1]")
     # No edge is ever removed, so append-only neighbour lists hold the
@@ -417,26 +370,6 @@ def _powerlaw_cluster_builder(
                 repeated += (v, candidate)
                 added += 1
     return _NeighbourListBuilder(neighbour_lists)
-
-
-def powerlaw_cluster(
-    num_vertices: int,
-    edges_per_vertex: int,
-    triangle_probability: float,
-    seed: int | np.random.Generator | None = None,
-) -> UndirectedGraph:
-    """Holme–Kim power-law graph with tunable clustering.
-
-    Like :func:`barabasi_albert` but, after each preferential attachment
-    step, a triad-closure step adds an edge to a random neighbour of the
-    previous target with probability ``triangle_probability``.  The result
-    has both a heavy-tailed degree distribution and the high clustering
-    typical of social graphs, which is what makes the social-network
-    proxies partitionable with good locality.
-    """
-    return _powerlaw_cluster_builder(
-        num_vertices, edges_per_vertex, triangle_probability, seed
-    ).to_undirected()
 
 
 #: Orientation codes drawn by :func:`_orientations`.
@@ -514,6 +447,8 @@ def to_directed_reciprocal(
     is how the directed dataset proxies (Twitter, Google+, LiveJournal,
     Yahoo!) are produced from the structural generators.
     """
+    from repro.graph.digraph import DiGraph
+
     codes = _orientations(graph.num_edges, reciprocity, seed)
     digraph = DiGraph()
     for v in graph.vertices():

@@ -49,7 +49,7 @@ from typing import IO
 import numpy as np
 
 from repro.errors import GraphError, GraphFormatError
-from repro.graph.conversion import directed_pair_weights
+from repro.graph.conversion import directed_to_csr
 from repro.graph.csr import CSRGraph, build_csr_arrays
 
 #: Edges parsed per text batch by the streaming readers/ingesters.
@@ -369,14 +369,8 @@ def _directed_csr(rows: np.ndarray) -> CSRGraph:
         )
     ids, _, rank = _first_positions(ends)
     n = ids.shape[0]
-    sources, targets = rank[0::2], rank[1::2]
-    keep = sources != targets
-    pairs = _first_positions(sources[keep] * n + targets[keep])[0]
-    u, v, w = directed_pair_weights(n, pairs // n, pairs % n)
-    indptr, indices, weights = build_csr_arrays(
-        np.concatenate([u, v]), np.concatenate([v, u]), np.concatenate([w, w]), n
-    )
-    return CSRGraph(indptr, indices, weights, ids)
+    pairs = _first_positions(rank[0::2] * n + rank[1::2])[0]
+    return directed_to_csr(ids, pairs // n, pairs % n)
 
 
 def load_undirected_edge_list(path: str | os.PathLike) -> CSRGraph:

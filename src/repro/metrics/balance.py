@@ -6,13 +6,12 @@ analytical load model in :mod:`repro.analysis.load_model`.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.undirected import UndirectedGraph
 from repro.metrics.quality import partition_loads
 
 
@@ -59,9 +58,9 @@ def load_statistics(loads: Sequence[float] | np.ndarray) -> LoadStatistics:
 
 
 def partition_load_statistics(
-    graph: UndirectedGraph | CSRGraph,
-    assignment: Mapping[int, int] | np.ndarray,
+    graph: CSRGraph,
+    labels: np.ndarray,
     num_partitions: int,
 ) -> LoadStatistics:
     """Load statistics of a partitioning (wrapper around ``partition_loads``)."""
-    return load_statistics(partition_loads(graph, assignment, num_partitions))
+    return load_statistics(partition_loads(graph, labels, num_partitions))

@@ -1,8 +1,7 @@
 """Locality, balance and score metrics (paper Section V, eq. 16).
 
-All functions accept either an :class:`~repro.graph.undirected.UndirectedGraph`
-with a ``{vertex: label}`` mapping, or a :class:`~repro.graph.csr.CSRGraph`
-with a NumPy label array (dense vertex ids).  Labels must lie in
+All functions take a :class:`~repro.graph.csr.CSRGraph` and a NumPy label
+array aligned with its dense vertex ids.  Labels must lie in
 ``[0, num_partitions)``.
 
 On the out-of-core tier (``graph.storage == "mmap"``) the edge-touching
@@ -15,14 +14,12 @@ accumulation order cannot change the result.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import InvalidPartitionCountError, PartitioningError
 from repro.graph.csr import CSRGraph
-from repro.graph.undirected import UndirectedGraph
 
 
 def _check_k(num_partitions: int) -> None:
@@ -50,8 +47,8 @@ def _labels_array(graph: CSRGraph, labels: np.ndarray) -> np.ndarray:
 # locality (phi)
 # ----------------------------------------------------------------------
 def locality(
-    graph: UndirectedGraph | CSRGraph,
-    assignment: Mapping[int, int] | np.ndarray,
+    graph: CSRGraph,
+    labels: np.ndarray,
 ) -> float:
     """Ratio of local edge weight: ``phi`` in the paper (eq. 16, left).
 
@@ -60,59 +57,45 @@ def locality(
     endpoints are co-located — exactly the fraction of messages that stay
     local in a Pregel computation.
     """
-    if isinstance(graph, CSRGraph):
-        labels = _labels_array(graph, assignment)  # type: ignore[arg-type]
-        if graph.storage == "mmap":
-            total = 2 * graph.total_weight
-            if total == 0:
-                return 1.0
-            local = 0.0
-            for _, _, src, tgt, w in graph.iter_edge_chunks(_metric_chunk()):
-                local += float(w[labels[src] == labels[tgt]].sum())
-            return float(local / total)
-        sources, targets, weights = graph.edge_array()
-        if weights.sum() == 0:
+    labels = _labels_array(graph, labels)
+    if graph.storage == "mmap":
+        total = 2 * graph.total_weight
+        if total == 0:
             return 1.0
-        local = weights[labels[sources] == labels[targets]].sum()
-        return float(local / weights.sum())
-    total = 0
-    local = 0
-    for u, v, weight in graph.edges():
-        total += weight
-        if assignment[u] == assignment[v]:  # type: ignore[index]
-            local += weight
-    if total == 0:
+        local = 0.0
+        for _, _, src, tgt, w in graph.iter_edge_chunks(_metric_chunk()):
+            local += float(w[labels[src] == labels[tgt]].sum())
+        return float(local / total)
+    sources, targets, weights = graph.edge_array()
+    if weights.sum() == 0:
         return 1.0
-    return local / total
+    local = weights[labels[sources] == labels[targets]].sum()
+    return float(local / weights.sum())
 
 
 def cut_edges(
-    graph: UndirectedGraph | CSRGraph,
-    assignment: Mapping[int, int] | np.ndarray,
+    graph: CSRGraph,
+    labels: np.ndarray,
 ) -> int:
     """Number of undirected edges whose endpoints lie in different partitions."""
-    if isinstance(graph, CSRGraph):
-        labels = _labels_array(graph, assignment)  # type: ignore[arg-type]
-        if graph.storage == "mmap":
-            crossing_halves = 0
-            for _, _, src, tgt, _w in graph.iter_edge_chunks(_metric_chunk()):
-                crossing_halves += int((labels[src] != labels[tgt]).sum())
-            return crossing_halves // 2
-        sources, targets, _weights = graph.edge_array()
-        crossing = labels[sources] != labels[targets]
-        # Each undirected edge appears twice in the edge array.
-        return int(crossing.sum() // 2)
-    return sum(
-        1 for u, v, _w in graph.edges() if assignment[u] != assignment[v]  # type: ignore[index]
-    )
+    labels = _labels_array(graph, labels)
+    if graph.storage == "mmap":
+        crossing_halves = 0
+        for _, _, src, tgt, _w in graph.iter_edge_chunks(_metric_chunk()):
+            crossing_halves += int((labels[src] != labels[tgt]).sum())
+        return crossing_halves // 2
+    sources, targets, _weights = graph.edge_array()
+    crossing = labels[sources] != labels[targets]
+    # Each undirected edge appears twice in the edge array.
+    return int(crossing.sum() // 2)
 
 
 # ----------------------------------------------------------------------
 # balance (rho)
 # ----------------------------------------------------------------------
 def partition_loads(
-    graph: UndirectedGraph | CSRGraph,
-    assignment: Mapping[int, int] | np.ndarray,
+    graph: CSRGraph,
+    labels: np.ndarray,
     num_partitions: int,
 ) -> np.ndarray:
     """Load ``b(l)`` of every partition (eq. 6).
@@ -123,22 +106,16 @@ def partition_loads(
     """
     _check_k(num_partitions)
     loads = np.zeros(num_partitions, dtype=np.float64)
-    if isinstance(graph, CSRGraph):
-        labels = _labels_array(graph, assignment)  # type: ignore[arg-type]
-        if labels.size and (labels.min() < 0 or labels.max() >= num_partitions):
-            raise PartitioningError("labels outside [0, num_partitions)")
-        np.add.at(loads, labels, graph.weighted_degrees.astype(np.float64))
-        return loads
-    for vertex, label in assignment.items():  # type: ignore[union-attr]
-        if not 0 <= label < num_partitions:
-            raise PartitioningError(f"label {label} outside [0, {num_partitions})")
-        loads[label] += graph.weighted_degree(vertex)
+    labels = _labels_array(graph, labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= num_partitions):
+        raise PartitioningError("labels outside [0, num_partitions)")
+    np.add.at(loads, labels, graph.weighted_degrees.astype(np.float64))
     return loads
 
 
 def max_normalized_load(
-    graph: UndirectedGraph | CSRGraph,
-    assignment: Mapping[int, int] | np.ndarray,
+    graph: CSRGraph,
+    labels: np.ndarray,
     num_partitions: int,
 ) -> float:
     """Maximum normalized load ``rho`` (eq. 16, right).
@@ -146,7 +123,7 @@ def max_normalized_load(
     ``rho = 1.0`` means perfect balance; ``rho = 1.05`` means the most
     loaded partition holds 5% more than the ideal share.
     """
-    loads = partition_loads(graph, assignment, num_partitions)
+    loads = partition_loads(graph, labels, num_partitions)
     total = loads.sum()
     if total == 0:
         return 1.0
@@ -158,8 +135,8 @@ def max_normalized_load(
 # global score (eq. 10)
 # ----------------------------------------------------------------------
 def global_score(
-    graph: UndirectedGraph | CSRGraph,
-    assignment: Mapping[int, int] | np.ndarray,
+    graph: CSRGraph,
+    labels: np.ndarray,
     num_partitions: int,
     additional_capacity: float = 1.05,
 ) -> float:
@@ -170,43 +147,27 @@ def global_score(
     value per iteration to reproduce Figure 4.
     """
     _check_k(num_partitions)
-    loads = partition_loads(graph, assignment, num_partitions)
+    loads = partition_loads(graph, labels, num_partitions)
     total_load = loads.sum()
     if total_load == 0:
         return 0.0
     capacity = additional_capacity * total_load / num_partitions
     penalties = loads / capacity
 
-    if isinstance(graph, CSRGraph):
-        labels = _labels_array(graph, assignment)  # type: ignore[arg-type]
-        degrees = graph.weighted_degrees.astype(np.float64)
-        safe_degrees = np.where(degrees > 0, degrees, 1.0)
-        local_weight = np.zeros(graph.num_vertices, dtype=np.float64)
-        if graph.storage == "mmap":
-            for _, _, src, tgt, w in graph.iter_edge_chunks(_metric_chunk()):
-                same = labels[src] == labels[tgt]
-                np.add.at(local_weight, src[same], w[same].astype(np.float64))
-        else:
-            sources, targets, weights = graph.edge_array()
-            same = labels[sources] == labels[targets]
-            np.add.at(local_weight, sources[same], weights[same].astype(np.float64))
-        per_vertex = local_weight / safe_degrees - penalties[labels]
-        return float(per_vertex.sum())
-
-    score = 0.0
-    for vertex in graph.vertices():
-        label = assignment[vertex]  # type: ignore[index]
-        degree = graph.weighted_degree(vertex)
-        if degree == 0:
-            score -= penalties[label]
-            continue
-        local = sum(
-            weight
-            for neighbour, weight in graph.neighbors(vertex).items()
-            if assignment[neighbour] == label  # type: ignore[index]
-        )
-        score += local / degree - penalties[label]
-    return score
+    labels = _labels_array(graph, labels)
+    degrees = graph.weighted_degrees.astype(np.float64)
+    safe_degrees = np.where(degrees > 0, degrees, 1.0)
+    local_weight = np.zeros(graph.num_vertices, dtype=np.float64)
+    if graph.storage == "mmap":
+        for _, _, src, tgt, w in graph.iter_edge_chunks(_metric_chunk()):
+            same = labels[src] == labels[tgt]
+            np.add.at(local_weight, src[same], w[same].astype(np.float64))
+    else:
+        sources, targets, weights = graph.edge_array()
+        same = labels[sources] == labels[targets]
+        np.add.at(local_weight, sources[same], weights[same].astype(np.float64))
+    per_vertex = local_weight / safe_degrees - penalties[labels]
+    return float(per_vertex.sum())
 
 
 # ----------------------------------------------------------------------
@@ -234,16 +195,16 @@ class QualitySummary:
 
 
 def quality_summary(
-    graph: UndirectedGraph | CSRGraph,
-    assignment: Mapping[int, int] | np.ndarray,
+    graph: CSRGraph,
+    labels: np.ndarray,
     num_partitions: int,
     additional_capacity: float = 1.05,
 ) -> QualitySummary:
     """Compute :class:`QualitySummary` for a partitioning."""
     return QualitySummary(
         num_partitions=num_partitions,
-        phi=locality(graph, assignment),
-        rho=max_normalized_load(graph, assignment, num_partitions),
-        cut_edges=cut_edges(graph, assignment),
-        score=global_score(graph, assignment, num_partitions, additional_capacity),
+        phi=locality(graph, labels),
+        rho=max_normalized_load(graph, labels, num_partitions),
+        cut_edges=cut_edges(graph, labels),
+        score=global_score(graph, labels, num_partitions, additional_capacity),
     )

@@ -21,18 +21,22 @@ vertex ids (``0 .. n-1``); the mapping back to original ids lives in
 :class:`~repro.graph.csr.CSRGraph`.
 
 :func:`canonical_labels` is the one bridge to the dictionary graph, for
-the two partitioners whose algorithms still walk dictionary adjacency
-(METIS and the Pregel Spinner).
+METIS, whose coarsening still walks dictionary adjacency (Wang's coarse
+graph goes through it too).  It imports the dictionary graph type only
+when called.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.undirected import UndirectedGraph
+
+if TYPE_CHECKING:
+    from repro.graph.undirected import UndirectedGraph
 
 #: Default number of stream positions gathered per chunk.  Larger chunks
 #: amortize the NumPy call overhead but grow the number of intra-chunk
@@ -47,8 +51,10 @@ def canonical_undirected(csr: CSRGraph) -> UndirectedGraph:
     Vertices are inserted in ascending original-id order and edges in
     ascending ``(u, v)`` order, so two equal CSR graphs always produce
     dictionaries with identical iteration order — the property the METIS
-    and Pregel Spinner adapters (and the equivalence tests) rely on.
+    adapter (and the equivalence tests) rely on.
     """
+    from repro.graph.undirected import UndirectedGraph
+
     graph = UndirectedGraph()
     ids = csr.original_ids
     for vertex in ids.tolist():

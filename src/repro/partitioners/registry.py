@@ -32,8 +32,8 @@ through ``partition_array`` / ``run``.
     ``storage_chunk=`` (half-edges per streamed chunk).
 ``spinner-pregel``
     Spinner as a Pregel computation on the array-native vector engine
-    (:class:`~repro.core.spinner.SpinnerPartitioner`), fed a canonical
-    dictionary copy of the CSR graph; accepts ``num_workers=``.
+    (:class:`~repro.core.spinner.SpinnerPartitioner`), which shards the
+    CSR graph directly; accepts ``num_workers=``.
 
 The Spinner entries accept a ``config=SpinnerConfig(...)`` keyword
 (paper defaults: ``c = 1.05``, ``epsilon = 0.001``, ``w = 5``); all

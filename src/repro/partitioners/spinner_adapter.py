@@ -15,7 +15,6 @@ from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
 from repro.graph.csr import CSRGraph
 from repro.partitioners.base import Partitioner
-from repro.partitioners.csr_stream import canonical_labels
 
 
 class SpinnerFastAdapter(Partitioner):
@@ -59,9 +58,7 @@ class SpinnerFastAdapter(Partitioner):
 class SpinnerPregelAdapter(Partitioner):
     """Pregel-based Spinner behind the common partitioner interface.
 
-    The Pregel runtime builds its shards from a dictionary graph, so the
-    CSR input is materialized canonically (ascending ids, sorted edges)
-    first.
+    The Pregel runtime shards the CSR input directly.
     """
 
     name = "spinner-pregel"
@@ -79,6 +76,9 @@ class SpinnerPregelAdapter(Partitioner):
         from repro.core.spinner import SpinnerPartitioner
 
         spinner = SpinnerPartitioner(self.config, num_workers=self.num_workers)
-        return canonical_labels(
-            graph, lambda g: spinner.partition(g, num_partitions).assignment
+        assignment = spinner.partition(graph, num_partitions).assignment
+        return np.fromiter(
+            (assignment[v] for v in graph.original_ids.tolist()),
+            dtype=np.int64,
+            count=graph.num_vertices,
         )

@@ -55,11 +55,6 @@ class Aggregator:
         """Value reduced during the *previous* superstep."""
         return self._previous
 
-    @property
-    def current_value(self) -> Any:
-        """Value reduced so far during the *current* superstep."""
-        return self._current
-
     def advance_superstep(self) -> None:
         """Publish the current value and reset for the next superstep."""
         self._previous = self._current

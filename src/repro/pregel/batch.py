@@ -172,17 +172,6 @@ class DeliveredMessages:
     count: int
 
 
-def _dense_ids(ids: np.ndarray, originals: np.ndarray) -> np.ndarray:
-    """Map original vertex ids to their dense (insertion-order) positions.
-
-    ``ids`` holds the original ids in iteration order, which is not
-    necessarily sorted, so the lookup goes through an argsort-backed
-    ``searchsorted`` instead of assuming sorted ids.
-    """
-    sorter = np.argsort(ids, kind="stable")
-    return sorter[np.searchsorted(ids, originals, sorter=sorter)]
-
-
 def _neutral_payload(combine: str, num_vertices: int) -> np.ndarray:
     if combine == "sum":
         return np.zeros(num_vertices, dtype=np.float64)

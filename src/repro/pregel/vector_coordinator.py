@@ -27,9 +27,7 @@ import numpy as np
 
 from repro.errors import PregelError
 from repro.faults import FaultPlan, InjectedWorkerCrash
-from repro.graph.csr import CSRGraph, build_csr_arrays
-from repro.graph.digraph import DiGraph
-from repro.graph.undirected import UndirectedGraph
+from repro.graph.csr import CSRGraph
 from repro.pregel.aggregators import AggregatorRegistry
 from repro.pregel.batch import (
     BatchComputeContext,
@@ -37,7 +35,6 @@ from repro.pregel.batch import (
     DeliveredMessages,
     Outbox,
     ShardedGraph,
-    _dense_ids,
     _neutral_payload,
 )
 from repro.pregel.checkpoint import (
@@ -184,65 +181,6 @@ class VectorPregelEngine:
     def shard_csr(self, csr: CSRGraph) -> ShardedGraph:
         """Shard a :class:`CSRGraph` (undirected: slots are out-edges)."""
         return self.shard_graph(csr.indptr, csr.indices, csr.weights, csr.original_ids)
-
-    def shard_digraph(self, graph: DiGraph) -> ShardedGraph:
-        """Shard a directed graph; every directed edge is one out-edge.
-
-        Vertex and edge iteration order follows ``graph.vertices()`` and
-        ``graph.edges()``, so runs are comparable slot for slot with a
-        per-vertex engine loading the same graph.  Edge weights default
-        to 1.  The only per-edge
-        Python work is draining the edge iterator once; densification and
-        CSR construction run vectorized.
-        """
-        ids = np.fromiter(graph.vertices(), dtype=np.int64, count=graph.num_vertices)
-        edge_rows = [(source, target) for source, target in graph.edges()]
-        if edge_rows:
-            pairs = np.asarray(edge_rows, dtype=np.int64)
-        else:
-            pairs = np.empty((0, 2), dtype=np.int64)
-        sources = _dense_ids(ids, pairs[:, 0])
-        targets = _dense_ids(ids, pairs[:, 1])
-        weights = np.ones(sources.shape[0], dtype=np.int64)
-        return self._shard_half_edges(ids, sources, targets, weights)
-
-    def shard_undirected(self, graph: UndirectedGraph) -> ShardedGraph:
-        """Shard an undirected graph; every edge becomes two out-edges.
-
-        The two directions are interleaved in edge-iteration order (the
-        order a per-vertex loader inserts them); as with the directed
-        loader, only the edge-iterator drain is per-edge Python.
-        """
-        ids = np.fromiter(graph.vertices(), dtype=np.int64, count=graph.num_vertices)
-        edge_rows = [(u, v, w) for u, v, w in graph.edges()]
-        if edge_rows:
-            triples = np.asarray(edge_rows, dtype=np.int64)
-        else:
-            triples = np.empty((0, 3), dtype=np.int64)
-        u = _dense_ids(ids, triples[:, 0])
-        v = _dense_ids(ids, triples[:, 1])
-        num_slots = 2 * u.shape[0]
-        sources = np.empty(num_slots, dtype=np.int64)
-        targets = np.empty(num_slots, dtype=np.int64)
-        weights = np.empty(num_slots, dtype=np.int64)
-        sources[0::2], sources[1::2] = u, v
-        targets[0::2], targets[1::2] = v, u
-        weights[0::2] = weights[1::2] = triples[:, 2]
-        return self._shard_half_edges(ids, sources, targets, weights)
-
-    def _shard_half_edges(
-        self,
-        ids: np.ndarray,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        weights: np.ndarray,
-    ) -> ShardedGraph:
-        # build_csr_arrays sorts stably by source, which keeps the
-        # per-vertex slot order identical to the edge-insertion order.
-        indptr, sorted_targets, sorted_weights = build_csr_arrays(
-            sources, targets, weights, ids.shape[0]
-        )
-        return self.shard_graph(indptr, sorted_targets, sorted_weights, ids)
 
     # ------------------------------------------------------------------
     # execution
@@ -602,21 +540,3 @@ class VectorPregelEngine:
     ) -> VectorPregelResult:
         """Convenience wrapper: shard a CSR graph and run ``program``."""
         return self.run(program, self.shard_csr(csr), master=master)
-
-    def run_on_digraph(
-        self,
-        program: BatchVertexProgram,
-        graph: DiGraph,
-        master: MasterCompute | None = None,
-    ) -> VectorPregelResult:
-        """Convenience wrapper: shard a directed graph and run ``program``."""
-        return self.run(program, self.shard_digraph(graph), master=master)
-
-    def run_on_undirected(
-        self,
-        program: BatchVertexProgram,
-        graph: UndirectedGraph,
-        master: MasterCompute | None = None,
-    ) -> VectorPregelResult:
-        """Convenience wrapper: shard an undirected graph and run ``program``."""
-        return self.run(program, self.shard_undirected(graph), master=master)

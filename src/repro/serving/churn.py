@@ -279,7 +279,7 @@ class ChurnPipeline:
 
         Returns the number of edges actually added (duplicates of
         existing edges, repeats within the delta and self-loops are
-        dropped, matching :meth:`~repro.graph.dynamic.GraphDelta.apply`).
+        dropped, see :meth:`~repro.graph.delta_csr.DeltaCSR.append`).
         The whole delta is validated first
         (:meth:`~repro.graph.dynamic.GraphDelta.validate`): a negative
         vertex id or a non-positive weight anywhere raises

@@ -7,8 +7,9 @@ import pytest
 from repro.core.config import SpinnerConfig
 from repro.graph.datasets import load_dataset
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import powerlaw_cluster, watts_strogatz
 from repro.graph.undirected import UndirectedGraph
+
+from oracles.graphs import powerlaw_cluster, watts_strogatz
 
 
 @pytest.fixture

@@ -21,7 +21,12 @@ it from here and assert bit-exact agreement:
 * :mod:`oracles.generators` — the graph generators with one numpy
   ``Generator`` call per draw, reference for the raw-block draw stream;
 * :mod:`oracles.edge_list` — the per-line edge-list readers, reference
-  for the block reader of :mod:`repro.graph.io`.
+  for the block reader of :mod:`repro.graph.io`;
+* :mod:`oracles.dynamic`, :mod:`oracles.incremental`,
+  :mod:`oracles.metrics` — the dictionary churn generators and delta
+  application, incremental initializer and quality metrics;
+* :mod:`oracles.graphs` — the dict generator wrappers, and dictionary
+  graphs as inputs of the array runtimes.
 
 Nothing under ``src/`` imports this package.  The oracles run
 uninterrupted only: they neither checkpoint nor inject faults.

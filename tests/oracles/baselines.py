@@ -15,8 +15,9 @@ from collections import deque
 import numpy as np
 
 from repro.graph.conversion import ensure_undirected
-from repro.metrics.quality import locality, max_normalized_load
 from repro.partitioners.hashing import hash_label
+
+from oracles.metrics import locality, max_normalized_load
 
 
 def ldg_stream(partitioner, graph) -> list[int]:

@@ -28,9 +28,9 @@ from repro.core.program import (
     candidate_aggregator_name,
     load_aggregator_name,
 )
+from repro.core.batch_program import SpinnerInput
 from repro.core.spinner import SpinnerPartitioner
-from repro.graph.digraph import DiGraph
-from repro.graph.undirected import UndirectedGraph
+from repro.graph.csr import CSRGraph
 from repro.pregel.aggregators import AggregatorRegistry
 
 from oracles.engine import PregelEngine, PregelResult
@@ -223,11 +223,11 @@ class DictSpinnerPartitioner(SpinnerPartitioner):
 
     def _execute(
         self,
-        graph: DiGraph | UndirectedGraph,
+        graph: SpinnerInput,
         num_partitions: int,
-        initial_assignment: dict[int, int],
-    ) -> tuple[dict[int, int], PregelResult]:
-        convert_directed = isinstance(graph, DiGraph)
+        initial_labels: np.ndarray,
+    ) -> tuple[np.ndarray, PregelResult]:
+        convert_directed = not isinstance(graph, CSRGraph)
         program = SpinnerProgram(
             num_partitions=num_partitions,
             config=self.config,
@@ -240,22 +240,21 @@ class DictSpinnerPartitioner(SpinnerPartitioner):
             cost_model=self.cost_model,
             max_supersteps=program.superstep_bound(),
         )
-
-        def vertex_value(vertex_id: int) -> SpinnerVertexValue:
-            return SpinnerVertexValue(initial_assignment[vertex_id])
-
         if convert_directed:
-            vertices = engine.vertices_from_digraph(
-                graph, vertex_value=vertex_value, edge_value=lambda s, t: [1, None]
-            )
+            # Giraph's data model: a vertex knows only its out-edges.
+            ids, sources, targets = (np.asarray(part) for part in graph)
+            weights = np.ones(sources.shape[0], dtype=np.int64)
         else:
-            vertices = engine.vertices_from_undirected(
-                graph,
-                vertex_value=vertex_value,
-                edge_value=lambda u, v, w: [w, None],
-            )
-        result = engine.run(program, vertices, master=master)
-        assignment = {
-            vertex_id: vertex.value.label for vertex_id, vertex in result.vertices.items()
+            ids = graph.original_ids
+            sources, targets, weights = graph.edge_array()
+            sources, targets = ids[sources], ids[targets]
+        ids = ids.tolist()
+        vertices = {
+            vertex_id: Vertex(vertex_id, value=SpinnerVertexValue(int(label)))
+            for vertex_id, label in zip(ids, initial_labels.tolist())
         }
-        return assignment, result
+        for source, target, weight in zip(sources.tolist(), targets.tolist(), weights.tolist()):
+            vertices[source].add_edge(target, [weight, None])
+        result = engine.run(program, vertices, master=master)
+        labels = np.array([result.vertices[v].value.label for v in ids], dtype=np.int64)
+        return labels, result

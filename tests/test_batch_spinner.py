@@ -19,12 +19,13 @@ from repro.core.config import SpinnerConfig
 from repro.core.spinner import SpinnerPartitioner
 from repro.errors import PartitioningError
 from repro.graph.datasets import load_dataset
+from repro.graph.delta_csr import DeltaCSR
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import EdgeArrivalStream
-from repro.graph.generators import powerlaw_cluster, watts_strogatz
 from repro.graph.undirected import UndirectedGraph
 from repro.pregel.vector_coordinator import VectorPregelEngine
 
+from oracles.graphs import powerlaw_cluster, spinner_input, watts_strogatz
 from oracles.spinner import DictSpinnerPartitioner
 
 
@@ -61,13 +62,15 @@ def assert_equivalent(dict_result, vector_result):
 
 
 @pytest.fixture
-def undirected_graph() -> UndirectedGraph:
-    return powerlaw_cluster(220, edges_per_vertex=5, triangle_probability=0.5, seed=5)
+def undirected_graph():
+    return spinner_input(
+        powerlaw_cluster(220, edges_per_vertex=5, triangle_probability=0.5, seed=5)
+    )
 
 
 @pytest.fixture
-def directed_graph() -> DiGraph:
-    return load_dataset("TW", scale=0.05, seed=9)
+def directed_graph():
+    return spinner_input(load_dataset("TW", scale=0.05, seed=9))
 
 
 @pytest.mark.parametrize("placement_name", ["hash", "stride"])
@@ -112,10 +115,10 @@ def test_incremental_restart_equivalence(undirected_graph):
     config = SpinnerConfig(seed=3, max_iterations=25)
     dict_part, vector_part = _partitioners(config)
     stream = EdgeArrivalStream(undirected_graph, holdout_fraction=0.3, seed=5)
-    snapshot = stream.snapshot()
-    initial = dict_part.partition(snapshot, 4)
-    delta = stream.delta(fraction_of_snapshot=0.05)
-    delta.apply(snapshot)
+    snapshot = DeltaCSR(stream.snapshot())
+    initial = dict_part.partition(snapshot.base, 4)
+    snapshot.append(stream.delta(fraction_of_snapshot=0.05))
+    snapshot = snapshot.to_csr()
     assert_equivalent(
         dict_part.adapt_to_graph_changes(snapshot, initial.assignment, 4),
         vector_part.adapt_to_graph_changes(snapshot, initial.assignment, 4),
@@ -136,7 +139,7 @@ def test_elastic_restart_equivalence(new_k, undirected_graph):
 def test_initial_assignment_equivalence(undirected_graph):
     config = SpinnerConfig(seed=1, max_iterations=10)
     dict_part, vector_part = _partitioners(config)
-    initial = {v: v % 3 for v in undirected_graph.vertices()}
+    initial = {v: v % 3 for v in undirected_graph.original_ids.tolist()}
     assert_equivalent(
         dict_part.partition(undirected_graph, 3, initial_assignment=initial),
         vector_part.partition(undirected_graph, 3, initial_assignment=initial),
@@ -147,6 +150,7 @@ def test_directed_self_loops_equivalence():
     graph = DiGraph.from_edges(
         [(0, 0), (0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4), (4, 4), (4, 0)]
     )
+    graph = spinner_input(graph)
     config = SpinnerConfig(seed=3, max_iterations=10)
     dict_part, vector_part = _partitioners(config, num_workers=2)
     assert_equivalent(dict_part.partition(graph, 2), vector_part.partition(graph, 2))
@@ -158,6 +162,7 @@ def test_isolated_vertices_equivalence():
         graph.add_vertex(vertex)
     graph.add_edge(0, 1)
     graph.add_edge(2, 3)
+    graph = spinner_input(graph)
     config = SpinnerConfig(seed=3, max_iterations=8)
     dict_part, vector_part = _partitioners(config, num_workers=2)
     assert_equivalent(dict_part.partition(graph, 2), vector_part.partition(graph, 2))
@@ -174,7 +179,7 @@ def test_max_iterations_halt_equivalence(undirected_graph):
 
 
 def test_small_world_equivalence():
-    graph = watts_strogatz(180, degree=8, beta=0.3, seed=5)
+    graph = spinner_input(watts_strogatz(180, degree=8, beta=0.3, seed=5))
     config = SpinnerConfig(seed=5, max_iterations=20)
     dict_part, vector_part = _partitioners(config, num_workers=5)
     assert_equivalent(dict_part.partition(graph, 8), vector_part.partition(graph, 8))

@@ -17,6 +17,8 @@ from repro.pregel import (
 )
 from repro.pregel.checkpoint import VECTOR_KIND
 
+from oracles.graphs import run_on_digraph
+
 
 def small_graph() -> DiGraph:
     edges = [(i, (i * 3 + 1) % 40) for i in range(40)]
@@ -32,7 +34,7 @@ def run_vector(tmp_path, interval=2, **engine_kwargs):
         **engine_kwargs,
     )
     program = make_app_program("pagerank", num_iterations=6)
-    return engine.run_on_digraph(program, small_graph())
+    return run_on_digraph(engine, program, small_graph())
 
 
 # ----------------------------------------------------------------------
@@ -139,8 +141,10 @@ def test_resume_fails_without_snapshots(tmp_path):
 # offline resume (clean runs)
 # ----------------------------------------------------------------------
 def test_vector_resume_matches_uninterrupted_run(tmp_path):
-    baseline = VectorPregelEngine(num_workers=3).run_on_digraph(
-        make_app_program("pagerank", num_iterations=6), small_graph()
+    baseline = run_on_digraph(
+        VectorPregelEngine(num_workers=3),
+        make_app_program("pagerank", num_iterations=6),
+        small_graph(),
     )
     run_vector(tmp_path, interval=2)
     resumed = resume_from_checkpoint(tmp_path)

@@ -9,6 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from oracles import metrics as dict_metrics
 from oracles.baselines import DICT_PARTITIONS, dict_run
 from oracles.edge_list import read_directed_edge_list, write_directed_edge_list
 
@@ -346,10 +347,9 @@ def test_recover_rejects_stale_dict_engine_snapshot(tmp_path, capsys):
 # Partitioners with a dictionary oracle (the streaming and trivial
 # baselines) are checked against it.  The others have none: Spinner,
 # METIS and the Pregel Spinner are checked against the library run on a
-# CSR graph built from the dictionary graph.
-ARRAY_NATIVE_PARTITIONERS = sorted(
-    set(available_partitioners()) - {"metis", "spinner-pregel"}
-)
+# CSR graph built from the dictionary graph.  Only METIS still walks a
+# dictionary graph.
+ARRAY_NATIVE_PARTITIONERS = sorted(set(available_partitioners()) - {"metis"})
 ORACLE_SCALE = 0.05
 ORACLE_SEED = 11
 
@@ -372,8 +372,8 @@ def _reference(partitioner, graph, k):
     assignment = partitioner.run(CSRGraph.from_undirected(undirected), k).assignment
     return (
         assignment,
-        locality(undirected, assignment),
-        max_normalized_load(undirected, assignment, k),
+        dict_metrics.locality(undirected, assignment),
+        dict_metrics.max_normalized_load(undirected, assignment, k),
     )
 
 
@@ -409,6 +409,7 @@ _ORACLE_CASES = [
     (dataset, name)
     for dataset in ("LJ", "TU", "TW", "Y!")
     for name in ARRAY_NATIVE_PARTITIONERS
+    if name != "spinner-pregel"
 ] + [
     (dataset, name)
     for dataset in ("LJ", "TU")
@@ -636,7 +637,8 @@ def test_three_readings_of_one_edge_list(tmp_path):
 
 def test_commands_import_only_what_they_run(tmp_path):
     """``ingest`` and ``partition`` never load the serving stack, the
-    Pregel runtime, the experiment harnesses or METIS."""
+    Pregel runtime, the experiment harnesses, METIS or the dictionary
+    graph types."""
     edge_list = tmp_path / "edges.txt"
     edge_list.write_text("".join(f"{i} {(i * 7 + 1) % 40}\n" for i in range(40)))
     store = tmp_path / "store"
@@ -653,7 +655,8 @@ def test_commands_import_only_what_they_run(tmp_path):
         ):
             assert main(argv) == 0
         forbidden = ("asyncio", "repro.serving", "repro.pregel", "repro.experiments",
-                     "repro.partitioners.metis")
+                     "repro.partitioners.metis", "repro.graph.digraph",
+                     "repro.graph.undirected")
         print("LOADED", [name for name in forbidden if name in sys.modules])
         """
     )

@@ -6,13 +6,14 @@ import pytest
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.undirected import UndirectedGraph
+from repro.partitioners.csr_stream import canonical_undirected
 
 
 def test_from_undirected_roundtrip(two_cliques):
     csr = CSRGraph.from_undirected(two_cliques)
     assert csr.num_vertices == two_cliques.num_vertices
     assert csr.num_edges == two_cliques.num_edges
-    back = csr.to_undirected()
+    back = canonical_undirected(csr)
     assert back.num_edges == two_cliques.num_edges
     assert back.total_weight == two_cliques.total_weight
 

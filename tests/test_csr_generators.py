@@ -35,11 +35,14 @@ from repro.graph.generators import (
     _powerlaw_cluster_builder,
     _ring_lattice_builder,
     _watts_strogatz_builder,
+    to_directed_reciprocal,
+)
+
+from oracles.graphs import (
     barabasi_albert,
     erdos_renyi,
     powerlaw_cluster,
     ring_lattice,
-    to_directed_reciprocal,
     watts_strogatz,
 )
 

@@ -27,8 +27,10 @@ from repro.graph.csr import CSRGraph
 from repro.graph.delta_csr import DeltaCSR, forward_edge_keys
 from repro.graph.dynamic import GraphDelta
 from repro.graph.undirected import UndirectedGraph
-from repro.metrics.quality import locality, max_normalized_load
 from repro.serving import ServingConfig, ShardingService
+
+from oracles.dynamic import apply_delta
+from oracles.metrics import locality, max_normalized_load
 
 #: Sparse base ids; the ids between them (and past the end) are new.
 BASE_IDS = list(range(0, 48, 3))
@@ -87,7 +89,7 @@ def test_append_drops_self_loops_duplicates_and_repeats():
     again, _ = live.append(GraphDelta(added_edges=[(12, 9, 3), (1, 4, 1)]))
     assert again.tolist() == [[1, 4, 1]]
     for applied in (delta, GraphDelta(added_edges=[(12, 9, 3), (1, 4, 1)])):
-        applied.apply(oracle)
+        apply_delta(applied, oracle)
     assert live.num_vertices == oracle.num_vertices
     assert live.num_edges == oracle.num_edges
     assert live.total_weight == oracle.total_weight
@@ -100,12 +102,12 @@ def test_freeze_ignores_later_appends_and_advance_keeps_them():
     live = DeltaCSR(CSRGraph.from_undirected(oracle))
     first = GraphDelta(added_edges=[(0, 6, 1), (2, 3, 1)], added_vertices={5})
     live.append(first)
-    first.apply(oracle)
+    apply_delta(first, oracle)
     frozen = live.freeze()
     at_freeze = oracle.copy()
     later = GraphDelta(added_edges=[(2, 7, 3), (0, 15, 1)])
     live.append(later)
-    later.apply(oracle)
+    apply_delta(later, oracle)
 
     merged = frozen.merge()
     assert_pinned(merged.base, at_freeze)
@@ -198,7 +200,7 @@ def test_churn_pipeline_matches_dict_oracle(data):
     service = ShardingService(CSRGraph.from_undirected(oracle), config)
     pipeline = service.pipeline
     spinner = FastSpinner(SpinnerConfig(seed=seed))
-    bootstrap = spinner.partition(oracle, k)
+    bootstrap = spinner.partition(CSRGraph.from_undirected(oracle), k)
     assert np.array_equal(service.store.current().labels, bootstrap.labels)
     versions = [service.store.version]
     existing = [(u, v, w) for u, v, w in oracle.edges()]
@@ -206,7 +208,7 @@ def test_churn_pipeline_matches_dict_oracle(data):
     for _ in range(data.draw(st.integers(1, 3), label="rounds")):
         for delta in data.draw(st.lists(_delta(existing), min_size=1, max_size=3)):
             assert pipeline.ingest(delta) >= 0
-            delta.apply(oracle)
+            apply_delta(delta, oracle)
         _check_live(service, oracle, versions)
 
         previous = service.store.current()
@@ -215,13 +217,15 @@ def test_churn_pipeline_matches_dict_oracle(data):
         # Churn that arrives while the repartition is in flight stays pending.
         for delta in data.draw(st.lists(_delta(existing), max_size=2)):
             pipeline.ingest(delta)
-            delta.apply(oracle)
+            apply_delta(delta, oracle)
         outcome = pipeline.execute(job)
         report = pipeline.publish(job, outcome)
         versions.append(report.version)
 
         assert_pinned(pipeline.graph.base, at_freeze)
-        direct = spinner.adapt_to_graph_changes(at_freeze, previous.to_assignment(), k)
+        direct = spinner.adapt_to_graph_changes(
+            CSRGraph.from_undirected(at_freeze), previous.to_assignment(), k
+        )
         snapshot = service.store.current()
         assert np.array_equal(snapshot.ids, direct.original_ids)
         assert np.array_equal(snapshot.labels, direct.labels)
@@ -254,7 +258,7 @@ def test_merge_in_a_thread_while_ingest_keeps_appending():
                 ids = rng.choice(BASE_IDS + NEW_IDS + [100, 200], size=(4, 2))
                 delta = GraphDelta(added_edges=[(int(u), int(v), 1) for u, v in ids])
                 pipeline.ingest(delta)
-                delta.apply(oracle)
+                apply_delta(delta, oracle)
             worker.join(timeout=60)
             assert not worker.is_alive()
             pipeline.publish(job, result["outcome"])

@@ -1,8 +1,15 @@
-"""Tests for dynamic graph change streams."""
+"""Tests for dynamic graph change streams.
+
+The streams and churn generators run on CSR arrays; the churn generators
+are pinned seed for seed against their dictionary oracles
+(``oracles.dynamic``).
+"""
 
 import pytest
 
 from repro.errors import GraphError
+from repro.graph.csr import CSRGraph
+from repro.graph.delta_csr import DeltaCSR
 from repro.graph.dynamic import (
     EdgeArrivalStream,
     GraphDelta,
@@ -10,13 +17,29 @@ from repro.graph.dynamic import (
     hub_birth_edges,
     random_new_edges,
 )
-from repro.graph.generators import erdos_renyi
-from repro.graph.undirected import UndirectedGraph
+
+from oracles import dynamic as dict_dynamic
+from oracles.graphs import erdos_renyi, powerlaw_cluster
 
 
 @pytest.fixture
-def full_graph():
+def dict_graph():
     return erdos_renyi(150, 600, seed=11)
+
+
+@pytest.fixture
+def full_graph(dict_graph):
+    return CSRGraph.from_undirected(dict_graph)
+
+
+def _empty_graph() -> CSRGraph:
+    return CSRGraph.from_edge_list([], 0)
+
+
+def _grow(graph: CSRGraph, delta: GraphDelta) -> CSRGraph:
+    live = DeltaCSR(graph)
+    live.append(delta)
+    return live.to_csr()
 
 
 def test_snapshot_plus_withheld_covers_graph(full_graph):
@@ -56,9 +79,7 @@ def test_apply_delta_adds_edges(full_graph):
     stream = EdgeArrivalStream(full_graph, holdout_fraction=0.3, seed=1)
     snapshot = stream.snapshot()
     delta = stream.delta(num_edges=20)
-    before = snapshot.num_edges
-    delta.apply(snapshot)
-    assert snapshot.num_edges == before + 20
+    assert _grow(snapshot, delta).num_edges == snapshot.num_edges + 20
 
 
 def test_invalid_holdout_fraction(full_graph):
@@ -74,9 +95,7 @@ def test_empty_delta(full_graph):
     assert delta.num_new_edges == 0
     assert stream.num_withheld_edges == round(full_graph.num_edges * 0.3)
     snapshot = stream.snapshot()
-    before = snapshot.num_edges
-    delta.apply(snapshot)
-    assert snapshot.num_edges == before
+    assert _grow(snapshot, delta).num_edges == snapshot.num_edges
 
 
 def test_zero_fraction_delta_is_empty(full_graph):
@@ -121,17 +140,20 @@ def test_withheld_accounting_across_batches(full_graph):
 
 def test_apply_skips_already_present_edges(full_graph):
     stream = EdgeArrivalStream(full_graph, holdout_fraction=0.3, seed=1)
-    snapshot = stream.snapshot()
     delta = stream.delta(num_edges=15)
-    delta.apply(snapshot)
-    before = snapshot.num_edges
+    grown = _grow(stream.snapshot(), delta)
     # Re-applying the same delta must be a no-op (edges already exist).
-    delta.apply(snapshot)
-    assert snapshot.num_edges == before
+    assert _grow(grown, delta).num_edges == grown.num_edges
 
 
-def _edge_set(graph):
-    return sorted((min(u, v), max(u, v), w) for u, v, w in graph.edges())
+def _edge_set(graph: CSRGraph):
+    sources, targets, weights = graph.edge_array()
+    ids = graph.original_ids
+    forward = sources < targets
+    return sorted(
+        zip(ids[sources[forward]].tolist(), ids[targets[forward]].tolist(),
+            weights[forward].tolist())
+    )
 
 
 @pytest.mark.parametrize(
@@ -144,23 +166,23 @@ def _edge_set(graph):
     ids=["zero-weight", "negative-endpoint", "negative-vertex"],
 )
 def test_apply_rejects_an_invalid_delta_without_changing_the_graph(edges, vertices):
-    graph = UndirectedGraph.from_edges([(1, 2), (2, 3), (3, 4)])
-    before = (sorted(graph.vertices()), _edge_set(graph))
+    live = DeltaCSR(CSRGraph.from_edge_list([(0, 1), (1, 2), (2, 3)], 4))
+    before = (live.num_vertices, _edge_set(live.to_csr()))
     with pytest.raises(GraphError):
-        GraphDelta(added_edges=edges, added_vertices=vertices).apply(graph)
-    assert (sorted(graph.vertices()), _edge_set(graph)) == before
+        live.append(GraphDelta(added_edges=edges, added_vertices=vertices))
+    assert (live.num_vertices, _edge_set(live.to_csr())) == before
 
 
 def test_apply_skips_self_loops_like_ingest():
-    graph = UndirectedGraph.from_edges([(1, 2), (2, 3)])
-    GraphDelta(added_edges=[(0, 1, 1), (2, 2, 1)]).apply(graph)
-    assert _edge_set(graph) == [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
+    graph = CSRGraph.from_edge_list([(1, 2), (2, 3)], 4)
+    grown = _grow(graph, GraphDelta(added_edges=[(0, 1, 1), (2, 2, 1)]))
+    assert _edge_set(grown) == [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
 
 
-def test_random_new_edges_are_new(full_graph):
+def test_random_new_edges_are_new(full_graph, dict_graph):
     delta = random_new_edges(full_graph, fraction=0.05, seed=3)
     for u, v, _w in delta.added_edges:
-        assert not full_graph.has_edge(u, v)
+        assert not dict_graph.has_edge(u, v)
 
 
 def test_random_new_edges_zero_fraction(full_graph):
@@ -174,12 +196,11 @@ def test_random_new_edges_invalid_fraction(full_graph):
 
 def test_graph_delta_new_vertices():
     delta = GraphDelta(added_edges=[(100, 101, 1)], added_vertices={100, 101})
-    graph = erdos_renyi(10, 20, seed=0)
-    delta.apply(graph)
-    assert graph.has_edge(100, 101)
+    graph = _grow(CSRGraph.from_undirected(erdos_renyi(10, 20, seed=0)), delta)
+    assert (100, 101, 1) in _edge_set(graph)
 
 
-def test_bursty_new_edges_concentrate_on_hotspots(full_graph):
+def test_bursty_new_edges_concentrate_on_hotspots(full_graph, dict_graph):
     delta = bursty_new_edges(full_graph, fraction=0.05, seed=3, num_hotspots=4)
     assert delta.num_new_edges > 0
     assert not delta.added_vertices
@@ -187,7 +208,7 @@ def test_bursty_new_edges_concentrate_on_hotspots(full_graph):
     for u, v, weight in delta.added_edges:
         assert weight == 1
         assert u != v
-        assert not full_graph.has_edge(u, v)
+        assert not dict_graph.has_edge(u, v)
         endpoints.add(u)
     # Every edge has one endpoint among the (at most) 4 hotspots.
     assert len(endpoints) <= 4
@@ -208,23 +229,22 @@ def test_bursty_new_edges_validation(full_graph):
     with pytest.raises(GraphError):
         bursty_new_edges(full_graph, fraction=0.1, seed=1, num_hotspots=0)
     assert bursty_new_edges(full_graph, fraction=0.0, seed=1).num_new_edges == 0
-    assert bursty_new_edges(UndirectedGraph(), fraction=0.5, seed=1).num_new_edges == 0
+    assert bursty_new_edges(_empty_graph(), fraction=0.5, seed=1).num_new_edges == 0
 
 
 def test_hub_birth_edges_create_new_hubs(full_graph):
-    max_existing = max(full_graph.vertices())
+    max_existing = int(full_graph.original_ids.max())
     delta = hub_birth_edges(full_graph, fraction=0.1, seed=3, num_hubs=3)
     assert delta.num_new_edges > 0
     assert len(delta.added_vertices) == 3
     assert all(hub > max_existing for hub in delta.added_vertices)
     for u, v, _w in delta.added_edges:
         assert u in delta.added_vertices
-        assert v in full_graph
+        assert v in full_graph.original_ids
     # Applying the delta materializes high-degree hubs.
-    graph = full_graph
-    before = graph.num_edges
-    delta.apply(graph)
-    assert graph.num_edges == before + delta.num_new_edges
+    grown = _grow(full_graph, delta)
+    assert grown.num_edges == full_graph.num_edges + delta.num_new_edges
+    assert grown.num_vertices == full_graph.num_vertices + 3
 
 
 def test_hub_birth_edges_deterministic(full_graph):
@@ -240,4 +260,39 @@ def test_hub_birth_edges_validation(full_graph):
     with pytest.raises(GraphError):
         hub_birth_edges(full_graph, fraction=0.1, seed=1, num_hubs=0)
     assert hub_birth_edges(full_graph, fraction=0.0, seed=1).num_new_edges == 0
-    assert hub_birth_edges(UndirectedGraph(), fraction=0.5, seed=1).num_new_edges == 0
+    assert hub_birth_edges(_empty_graph(), fraction=0.5, seed=1).num_new_edges == 0
+
+
+# ----------------------------------------------------------------------
+# negative batches
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "request_kwargs",
+    [{"num_edges": -1}, {"fraction_of_snapshot": -0.05}, {"fraction_of_snapshot": float("nan")}],
+    ids=["negative-count", "negative-fraction", "nan-fraction"],
+)
+def test_negative_batch_is_rejected_and_releases_nothing(full_graph, request_kwargs):
+    stream = EdgeArrivalStream(full_graph, holdout_fraction=0.4, seed=1)
+    first = stream.delta(num_edges=5).added_edges
+    withheld = stream.num_withheld_edges
+    with pytest.raises(GraphError):
+        stream.delta(**request_kwargs)
+    assert stream.num_withheld_edges == withheld
+    stream.reset()
+    assert stream.delta(num_edges=5).added_edges == first
+
+
+@pytest.mark.parametrize("fraction", [0.02, 0.1])
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("name", ["random_new_edges", "bursty_new_edges", "hub_birth_edges"])
+def test_churn_generators_match_dict_oracles(name, seed, fraction):
+    graph = powerlaw_cluster(200, edges_per_vertex=4, triangle_probability=0.5, seed=seed)
+    csr = CSRGraph.from_undirected(graph)
+    for round_index in range(3):
+        expected = getattr(dict_dynamic, name)(graph, fraction, seed=seed + round_index)
+        delta = globals()[name](csr, fraction, seed=seed + round_index)
+        assert delta.added_edges == expected.added_edges
+        assert delta.added_vertices == expected.added_vertices
+        dict_dynamic.apply_delta(expected, graph)
+        csr = _grow(csr, delta)
+

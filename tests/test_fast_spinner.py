@@ -6,8 +6,15 @@ import pytest
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
 from repro.errors import InvalidPartitionCountError, PartitioningError
+from repro.graph.conversion import to_weighted_csr
 from repro.graph.csr import CSRGraph
 from repro.partitioners.hashing import HashPartitioner
+
+
+@pytest.fixture
+def community_graph(community_graph):
+    """The conftest community graph as the CSR graph FastSpinner takes."""
+    return CSRGraph.from_undirected(community_graph)
 
 
 def test_partition_returns_valid_labels(community_graph, quick_config):
@@ -16,12 +23,12 @@ def test_partition_returns_valid_labels(community_graph, quick_config):
     assert labels.shape[0] == community_graph.num_vertices
     assert labels.min() >= 0 and labels.max() < 4
     assignment = result.to_assignment()
-    assert set(assignment) == set(community_graph.vertices())
+    assert set(assignment) == set(community_graph.original_ids.tolist())
 
 
 def test_quality_beats_hash_partitioning(community_graph, quick_config):
     spinner = FastSpinner(quick_config).partition(community_graph, 4)
-    hash_output = HashPartitioner().run(CSRGraph.from_undirected(community_graph), 4)
+    hash_output = HashPartitioner().run(community_graph, 4)
     assert spinner.phi > hash_output.phi
 
 
@@ -38,7 +45,7 @@ def test_two_cliques_are_separated(two_cliques):
     # (exactly the granularity effect Proposition 3's bound depends on), so
     # the toy graph uses a proportionally larger slack.
     config = SpinnerConfig(seed=1, max_iterations=60, additional_capacity=1.3)
-    result = FastSpinner(config).partition(two_cliques, 2)
+    result = FastSpinner(config).partition(CSRGraph.from_undirected(two_cliques), 2)
     # Each clique should end up (almost) entirely in one partition.
     assert result.phi >= 0.85
 
@@ -66,11 +73,11 @@ def test_history_can_be_disabled(community_graph, quick_config):
 
 def test_initial_labels_mapping_and_array(community_graph, quick_config):
     spinner = FastSpinner(quick_config)
-    csr = CSRGraph.from_undirected(community_graph)
+    csr = community_graph
     array_init = np.zeros(csr.num_vertices, dtype=np.int64)
     result = spinner.partition(csr, 2, initial_labels=array_init)
     assert result.labels.max() <= 1
-    mapping_init = {v: 0 for v in community_graph.vertices()}
+    mapping_init = {v: 0 for v in community_graph.original_ids.tolist()}
     result2 = spinner.partition(community_graph, 2, initial_labels=mapping_init)
     assert result2.labels.shape[0] == community_graph.num_vertices
 
@@ -90,7 +97,9 @@ def test_invalid_inputs_rejected(community_graph, quick_config):
 
 
 def test_directed_input_uses_weighted_conversion(tiny_twitter, quick_config):
-    result = FastSpinner(quick_config).partition(tiny_twitter, 4)
+    graph = to_weighted_csr(tiny_twitter)
+    assert set(np.unique(graph.weights).tolist()) == {1, 2}
+    result = FastSpinner(quick_config).partition(graph, 4)
     assert 0.0 <= result.phi <= 1.0
     assert result.labels.shape[0] == tiny_twitter.num_vertices
 

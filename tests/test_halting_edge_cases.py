@@ -19,6 +19,7 @@ from repro.pregel import (
 )
 
 from oracles.engine import PregelEngine
+from oracles.graphs import run_on_undirected
 from oracles.program import VertexProgram
 
 NUM_VERTICES = 6
@@ -80,10 +81,10 @@ def run(engine_kind: str, program_pair: str, max_supersteps: int, master=None):
     if engine_kind == "dict":
         engine = PregelEngine(num_workers=2, max_supersteps=max_supersteps)
         program = SelfPing() if program_pair == "ping" else QuietQuit()
-    else:
-        engine = VectorPregelEngine(num_workers=2, max_supersteps=max_supersteps)
-        program = BatchSelfPing() if program_pair == "ping" else BatchQuietQuit()
-    return engine.run_on_undirected(program, graph(), master=master)
+        return engine.run_on_undirected(program, graph(), master=master)
+    engine = VectorPregelEngine(num_workers=2, max_supersteps=max_supersteps)
+    program = BatchSelfPing() if program_pair == "ping" else BatchQuietQuit()
+    return run_on_undirected(engine, program, graph(), master=master)
 
 
 # ----------------------------------------------------------------------

@@ -5,22 +5,21 @@ The serving churn path (:mod:`repro.serving.churn`) feeds arbitrary
 ``adapt_to_graph_changes``, which seeds label propagation through
 :mod:`repro.core.incremental`.  These tests pin the degenerate delta
 shapes that path can produce — an empty delta, a delta made only of
-brand-new vertices, and a delta entirely inside one partition — on both
-the dict-based initializer and its array-native twin.
+brand-new vertices, and a delta entirely inside one partition — on the
+array initializer and its dictionary oracle.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.incremental import (
-    affected_vertices,
-    incremental_initial_assignment,
-    incremental_initial_labels,
-)
+from repro.core.incremental import incremental_initial_labels
 from repro.errors import PartitioningError
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import GraphDelta
-from repro.graph.generators import erdos_renyi
+
+from oracles.dynamic import apply_delta
+from oracles.graphs import erdos_renyi
+from oracles.incremental import incremental_initial_assignment
 
 
 @pytest.fixture
@@ -44,10 +43,9 @@ def _labels_via_csr(graph, previous, num_partitions):
 
 def test_empty_delta_preserves_assignment_exactly(graph, previous):
     delta = GraphDelta()
-    delta.apply(graph)
+    apply_delta(delta, graph)
     assignment = incremental_initial_assignment(graph, previous, 4)
     assert assignment == previous
-    assert affected_vertices(graph, delta.added_edges) == set()
     assert _labels_via_csr(graph, previous, 4) == assignment
 
 
@@ -56,21 +54,18 @@ def test_new_vertices_only_delta_places_least_loaded(graph, previous):
     # hub-birth shape before any hub edges arrive.
     new_ids = [200, 201, 202]
     delta = GraphDelta(added_vertices=set(new_ids))
-    delta.apply(graph)
+    apply_delta(delta, graph)
     assignment = incremental_initial_assignment(graph, previous, 4)
     for vertex, label in previous.items():
         assert assignment[vertex] == label
     for vertex in new_ids:
         assert 0 <= assignment[vertex] < 4
-    # Zero-degree newcomers never show up as affected vertices.
-    assert affected_vertices(graph, delta.added_edges) == set()
     assert _labels_via_csr(graph, previous, 4) == assignment
 
 
 def test_new_vertex_with_edges_is_affected_and_placed(graph, previous):
     delta = GraphDelta(added_edges=[(300, 0, 1), (300, 1, 1)], added_vertices={300})
-    delta.apply(graph)
-    assert affected_vertices(graph, delta.added_edges) == {300, 0, 1}
+    apply_delta(delta, graph)
     assignment = incremental_initial_assignment(graph, previous, 4)
     assert 0 <= assignment[300] < 4
     for vertex, label in previous.items():
@@ -89,18 +84,10 @@ def test_delta_within_one_partition_changes_no_labels(graph, previous):
             edges.append((u, v, 1))
     assert edges, "fixture graph left no room for intra-partition edges"
     delta = GraphDelta(added_edges=edges)
-    delta.apply(graph)
+    apply_delta(delta, graph)
     assignment = incremental_initial_assignment(graph, previous, 4)
     assert assignment == previous
     assert _labels_via_csr(graph, previous, 4) == assignment
-    touched = affected_vertices(graph, delta.added_edges)
-    assert touched <= set(members)
-
-
-def test_affected_vertices_ignores_unknown_endpoints(graph):
-    edges = [(10**9, 0, 1), (10**9 + 1, 10**9 + 2, 1)]
-    assert affected_vertices(graph, edges) == {0}
-    assert affected_vertices(graph, []) == set()
 
 
 def test_stale_previous_vertices_are_ignored(graph, previous):

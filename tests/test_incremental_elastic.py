@@ -5,11 +5,14 @@ import pytest
 from repro.core.config import SpinnerConfig
 from repro.core.elastic import expand_assignment, resize_assignment, shrink_assignment
 from repro.core.fast import FastSpinner
-from repro.core.incremental import affected_vertices, incremental_initial_assignment
 from repro.core.spinner import SpinnerPartitioner
 from repro.errors import InvalidPartitionCountError
+from repro.graph.csr import CSRGraph
+from repro.graph.delta_csr import DeltaCSR
 from repro.graph.dynamic import EdgeArrivalStream
 from repro.metrics.stability import partitioning_difference
+
+from oracles.incremental import incremental_initial_assignment
 
 
 def test_incremental_assignment_preserves_existing_labels(tiny_tuenti):
@@ -23,11 +26,6 @@ def test_incremental_assignment_places_new_vertices_least_loaded(two_cliques):
     assignment = incremental_initial_assignment(two_cliques, previous, 2)
     new_labels = [assignment[v] for v in range(5, 10)]
     assert all(label == 1 for label in new_labels)
-
-
-def test_affected_vertices(two_cliques):
-    affected = affected_vertices(two_cliques, [(0, 7, 1), (99, 3, 1)])
-    assert affected == {0, 7, 3}
 
 
 def test_expand_assignment_moves_expected_fraction():
@@ -65,14 +63,15 @@ def test_expand_shrink_validation():
 
 
 def test_fast_incremental_adaptation_is_stable(tiny_tuenti, quick_config):
-    stream = EdgeArrivalStream(tiny_tuenti, holdout_fraction=0.2, seed=3)
+    stream = EdgeArrivalStream(CSRGraph.from_undirected(tiny_tuenti), holdout_fraction=0.2, seed=3)
     snapshot = stream.snapshot()
     spinner = FastSpinner(quick_config)
     initial = spinner.partition(snapshot, 4, track_history=False)
     initial_assignment = initial.to_assignment()
 
-    changed = stream.snapshot()
-    stream.delta(fraction_of_snapshot=0.02).apply(changed)
+    live = DeltaCSR(snapshot)
+    live.append(stream.delta(fraction_of_snapshot=0.02))
+    changed = live.to_csr()
     adapted = spinner.adapt_to_graph_changes(changed, initial_assignment, 4)
     scratch = FastSpinner(quick_config.with_options(seed=99)).partition(changed, 4)
 
@@ -83,6 +82,7 @@ def test_fast_incremental_adaptation_is_stable(tiny_tuenti, quick_config):
 
 
 def test_fast_elastic_adaptation(tiny_tuenti, quick_config):
+    tiny_tuenti = CSRGraph.from_undirected(tiny_tuenti)
     spinner = FastSpinner(quick_config)
     initial = spinner.partition(tiny_tuenti, 4, track_history=False)
     elastic = spinner.adapt_to_partition_change(
@@ -94,13 +94,15 @@ def test_fast_elastic_adaptation(tiny_tuenti, quick_config):
 
 
 def test_pregel_incremental_and_elastic(tiny_tuenti):
+    vertices = set(tiny_tuenti.vertices())
+    tiny_tuenti = CSRGraph.from_undirected(tiny_tuenti)
     config = SpinnerConfig(seed=2, max_iterations=15)
     partitioner = SpinnerPartitioner(config, num_workers=2)
     initial = partitioner.partition(tiny_tuenti, 3)
     incremental = partitioner.adapt_to_graph_changes(
         tiny_tuenti, initial.assignment, 3
     )
-    assert set(incremental.assignment) == set(tiny_tuenti.vertices())
+    assert set(incremental.assignment) == vertices
     elastic = partitioner.adapt_to_partition_change(
         tiny_tuenti, initial.assignment, 3, 4
     )

@@ -5,7 +5,7 @@ kernel — same labels, same history, same message counts — for every seed,
 every ``k`` and every graph family.  These tests pin that contract over
 the generator zoo and cross-check the vectorized data path (direct
 DiGraph→CSR conversion, array-native initializers) against the dict-based
-implementations they replace.
+oracles.
 """
 
 import numpy as np
@@ -14,24 +14,24 @@ import pytest
 from repro.core.config import SpinnerConfig
 from repro.core.elastic import expand_labels, resize_labels, shrink_labels
 from repro.core.fast import FastSpinner
-from repro.core.incremental import (
-    incremental_initial_assignment,
-    incremental_initial_labels,
-)
+from repro.core.incremental import incremental_initial_labels
 from repro.core.spinner import SpinnerPartitioner
 from repro.errors import InvalidPartitionCountError, PartitioningError
 from repro.graph.conversion import to_weighted_csr, to_weighted_undirected
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import (
+
+from oracles.dense_kernel import DenseSpinner
+from oracles.graphs import (
+    as_csr,
     barabasi_albert,
     erdos_renyi,
     powerlaw_cluster,
+    spinner_input,
     watts_strogatz,
 )
-from repro.metrics.quality import locality
-
-from oracles.dense_kernel import DenseSpinner
+from oracles.incremental import incremental_initial_assignment
+from oracles.metrics import locality
 
 GENERATOR_ZOO = {
     "watts_strogatz": lambda: watts_strogatz(200, degree=8, beta=0.3, seed=5),
@@ -51,6 +51,7 @@ def _history_rows(result):
 
 
 def _run_both(graph, num_partitions, config):
+    graph = as_csr(graph)
     dense = DenseSpinner(config).partition(graph, num_partitions)
     frontier = FastSpinner(config).partition(graph, num_partitions)
     return dense, frontier
@@ -92,6 +93,7 @@ def test_frontier_kernel_identical_without_ablation_switches(community_graph):
 
 
 def test_frontier_adaptation_matches_dense(tiny_tuenti, quick_config):
+    tiny_tuenti = as_csr(tiny_tuenti)
     initial = FastSpinner(quick_config).partition(tiny_tuenti, 4, track_history=False)
     assignment = initial.to_assignment()
     dense = DenseSpinner(quick_config)
@@ -106,8 +108,8 @@ def test_frontier_adaptation_matches_dense(tiny_tuenti, quick_config):
 
 def test_agrees_with_pregel_spinner_on_small_graphs(two_cliques):
     config = SpinnerConfig(seed=1, max_iterations=60, additional_capacity=1.3)
-    fast = FastSpinner(config).partition(two_cliques, 2)
-    pregel = SpinnerPartitioner(config, num_workers=2).partition(two_cliques, 2)
+    fast = FastSpinner(config).partition(as_csr(two_cliques), 2)
+    pregel = SpinnerPartitioner(config, num_workers=2).partition(spinner_input(two_cliques), 2)
     pregel_phi = locality(two_cliques, pregel.assignment)
     # Both implementations must separate the two cliques cleanly.
     assert fast.phi >= 0.85
@@ -116,8 +118,10 @@ def test_agrees_with_pregel_spinner_on_small_graphs(two_cliques):
 
 def test_agreement_with_pregel_on_community_graph(community_graph):
     config = SpinnerConfig(seed=3, max_iterations=25)
-    fast = FastSpinner(config).partition(community_graph, 4)
-    pregel = SpinnerPartitioner(config, num_workers=2).partition(community_graph, 4)
+    fast = FastSpinner(config).partition(as_csr(community_graph), 4)
+    pregel = SpinnerPartitioner(config, num_workers=2).partition(
+        spinner_input(community_graph), 4
+    )
     pregel_phi = locality(community_graph, pregel.assignment)
     # Same algorithm, different execution model: quality must agree closely.
     assert abs(fast.phi - pregel_phi) < 0.2
@@ -213,14 +217,14 @@ def test_vectorized_mapping_initializer_missing_vertex_message():
     graph = DiGraph.from_edges([(10, 20), (20, 30)])
     spinner = FastSpinner(SpinnerConfig(seed=0, max_iterations=2))
     with pytest.raises(PartitioningError, match="initial labels miss vertex 30"):
-        spinner.partition(graph, 2, initial_labels={10: 0, 20: 1})
+        spinner.partition(as_csr(graph), 2, initial_labels={10: 0, 20: 1})
 
 
 def test_vectorized_mapping_initializer_non_contiguous_ids(quick_config):
     graph = DiGraph.from_edges([(100, 7), (7, 100), (7, 55), (55, 200)])
     mapping = {100: 0, 7: 1, 55: 0, 200: 1}
     result = FastSpinner(quick_config).partition(
-        graph, 2, initial_labels=mapping, track_history=False
+        as_csr(graph), 2, initial_labels=mapping, track_history=False
     )
     assert result.labels.shape[0] == 4
     assert set(result.to_assignment()) == set(mapping)

@@ -18,47 +18,56 @@ from repro.metrics.quality import (
 from repro.metrics.reporting import format_series, format_table, improvement_percentage
 from repro.metrics.stability import migration_volume, partitioning_difference
 
+from oracles import metrics as dict_metrics
+
+
+@pytest.fixture
+def two_cliques(two_cliques):
+    """The conftest two-cliques graph (ids 0..9) as CSR."""
+    return CSRGraph.from_undirected(two_cliques)
+
+
+def _split(graph: CSRGraph) -> np.ndarray:
+    """Label 0 for the first clique (ids < 5), 1 for the second."""
+    return np.where(graph.original_ids < 5, 0, 1)
+
 
 def test_locality_of_perfect_and_worst_partitionings(two_cliques):
-    perfect = {v: 0 if v < 5 else 1 for v in two_cliques.vertices()}
-    assert locality(two_cliques, perfect) == pytest.approx(20 / 21)
-    all_same = {v: 0 for v in two_cliques.vertices()}
+    assert locality(two_cliques, _split(two_cliques)) == pytest.approx(20 / 21)
+    all_same = np.zeros(two_cliques.num_vertices, dtype=np.int64)
     assert locality(two_cliques, all_same) == 1.0
 
 
 def test_locality_weighted_edges():
-    graph = UndirectedGraph.from_edges([(0, 1, 2), (1, 2, 1)])
-    assignment = {0: 0, 1: 0, 2: 1}
-    assert locality(graph, assignment) == pytest.approx(2 / 3)
+    graph = CSRGraph.from_edge_list([(0, 1), (1, 2)], 3, weights=[2, 1])
+    assert locality(graph, np.array([0, 0, 1])) == pytest.approx(2 / 3)
 
 
 def test_cut_edges(two_cliques):
-    perfect = {v: 0 if v < 5 else 1 for v in two_cliques.vertices()}
-    assert cut_edges(two_cliques, perfect) == 1
+    assert cut_edges(two_cliques, _split(two_cliques)) == 1
 
 
 def test_partition_loads_sum_to_total_degree(two_cliques):
-    assignment = {v: v % 3 for v in two_cliques.vertices()}
-    loads = partition_loads(two_cliques, assignment, 3)
-    total_degree = sum(two_cliques.weighted_degree(v) for v in two_cliques.vertices())
-    assert loads.sum() == pytest.approx(total_degree)
+    labels = two_cliques.original_ids % 3
+    loads = partition_loads(two_cliques, labels, 3)
+    assert loads.sum() == pytest.approx(two_cliques.weighted_degrees.sum())
 
 
 def test_rho_bounds(two_cliques):
-    balanced = {v: 0 if v < 5 else 1 for v in two_cliques.vertices()}
+    balanced = _split(two_cliques)
     assert max_normalized_load(two_cliques, balanced, 2) == pytest.approx(1.0, abs=0.05)
-    unbalanced = {v: 0 for v in two_cliques.vertices()}
+    unbalanced = np.zeros(two_cliques.num_vertices, dtype=np.int64)
     assert max_normalized_load(two_cliques, unbalanced, 2) == pytest.approx(2.0)
 
 
 def test_invalid_partition_count_rejected(triangle_graph):
     with pytest.raises(InvalidPartitionCountError):
-        partition_loads(triangle_graph, {0: 0, 1: 0, 2: 0}, 0)
+        partition_loads(CSRGraph.from_undirected(triangle_graph), np.array([0, 0, 0]), 0)
 
 
 def test_label_out_of_range_rejected(triangle_graph):
     with pytest.raises(PartitioningError):
-        partition_loads(triangle_graph, {0: 0, 1: 5, 2: 0}, 2)
+        partition_loads(CSRGraph.from_undirected(triangle_graph), np.array([0, 5, 0]), 2)
 
 
 def test_csr_and_dict_metrics_agree(community_graph):
@@ -66,13 +75,15 @@ def test_csr_and_dict_metrics_agree(community_graph):
     rng = np.random.default_rng(0)
     labels = rng.integers(4, size=csr.num_vertices)
     assignment = {int(orig): int(lab) for orig, lab in zip(csr.original_ids, labels)}
-    assert locality(csr, labels) == pytest.approx(locality(community_graph, assignment))
-    assert max_normalized_load(csr, labels, 4) == pytest.approx(
-        max_normalized_load(community_graph, assignment, 4)
+    assert locality(csr, labels) == pytest.approx(
+        dict_metrics.locality(community_graph, assignment)
     )
-    assert cut_edges(csr, labels) == cut_edges(community_graph, assignment)
+    assert max_normalized_load(csr, labels, 4) == pytest.approx(
+        dict_metrics.max_normalized_load(community_graph, assignment, 4)
+    )
+    assert cut_edges(csr, labels) == dict_metrics.cut_edges(community_graph, assignment)
     assert global_score(csr, labels, 4) == pytest.approx(
-        global_score(community_graph, assignment, 4), rel=1e-9
+        dict_metrics.global_score(community_graph, assignment, 4), rel=1e-9
     )
 
 
@@ -88,13 +99,13 @@ def test_csr_and_dict_metrics_agree_with_isolated_vertices():
     csr = CSRGraph.from_undirected(graph)
     labels = np.array([0, 0, 1, 1, 0, 2, 1, 0])
     assignment = {int(orig): int(lab) for orig, lab in zip(csr.original_ids, labels)}
-    assert locality(csr, labels) == pytest.approx(locality(graph, assignment))
-    assert cut_edges(csr, labels) == cut_edges(graph, assignment)
+    assert locality(csr, labels) == pytest.approx(dict_metrics.locality(graph, assignment))
+    assert cut_edges(csr, labels) == dict_metrics.cut_edges(graph, assignment)
     assert np.allclose(
-        partition_loads(csr, labels, 3), partition_loads(graph, assignment, 3)
+        partition_loads(csr, labels, 3), dict_metrics.partition_loads(graph, assignment, 3)
     )
     assert global_score(csr, labels, 3) == pytest.approx(
-        global_score(graph, assignment, 3), rel=1e-9
+        dict_metrics.global_score(graph, assignment, 3), rel=1e-9
     )
 
 
@@ -131,20 +142,22 @@ def test_csr_cut_edges_self_loops_match_dict_semantics():
     loop_free_graph = UndirectedGraph.from_edges([(0, 1), (1, 2)], num_vertices=3)
     for labels in (np.array([0, 1, 0]), np.array([0, 0, 1]), np.array([1, 1, 1])):
         assignment = {v: int(labels[v]) for v in range(3)}
-        assert cut_edges(with_loops, labels) == cut_edges(loop_free_graph, assignment)
+        assert cut_edges(with_loops, labels) == dict_metrics.cut_edges(
+            loop_free_graph, assignment
+        )
         # The doubled edge array always yields an even crossing count.
         sources, targets, _ = with_loops.edge_array()
         assert int((labels[sources] != labels[targets]).sum()) % 2 == 0
 
 
 def test_global_score_prefers_better_partitionings(two_cliques):
-    good = {v: 0 if v < 5 else 1 for v in two_cliques.vertices()}
-    bad = {v: v % 2 for v in two_cliques.vertices()}
+    good = _split(two_cliques)
+    bad = two_cliques.original_ids % 2
     assert global_score(two_cliques, good, 2) > global_score(two_cliques, bad, 2)
 
 
 def test_quality_summary_row(two_cliques):
-    summary = quality_summary(two_cliques, {v: 0 if v < 5 else 1 for v in two_cliques.vertices()}, 2)
+    summary = quality_summary(two_cliques, _split(two_cliques), 2)
     row = summary.as_row()
     assert row["k"] == 2
     assert 0 <= row["phi"] <= 1
@@ -179,8 +192,7 @@ def test_load_statistics():
 
 
 def test_partition_load_statistics(two_cliques):
-    assignment = {v: 0 if v < 5 else 1 for v in two_cliques.vertices()}
-    stats = partition_load_statistics(two_cliques, assignment, 2)
+    stats = partition_load_statistics(two_cliques, _split(two_cliques), 2)
     assert stats.maximum >= stats.minimum
 
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 from oracles.baselines import dict_run
+from oracles.graphs import powerlaw_cluster
 
 from repro.core.config import SpinnerConfig
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import powerlaw_cluster
 from repro.partitioners.base import Partitioner
 from repro.partitioners.fennel import FennelPartitioner
 from repro.partitioners.hashing import HashPartitioner, ModuloPartitioner

@@ -10,7 +10,7 @@ from repro.core.config import SpinnerConfig
 from repro.core.elastic import expand_assignment, shrink_assignment
 from repro.core.fast import FastSpinner
 from repro.core.halting import HaltingTracker
-from repro.core.incremental import incremental_initial_assignment
+from repro.core.incremental import incremental_initial_labels
 from repro.graph.conversion import to_weighted_undirected
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
@@ -90,11 +90,11 @@ def test_csr_roundtrip_preserves_structure(graph):
 @given(undirected_graphs(), st.integers(min_value=1, max_value=6), st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_metric_ranges_for_random_assignments(graph, k, seed):
-    rng = np.random.default_rng(seed)
-    assignment = {v: int(rng.integers(k)) for v in graph.vertices()}
-    phi = locality(graph, assignment)
-    rho = max_normalized_load(graph, assignment, k)
-    loads = partition_loads(graph, assignment, k)
+    graph = CSRGraph.from_undirected(graph)
+    labels = np.random.default_rng(seed).integers(k, size=graph.num_vertices)
+    phi = locality(graph, labels)
+    rho = max_normalized_load(graph, labels, k)
+    loads = partition_loads(graph, labels, k)
     assert 0.0 <= phi <= 1.0
     assert rho >= 1.0 - 1e-9
     assert rho <= k + 1e-9
@@ -104,9 +104,10 @@ def test_metric_ranges_for_random_assignments(graph, k, seed):
 @given(undirected_graphs())
 @settings(max_examples=30, deadline=None)
 def test_single_partition_has_perfect_locality(graph):
-    assignment = {v: 0 for v in graph.vertices()}
-    assert locality(graph, assignment) == 1.0
-    assert max_normalized_load(graph, assignment, 1) == 1.0
+    graph = CSRGraph.from_undirected(graph)
+    labels = np.zeros(graph.num_vertices, dtype=np.int64)
+    assert locality(graph, labels) == 1.0
+    assert max_normalized_load(graph, labels, 1) == 1.0
 
 
 @given(undirected_graphs(), st.integers(min_value=2, max_value=5))
@@ -123,7 +124,7 @@ def test_partitioning_difference_identity(graph, k):
 @settings(max_examples=25, deadline=None)
 def test_fast_spinner_outputs_valid_partitionings(graph, k, seed):
     config = SpinnerConfig(seed=seed, max_iterations=15)
-    result = FastSpinner(config).partition(graph, k, track_history=False)
+    result = FastSpinner(config).partition(CSRGraph.from_undirected(graph), k, track_history=False)
     assert result.labels.shape[0] == graph.num_vertices
     assert result.labels.min() >= 0 and result.labels.max() < k
     assert 0.0 <= result.phi <= 1.0
@@ -181,9 +182,11 @@ def test_shrink_assignment_labels_in_range(assignment, seed):
 @given(undirected_graphs(), st.integers(min_value=1, max_value=4))
 @settings(max_examples=30, deadline=None)
 def test_incremental_assignment_is_complete(graph, k):
-    vertices = list(graph.vertices())
+    csr = CSRGraph.from_undirected(graph)
+    vertices = csr.original_ids.tolist()
     previous = {v: v % k for v in vertices[: len(vertices) // 2]}
-    assignment = incremental_initial_assignment(graph, previous, k)
+    labels = incremental_initial_labels(csr, previous, k)
+    assignment = dict(zip(vertices, labels.tolist()))
     assert set(assignment) == set(vertices)
     assert all(0 <= label < k for label in assignment.values())
     for vertex, label in previous.items():

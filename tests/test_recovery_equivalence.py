@@ -24,6 +24,7 @@ from repro.pregel import VectorPregelEngine, resume_from_checkpoint
 
 from oracles import apps as oracle_apps
 from oracles.engine import PregelEngine
+from oracles.graphs import run_on_digraph, spinner_input
 from oracles.spinner import DictSpinnerPartitioner
 
 APPS = {
@@ -61,7 +62,7 @@ def run_app(app: str, tmp_path=None, fault_plan=None):
             "fault_plan": fault_plan,
         }
     engine = VectorPregelEngine(num_workers=NUM_WORKERS, **kwargs)
-    return engine.run_on_digraph(make_app_program(app, **APPS[app]), small_graph())
+    return run_on_digraph(engine, make_app_program(app, **APPS[app]), small_graph())
 
 
 def run_baseline(app: str, engine_kind: str):
@@ -158,7 +159,7 @@ def test_offline_resume_after_abort_is_bit_exact(app, engine_kind, tmp_path):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine_kind", ["dict", "vector"])
 def test_spinner_partitioner_recovery_is_bit_exact(engine_kind, tmp_path):
-    graph = small_graph()
+    graph = spinner_input(small_graph())
     clean_config = SpinnerConfig(seed=7, max_iterations=12)
     baseline_cls = DictSpinnerPartitioner if engine_kind == "dict" else SpinnerPartitioner
     baseline = baseline_cls(config=clean_config, num_workers=NUM_WORKERS).partition(graph, 4)
@@ -192,7 +193,7 @@ def test_spinner_partitioner_recovery_is_bit_exact(engine_kind, tmp_path):
 def test_spinner_dict_and_vector_recovery_agree(tmp_path):
     # The cross-engine bit-exactness contract survives fault injection:
     # vector-with-crash == the clean reference oracle run.
-    graph = small_graph()
+    graph = spinner_input(small_graph())
     config = SpinnerConfig(seed=7, max_iterations=10)
     faulted = config.with_options(
         checkpoint_interval=2,

@@ -1,10 +1,10 @@
-"""Tests for the Spinner score function, migration probability and state helpers."""
+"""Tests for the Spinner score function, migration probability and label validation."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import SpinnerConfig
-from repro.core.state import PartitionLoadTracker, validate_labels
+from repro.core.state import validate_labels
 from repro.errors import InvalidPartitionCountError, PartitioningError
 
 from oracles.scoring import (
@@ -78,23 +78,3 @@ def test_validate_labels():
         validate_labels([0, 3], 3)
     with pytest.raises(InvalidPartitionCountError):
         validate_labels([0], 0)
-
-
-def test_partition_load_tracker_basics():
-    tracker = PartitionLoadTracker(3)
-    tracker.add(0, 10)
-    tracker.add(1, 5)
-    assert tracker.least_loaded() == 2
-    assert tracker.most_loaded() == 0
-    tracker.remove(0, 10)
-    assert tracker.total == 5
-    with pytest.raises(PartitioningError):
-        tracker.add(5, 1)
-
-
-def test_partition_load_tracker_from_assignment():
-    tracker = PartitionLoadTracker.from_assignment(
-        {0: 0, 1: 1, 2: 1}, 2, weight_of={0: 4, 1: 1, 2: 1}
-    )
-    assert tracker.loads.tolist() == [4.0, 2.0]
-    assert tracker.normalized_max() == pytest.approx(4 * 2 / 6)

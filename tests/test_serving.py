@@ -38,9 +38,7 @@ from repro.errors import GraphError, ReproError, ServingError
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset_csr
 from repro.graph.dynamic import GraphDelta, bursty_new_edges, random_new_edges
-from repro.graph.generators import erdos_renyi, powerlaw_cluster
 from repro.graph.undirected import UndirectedGraph
-from repro.metrics.quality import locality, max_normalized_load
 from repro.partitioners.hashing import hash_labels_array
 from repro.serving import (
     AssignmentSnapshot,
@@ -50,6 +48,10 @@ from repro.serving import (
     ShardingService,
     send_requests,
 )
+
+from oracles.dynamic import apply_delta
+from oracles.graphs import erdos_renyi, powerlaw_cluster
+from oracles.metrics import locality, max_normalized_load
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,7 +76,7 @@ def _pipeline(graph, k=4, seed=3, **config_kwargs):
 def _ingest(pipeline, mirror, delta):
     """Ingest ``delta`` and apply it to the dictionary mirror too."""
     added = pipeline.ingest(delta)
-    delta.apply(mirror)
+    apply_delta(delta, mirror)
     return added
 
 
@@ -219,12 +221,12 @@ def test_churn_triggered_run_matches_direct_adapt():
     pipeline.bootstrap()
     previous = pipeline.store.current().to_assignment()
 
-    delta = bursty_new_edges(graph, fraction=0.05, seed=seed)
+    delta = bursty_new_edges(_csr(graph), fraction=0.05, seed=seed)
     _ingest(pipeline, graph, delta)
     pipeline.repartition_now()
 
     direct = FastSpinner(SpinnerConfig(seed=seed)).adapt_to_graph_changes(
-        graph, previous, 4
+        _csr(graph), previous, 4
     )
     snapshot = pipeline.store.current()
     assert snapshot.version == 2
@@ -240,7 +242,7 @@ def test_phi_estimator_is_exact_for_existing_vertices():
     graph = _graph(seed=5)
     pipeline = _pipeline(graph, k=4, seed=5)
     pipeline.bootstrap()
-    delta = random_new_edges(graph, fraction=0.05, seed=9)
+    delta = random_new_edges(_csr(graph), fraction=0.05, seed=9)
     _ingest(pipeline, graph, delta)
 
     snapshot = pipeline.store.current()
@@ -259,10 +261,10 @@ def test_should_trigger_on_edge_threshold():
     pipeline = _pipeline(graph, k=4, seed=5, edge_threshold=10)
     pipeline.bootstrap()
     assert not pipeline.should_trigger()
-    _ingest(pipeline, graph, random_new_edges(graph, fraction=0.002, seed=1))
+    _ingest(pipeline, graph, random_new_edges(_csr(graph), fraction=0.002, seed=1))
     assert pipeline.pending_edges < 10
     assert not pipeline.should_trigger()
-    _ingest(pipeline, graph, random_new_edges(graph, fraction=0.05, seed=2))
+    _ingest(pipeline, graph, random_new_edges(_csr(graph), fraction=0.05, seed=2))
     assert pipeline.pending_edges >= 10
     assert pipeline.should_trigger()
     pipeline.repartition_now()
@@ -275,7 +277,7 @@ def test_should_trigger_on_phi_drift():
     pipeline = _pipeline(graph, k=4, seed=5, edge_threshold=None, phi_drift=0.01)
     pipeline.bootstrap()
     # Structure-ignoring churn degrades the estimated locality quickly.
-    pipeline.ingest(random_new_edges(graph, fraction=0.1, seed=3))
+    pipeline.ingest(random_new_edges(_csr(graph), fraction=0.1, seed=3))
     assert pipeline.estimated_drift() > 0.01
     assert pipeline.should_trigger()
 
@@ -284,7 +286,7 @@ def test_freeze_rejects_double_flight():
     graph = _graph()
     pipeline = _pipeline(graph)
     pipeline.bootstrap()
-    pipeline.ingest(random_new_edges(graph, fraction=0.02, seed=1))
+    pipeline.ingest(random_new_edges(_csr(graph), fraction=0.02, seed=1))
     job = pipeline.freeze()
     assert pipeline.in_flight
     assert not pipeline.should_trigger()
@@ -339,7 +341,7 @@ def test_migration_report_counts_common_vertices_only():
     # Bootstrap has no previous vertices -> no migrations by definition.
     assert report.migrations == 0
     assert report.migration_fraction == 0.0
-    _ingest(pipeline, graph, bursty_new_edges(graph, fraction=0.08, seed=2))
+    _ingest(pipeline, graph, bursty_new_edges(_csr(graph), fraction=0.08, seed=2))
     report = pipeline.repartition_now()
     assert 0 <= report.migrations <= graph.num_vertices
     assert 0.0 <= report.migration_fraction <= 1.0
@@ -366,9 +368,9 @@ def test_quality_op_matches_dict_oracle_after_churn():
     )
     for step, delta in enumerate(
         [
-            bursty_new_edges(graph, 0.04, seed=1),
+            bursty_new_edges(_csr(graph), 0.04, seed=1),
             births,
-            random_new_edges(graph, 0.03, seed=2),
+            random_new_edges(_csr(graph), 0.03, seed=2),
         ]
     ):
         _ingest(pipeline, graph, delta)
@@ -455,7 +457,7 @@ def test_lookups_during_inflight_repartition_stay_consistent():
                 assert gate.wait(timeout=30)
 
             service.pipeline.post_execute_hook = hold_open
-            triggered = service.ingest(random_new_edges(graph, 0.05, seed=1))
+            triggered = service.ingest(random_new_edges(_csr(graph), 0.05, seed=1))
             assert triggered
 
             loop = asyncio.get_running_loop()
@@ -493,9 +495,9 @@ def test_service_versions_gapless_across_churn_rounds():
         try:
             versions = [service.store.version]
             for round_index in range(3):
-                delta = random_new_edges(graph, 0.03, seed=round_index)
+                delta = random_new_edges(_csr(graph), 0.03, seed=round_index)
                 service.ingest(delta)
-                delta.apply(graph)
+                apply_delta(delta, graph)
                 target = versions[-1] + 1
                 while service.store.version < target:
                     await asyncio.sleep(0.005)
@@ -578,7 +580,7 @@ def test_tcp_protocol_end_to_end():
         assert key in payload, key
 
     # Churn burst over the wire -> background swap -> consistent answers.
-    burst = [[int(u), int(v)] for u, v, _ in random_new_edges(graph, 0.06, seed=4).added_edges]
+    burst = [[int(u), int(v)] for u, v, _ in random_new_edges(_csr(graph), 0.06, seed=4).added_edges]
     ingest, waited, after = send_requests(
         "127.0.0.1",
         port,
@@ -774,7 +776,7 @@ def test_failed_background_repartition_shows_in_stats(monkeypatch):
 
     burst = [
         [int(u), int(v)]
-        for u, v, _ in random_new_edges(graph, 0.1, seed=2).added_edges
+        for u, v, _ in random_new_edges(_csr(graph), 0.1, seed=2).added_edges
     ]
     (ingest,) = send_requests("127.0.0.1", port, [{"op": "ingest", "edges": burst}])
     assert ingest["repartition_triggered"]

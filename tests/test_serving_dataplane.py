@@ -32,7 +32,6 @@ from repro.cli import main
 from repro.core.config import SpinnerConfig
 from repro.errors import ServingError
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import powerlaw_cluster
 from repro.partitioners.hashing import hash_label, hash_labels_array
 from repro.serving import (
     AssignmentSnapshot,
@@ -42,6 +41,8 @@ from repro.serving import (
     send_requests,
 )
 import repro.serving.store as store_module
+
+from oracles.graphs import powerlaw_cluster
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.graph.digraph import DiGraph
 from repro.pregel.aggregators import AggregatorRegistry
 
 from oracles.engine import PregelEngine
+from oracles.graphs import spinner_input
 from oracles.spinner import WORKER_LOAD_DELTA_KEY, SpinnerProgram, SpinnerVertexValue
 
 
@@ -93,7 +94,7 @@ def test_pre_superstep_resets_worker_deltas():
 def test_master_history_has_one_record_per_iteration(community_graph):
     config = SpinnerConfig(seed=1, max_iterations=8, halt_window=8)
     partitioner = SpinnerPartitioner(config, num_workers=2)
-    result = partitioner.partition(community_graph, 3)
+    result = partitioner.partition(spinner_input(community_graph), 3)
     assert result.iterations == len(result.history)
     assert [record.iteration for record in result.history] == list(range(result.iterations))
 
@@ -112,6 +113,6 @@ def test_isolated_vertices_are_assigned(two_cliques):
         graph.add_edge(u, v)
     graph.add_vertex(42)  # isolated vertex, degree 0
     config = SpinnerConfig(seed=0, max_iterations=10)
-    result = SpinnerPartitioner(config, num_workers=2).partition(graph, 2)
+    result = SpinnerPartitioner(config, num_workers=2).partition(spinner_input(graph), 2)
     assert 42 in result.assignment
     assert 0 <= result.assignment[42] < 2

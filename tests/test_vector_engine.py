@@ -13,7 +13,6 @@ import pytest
 from repro.apps import APP_PROGRAMS, make_app_program
 from repro.errors import PregelError
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import barabasi_albert, watts_strogatz
 from repro.graph.undirected import UndirectedGraph
 from repro.pregel.master import MasterCompute
 from repro.pregel.batch import BatchStep, BatchVertexProgram, Outbox
@@ -22,6 +21,13 @@ from repro.pregel.worker import partition_placement
 
 from oracles import apps as oracle_apps
 from oracles.engine import PregelEngine
+from oracles.graphs import (
+    barabasi_albert,
+    run_on_digraph,
+    run_on_undirected,
+    shard_undirected,
+    watts_strogatz,
+)
 
 
 def _undirected_graph():
@@ -59,10 +65,10 @@ def _run_both(app, graph, directed, placement, num_workers=3):
     vector_program = make_app_program(app, **kwargs)
     if directed:
         dict_result = dict_engine.run_on_digraph(dict_program, graph)
-        vector_result = vector_engine.run_on_digraph(vector_program, graph)
+        vector_result = run_on_digraph(vector_engine, vector_program, graph)
     else:
         dict_result = dict_engine.run_on_undirected(dict_program, graph)
-        vector_result = vector_engine.run_on_undirected(vector_program, graph)
+        vector_result = run_on_undirected(vector_engine, vector_program, graph)
     return dict_result, vector_result
 
 
@@ -130,7 +136,7 @@ def test_vector_engine_rejects_bad_arguments():
 def test_shard_structure_partitions_vertices_and_edges():
     graph = _undirected_graph()
     engine = VectorPregelEngine(num_workers=4)
-    shard = engine.shard_undirected(graph)
+    shard = shard_undirected(engine, graph)
     seen_vertices = np.concatenate(
         [shard.shard_vertices(w) for w in range(4)]
     )
@@ -169,14 +175,14 @@ def test_vector_engine_unknown_target_raises_by_default():
     graph = UndirectedGraph.from_edges([(0, 1)])
     engine = VectorPregelEngine(num_workers=2)
     with pytest.raises(PregelError, match="nonexistent"):
-        engine.run_on_undirected(BatchMisroute(), graph)
+        run_on_undirected(engine, BatchMisroute(), graph)
 
 
 def test_vector_engine_unknown_target_error_names_superstep_ids_and_remedy():
     graph = UndirectedGraph.from_edges([(0, 1)])
     engine = VectorPregelEngine(num_workers=2)
     with pytest.raises(PregelError) as excinfo:
-        engine.run_on_undirected(BatchMisroute(), graph)
+        run_on_undirected(engine, BatchMisroute(), graph)
     assert str(excinfo.value) == (
         "messages sent to 1 nonexistent vertex id(s) during superstep 0 "
         "(e.g. [7]); pass drop_unknown_targets=True to drop them instead"
@@ -202,13 +208,13 @@ class BatchExploding(BatchVertexProgram):
 def test_vector_engine_program_exception_propagates():
     engine = VectorPregelEngine(num_workers=4)
     with pytest.raises(ValueError, match="deliberate mid-run failure"):
-        engine.run_on_undirected(BatchExploding(), _undirected_graph())
+        run_on_undirected(engine, BatchExploding(), _undirected_graph())
 
 
 def test_vector_engine_unknown_target_dropped_when_opted_in():
     graph = UndirectedGraph.from_edges([(0, 1)])
     engine = VectorPregelEngine(num_workers=2, drop_unknown_targets=True)
-    result = engine.run_on_undirected(BatchMisroute(), graph)
+    result = run_on_undirected(engine, BatchMisroute(), graph)
     assert result.stats.messages_dropped == 1
     assert result.num_supersteps == 1
     assert result.halt_reason == "converged"
@@ -232,7 +238,7 @@ class BatchChatterbox(BatchVertexProgram):
 def test_vector_engine_max_supersteps_halts_runaway_program():
     graph = UndirectedGraph.from_edges([(0, 1)])
     engine = VectorPregelEngine(num_workers=1, max_supersteps=5)
-    result = engine.run_on_undirected(BatchChatterbox(), graph)
+    result = run_on_undirected(engine, BatchChatterbox(), graph)
     assert result.num_supersteps == 5
     assert result.halt_reason == "max_supersteps"
 
@@ -245,7 +251,7 @@ def test_vector_engine_master_can_halt():
 
     graph = UndirectedGraph.from_edges([(0, 1)])
     engine = VectorPregelEngine(num_workers=1, max_supersteps=50)
-    result = engine.run_on_undirected(BatchChatterbox(), graph, master=HaltAtTwo())
+    result = run_on_undirected(engine, BatchChatterbox(), graph, master=HaltAtTwo())
     assert result.num_supersteps == 2
     assert result.halt_reason == "master_halt"
 
@@ -257,7 +263,7 @@ def test_vector_engine_rejects_unknown_combine_mode():
     graph = UndirectedGraph.from_edges([(0, 1)])
     engine = VectorPregelEngine(num_workers=1)
     with pytest.raises(PregelError, match="combine"):
-        engine.run_on_undirected(BadCombine(), graph)
+        run_on_undirected(engine, BadCombine(), graph)
 
 
 def test_vector_engine_simulated_time_matches_dict_engine():
