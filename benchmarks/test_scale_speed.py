@@ -2,8 +2,8 @@
 
 Drives :mod:`repro.experiments.scale` in a fresh subprocess — ingestion of
 a synthetic 100M-edge stream through the chunked external sort into an
-on-disk CSR store, followed by an out-of-core FastSpinner partition
-(``storage="mmap"``) — and asserts that the subprocess's peak RSS stays
+on-disk CSR store, followed by a FastSpinner partition streaming the
+opened store — and asserts that the subprocess's peak RSS stays
 under a configurable memory budget (default 2 GiB) even though the store
 holds ~1.6 GB of half-edge arrays plus spool/run temporaries.  The
 numbers (edges/second for both phases, peak RSS) are recorded in

@@ -59,10 +59,6 @@ _STREAMING_PARTITIONERS = {
     "fennel": ("natural", "random"),
 }
 
-# FastSpinner-backed partitioners: the only ones whose kernels honour the
-# storage tier knobs (--storage / --storage-dir / --storage-chunk).
-_FAST_PARTITIONERS = frozenset({"spinner", "spinner-mmap"})
-
 
 def _fail(message: str) -> None:
     """Print a one-line error and exit with status 2 (user error)."""
@@ -143,7 +139,7 @@ _DIRECTED_READING = (
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for the ``spinner-repro`` command."""
-    from repro.graph.io import DEFAULT_RUN_HALF_EDGES
+    from repro.graph.io import DEFAULT_RUN_HALF_EDGES, ISOLATED_ID_ALLOWANCE
     from repro.partitioners.registry import available_partitioners
 
     parser = argparse.ArgumentParser(
@@ -192,28 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--edge-store",
         default=None,
         help="partition an on-disk CSR store produced by 'ingest' "
-        "(out-of-core input; mutually exclusive with --dataset/--edge-list)",
-    )
-    partition.add_argument(
-        "--storage",
-        choices=("ram", "mmap"),
-        default=None,
-        help="storage tier for the FastSpinner kernels ('spinner' / "
-        "'spinner-mmap' only): 'mmap' streams the CSR arrays from disk "
-        "chunk-wise, bit-exact with 'ram' at O(chunk + labels) peak memory",
-    )
-    partition.add_argument(
-        "--storage-dir",
-        default=None,
-        help="store/spill directory for --storage mmap (temporary and "
-        "removed after the run when unset)",
-    )
-    partition.add_argument(
-        "--storage-chunk",
-        type=int,
-        default=None,
-        help="half-edges per streamed chunk for --storage mmap "
-        "(any value >= 1 is bit-exact; smaller bounds memory tighter)",
+        "(out-of-core input: the edge arrays are streamed from disk, "
+        "bit-exact with the same graph in RAM; mutually exclusive with "
+        "--dataset/--edge-list)",
     )
 
     compare = subparsers.add_parser("compare", help="compare partitioners on one graph")
@@ -248,7 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--num-vertices",
         type=int,
         default=None,
-        help="declared vertex-id range [0, N); defaults to max id + 1",
+        help="declared vertex-id range [0, N); defaults to max id + 1, "
+        "where every id must stay below 2 x (edges read so far) + "
+        f"{ISOLATED_ID_ALLOWANCE} (a larger id exits 2 unless N is declared)",
     )
     ingest.add_argument(
         "--run-half-edges",
@@ -322,24 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--seed", type=int, default=42)
     serve.add_argument(
-        "--storage",
-        choices=("ram", "mmap"),
-        default=None,
-        help="storage tier for background FastSpinner repartitions; "
-        "'mmap' streams the CSR arrays from disk",
-    )
-    serve.add_argument(
-        "--storage-dir",
-        default=None,
-        help="store/spill directory for --storage mmap",
-    )
-    serve.add_argument(
-        "--storage-chunk",
-        type=int,
-        default=None,
-        help="half-edges per streamed chunk for --storage mmap",
-    )
-    serve.add_argument(
         "--log-interval",
         type=float,
         default=10.0,
@@ -391,23 +352,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         args.dataset is not None or args.edge_list is not None
     ):
         _fail("--edge-store is mutually exclusive with --dataset/--edge-list")
-    storage = args.storage
-    if args.partitioner == "spinner-mmap" and storage is None:
-        storage = "mmap"
-    if storage is not None and args.partitioner not in _FAST_PARTITIONERS:
-        _fail(
-            f"--storage only applies to the FastSpinner partitioners "
-            f"{sorted(_FAST_PARTITIONERS)}, not {args.partitioner!r}"
-        )
-    if storage != "mmap":
-        if args.storage_dir is not None:
-            _fail("--storage-dir requires --storage mmap (or --partitioner spinner-mmap)")
-        if args.storage_chunk is not None:
-            _fail(
-                "--storage-chunk requires --storage mmap (or --partitioner spinner-mmap)"
-            )
-    if args.storage_chunk is not None and args.storage_chunk < 1:
-        _fail(f"--storage-chunk must be >= 1, got {args.storage_chunk}")
     fault_plan = None
     if args.checkpoint_interval is not None:
         if args.partitioner != "spinner-pregel":
@@ -431,9 +375,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             checkpoint_interval=args.checkpoint_interval,
             checkpoint_dir=args.checkpoint_dir,
             fault_plan=fault_plan,
-            storage=storage if storage is not None else "ram",
-            storage_dir=args.storage_dir,
-            storage_chunk=args.storage_chunk,
         )
         partitioner = make_partitioner(args.partitioner, config=config)
     elif args.partitioner in (*_STREAMING_PARTITIONERS, "random"):
@@ -602,13 +543,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     if args.phi_drift is not None and not 0.0 < args.phi_drift <= 1.0:
         _fail(f"--phi-drift must lie in (0, 1], got {args.phi_drift}")
-    if args.storage != "mmap":
-        if args.storage_dir is not None:
-            _fail("--storage-dir requires --storage mmap")
-        if args.storage_chunk is not None:
-            _fail("--storage-chunk requires --storage mmap")
-    if args.storage_chunk is not None and args.storage_chunk < 1:
-        _fail(f"--storage-chunk must be >= 1, got {args.storage_chunk}")
     if not 0 <= args.port <= 65535:
         _fail(f"--port must lie in [0, 65535], got {args.port}")
     if args.log_interval < 0:
@@ -639,12 +573,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_partitions=args.num_partitions,
         edge_threshold=edge_threshold,
         phi_drift=args.phi_drift,
-        spinner=SpinnerConfig(
-            seed=args.seed,
-            storage=args.storage if args.storage is not None else "ram",
-            storage_dir=args.storage_dir,
-            storage_chunk=args.storage_chunk,
-        ),
+        spinner=SpinnerConfig(seed=args.seed),
         log_interval=args.log_interval,
         latency_sample_every=args.latency_sample_every,
         max_pipeline_batch=args.max_pipeline,

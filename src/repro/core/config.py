@@ -8,7 +8,10 @@ capacity ``c`` (eq. 5), plus the halting thresholds ``epsilon`` and ``w``
 The remaining switches expose the design choices that the ablation
 benchmarks toggle (balance penalty, probabilistic migration dampening,
 per-worker asynchronous load updates, preference for the current label
-on ties).
+on ties).  Where the graph lives is not a setting: FastSpinner streams an
+opened on-disk store (:func:`repro.graph.mmap_store.open_store`, whose
+``chunk_half_edges`` sets the streaming chunk) and runs any other graph
+in RAM.
 """
 
 from __future__ import annotations
@@ -71,27 +74,6 @@ class SpinnerConfig:
         crashes and message-delivery failures; requires checkpointing,
         because crashes recover from the latest checkpoint.  Excluded
         from equality comparisons (it carries mutable firing counters).
-    storage:
-        Which storage tier :class:`~repro.core.fast.FastSpinner` runs on:
-        ``"ram"`` (default) keeps the CSR arrays in memory, ``"mmap"``
-        runs out-of-core against an on-disk store
-        (:mod:`repro.graph.mmap_store`), streaming the edge arrays in
-        ``storage_chunk``-sized pieces so peak RSS is ``O(chunk +
-        labels)`` instead of ``O(edges)``.  Both tiers produce
-        byte-identical labels for the same seed (all chunked
-        accumulations are sums of exactly-representable integers).
-        Ignored by the Pregel-backed partitioners.
-    storage_dir:
-        Directory holding (or receiving) the on-disk CSR store when
-        ``storage="mmap"``.  If the input graph is not already an
-        opened store, it is spilled here first; when unset, a temporary
-        directory is used and removed after the run.  Requires
-        ``storage="mmap"``.
-    storage_chunk:
-        Half-edges streamed per chunk by the out-of-core kernels
-        (default :data:`repro.graph.mmap_store.DEFAULT_STORAGE_CHUNK`).
-        Any value >= 1 is bit-exact; smaller values trade speed for a
-        lower memory ceiling.
     """
 
     additional_capacity: float = DEFAULT_ADDITIONAL_CAPACITY
@@ -106,9 +88,6 @@ class SpinnerConfig:
     checkpoint_interval: int | None = None
     checkpoint_dir: str | None = None
     fault_plan: FaultPlan | None = field(default=None, compare=False)
-    storage: str = "ram"
-    storage_dir: str | None = None
-    storage_chunk: int | None = None
 
     def __post_init__(self) -> None:
         if self.additional_capacity <= 1.0:
@@ -133,16 +112,6 @@ class SpinnerConfig:
             raise ConfigurationError(
                 "a fault_plan requires checkpointing "
                 "(set checkpoint_interval and checkpoint_dir)"
-            )
-        if self.storage not in ("ram", "mmap"):
-            raise ConfigurationError(
-                f"storage must be 'ram' or 'mmap', got {self.storage!r}"
-            )
-        if self.storage_dir is not None and self.storage != "mmap":
-            raise ConfigurationError("storage_dir requires storage='mmap'")
-        if self.storage_chunk is not None and self.storage_chunk < 1:
-            raise ConfigurationError(
-                f"storage_chunk must be >= 1, got {self.storage_chunk}"
             )
 
     def with_options(self, **overrides) -> "SpinnerConfig":

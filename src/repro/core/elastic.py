@@ -14,84 +14,22 @@ starting over:
 After this randomized re-initialization the normal Spinner iterations run
 to restore locality.
 
-The dict-based functions (:func:`expand_assignment`,
-:func:`shrink_assignment`, :func:`resize_assignment`) serve the Pregel
-implementation; the array-native ones (:func:`expand_labels`,
-:func:`shrink_labels`, :func:`resize_labels`) operate on dense label
-arrays with vectorized draws so the :class:`~repro.core.fast.FastSpinner`
-adaptation path never loops over vertices in Python.  Both implement the
-same distributions; the random streams differ (per-vertex draws vs. one
-vectorized draw), so individual outcomes are not comparable across the
-two families.
+The draws (:func:`expand_labels`, :func:`shrink_labels`,
+:func:`resize_labels`) operate on dense label arrays, one vectorized draw
+per step.  :func:`elastic_initial_labels` builds the starting labels of an
+elastic run for both Spinner runtimes, so for the same seed the Pregel
+:class:`~repro.core.spinner.SpinnerPartitioner` and
+:class:`~repro.core.fast.FastSpinner` start from identical labels.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 import numpy as np
 
+from repro.core.incremental import Assignment, map_assignment_to_dense, place_least_loaded
+from repro.core.state import validate_label_array
 from repro.errors import InvalidPartitionCountError
-from repro.core.state import validate_label_array, validate_labels
-
-
-def expand_assignment(
-    previous_assignment: Mapping[int, int],
-    old_num_partitions: int,
-    new_num_partitions: int,
-    seed: int | None = None,
-) -> dict[int, int]:
-    """Re-initialize labels after *adding* partitions (eq. 11).
-
-    Raises
-    ------
-    InvalidPartitionCountError
-        If ``new_num_partitions`` is not strictly larger than
-        ``old_num_partitions``.
-    """
-    if new_num_partitions <= old_num_partitions:
-        raise InvalidPartitionCountError(
-            new_num_partitions, f"must exceed the previous count {old_num_partitions}"
-        )
-    validate_labels(previous_assignment.values(), old_num_partitions)
-    rng = np.random.default_rng(seed)
-    added = new_num_partitions - old_num_partitions
-    migrate_probability = added / new_num_partitions
-    assignment: dict[int, int] = {}
-    for vertex, label in previous_assignment.items():
-        if rng.random() < migrate_probability:
-            assignment[vertex] = old_num_partitions + int(rng.integers(added))
-        else:
-            assignment[vertex] = label
-    return assignment
-
-
-def shrink_assignment(
-    previous_assignment: Mapping[int, int],
-    old_num_partitions: int,
-    new_num_partitions: int,
-    seed: int | None = None,
-) -> dict[int, int]:
-    """Re-initialize labels after *removing* partitions.
-
-    Partitions ``new_num_partitions .. old_num_partitions - 1`` disappear;
-    their vertices move to a surviving partition chosen uniformly at
-    random.  Other vertices keep their label.
-    """
-    if not 0 < new_num_partitions < old_num_partitions:
-        raise InvalidPartitionCountError(
-            new_num_partitions,
-            f"must be positive and smaller than the previous count {old_num_partitions}",
-        )
-    validate_labels(previous_assignment.values(), old_num_partitions)
-    rng = np.random.default_rng(seed)
-    assignment: dict[int, int] = {}
-    for vertex, label in previous_assignment.items():
-        if label >= new_num_partitions:
-            assignment[vertex] = int(rng.integers(new_num_partitions))
-        else:
-            assignment[vertex] = label
-    return assignment
+from repro.graph.csr import CSRGraph
 
 
 def expand_labels(
@@ -100,7 +38,14 @@ def expand_labels(
     new_num_partitions: int,
     seed: int | None = None,
 ) -> np.ndarray:
-    """Vectorized :func:`expand_assignment` over a dense label array."""
+    """Re-initialize labels after *adding* partitions (eq. 11).
+
+    Raises
+    ------
+    InvalidPartitionCountError
+        If ``new_num_partitions`` is not strictly larger than
+        ``old_num_partitions``.
+    """
     if new_num_partitions <= old_num_partitions:
         raise InvalidPartitionCountError(
             new_num_partitions,
@@ -122,7 +67,12 @@ def shrink_labels(
     new_num_partitions: int,
     seed: int | None = None,
 ) -> np.ndarray:
-    """Vectorized :func:`shrink_assignment` over a dense label array."""
+    """Re-initialize labels after *removing* partitions.
+
+    Partitions ``new_num_partitions .. old_num_partitions - 1`` disappear;
+    their vertices move to a surviving partition chosen uniformly at
+    random.  Other vertices keep their label.
+    """
     if not 0 < new_num_partitions < old_num_partitions:
         raise InvalidPartitionCountError(
             new_num_partitions,
@@ -153,19 +103,24 @@ def resize_labels(
     return shrink_labels(labels, old_num_partitions, new_num_partitions, seed)
 
 
-def resize_assignment(
-    previous_assignment: Mapping[int, int],
+def elastic_initial_labels(
+    csr: CSRGraph,
+    previous_assignment: Assignment,
     old_num_partitions: int,
     new_num_partitions: int,
     seed: int | None = None,
-) -> dict[int, int]:
-    """Dispatch to :func:`expand_assignment` or :func:`shrink_assignment`."""
-    if new_num_partitions == old_num_partitions:
-        return dict(previous_assignment)
-    if new_num_partitions > old_num_partitions:
-        return expand_assignment(
-            previous_assignment, old_num_partitions, new_num_partitions, seed
+) -> np.ndarray:
+    """Initial labels for an elastic repartitioning of a CSR graph.
+
+    The previous assignment is mapped onto the CSR vertex order, the
+    labels of the vertices it covers are resized with
+    :func:`resize_labels`, and vertices it misses go to the least loaded
+    of the ``new_num_partitions`` partitions afterwards.
+    """
+    labels, found = map_assignment_to_dense(csr, previous_assignment, old_num_partitions)
+    if found.any():
+        labels[found] = resize_labels(
+            labels[found], old_num_partitions, new_num_partitions, seed=seed
         )
-    return shrink_assignment(
-        previous_assignment, old_num_partitions, new_num_partitions, seed
-    )
+    place_least_loaded(labels, ~found, csr.weighted_degrees, new_num_partitions)
+    return labels

@@ -80,21 +80,18 @@ equivalence suite and the speed benchmark
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.config import SpinnerConfig
-from repro.core.elastic import resize_labels
+from repro.core.elastic import elastic_initial_labels
 from repro.core.halting import HaltingTracker, IterationRecord
 from repro.core.incremental import (
     Assignment,
     incremental_initial_labels,
     map_assignment_to_dense,
-    place_least_loaded,
 )
 from repro.errors import InvalidPartitionCountError, PartitioningError
 from repro.graph.csr import CSRGraph
@@ -104,12 +101,12 @@ def _accumulate_histogram(
     csr: CSRGraph,
     labels: np.ndarray,
     num_partitions: int,
-    chunk_half_edges: int,
     out: np.ndarray,
 ) -> np.ndarray:
     """Accumulate the ``(n, k)`` label-weight histogram chunk by chunk.
 
-    Bit-exact with the single-pass builds (``np.add.at`` scatter or the
+    Streams the store in its own ``chunk_half_edges`` pieces.  Bit-exact
+    with the single-pass builds (``np.add.at`` scatter or the
     composite-key ``bincount``) for every chunk size: each histogram cell
     is a sum of integer edge weights, every partial sum is an exact
     integer far below ``2**53``, and integer-valued ``float64`` addition
@@ -118,7 +115,7 @@ def _accumulate_histogram(
     one chunk plus one chunk-range histogram slab.
     """
     k = num_partitions
-    for v_lo, v_hi, src, tgt, w in csr.iter_edge_chunks(chunk_half_edges):
+    for v_lo, v_hi, src, tgt, w in csr.iter_edge_chunks(csr.chunk_half_edges):
         hist = np.bincount(
             (src - v_lo) * k + labels[tgt],
             weights=w.astype(np.float64),
@@ -137,7 +134,6 @@ def _fold_migrants(
     frontier: np.ndarray,
     targets: np.ndarray | None,
     weights_h: np.ndarray | None,
-    chunk_half_edges: int | None,
 ) -> np.ndarray:
     """Move the migrants' edge weight between histogram columns in place.
 
@@ -145,9 +141,10 @@ def _fold_migrants(
     ``(neighbour, old label)`` loses the edge weight and ``(neighbour,
     new label)`` gains it.  In RAM the frontier's half-edges come from
     ``targets`` / ``weights_h``; out of core (``targets is None``) they are
-    gathered off the mapping in blocks of at most ``chunk_half_edges``, so
-    the temporaries stay O(chunk) instead of O(frontier).  The scatter-adds
-    are exact integer sums, so the block order cannot change the result.
+    gathered off the mapping in blocks of at most the store's
+    ``chunk_half_edges``, so the temporaries stay O(chunk) instead of
+    O(frontier).  The scatter-adds are exact integer sums, so the block
+    order cannot change the result.
     Returns the sorted ids of the rows that changed.
     """
     n, k = label_weight.shape
@@ -159,7 +156,7 @@ def _fold_migrants(
         while bounds[-1] < migrants.shape[0]:
             a = bounds[-1]
             base = int(cum[a - 1]) if a else 0
-            b = int(np.searchsorted(cum, base + chunk_half_edges, side="right"))
+            b = int(np.searchsorted(cum, base + csr.chunk_half_edges, side="right"))
             bounds.append(max(b, a + 1))
     else:
         bounds = [0, migrants.shape[0]]
@@ -255,7 +252,6 @@ class FastSpinner:
         graph: CSRGraph,
         num_partitions: int,
         initial_labels: np.ndarray | Mapping[int, int] | None = None,
-        track_history: bool = True,
     ) -> FastSpinnerResult:
         """Partition ``graph`` into ``num_partitions`` parts.
 
@@ -263,68 +259,23 @@ class FastSpinner:
         vertex order) or a mapping keyed by original vertex ids; when
         omitted every vertex starts with a uniformly random label.
 
-        ``track_history`` records one :class:`IterationRecord` per
-        iteration.  Its ``phi`` is read off the kernel's synced label
-        histogram (one O(n) gather, no pass over the edges) and its
-        ``rho`` off the partition loads; labels, ``phi``, ``rho`` and
-        halting are the same with it on or off.
+        An opened on-disk store (``graph.storage == "mmap"``) is streamed
+        in its own ``chunk_half_edges`` pieces; any other graph runs in
+        RAM.  Both give the same labels.  The result's history holds one
+        :class:`IterationRecord` per iteration, its ``phi`` read off the
+        kernel's synced label histogram (one O(n) gather, no pass over the
+        edges) and its ``rho`` off the partition loads.
         """
         if num_partitions <= 0:
             raise InvalidPartitionCountError(num_partitions, "must be positive")
-        if self.config.storage == "mmap" and graph.storage != "mmap":
-            return self._partition_spilled(
-                graph, num_partitions, initial_labels, track_history
-            )
         labels = self._resolve_initial_labels(graph, num_partitions, initial_labels)
-        return self._run(graph, num_partitions, labels, track_history)
-
-    def _partition_spilled(
-        self,
-        csr: CSRGraph,
-        num_partitions: int,
-        initial_labels: np.ndarray | Mapping[int, int] | None,
-        track_history: bool,
-    ) -> FastSpinnerResult:
-        """Spill an in-RAM graph to an on-disk store and run out-of-core.
-
-        Used when ``config.storage == "mmap"`` but the input is not
-        already an opened store: the CSR arrays are written to
-        ``config.storage_dir`` (a temporary directory when unset, removed
-        afterwards) and the kernels then stream from the mapping.  Graphs
-        that are already :class:`~repro.graph.mmap_store.MmapCSRGraph`
-        skip this and stream directly.
-        """
-        from repro.graph.mmap_store import open_store, save_csr
-
-        directory = self.config.storage_dir
-        cleanup = directory is None
-        if directory is None:
-            directory = tempfile.mkdtemp(prefix="spinner-store-")
-        try:
-            save_csr(csr, directory, self._storage_chunk())
-            with open_store(directory) as store:
-                labels = self._resolve_initial_labels(
-                    store, num_partitions, initial_labels
-                )
-                return self._run(store, num_partitions, labels, track_history)
-        finally:
-            if cleanup:
-                shutil.rmtree(directory, ignore_errors=True)
-
-    def _storage_chunk(self) -> int:
-        """Half-edges per streamed chunk for the out-of-core kernels."""
-        if self.config.storage_chunk is not None:
-            return self.config.storage_chunk
-        from repro.graph.mmap_store import DEFAULT_STORAGE_CHUNK
-
-        return DEFAULT_STORAGE_CHUNK
+        return self._run(graph, num_partitions, labels)
 
     def adapt_to_graph_changes(
         self,
         graph: CSRGraph,
         previous_assignment: Assignment,
         num_partitions: int,
-        track_history: bool = True,
     ) -> FastSpinnerResult:
         """Incremental repartitioning after graph changes (Section III-D).
 
@@ -335,8 +286,7 @@ class FastSpinner:
         propagation restarts.
         """
         initial = incremental_initial_labels(graph, previous_assignment, num_partitions)
-        return self.partition(graph, num_partitions, initial_labels=initial,
-                              track_history=track_history)
+        return self.partition(graph, num_partitions, initial_labels=initial)
 
     def adapt_to_partition_change(
         self,
@@ -344,28 +294,19 @@ class FastSpinner:
         previous_assignment: Mapping[int, int],
         old_num_partitions: int,
         new_num_partitions: int,
-        track_history: bool = True,
     ) -> FastSpinnerResult:
         """Elastic repartitioning after a change in ``k`` (Section III-E).
 
-        The previous labels are resized with the vectorized eq. (11)
-        draws; vertices missing from the previous assignment are placed on
-        the least loaded partition afterwards.
+        Label propagation restarts from
+        :func:`~repro.core.elastic.elastic_initial_labels`: the previous
+        labels resized with the vectorized eq. (11) draws, and vertices
+        missing from the previous assignment on the least loaded partition.
         """
-        labels, found = map_assignment_to_dense(
-            graph, previous_assignment, old_num_partitions
+        labels = elastic_initial_labels(
+            graph, previous_assignment, old_num_partitions, new_num_partitions,
+            seed=self.config.seed,
         )
-        if found.any():
-            labels[found] = resize_labels(
-                labels[found],
-                old_num_partitions,
-                new_num_partitions,
-                seed=self.config.seed,
-            )
-        place_least_loaded(labels, ~found, graph.weighted_degrees, new_num_partitions)
-        return self.partition(
-            graph, new_num_partitions, initial_labels=labels, track_history=track_history
-        )
+        return self.partition(graph, new_num_partitions, initial_labels=labels)
 
     # ------------------------------------------------------------------
     # internals
@@ -400,7 +341,6 @@ class FastSpinner:
         csr: CSRGraph,
         num_partitions: int,
         labels: np.ndarray,
-        track_history: bool,
     ) -> FastSpinnerResult:
         """Incremental kernel: frontier-sized delta updates between full passes.
 
@@ -428,13 +368,11 @@ class FastSpinner:
         hist_dtype = np.int32 if max_degree < np.iinfo(np.int32).max else np.float64
         if stream:
             # Out-of-core: never materialize a full-edge array.  A full
-            # histogram pass streams chunks and the delta path gathers only
-            # the frontier's half-edges from the mapping (releasing the
-            # touched pages) — both exact.
-            chunk = self._storage_chunk()
+            # histogram pass streams the store's chunks and the delta path
+            # gathers only the frontier's half-edges from the mapping
+            # (releasing the touched pages) — both exact.
             targets = weights_h = None
         else:
-            chunk = None
             # ``edge_array`` builds the sources afresh: scale them in place.
             source_keys, targets, weights = csr.edge_array()
             source_keys *= k
@@ -455,7 +393,7 @@ class FastSpinner:
             """Composite-key reduction over all half-edges."""
             if stream:
                 hist = np.zeros((n, k), dtype=hist_dtype)
-                return _accumulate_histogram(csr, labels, k, chunk, hist)
+                return _accumulate_histogram(csr, labels, k, hist)
             return (
                 np.bincount(source_keys + labels[targets], weights=weights_f, minlength=n * k)
                 .astype(hist_dtype, copy=False)
@@ -483,6 +421,11 @@ class FastSpinner:
         best_scores = np.empty(n, dtype=np.float64)
         current_scores = np.empty(n, dtype=np.float64)
 
+        # Partition loads of the current labels: computed after each
+        # migration step, they give the history's rho and the next
+        # iteration's penalties.
+        loads = np.bincount(labels, weights=degrees, minlength=k)
+        ideal = total_load / k
         iterations_run = 0
         for iteration in range(config.max_iterations):
             iterations_run = iteration + 1
@@ -493,7 +436,6 @@ class FastSpinner:
                 refresh_rows = None
 
             # --- ComputeScores (blocked) -------------------------------
-            loads = np.bincount(labels, weights=degrees, minlength=k).astype(np.float64)
             if config.balance_penalty and capacity > 0:
                 penalties = loads / capacity
             else:
@@ -574,7 +516,7 @@ class FastSpinner:
                 elif frontier_volume:
                     rows = _fold_migrants(
                         csr, label_weight, migrants, old_labels, labels[migrants],
-                        frontier, targets, weights_h, chunk,
+                        frontier, targets, weights_h,
                     )
                     # If most rows changed, a streaming per-block refresh
                     # is cheaper than the scattered row update.
@@ -585,21 +527,19 @@ class FastSpinner:
 
             # --- bookkeeping & halting ----------------------------------
             score_value = float(current_scores.sum())
-            if track_history:
-                local_weight = _local_weight(label_weight, row_keys, labels)
-                phi = local_weight / total_load if total_load else 1.0
-                post_loads = np.bincount(labels, weights=degrees, minlength=k)
-                ideal = total_load / k
-                rho = float(post_loads.max() / ideal) if total_load else 1.0
-                history.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        phi=phi,
-                        rho=rho,
-                        score=score_value,
-                        migrations=migrations,
-                    )
+            loads = np.bincount(labels, weights=degrees, minlength=k)
+            local_weight = _local_weight(label_weight, row_keys, labels)
+            phi = local_weight / total_load if total_load else 1.0
+            rho = float(loads.max() / ideal) if total_load else 1.0
+            history.append(
+                IterationRecord(
+                    iteration=iteration,
+                    phi=phi,
+                    rho=rho,
+                    score=score_value,
+                    migrations=migrations,
                 )
+            )
 
             if tracker.update(score_value):
                 halted_by = "steady_state"

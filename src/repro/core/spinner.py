@@ -23,7 +23,7 @@ from repro.core.batch_program import (
     weighted_view,
 )
 from repro.core.config import SpinnerConfig
-from repro.core.elastic import resize_assignment
+from repro.core.elastic import elastic_initial_labels
 from repro.core.halting import IterationRecord
 from repro.core.incremental import incremental_initial_labels, map_assignment_to_dense
 from repro.core.program import SpinnerMasterCompute
@@ -173,16 +173,19 @@ class SpinnerPartitioner:
         """Elastically adapt a partitioning to a new number of partitions.
 
         Vertices re-initialize with the probabilistic migration rule of
-        Section III-E (eq. 11) and label propagation restarts from there.
+        Section III-E (eq. 11) and label propagation restarts from there;
+        the starting labels are
+        :func:`~repro.core.elastic.elastic_initial_labels`, the same as
+        :class:`~repro.core.fast.FastSpinner` draws for the same seed.
         """
-        resized = resize_assignment(
+        view = weighted_view(graph)
+        initial = elastic_initial_labels(
+            view,
             previous_assignment,
             old_num_partitions,
             new_num_partitions,
             seed=self.config.seed,
         )
-        view = weighted_view(graph)
-        initial = incremental_initial_labels(view, resized, new_num_partitions)
         return self._run(graph, view, new_num_partitions, initial)
 
     # ------------------------------------------------------------------

@@ -41,7 +41,7 @@ def run_fig3(
         graph = load_dataset_csr(name, scale=scale.graph_scale)
         spinner = FastSpinner(spinner_config(scale.seed))
         for k in k_values:
-            result = spinner.partition(graph, k, track_history=False)
+            result = spinner.partition(graph, k)
             hash_assignment = hash_partitioner.partition_array(graph, k)
             hash_phi = locality(graph, hash_assignment)
             improvement = result.phi / hash_phi if hash_phi > 0 else float("inf")

@@ -36,7 +36,7 @@ def run_fig4(
     # is visible, mirroring the paper ("we let the algorithm run for 115
     # iterations ignoring the halting condition").
     spinner = FastSpinner(config)
-    result = spinner.partition(graph, num_partitions, track_history=True)
+    result = spinner.partition(graph, num_partitions)
     rows = [
         {
             "iteration": record.iteration,

@@ -41,7 +41,7 @@ def run_fig5(
             iterations = []
             for repeat in range(repeats):
                 config = spinner_config(scale.seed + repeat, additional_capacity=c)
-                result = FastSpinner(config).partition(graph, k, track_history=False)
+                result = FastSpinner(config).partition(graph, k)
                 rhos.append(result.rho)
                 iterations.append(result.iterations)
             rows.append(

@@ -46,11 +46,11 @@ def _first_iteration_runtime(
     spinner = FastSpinner(config)
     # Warm-up run so first-call costs (page faults, allocator, cached
     # degree views) don't pollute the first measured configuration.
-    spinner.partition(graph, num_partitions, track_history=False)
+    spinner.partition(graph, num_partitions)
     samples = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        spinner.partition(graph, num_partitions, track_history=False)
+        spinner.partition(graph, num_partitions)
         samples.append(time.perf_counter() - start)
     q1, median, q3 = np.percentile(samples, [25, 50, 75])
     return float(median), float(q3 - q1)

@@ -41,7 +41,7 @@ def run_fig7(
 
     config = spinner_config(scale.seed)
     spinner = FastSpinner(config)
-    initial = spinner.partition(snapshot, num_partitions, track_history=False)
+    initial = spinner.partition(snapshot, num_partitions)
     initial_assignment = initial.to_assignment()
 
     rows: list[dict] = []
@@ -51,11 +51,9 @@ def run_fig7(
         live.append(stream.delta(fraction_of_snapshot=fraction))
         changed = live.to_csr()
 
-        adaptive = spinner.adapt_to_graph_changes(
-            changed, initial_assignment, num_partitions, track_history=False
-        )
+        adaptive = spinner.adapt_to_graph_changes(changed, initial_assignment, num_partitions)
         scratch = FastSpinner(config.with_options(seed=config.seed + 1)).partition(
-            changed, num_partitions, track_history=False
+            changed, num_partitions
         )
 
         adaptive_assignment = adaptive.to_assignment()

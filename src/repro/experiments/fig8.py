@@ -31,18 +31,16 @@ def run_fig8(
 
     config = spinner_config(scale.seed)
     spinner = FastSpinner(config)
-    initial = spinner.partition(graph, initial_partitions, track_history=False)
+    initial = spinner.partition(graph, initial_partitions)
     initial_assignment = initial.to_assignment()
 
     rows: list[dict] = []
     for added in new_partition_counts:
         new_k = initial_partitions + added
         elastic = spinner.adapt_to_partition_change(
-            graph, initial_assignment, initial_partitions, new_k, track_history=False
+            graph, initial_assignment, initial_partitions, new_k
         )
-        scratch = FastSpinner(config.with_options(seed=config.seed + 1)).partition(
-            graph, new_k, track_history=False
-        )
+        scratch = FastSpinner(config.with_options(seed=config.seed + 1)).partition(graph, new_k)
         elastic_assignment = elastic.to_assignment()
         scratch_assignment = scratch.to_assignment()
         rows.append(

@@ -46,9 +46,7 @@ def run_fig9(
     for dataset, num_partitions in workloads:
         graph = undirected_dataset(dataset, scale)
         spinner = FastSpinner(spinner_config(scale.seed))
-        assignment = spinner.partition(
-            graph, num_partitions, track_history=False
-        ).to_assignment()
+        assignment = spinner.partition(graph, num_partitions).to_assignment()
         source = int(graph.original_ids[0])
         for app in applications:
             hash_run = run_application(

@@ -4,10 +4,11 @@ The paper's headline claim is operating at Facebook scale (Section V-D);
 this driver exercises the repro's equivalent capability on one machine:
 a synthetic edge stream far larger than the configured memory budget is
 ingested through the chunked external sort (:func:`repro.graph.io.
-ingest_edge_chunks`) into an on-disk CSR store, then partitioned with the
-out-of-core FastSpinner kernels (``SpinnerConfig.storage="mmap"``) — all
-while the process's peak RSS stays bounded by the chunk sizes, not the
-edge count.
+ingest_edge_chunks`) into an on-disk CSR store, then partitioned by
+FastSpinner straight off the opened store (``--storage-chunk`` half-edges
+streamed at a time, passed to :func:`~repro.graph.mmap_store.open_store`)
+— all while the process's peak RSS stays bounded by the chunk sizes, not
+the edge count.
 
 Run as a module so the measurement is isolated in a fresh process (peak
 RSS via ``resource.getrusage`` is a process-lifetime high-water mark and
@@ -86,7 +87,7 @@ def run_scale(
     num_partitions: int = 8,
     seed: int = 42,
     store_dir: str | None = None,
-    storage_chunk: int = DEFAULT_STORAGE_CHUNK,
+    chunk_half_edges: int = DEFAULT_STORAGE_CHUNK,
     run_half_edges: int = DEFAULT_RUN_HALF_EDGES,
     max_iterations: int = 10,
 ) -> dict:
@@ -115,17 +116,10 @@ def run_scale(
         ingest_seconds = time.perf_counter() - start
         rss_after_ingest = peak_rss_mb()
 
-        config = SpinnerConfig(
-            seed=seed,
-            max_iterations=max_iterations,
-            storage="mmap",
-            storage_chunk=storage_chunk,
-        )
+        config = SpinnerConfig(seed=seed, max_iterations=max_iterations)
         start = time.perf_counter()
-        with open_store(store_dir) as store:
-            result = FastSpinner(config).partition(
-                store, num_partitions, track_history=False
-            )
+        with open_store(store_dir, chunk_half_edges) as store:
+            result = FastSpinner(config).partition(store, num_partitions)
         partition_seconds = time.perf_counter() - start
         rss_after_partition = peak_rss_mb()
     finally:
@@ -137,7 +131,7 @@ def run_scale(
         "num_vertices": int(num_vertices),
         "num_partitions": int(num_partitions),
         "seed": int(seed),
-        "storage_chunk": int(storage_chunk),
+        "chunk_half_edges": int(chunk_half_edges),
         "run_half_edges": int(run_half_edges),
         "store_half_edges": int(meta["num_half_edges"]),
         "ingest_seconds": round(ingest_seconds, 3),
@@ -171,7 +165,13 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="store directory (temporary and removed when unset)",
     )
-    parser.add_argument("--storage-chunk", type=int, default=DEFAULT_STORAGE_CHUNK)
+    parser.add_argument(
+        "--storage-chunk",
+        dest="chunk_half_edges",
+        type=int,
+        default=DEFAULT_STORAGE_CHUNK,
+        help="half-edges the opened store streams per chunk",
+    )
     parser.add_argument("--run-half-edges", type=int, default=DEFAULT_RUN_HALF_EDGES)
     parser.add_argument("--max-iterations", type=int, default=10)
     args = parser.parse_args(argv)
@@ -181,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         num_partitions=args.num_partitions,
         seed=args.seed,
         store_dir=args.store,
-        storage_chunk=args.storage_chunk,
+        chunk_half_edges=args.chunk_half_edges,
         run_half_edges=args.run_half_edges,
         max_iterations=args.max_iterations,
     )

@@ -35,8 +35,6 @@ def run_table3(
     for name in datasets:
         graph = load_dataset_csr(name, scale=scale.graph_scale)
         spinner = FastSpinner(spinner_config(scale.seed))
-        rhos = [
-            spinner.partition(graph, k, track_history=False).rho for k in k_values
-        ]
+        rhos = [spinner.partition(graph, k).rho for k in k_values]
         rows.append({"graph": name, "rho": round(float(np.mean(rhos)), 3)})
     return rows

@@ -34,7 +34,7 @@ def run_table4(
     graph = load_dataset_csr("TW", scale=scale.graph_scale, seed=scale.seed)
 
     spinner = FastSpinner(spinner_config(scale.seed))
-    assignment = spinner.partition(graph, num_partitions, track_history=False).to_assignment()
+    assignment = spinner.partition(graph, num_partitions).to_assignment()
 
     rows: list[dict] = []
     for approach, placement_assignment in (("random", None), ("spinner", assignment)):

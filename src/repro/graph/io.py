@@ -56,6 +56,13 @@ from repro.graph.csr import CSRGraph, build_csr_arrays
 DEFAULT_PARSE_CHUNK_EDGES = 1 << 18
 #: Half-edges per sorted run (and per merge range) of the external sort.
 DEFAULT_RUN_HALF_EDGES = 1 << 23
+#: Without a declared vertex count, an ingested store's dense id space is
+#: ``[0, max id + 1)``, and its per-vertex arrays are sized by it.  The
+#: ids of ``m`` edges touch at most ``2 m`` vertices, so the space may
+#: hold at most ``2 m + ISOLATED_ID_ALLOWANCE`` ids: room for isolated
+#: vertices, while a stray id like ``10**12`` is rejected before any
+#: array is sized by it.
+ISOLATED_ID_ALLOWANCE = 1 << 24
 
 #: Spool/run/shard array dtype: little-endian int64 (the RAM tier's dtype).
 _DTYPE = np.dtype("<i8")
@@ -444,17 +451,25 @@ def write_partitioning_array(
 
 
 def _validate_ids(
-    sources: np.ndarray, targets: np.ndarray, num_vertices: int | None
+    sources: np.ndarray, targets: np.ndarray, num_vertices: int | None, edges_read: int
 ) -> None:
+    """Check one chunk's ids; ``edges_read`` counts the edges so far, chunk included."""
     if sources.size == 0:
         return
     low = int(min(sources.min(), targets.min()))
     high = int(max(sources.max(), targets.max()))
     if low < 0:
         raise GraphError(f"negative vertex id {low} in edge input")
-    if num_vertices is not None and high >= num_vertices:
-        raise GraphError(
-            f"vertex id {high} outside the declared range [0, {num_vertices})"
+    if num_vertices is not None:
+        if high >= num_vertices:
+            raise GraphError(
+                f"vertex id {high} outside the declared range [0, {num_vertices})"
+            )
+    elif high >= 2 * edges_read + ISOLATED_ID_ALLOWANCE:
+        raise GraphFormatError(
+            f"vertex id {high} too large for a dense id space after {edges_read} "
+            f"edges (ids must stay below 2 x edges + {ISOLATED_ID_ALLOWANCE}); "
+            "declare the vertex count to allow it"
         )
 
 
@@ -559,8 +574,8 @@ def ingest_edge_chunks(
 
     ``chunks`` yields ``(sources, targets, weights)`` batches of forward
     edges (``weights`` may be ``None`` for all-unit batches); the result
-    on disk is byte-identical to spilling
-    ``CSRGraph.from_edge_list(edges, n, weights)`` built from the
+    on disk is byte-identical to :func:`~repro.graph.mmap_store.save_csr`
+    of ``CSRGraph.from_edge_list(edges, n, weights)`` built from the
     concatenated batches — the property the ingestion equivalence suite
     pins.  Peak RSS is bounded by ``run_half_edges`` (the unit of the
     external sort), not by the input size.
@@ -620,7 +635,7 @@ def _ingest(
                 raise GraphError("weights must align with edges")
         if u.shape != v.shape or u.ndim != 1:
             raise GraphError("edge chunks must be parallel 1-D arrays")
-        _validate_ids(u, v, num_vertices)
+        _validate_ids(u, v, num_vertices, spool.num_edges + u.shape[0])
         if w is not None and w.size and w.min() <= 0:
             raise GraphError(f"edge weights must be positive, got {int(w.min())}")
         spool.append(u, v, w)

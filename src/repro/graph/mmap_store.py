@@ -39,6 +39,14 @@ full pass would still grow the resident set to the file size.
 entries; the data stays in the OS page cache, which is not charged to the
 process), and :meth:`MmapCSRGraph.iter_edge_chunks` copies each chunk off
 the mapping and releases the consumed pages as it goes.
+
+The chunk size is a property of the opened store
+(``open_store(path, chunk_half_edges=...)``): every streaming consumer —
+FastSpinner's histogram and migrant-fold passes and the edge metrics —
+reads :attr:`MmapCSRGraph.chunk_half_edges`, so the memory ceiling of an
+out-of-core run is decided in one place.  Any chunk ``>= 1`` gives
+bit-identical results (every streamed accumulation is a sum of integer
+edge weights).
 """
 
 from __future__ import annotations
@@ -56,10 +64,10 @@ from repro.graph.io import atomic_open, atomic_write_text
 #: On-disk format version (bump on any layout change).
 FORMAT_VERSION = 1
 
-#: Default number of half-edges streamed per chunk by the out-of-core
-#: kernels.  32 MiB of targets per chunk: large enough to amortize the
-#: NumPy call overhead, small enough that a handful of per-chunk
-#: temporaries stay far below any realistic memory budget.
+#: Default number of half-edges an opened store streams per chunk.  32 MiB
+#: of targets per chunk: large enough to amortize the NumPy call overhead,
+#: small enough that a handful of per-chunk temporaries stay far below any
+#: realistic memory budget.
 DEFAULT_STORAGE_CHUNK = 1 << 22
 
 _META = "meta.json"
@@ -176,14 +184,21 @@ class MmapCSRGraph(CSRGraph):
 
     ``indptr``, ``weighted_degrees`` and ``original_ids`` are loaded into
     RAM (all ``O(n)``, label-sized); ``indices`` and ``weights`` are
-    read-only ``np.memmap`` views.  Use as a context manager or call
-    :meth:`close` so the mappings are released deterministically — on
-    Windows an open mapping blocks deletion of the store directory.
+    read-only ``np.memmap`` views.  ``chunk_half_edges`` is the number
+    of half-edges every streaming pass over the store copies into RAM at
+    a time.  Use as a context manager or call :meth:`close` so the
+    mappings are released deterministically — on Windows an open mapping
+    blocks deletion of the store directory.
     """
 
     storage = "mmap"
 
-    def __init__(self, path: str | os.PathLike) -> None:
+    def __init__(
+        self, path: str | os.PathLike, chunk_half_edges: int = DEFAULT_STORAGE_CHUNK
+    ) -> None:
+        if chunk_half_edges < 1:
+            raise GraphError(f"chunk_half_edges must be >= 1, got {chunk_half_edges}")
+        self.chunk_half_edges = int(chunk_half_edges)
         directory = os.fspath(path)
         meta = read_meta(directory)
         n = int(meta["num_vertices"])
@@ -291,6 +306,13 @@ class MmapCSRGraph(CSRGraph):
         return f"MmapCSRGraph(path={self.path!r}, |V|={self.num_vertices}, |E|={self.num_edges})"
 
 
-def open_store(path: str | os.PathLike) -> MmapCSRGraph:
-    """Open a store directory as an :class:`MmapCSRGraph`."""
-    return MmapCSRGraph(path)
+def open_store(
+    path: str | os.PathLike, chunk_half_edges: int = DEFAULT_STORAGE_CHUNK
+) -> MmapCSRGraph:
+    """Open a store directory as an :class:`MmapCSRGraph`.
+
+    ``chunk_half_edges`` sets how many half-edges each streaming pass over
+    the store holds in RAM at once; any value ``>= 1`` is bit-exact, and
+    smaller values trade speed for a lower memory ceiling.
+    """
+    return MmapCSRGraph(path, chunk_half_edges)

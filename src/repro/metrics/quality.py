@@ -5,11 +5,12 @@ array aligned with its dense vertex ids.  Labels must lie in
 ``[0, num_partitions)``.
 
 On the out-of-core tier (``graph.storage == "mmap"``) the edge-touching
-metrics stream the half-edge arrays chunk by chunk instead of calling
-``edge_array()``, keeping peak RSS at ``O(chunk + labels)``.  The values
-are bit-identical to the single-pass expressions: every accumulated
-quantity is a sum of integer edge weights (exact in ``float64``), so the
-accumulation order cannot change the result.
+metrics stream the half-edge arrays in the store's own
+``chunk_half_edges`` pieces instead of calling ``edge_array()``, keeping
+peak RSS at ``O(chunk + labels)``.  The values are bit-identical to the
+single-pass expressions: every accumulated quantity is a sum of integer
+edge weights (exact in ``float64``), so the accumulation order cannot
+change the result.
 """
 
 from __future__ import annotations
@@ -25,13 +26,6 @@ from repro.graph.csr import CSRGraph
 def _check_k(num_partitions: int) -> None:
     if num_partitions <= 0:
         raise InvalidPartitionCountError(num_partitions, "must be positive")
-
-
-def _metric_chunk() -> int:
-    """Half-edges per streamed chunk for the mmap-tier metric passes."""
-    from repro.graph.mmap_store import DEFAULT_STORAGE_CHUNK
-
-    return DEFAULT_STORAGE_CHUNK
 
 
 def _labels_array(graph: CSRGraph, labels: np.ndarray) -> np.ndarray:
@@ -63,7 +57,7 @@ def locality(
         if total == 0:
             return 1.0
         local = 0.0
-        for _, _, src, tgt, w in graph.iter_edge_chunks(_metric_chunk()):
+        for _, _, src, tgt, w in graph.iter_edge_chunks(graph.chunk_half_edges):
             local += float(w[labels[src] == labels[tgt]].sum())
         return float(local / total)
     sources, targets, weights = graph.edge_array()
@@ -81,7 +75,7 @@ def cut_edges(
     labels = _labels_array(graph, labels)
     if graph.storage == "mmap":
         crossing_halves = 0
-        for _, _, src, tgt, _w in graph.iter_edge_chunks(_metric_chunk()):
+        for _, _, src, tgt, _w in graph.iter_edge_chunks(graph.chunk_half_edges):
             crossing_halves += int((labels[src] != labels[tgt]).sum())
         return crossing_halves // 2
     sources, targets, _weights = graph.edge_array()
@@ -159,7 +153,7 @@ def global_score(
     safe_degrees = np.where(degrees > 0, degrees, 1.0)
     local_weight = np.zeros(graph.num_vertices, dtype=np.float64)
     if graph.storage == "mmap":
-        for _, _, src, tgt, w in graph.iter_edge_chunks(_metric_chunk()):
+        for _, _, src, tgt, w in graph.iter_edge_chunks(graph.chunk_half_edges):
             same = labels[src] == labels[tgt]
             np.add.at(local_weight, src[same], w[same].astype(np.float64))
     else:

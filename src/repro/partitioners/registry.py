@@ -22,14 +22,10 @@ through ``partition_array`` / ``run``.
 ``wang``
     LPA-coarsening + METIS of Wang et al. (balances vertices, not edges).
 ``spinner``
-    FastSpinner (the vectorized frontier kernel).
-``spinner-mmap``
-    FastSpinner pinned to the out-of-core storage tier
-    (``SpinnerConfig.storage="mmap"``): the CSR arrays live in on-disk
-    shard files and the kernels stream them chunk-wise, so peak RSS is
-    ``O(chunk + labels)`` instead of ``O(edges)`` — bit-exact with
-    ``spinner``.  Accepts ``storage_dir=`` (store/spill directory) and
-    ``storage_chunk=`` (half-edges per streamed chunk).
+    FastSpinner (the vectorized frontier kernel).  Handed an opened
+    on-disk store it streams the edge arrays chunk-wise, so peak RSS is
+    ``O(chunk + labels)`` instead of ``O(edges)``; any other graph runs
+    in RAM.  Both give the same labels.
 ``spinner-pregel``
     Spinner as a Pregel computation on the array-native vector engine
     (:class:`~repro.core.spinner.SpinnerPartitioner`), which shards the
@@ -67,15 +63,11 @@ _CLASSES: dict[str, tuple[str, str]] = {
     "metis": ("metis", "MetisLikePartitioner"),
     "wang": ("wang", "WangPartitioner"),
     "spinner": ("spinner_adapter", "SpinnerFastAdapter"),
-    "spinner-mmap": ("spinner_adapter", "SpinnerFastAdapter"),
     "spinner-pregel": ("spinner_adapter", "SpinnerPregelAdapter"),
 }
 
-#: Keyword defaults a registry name adds to its class's own.
-_DEFAULTS: dict[str, dict[str, object]] = {"spinner-mmap": {"storage": "mmap"}}
-
 #: Registry names that accept a ``config=SpinnerConfig(...)`` keyword.
-SPINNER_PARTITIONERS = frozenset({"spinner", "spinner-mmap", "spinner-pregel"})
+SPINNER_PARTITIONERS = frozenset({"spinner", "spinner-pregel"})
 
 
 def available_partitioners() -> list[str]:
@@ -100,4 +92,4 @@ def make_partitioner(name: str, **kwargs) -> Partitioner:
         known = ", ".join(available_partitioners())
         raise KeyError(f"unknown partitioner {name!r}; available: {known}") from None
     factory = getattr(importlib.import_module(f"repro.partitioners.{module}"), class_name)
-    return factory(**{**_DEFAULTS.get(name, {}), **kwargs})
+    return factory(**kwargs)

@@ -20,39 +20,17 @@ from repro.partitioners.base import Partitioner
 class SpinnerFastAdapter(Partitioner):
     """Vectorized Spinner behind the common partitioner interface.
 
-    ``storage``, ``storage_dir`` and ``storage_chunk`` override the
-    matching :class:`~repro.core.config.SpinnerConfig` fields:
-    ``storage="mmap"`` runs the kernels out-of-core against an on-disk
-    CSR store, bit-exact with the in-RAM tier.
+    An opened on-disk store runs out of core, any other graph in RAM.
     """
 
     name = "spinner"
 
-    def __init__(
-        self,
-        config: SpinnerConfig | None = None,
-        storage: str | None = None,
-        storage_dir: str | None = None,
-        storage_chunk: int | None = None,
-    ) -> None:
-        config = config if config is not None else SpinnerConfig()
-        overrides: dict[str, object] = {}
-        if storage is not None:
-            overrides["storage"] = storage
-        if storage_dir is not None:
-            overrides["storage_dir"] = storage_dir
-        if storage_chunk is not None:
-            overrides["storage_chunk"] = storage_chunk
-        if overrides:
-            config = config.with_options(**overrides)
-        self.config = config
+    def __init__(self, config: SpinnerConfig | None = None) -> None:
+        self.config = config if config is not None else SpinnerConfig()
 
     def partition_array(self, graph: CSRGraph, num_partitions: int) -> np.ndarray:
         """Run FastSpinner on the CSR graph and return its dense label array."""
-        result = FastSpinner(self.config).partition(
-            graph, num_partitions, track_history=False
-        )
-        return result.labels
+        return FastSpinner(self.config).partition(graph, num_partitions).labels
 
 
 class SpinnerPregelAdapter(Partitioner):

@@ -32,11 +32,11 @@ Lookups keep answering from the old snapshot throughout.
 The repartition itself is Spinner's Section III-D incremental restart:
 previous labels are preserved, new vertices go to the least loaded
 partition (:mod:`repro.core.incremental`), and label propagation resumes
-from there on the vectorized :class:`~repro.core.fast.FastSpinner`,
-honouring the ``ram``/``mmap`` storage tier.  A churn-triggered run is
-bit-identical to invoking ``FastSpinner.adapt_to_graph_changes`` directly
-with the same seed on ``CSRGraph.from_undirected`` of a dictionary graph
-fed the same deltas, which the serving test suite pins.
+from there on the vectorized :class:`~repro.core.fast.FastSpinner`, in
+RAM (the live graph is the in-memory merged CSR).  A churn-triggered run
+is bit-identical to invoking ``FastSpinner.adapt_to_graph_changes``
+directly with the same seed on ``CSRGraph.from_undirected`` of a
+dictionary graph fed the same deltas, which the serving test suite pins.
 
 :meth:`ChurnPipeline.ingest` validates a whole delta before it changes
 anything, so a bad delta raises and leaves the live graph and the
@@ -77,7 +77,7 @@ class ServingConfig:
         last published ``phi``; ``None`` disables the drift trigger.
     spinner:
         Algorithm parameters of the repartitioning FastSpinner (seed,
-        capacity, halting, storage tier).
+        capacity, halting).
     log_interval:
         Seconds between periodic structured log lines (0 disables).
     latency_sample_every:

@@ -25,9 +25,13 @@ def run_dense(
     csr: CSRGraph,
     num_partitions: int,
     labels: np.ndarray,
-    track_history: bool,
+    history: bool = True,
 ) -> FastSpinnerResult:
-    """Run the reference kernel from ``labels`` (updated in place)."""
+    """Run the reference kernel from ``labels`` (updated in place).
+
+    ``history=False`` skips the per-iteration masked ``phi`` pass; the
+    kernel speed benchmark times the reference without it.
+    """
     rng = np.random.default_rng(config.seed)
     n = csr.num_vertices
     sources, targets, weights = csr.edge_array()
@@ -39,7 +43,7 @@ def run_dense(
     vertex_range = np.arange(n)
 
     tracker = HaltingTracker(threshold=config.halt_threshold, window=config.halt_window)
-    history: list[IterationRecord] = []
+    records: list[IterationRecord] = []
     halted_by = "max_iterations"
     # Initialization messages: every vertex announces its label once.
     total_messages = int(csr.indices.shape[0])
@@ -108,13 +112,13 @@ def run_dense(
 
         # --- bookkeeping & halting ----------------------------------
         score_value = float(current_scores.sum())
-        if track_history:
+        if history:
             local_weight = local_weight_fn(labels)
             phi = local_weight / total_load if total_load else 1.0
             post_loads = np.bincount(labels, weights=degrees, minlength=num_partitions)
             ideal = total_load / num_partitions
             rho = float(post_loads.max() / ideal) if total_load else 1.0
-            history.append(
+            records.append(
                 IterationRecord(
                     iteration=iteration,
                     phi=phi,
@@ -130,20 +134,23 @@ def run_dense(
 
     return FastSpinner(config)._finalize(
         csr, num_partitions, labels, degrees, total_load, iterations_run,
-        history, halted_by, total_messages, local_weight_fn(labels),
+        records, halted_by, total_messages, local_weight_fn(labels),
     )
 
 
 class DenseSpinner(FastSpinner):
     """:class:`~repro.core.fast.FastSpinner` running :func:`run_dense`."""
 
+    def __init__(self, config: SpinnerConfig | None = None, history: bool = True) -> None:
+        super().__init__(config)
+        self.history = history
+
     def _run(
         self,
         csr: CSRGraph,
         num_partitions: int,
         labels: np.ndarray,
-        track_history: bool,
     ) -> FastSpinnerResult:
         if csr.storage != "ram":
             raise ValueError("the dense reference kernel runs on in-RAM graphs only")
-        return run_dense(self.config, csr, num_partitions, labels, track_history)
+        return run_dense(self.config, csr, num_partitions, labels, self.history)

@@ -4,12 +4,24 @@ with it whenever the graph's iteration order is its ascending id order."""
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.state import validate_labels
+from repro.errors import InvalidPartitionCountError, PartitioningError
 from repro.graph.undirected import UndirectedGraph
+
+
+def validate_labels(labels: Iterable[int], num_partitions: int) -> None:
+    """Scalar twin of :func:`repro.core.state.validate_label_array`: raise
+    when any label lies outside ``[0, num_partitions)``."""
+    if num_partitions <= 0:
+        raise InvalidPartitionCountError(num_partitions, "must be positive")
+    for label in labels:
+        if not 0 <= label < num_partitions:
+            raise PartitioningError(
+                f"label {label} outside [0, {num_partitions})"
+            )
 
 
 def incremental_initial_assignment(

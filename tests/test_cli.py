@@ -22,6 +22,7 @@ from repro.graph.conversion import ensure_undirected
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
 from repro.graph.digraph import DiGraph
+from repro.graph import io as graph_io
 from repro.graph.io import (
     ingest_edge_list,
     load_directed_edge_list,
@@ -164,6 +165,16 @@ def test_partition_stream_order_rejected_when_unsupported():
 def test_missing_graph_source_errors():
     with pytest.raises(SystemExit):
         main(["partition", "-k", "2"])
+
+
+@pytest.mark.parametrize("flag", ["--storage", "--storage-dir", "--storage-chunk"])
+def test_partition_storage_flags_are_unknown(capsys, flag):
+    # The tier follows the graph: an --edge-store input streams from disk.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["partition", "--dataset", "TU", "-k", "2", flag, "1"])
+    assert excinfo.value.code == 2
+    last_line = capsys.readouterr().err.splitlines()[-1]
+    assert last_line == f"spinner-repro: error: unrecognized arguments: {flag} 1"
 
 
 _SCALED_COMMANDS = {
@@ -357,8 +368,7 @@ ORACLE_SEED = 11
 def _oracle_partitioner(name, seed):
     """The partitioner the CLI builds for ``partition --partitioner name``."""
     if name in SPINNER_PARTITIONERS:
-        storage = "mmap" if name == "spinner-mmap" else "ram"
-        return make_partitioner(name, config=SpinnerConfig(seed=seed, storage=storage))
+        return make_partitioner(name, config=SpinnerConfig(seed=seed))
     if name in ("ldg", "fennel", "random"):
         return make_partitioner(name, seed=seed)
     return make_partitioner(name)
@@ -580,6 +590,28 @@ def test_ingest_rejects_non_positive_weights(tmp_path, capsys, weight):
     argv = _reading_commands(str(edge_list), tmp_path)["ingest"]
     assert f"edge weights must be positive, got {weight}" in _one_line_error(capsys, argv)
     assert not (tmp_path / "store").exists()
+
+
+def test_ingest_rejects_an_id_its_dense_id_space_cannot_hold(tmp_path, capsys, monkeypatch):
+    edge_list = tmp_path / "huge_id.edges"
+    edge_list.write_text("0 1\n1 1000000000000\n")
+    argv = _reading_commands(str(edge_list), tmp_path)["ingest"]
+    err = _one_line_error(capsys, argv)
+    assert "vertex id 1000000000000 too large for a dense id space after 2 edges" in err
+    assert not (tmp_path / "store").exists()
+
+    # The bound is 2 x edges read + the allowance; a declared vertex count
+    # replaces it.
+    monkeypatch.setattr(graph_io, "ISOLATED_ID_ALLOWANCE", 8)
+    edge_list.write_text("0 1\n1 11\n")
+    assert main(argv) == 0
+    with open_store(tmp_path / "store") as store:
+        assert store.num_vertices == 12
+    edge_list.write_text("0 1\n1 12\n")
+    other = ["ingest", "--edge-list", str(edge_list), "--store", str(tmp_path / "other")]
+    assert "vertex id 12 too large" in _one_line_error(capsys, other)
+    assert not (tmp_path / "other").exists()
+    assert main([*other, "--num-vertices", "13"]) == 0
 
 
 def test_ingest_rejects_a_store_path_that_is_a_file(tmp_path, capsys):

@@ -58,17 +58,12 @@ def test_deterministic_for_fixed_seed(community_graph):
 
 
 def test_history_is_recorded_and_score_improves(community_graph, quick_config):
-    result = FastSpinner(quick_config).partition(community_graph, 4, track_history=True)
+    result = FastSpinner(quick_config).partition(community_graph, 4)
     assert len(result.history) == result.iterations
     scores = [record.score for record in result.history]
     assert scores[-1] > scores[0]
     phis = [record.phi for record in result.history]
     assert phis[-1] > phis[0]
-
-
-def test_history_can_be_disabled(community_graph, quick_config):
-    result = FastSpinner(quick_config).partition(community_graph, 4, track_history=False)
-    assert result.history == []
 
 
 def test_initial_labels_mapping_and_array(community_graph, quick_config):

@@ -5,8 +5,9 @@ at the end of every iteration and reads locality off it
 (``sum_v w(v, l(v))``, one O(n) gather).  These tests pin that this
 bookkeeping is exact and that it never touches the edges:
 
-* history on and off give the same labels, iterations, ``phi``, ``rho``
-  and message counts, on the RAM and the mmap tier;
+* the RAM graph and the same graph opened as a store (at several
+  ``chunk_half_edges``) give the same labels, iterations, ``phi``,
+  ``rho`` and message counts;
 * ``result.phi`` and ``result.rho`` equal the quality metrics computed
   from scratch, compared with ``==``;
 * the history rows of the two tiers are equal, and the RAM rows equal the
@@ -14,12 +15,14 @@ bookkeeping is exact and that it never touches the edges:
   over all half-edges;
 * a graph whose weighted degree reaches ``2**31`` runs on the float64
   histogram and keeps all of the above;
-* with history on, the out-of-core kernel streams the store exactly once
-  per full histogram pass, and the RAM kernel builds its edge arrays
-  once per run, whatever the iteration count.
+* the out-of-core kernel streams the store exactly once per full
+  histogram pass, and the RAM kernel builds its edge arrays once per
+  run, whatever the iteration count.
 """
 
 from __future__ import annotations
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -68,10 +71,8 @@ def weighted_graphs(draw):
     return CSRGraph.from_edge_list(array, n, weights=weights)
 
 
-def _config(seed: int, max_iterations: int, **overrides) -> SpinnerConfig:
-    return SpinnerConfig(
-        seed=seed, max_iterations=max_iterations, halt_window=4, **overrides
-    )
+def _config(seed: int, max_iterations: int) -> SpinnerConfig:
+    return SpinnerConfig(seed=seed, max_iterations=max_iterations, halt_window=4)
 
 
 def _history_rows(result):
@@ -93,30 +94,25 @@ def _outcome(result):
 
 
 def _check_exact(csr, num_partitions, seed, max_iterations, chunk):
-    ram = FastSpinner(_config(seed, max_iterations))
-    mmap = FastSpinner(_config(seed, max_iterations, storage="mmap", storage_chunk=chunk))
-    with_history = ram.partition(csr, num_partitions, track_history=True)
-    without_history = ram.partition(csr, num_partitions, track_history=False)
-    mmap_history = mmap.partition(csr, num_partitions, track_history=True)
-    mmap_plain = mmap.partition(csr, num_partitions, track_history=False)
+    spinner = FastSpinner(_config(seed, max_iterations))
+    ram = spinner.partition(csr, num_partitions)
+    with tempfile.TemporaryDirectory() as directory:
+        save_csr(csr, directory)
+        with open_store(directory, chunk_half_edges=chunk) as store:
+            mmap = spinner.partition(store, num_partitions)
     dense = DenseSpinner(_config(seed, max_iterations)).partition(csr, num_partitions)
 
-    assert _outcome(with_history) == _outcome(without_history)
-    assert _outcome(mmap_history) == _outcome(with_history)
-    assert _outcome(mmap_plain) == _outcome(with_history)
-    assert without_history.history == [] and mmap_plain.history == []
+    assert _outcome(mmap) == _outcome(ram)
 
-    assert with_history.phi == locality(csr, with_history.labels)
-    assert with_history.rho == max_normalized_load(
-        csr, with_history.labels, num_partitions
-    )
+    assert ram.phi == locality(csr, ram.labels)
+    assert ram.rho == max_normalized_load(csr, ram.labels, num_partitions)
 
-    rows = _history_rows(with_history)
-    assert len(rows) == with_history.iterations
-    assert _history_rows(mmap_history) == rows
+    rows = _history_rows(ram)
+    assert len(rows) == ram.iterations
+    assert _history_rows(mmap) == rows
     assert _history_rows(dense) == rows
-    assert _outcome(dense) == _outcome(with_history)
-    return with_history
+    assert _outcome(dense) == _outcome(ram)
+    return ram
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,15 +179,11 @@ def test_mmap_history_streams_once_per_full_pass(
     csr = _ring_with_chords(300, seed=max_iterations)
     initial = (np.arange(300) * 4) // 300 if warm_start else None
     save_csr(csr, tmp_path / "store", 64)
-    config = SpinnerConfig(
-        seed=3, max_iterations=max_iterations, halt_window=50, storage_chunk=64
-    )
+    config = SpinnerConfig(seed=3, max_iterations=max_iterations, halt_window=50)
     streams = _count_calls(monkeypatch, MmapCSRGraph, "iter_edge_chunks")
     full_passes = _count_calls(monkeypatch, fast, "_accumulate_histogram")
-    with open_store(tmp_path / "store") as store:
-        result = FastSpinner(config).partition(
-            store, 4, initial_labels=initial, track_history=True
-        )
+    with open_store(tmp_path / "store", chunk_half_edges=64) as store:
+        result = FastSpinner(config).partition(store, 4, initial_labels=initial)
     assert result.iterations == max_iterations
     assert len(result.history) == max_iterations
     # One stream per full histogram pass: the initial build plus the
@@ -206,6 +198,6 @@ def test_ram_history_builds_edge_arrays_once(monkeypatch, max_iterations):
     csr = _ring_with_chords(300, seed=max_iterations)
     config = SpinnerConfig(seed=3, max_iterations=max_iterations, halt_window=50)
     edge_arrays = _count_calls(monkeypatch, CSRGraph, "edge_array")
-    result = FastSpinner(config).partition(csr, 4, track_history=True)
+    result = FastSpinner(config).partition(csr, 4)
     assert result.iterations == max_iterations
     assert len(edge_arrays) == 1

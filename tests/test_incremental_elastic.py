@@ -1,9 +1,10 @@
 """Tests for incremental and elastic repartitioning."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import SpinnerConfig
-from repro.core.elastic import expand_assignment, resize_assignment, shrink_assignment
+from repro.core.elastic import expand_labels, resize_labels, shrink_labels
 from repro.core.fast import FastSpinner
 from repro.core.spinner import SpinnerPartitioner
 from repro.errors import InvalidPartitionCountError
@@ -29,44 +30,44 @@ def test_incremental_assignment_places_new_vertices_least_loaded(two_cliques):
 
 
 def test_expand_assignment_moves_expected_fraction():
-    previous = {v: v % 4 for v in range(4000)}
-    expanded = expand_assignment(previous, 4, 8, seed=1)
-    moved = sum(1 for v in previous if expanded[v] != previous[v])
-    assert moved / len(previous) == pytest.approx(0.5, abs=0.05)  # n/(k+n) = 4/8
-    assert all(0 <= label < 8 for label in expanded.values())
-    moved_targets = {expanded[v] for v in previous if expanded[v] != previous[v]}
-    assert moved_targets <= set(range(4, 8))
+    previous = np.arange(4000) % 4
+    expanded = expand_labels(previous, 4, 8, seed=1)
+    moved = expanded != previous
+    assert moved.mean() == pytest.approx(0.5, abs=0.05)  # n/(k+n) = 4/8
+    assert expanded.min() >= 0 and expanded.max() < 8
+    assert set(expanded[moved].tolist()) <= set(range(4, 8))
 
 
 def test_shrink_assignment_empties_removed_partitions():
-    previous = {v: v % 4 for v in range(400)}
-    shrunk = shrink_assignment(previous, 4, 2, seed=1)
-    assert all(0 <= label < 2 for label in shrunk.values())
-    unchanged = [v for v in previous if previous[v] < 2]
-    assert all(shrunk[v] == previous[v] for v in unchanged)
+    previous = np.arange(400) % 4
+    shrunk = shrink_labels(previous, 4, 2, seed=1)
+    assert shrunk.min() >= 0 and shrunk.max() < 2
+    unchanged = previous < 2
+    assert np.array_equal(shrunk[unchanged], previous[unchanged])
 
 
 def test_resize_dispatch():
-    previous = {0: 0, 1: 1}
-    assert resize_assignment(previous, 2, 2) == previous
-    assert set(resize_assignment(previous, 2, 4, seed=0).values()) <= set(range(4))
-    assert set(resize_assignment(previous, 2, 1, seed=0).values()) == {0}
+    previous = np.array([0, 1])
+    same = resize_labels(previous, 2, 2)
+    assert np.array_equal(same, previous) and same is not previous
+    assert set(resize_labels(previous, 2, 4, seed=0).tolist()) <= set(range(4))
+    assert set(resize_labels(previous, 2, 1, seed=0).tolist()) == {0}
 
 
 def test_expand_shrink_validation():
     with pytest.raises(InvalidPartitionCountError):
-        expand_assignment({0: 0}, 4, 4)
+        expand_labels(np.array([0]), 4, 4)
     with pytest.raises(InvalidPartitionCountError):
-        shrink_assignment({0: 0}, 4, 4)
+        shrink_labels(np.array([0]), 4, 4)
     with pytest.raises(InvalidPartitionCountError):
-        shrink_assignment({0: 0}, 4, 0)
+        shrink_labels(np.array([0]), 4, 0)
 
 
 def test_fast_incremental_adaptation_is_stable(tiny_tuenti, quick_config):
     stream = EdgeArrivalStream(CSRGraph.from_undirected(tiny_tuenti), holdout_fraction=0.2, seed=3)
     snapshot = stream.snapshot()
     spinner = FastSpinner(quick_config)
-    initial = spinner.partition(snapshot, 4, track_history=False)
+    initial = spinner.partition(snapshot, 4)
     initial_assignment = initial.to_assignment()
 
     live = DeltaCSR(snapshot)
@@ -84,7 +85,7 @@ def test_fast_incremental_adaptation_is_stable(tiny_tuenti, quick_config):
 def test_fast_elastic_adaptation(tiny_tuenti, quick_config):
     tiny_tuenti = CSRGraph.from_undirected(tiny_tuenti)
     spinner = FastSpinner(quick_config)
-    initial = spinner.partition(tiny_tuenti, 4, track_history=False)
+    initial = spinner.partition(tiny_tuenti, 4)
     elastic = spinner.adapt_to_partition_change(
         tiny_tuenti, initial.to_assignment(), 4, 6
     )
@@ -107,3 +108,35 @@ def test_pregel_incremental_and_elastic(tiny_tuenti):
         tiny_tuenti, initial.assignment, 3, 4
     )
     assert max(elastic.assignment.values()) <= 3
+
+
+def test_both_spinners_start_elastic_runs_from_identical_labels(tiny_tuenti, monkeypatch):
+    csr = CSRGraph.from_undirected(tiny_tuenti)
+    ids = csr.original_ids.tolist()
+    # Five vertices are new to the previous assignment, one has left the graph.
+    previous = {v: v % 3 for v in ids[:-5]}
+    previous[max(ids) + 1] = 2
+    starts = {}
+
+    fast_partition = FastSpinner.partition
+
+    def record_fast(self, graph, num_partitions, initial_labels=None):
+        starts["fast"] = np.array(initial_labels, copy=True)
+        return fast_partition(self, graph, num_partitions, initial_labels)
+
+    pregel_run = SpinnerPartitioner._run
+
+    def record_pregel(self, graph, view, num_partitions, initial_labels):
+        starts["pregel"] = np.array(initial_labels, copy=True)
+        return pregel_run(self, graph, view, num_partitions, initial_labels)
+
+    monkeypatch.setattr(FastSpinner, "partition", record_fast)
+    monkeypatch.setattr(SpinnerPartitioner, "_run", record_pregel)
+    config = SpinnerConfig(seed=5, max_iterations=2)
+    for new_k in (5, 2):
+        FastSpinner(config).adapt_to_partition_change(csr, previous, 3, new_k)
+        SpinnerPartitioner(config, num_workers=2).adapt_to_partition_change(
+            csr, previous, 3, new_k
+        )
+        assert np.array_equal(starts["fast"], starts["pregel"])
+        assert starts["fast"].min() >= 0 and starts["fast"].max() < new_k

@@ -94,7 +94,7 @@ def test_frontier_kernel_identical_without_ablation_switches(community_graph):
 
 def test_frontier_adaptation_matches_dense(tiny_tuenti, quick_config):
     tiny_tuenti = as_csr(tiny_tuenti)
-    initial = FastSpinner(quick_config).partition(tiny_tuenti, 4, track_history=False)
+    initial = FastSpinner(quick_config).partition(tiny_tuenti, 4)
     assignment = initial.to_assignment()
     dense = DenseSpinner(quick_config)
     frontier = FastSpinner(quick_config)
@@ -223,8 +223,6 @@ def test_vectorized_mapping_initializer_missing_vertex_message():
 def test_vectorized_mapping_initializer_non_contiguous_ids(quick_config):
     graph = DiGraph.from_edges([(100, 7), (7, 100), (7, 55), (55, 200)])
     mapping = {100: 0, 7: 1, 55: 0, 200: 1}
-    result = FastSpinner(quick_config).partition(
-        as_csr(graph), 2, initial_labels=mapping, track_history=False
-    )
+    result = FastSpinner(quick_config).partition(as_csr(graph), 2, initial_labels=mapping)
     assert result.labels.shape[0] == 4
     assert set(result.to_assignment()) == set(mapping)

@@ -6,7 +6,8 @@ the streaming external sort (:func:`~repro.graph.io.ingest_edge_chunks`)
 — must hold exactly the arrays :meth:`CSRGraph.from_edge_list` would
 build, and every consumer (FastSpinner's kernel, the LDG / Fennel /
 Wang baselines, the quality metrics) must produce byte-identical output
-on either tier, for every streaming chunk size including the degenerate
+on either tier, for every streaming chunk size
+(``open_store(path, chunk_half_edges=...)``) including the degenerate
 ``chunk = 1``.
 
 The suite fuzzes seeded random graphs across the shapes that stress the
@@ -22,10 +23,11 @@ import pytest
 
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinner
+from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.io import ingest_edge_chunks
-from repro.graph.mmap_store import open_store, save_csr
-from repro.metrics.quality import quality_summary
+from repro.graph.mmap_store import MmapCSRGraph, open_store, save_csr
+from repro.metrics.quality import cut_edges, locality, max_normalized_load, quality_summary
 from repro.partitioners.fennel import FennelPartitioner
 from repro.partitioners.ldg import LinearDeterministicGreedy
 from repro.partitioners.wang import WangPartitioner
@@ -35,6 +37,11 @@ from oracles.dense_kernel import DenseSpinner
 SHAPES = ("empty", "single", "self_loops", "isolated", "duplicates", "skewed")
 SEEDS = (0, 1, 2)
 CHUNK_SIZES = (1, 7, None)  # None = DEFAULT_STORAGE_CHUNK
+
+
+def _open(path, chunk):
+    """Open a store at ``chunk`` half-edges per streamed chunk (None = default)."""
+    return open_store(path) if chunk is None else open_store(path, chunk_half_edges=chunk)
 
 
 def _fuzz_graph(shape: str, seed: int) -> tuple[int, np.ndarray, np.ndarray | None]:
@@ -147,28 +154,14 @@ def test_fast_spinner_labels_byte_identical(tmp_path, shape, seed, kernel, chunk
     base = SpinnerConfig(seed=seed, max_iterations=30)
     reference_spinner = DenseSpinner if kernel == "dense" else FastSpinner
     reference = reference_spinner(base).partition(ram, 3)
-    mmap_config = base.with_options(storage="mmap", storage_chunk=chunk)
-    with open_store(tmp_path / "store") as store:
-        streamed = FastSpinner(mmap_config).partition(store, 3)
+    with _open(tmp_path / "store", chunk) as store:
+        streamed = FastSpinner(base).partition(store, 3)
 
     assert np.array_equal(streamed.labels, reference.labels)
     assert streamed.iterations == reference.iterations
     assert streamed.history == reference.history
     assert streamed.phi == reference.phi
     assert streamed.rho == reference.rho
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("shape", SHAPES)
-def test_fast_spinner_spill_path_byte_identical(shape, seed):
-    """storage='mmap' on a RAM graph spills to a temp store, same labels."""
-    n, edges, weights = _fuzz_graph(shape, seed)
-    ram = CSRGraph.from_edge_list(edges, n, weights)
-    base = SpinnerConfig(seed=seed, max_iterations=20)
-    reference = FastSpinner(base).partition(ram, 3)
-    spilled = FastSpinner(base.with_options(storage="mmap")).partition(ram, 3)
-    assert np.array_equal(spilled.labels, reference.labels)
-    assert spilled.history == reference.history
 
 
 @pytest.mark.parametrize(
@@ -204,3 +197,35 @@ def test_quality_metrics_byte_identical(tmp_path, shape, seed):
     with open_store(tmp_path / "store") as store:
         streamed = quality_summary(store, labels, 3)
     assert streamed == reference
+
+
+@pytest.mark.parametrize("chunk", (1, 7, 64))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_metrics_stream_at_the_store_chunk(tmp_path, monkeypatch, shape, seed, chunk):
+    """Locality, balance and edge cut over a store equal the RAM values at
+    every chunk the store is opened with, and stream at that chunk."""
+    n, edges, weights = _fuzz_graph(shape, seed)
+    ram = CSRGraph.from_edge_list(edges, n, weights)
+    save_csr(ram, tmp_path / "store")
+    labels = np.random.default_rng(seed).integers(0, 3, size=n, dtype=np.int64)
+    streamed_chunks = []
+    iter_edge_chunks = MmapCSRGraph.iter_edge_chunks
+
+    def recording(self, chunk_half_edges):
+        streamed_chunks.append(chunk_half_edges)
+        return iter_edge_chunks(self, chunk_half_edges)
+
+    monkeypatch.setattr(MmapCSRGraph, "iter_edge_chunks", recording)
+    with open_store(tmp_path / "store", chunk_half_edges=chunk) as store:
+        assert locality(store, labels) == locality(ram, labels)
+        assert max_normalized_load(store, labels, 3) == max_normalized_load(ram, labels, 3)
+        assert cut_edges(store, labels) == cut_edges(ram, labels)
+    assert streamed_chunks and set(streamed_chunks) == {chunk}
+
+
+@pytest.mark.parametrize("chunk", (0, -1))
+def test_open_store_rejects_chunk_below_one(tmp_path, chunk):
+    save_csr(CSRGraph.from_edge_list(np.array([[0, 1]]), 2), tmp_path / "store")
+    with pytest.raises(GraphError, match="chunk_half_edges must be >= 1"):
+        open_store(tmp_path / "store", chunk_half_edges=chunk)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SpinnerConfig
-from repro.core.elastic import expand_assignment, shrink_assignment
+from repro.core.elastic import expand_labels, shrink_labels
 from repro.core.fast import FastSpinner
 from repro.core.halting import HaltingTracker
 from repro.core.incremental import incremental_initial_labels
@@ -124,7 +124,7 @@ def test_partitioning_difference_identity(graph, k):
 @settings(max_examples=25, deadline=None)
 def test_fast_spinner_outputs_valid_partitionings(graph, k, seed):
     config = SpinnerConfig(seed=seed, max_iterations=15)
-    result = FastSpinner(config).partition(CSRGraph.from_undirected(graph), k, track_history=False)
+    result = FastSpinner(config).partition(CSRGraph.from_undirected(graph), k)
     assert result.labels.shape[0] == graph.num_vertices
     assert result.labels.min() >= 0 and result.labels.max() < k
     assert 0.0 <= result.phi <= 1.0
@@ -152,31 +152,32 @@ def test_halting_tracker_never_crashes_and_eventually_halts(scores):
 # elastic / incremental invariants
 # ----------------------------------------------------------------------
 @given(
-    st.dictionaries(st.integers(0, 200), st.integers(0, 3), min_size=1, max_size=100),
+    st.lists(st.integers(0, 3), min_size=1, max_size=100),
     st.integers(min_value=1, max_value=4),
     st.integers(0, 2**31 - 1),
 )
 @settings(max_examples=40, deadline=None)
-def test_expand_assignment_labels_in_range(assignment, added, seed):
+def test_expand_assignment_labels_in_range(labels, added, seed):
+    previous = np.array(labels, dtype=np.int64)
     new_k = 4 + added
-    expanded = expand_assignment(assignment, 4, new_k, seed=seed)
-    assert set(expanded) == set(assignment)
-    assert all(0 <= label < new_k for label in expanded.values())
+    expanded = expand_labels(previous, 4, new_k, seed=seed)
+    assert expanded.shape == previous.shape
+    assert expanded.min() >= 0 and expanded.max() < new_k
     # Vertices that stay keep their exact previous label.
-    for vertex, label in expanded.items():
-        if label < 4:
-            assert label == assignment[vertex]
+    stayed = expanded < 4
+    assert np.array_equal(expanded[stayed], previous[stayed])
 
 
 @given(
-    st.dictionaries(st.integers(0, 200), st.integers(0, 3), min_size=1, max_size=100),
+    st.lists(st.integers(0, 3), min_size=1, max_size=100),
     st.integers(0, 2**31 - 1),
 )
 @settings(max_examples=40, deadline=None)
-def test_shrink_assignment_labels_in_range(assignment, seed):
-    shrunk = shrink_assignment(assignment, 4, 2, seed=seed)
-    assert set(shrunk) == set(assignment)
-    assert all(0 <= label < 2 for label in shrunk.values())
+def test_shrink_assignment_labels_in_range(labels, seed):
+    previous = np.array(labels, dtype=np.int64)
+    shrunk = shrink_labels(previous, 4, 2, seed=seed)
+    assert shrunk.shape == previous.shape
+    assert shrunk.min() >= 0 and shrunk.max() < 2
 
 
 @given(undirected_graphs(), st.integers(min_value=1, max_value=4))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import SpinnerConfig
-from repro.core.state import validate_labels
+from repro.core.state import validate_label_array
 from repro.errors import InvalidPartitionCountError, PartitioningError
+
+from oracles.incremental import validate_labels
 
 from oracles.scoring import (
     choose_label,
@@ -73,8 +75,9 @@ def test_migration_probability_clamped():
 
 
 def test_validate_labels():
-    validate_labels([0, 1, 2], 3)
-    with pytest.raises(PartitioningError):
-        validate_labels([0, 3], 3)
-    with pytest.raises(InvalidPartitionCountError):
-        validate_labels([0], 0)
+    for validate in (validate_labels, validate_label_array):
+        validate(np.array([0, 1, 2]), 3)
+        with pytest.raises(PartitioningError, match=r"label 3 outside \[0, 3\)"):
+            validate(np.array([0, 3, -1]), 3)
+        with pytest.raises(InvalidPartitionCountError):
+            validate(np.array([0]), 0)

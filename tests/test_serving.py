@@ -827,27 +827,39 @@ def test_serve_parser_defaults():
     assert args.port == 0
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["serve", "--dataset", "TU", "-k", "0"],
-        ["serve", "--dataset", "TU", "-k", "4", "--edge-threshold", "0"],
-        ["serve", "--dataset", "TU", "-k", "4", "--phi-drift", "1.5"],
-        ["serve", "--dataset", "TU", "-k", "4", "--parallel", "2"],
-        ["serve", "--dataset", "TU", "-k", "4", "--engine", "dict", "--storage", "ram"],
-        ["serve", "--dataset", "TU", "-k", "4", "--storage-dir", "/tmp/x"],
-        ["serve", "--dataset", "TU", "-k", "4", "--storage", "mmap", "--storage-chunk", "0"],
-        ["serve", "--dataset", "TU", "-k", "4", "--port", "70000"],
-        ["serve", "--dataset", "TU", "-k", "4", "--log-interval", "-1"],
-        ["serve", "--dataset", "TU", "-k", "4", "--assignment", "/nonexistent/a.txt"],
-        ["serve", "-k", "4"],
-        ["serve", "--edge-list", "/nonexistent/graph.edges", "-k", "4"],
-    ],
-)
-def test_serve_cli_validation_exits_2(argv):
+_SERVE = ("serve", "--dataset", "TU", "-k", "4")
+
+#: ``serve`` argument vectors and the error line each must exit 2 with.
+#: ``--parallel``, ``--engine`` and ``--storage`` are not ``serve`` flags:
+#: argparse rejects them as unknown arguments.
+_SERVE_CLI_ERRORS = {
+    ("serve", "--dataset", "TU", "-k", "0"): "--num-partitions must be >= 1, got 0",
+    (*_SERVE, "--edge-threshold", "0"): "both repartition triggers are disabled; "
+    "give --edge-threshold > 0 and/or --phi-drift",
+    (*_SERVE, "--edge-threshold", "-1"): "--edge-threshold must be >= 0, got -1",
+    (*_SERVE, "--phi-drift", "1.5"): "--phi-drift must lie in (0, 1], got 1.5",
+    (*_SERVE, "--parallel", "2"): "unrecognized arguments: --parallel 2",
+    (*_SERVE, "--engine", "dict"): "unrecognized arguments: --engine dict",
+    (*_SERVE, "--storage", "mmap"): "unrecognized arguments: --storage mmap",
+    (*_SERVE, "--port", "70000"): "--port must lie in [0, 65535], got 70000",
+    (*_SERVE, "--log-interval", "-1"): "--log-interval must be >= 0, got -1.0",
+    (*_SERVE, "--latency-sample-every", "0"): "--latency-sample-every must be >= 1, got 0",
+    (*_SERVE, "--max-pipeline", "0"): "--max-pipeline must be >= 1, got 0",
+    (*_SERVE, "--assignment", "/nonexistent/a.txt"):
+        "assignment file '/nonexistent/a.txt' does not exist",
+    ("serve", "-k", "4"): "provide either --dataset or --edge-list",
+    ("serve", "--edge-list", "/nonexistent/graph.edges", "-k", "4"):
+        "edge list '/nonexistent/graph.edges' does not exist",
+}
+
+
+@pytest.mark.parametrize("argv", list(_SERVE_CLI_ERRORS))
+def test_serve_cli_validation_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
-        main(argv)
+        main(list(argv))
     assert excinfo.value.code == 2
+    last_line = capsys.readouterr().err.splitlines()[-1]
+    assert last_line == f"spinner-repro: error: {_SERVE_CLI_ERRORS[argv]}"
 
 
 def test_serve_cli_smoke_over_tcp(tmp_path):
