@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="declared vertex-id range [0, N); defaults to max id + 1, "
         "where every id must stay below 2 x (edges read so far) + "
-        f"{ISOLATED_ID_ALLOWANCE} (a larger id exits 2 unless N is declared)",
+        f"{ISOLATED_ID_ALLOWANCE} (a larger id exits 2 unless N is declared); "
+        "a declared N whose per-vertex arrays would not fit in memory exits 2",
     )
     ingest.add_argument(
         "--run-half-edges",

@@ -63,6 +63,10 @@ DEFAULT_RUN_HALF_EDGES = 1 << 23
 #: vertices, while a stray id like ``10**12`` is rejected before any
 #: array is sized by it.
 ISOLATED_ID_ALLOWANCE = 1 << 24
+#: Bytes of RAM an ingest holds per vertex of its id space at its peak:
+#: degree, weighted-degree and offset arrays, plus one run's offsets and
+#: source counts.
+INGEST_BYTES_PER_VERTEX = 40
 
 #: Spool/run/shard array dtype: little-endian int64 (the RAM tier's dtype).
 _DTYPE = np.dtype("<i8")
@@ -473,6 +477,21 @@ def _validate_ids(
         )
 
 
+def _check_declared_vertices(num_vertices: int) -> None:
+    """Reject a declared vertex count whose per-vertex arrays exceed RAM."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return  # no way to tell on this platform
+    needed = num_vertices * INGEST_BYTES_PER_VERTEX
+    if needed > memory:
+        raise GraphError(
+            f"declared vertex count {num_vertices} needs {needed / 2**30:.1f} GiB "
+            f"for its per-vertex arrays, more than this machine's "
+            f"{memory / 2**30:.1f} GiB of memory"
+        )
+
+
 class _GrowingCounts:
     """Pair of per-vertex int64 accumulators that grow with the max id seen."""
 
@@ -590,14 +609,18 @@ def ingest_edge_chunks(
     source reproduces the arrival order exactly — and streams the final
     ``indices``/``weights`` shards out sequentially.
 
-    Edge weights must be positive.  A failed ingest removes the store
-    directory if it created it; a directory that existed keeps its files
+    Edge weights must be positive, and a declared ``num_vertices`` must
+    leave its per-vertex arrays (:data:`INGEST_BYTES_PER_VERTEX` each) room
+    in physical memory.  A failed ingest removes the store directory if it
+    created it; a directory that existed keeps its files
     (bad input is rejected in pass A, before any shard is written).
 
     Returns the store's ``meta.json`` dictionary.
     """
     if run_half_edges < 1:
         raise GraphError(f"run_half_edges must be >= 1, got {run_half_edges}")
+    if num_vertices is not None:
+        _check_declared_vertices(num_vertices)
     destination = os.fspath(store_dir)
     created = not os.path.isdir(destination)
     os.makedirs(destination, exist_ok=True)

@@ -19,66 +19,19 @@ dictionary references the test suite keeps (pinned in
 ``tests/test_csr_partitioners.py``).  All helpers here operate on dense
 vertex ids (``0 .. n-1``); the mapping back to original ids lives in
 :class:`~repro.graph.csr.CSRGraph`.
-
-:func:`canonical_labels` is the one bridge to the dictionary graph, for
-METIS, whose coarsening still walks dictionary adjacency (Wang's coarse
-graph goes through it too).  It imports the dictionary graph type only
-when called.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-
-if TYPE_CHECKING:
-    from repro.graph.undirected import UndirectedGraph
 
 #: Default number of stream positions gathered per chunk.  Larger chunks
 #: amortize the NumPy call overhead but grow the number of intra-chunk
 #: edges that need scalar patching; 2048 is the measured sweet spot at
 #: 100k vertices across all three kernels.
 DEFAULT_CHUNK = 2048
-
-
-def canonical_undirected(csr: CSRGraph) -> UndirectedGraph:
-    """Materialize a CSR graph as an :class:`UndirectedGraph` canonically.
-
-    Vertices are inserted in ascending original-id order and edges in
-    ascending ``(u, v)`` order, so two equal CSR graphs always produce
-    dictionaries with identical iteration order — the property the METIS
-    adapter (and the equivalence tests) rely on.
-    """
-    from repro.graph.undirected import UndirectedGraph
-
-    graph = UndirectedGraph()
-    ids = csr.original_ids
-    for vertex in ids.tolist():
-        graph.add_vertex(vertex)
-    sources, targets, weights = csr.edge_array()
-    forward = sources < targets
-    u = ids[sources[forward]]
-    v = ids[targets[forward]]
-    w = weights[forward]
-    order = np.lexsort((v, u))
-    for a, b, weight in zip(u[order].tolist(), v[order].tolist(), w[order].tolist()):
-        graph.add_edge(a, b, weight=weight)
-    return graph
-
-
-def canonical_labels(
-    csr: CSRGraph, partition: Callable[[UndirectedGraph], Mapping[int, int]]
-) -> np.ndarray:
-    """Run a dictionary-graph ``partition`` on :func:`canonical_undirected`
-    of ``csr`` and return its labels in the CSR vertex order."""
-    assignment = partition(canonical_undirected(csr))
-    return np.asarray(
-        [assignment[v] for v in csr.original_ids.tolist()], dtype=np.int64
-    )
 
 
 def bfs_stream(csr: CSRGraph, shuffled_roots: list[int]) -> np.ndarray:

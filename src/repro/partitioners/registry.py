@@ -17,8 +17,8 @@ through ``partition_array`` / ``run``.
 ``fennel``
     The Fennel streaming objective (Tsourakakis et al.).
 ``metis``
-    Multilevel coarsen/partition/refine in the spirit of METIS, on a
-    canonical dictionary copy of the CSR graph.
+    Multilevel coarsen/partition/refine in the spirit of METIS, on the
+    CSR arrays.
 ``wang``
     LPA-coarsening + METIS of Wang et al. (balances vertices, not edges).
 ``spinner``

@@ -21,9 +21,9 @@ runs as a chunked CSR kernel (:meth:`WangPartitioner.partition_array`)
 that is assignment-exact with the per-vertex dictionary loop the test
 suite keeps as its reference.  Vertices are iterated and coarse edges
 contracted in canonical ascending order, so the result depends only on
-the graph and the seed.  The coarse graph is orders of magnitude smaller
-than the input, so it is handed to the dictionary multilevel partitioner
-of :mod:`repro.partitioners.metis`.
+the graph and the seed.  The community graph goes straight, as arrays,
+to the multilevel driver of :mod:`repro.partitioners.metis`, with the
+community sizes as its vertex weights.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.undirected import UndirectedGraph
 from repro.partitioners.base import Partitioner
 from repro.partitioners.csr_stream import (
     DEFAULT_CHUNK,
     gather_chunk,
     rowwise_sparse_counts,
 )
-from repro.partitioners.metis import MetisLikePartitioner
+from repro.partitioners.metis import Level, MetisLikePartitioner, merge_parallel_edges
 
 
 class WangPartitioner(Partitioner):
@@ -77,30 +76,6 @@ class WangPartitioner(Partitioner):
             int(self.max_community_fraction * num_vertices / max(num_partitions, 1)),
         )
 
-    def _partition_coarse(
-        self,
-        num_communities: int,
-        edge_weights: dict[tuple[int, int], int],
-        community_sizes: dict[int, float],
-        num_partitions: int,
-    ) -> dict[int, int]:
-        """Build the coarse graph canonically and partition it METIS-style.
-
-        Edges are inserted in ascending ``(u, v)`` order so the coarse
-        graph's adjacency iteration order — which the multilevel
-        partitioner's matching phase is sensitive to — depends only on
-        the contracted edge set, not on how it was computed.
-        """
-        coarse = UndirectedGraph()
-        for index in range(num_communities):
-            coarse.add_vertex(index)
-        for (cu, cv) in sorted(edge_weights):
-            coarse.add_edge(cu, cv, weight=edge_weights[(cu, cv)])
-        # Balance on the *number of original vertices* per partition — the
-        # vertex balance of Wang et al.
-        metis = _VertexBalancedMetis(seed=self.seed)
-        return metis.partition_with_weights(coarse, num_partitions, community_sizes)
-
     # ------------------------------------------------------------------
     def partition_array(
         self, graph: CSRGraph, num_partitions: int, chunk: int = DEFAULT_CHUNK
@@ -117,9 +92,10 @@ class WangPartitioner(Partitioner):
         state, the skip is assignment-exact.
 
         The dictionary oracle cannot represent self-loops or non-positive
-        edge weights (``UndirectedGraph`` rejects both), so the kernel treats such entries as absent: a graph containing
-        either is rebuilt without them before partitioning, which keeps
-        the result consistent with the equivalent clean graph.
+        edge weights (its graph type rejects both), so the kernel treats
+        such entries as absent: a graph containing either is rebuilt
+        without them before partitioning, which keeps the result
+        consistent with the equivalent clean graph.
 
         Accepts graphs on either storage tier (the mmap tier's arrays are
         byte-identical, so the assignments are too), but unlike LDG and
@@ -143,41 +119,23 @@ class WangPartitioner(Partitioner):
             return self.partition_array(clean, num_partitions, chunk)
         community = self._coarsen_with_lpa(graph, num_partitions, chunk)
 
-        # Contract communities into super-vertices (vectorized).
-        community_ids = np.unique(community)
-        dense = np.searchsorted(community_ids, community)
+        # Contract communities into super-vertices (vectorized): one edge
+        # per crossing community pair in ascending order, summed weights.
+        community_ids, dense = np.unique(community, return_inverse=True)
+        num_communities = int(community_ids.shape[0])
         forward = sources < targets
         cu = dense[sources[forward]]
         cv = dense[targets[forward]]
-        wf = weights[forward]
         crossing = cu != cv
-        lo = np.minimum(cu[crossing], cv[crossing])
-        hi = np.maximum(cu[crossing], cv[crossing])
-        crossing_weights = wf[crossing]
-        num_communities = int(community_ids.shape[0])
-        key = lo * np.int64(num_communities) + hi
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        sorted_w = crossing_weights[order]
-        if sorted_key.shape[0]:
-            starts = np.concatenate([[0], np.flatnonzero(np.diff(sorted_key)) + 1])
-            sums = np.add.reduceat(sorted_w, starts)
-            unique_keys = sorted_key[starts]
-        else:
-            sums = np.empty(0, dtype=np.int64)
-            unique_keys = np.empty(0, dtype=np.int64)
-        edge_weights = {
-            (int(k0) // num_communities, int(k0) % num_communities): int(w0)
-            for k0, w0 in zip(unique_keys.tolist(), sums.tolist())
-        }
-        size_counts = np.bincount(dense, minlength=num_communities).astype(np.float64)
-        community_sizes = {index: float(s) for index, s in enumerate(size_counts)}
-        coarse_assignment = self._partition_coarse(
-            num_communities, edge_weights, community_sizes, num_partitions
+        lo, hi, pair_weights, _ = merge_parallel_edges(
+            cu[crossing], cv[crossing], weights[forward][crossing], num_communities
         )
-        coarse_labels = np.asarray(
-            [coarse_assignment[index] for index in range(num_communities)],
-            dtype=np.int64,
+        # METIS balances the number of original vertices per partition —
+        # the vertex balance of Wang et al.
+        sizes = np.bincount(dense, minlength=num_communities).astype(np.float64)
+        coarse = Level.from_edges(lo, hi, pair_weights, sizes, np.arange(num_communities))
+        coarse_labels = MetisLikePartitioner(seed=self.seed).multilevel(
+            coarse, num_partitions
         )
         return coarse_labels[dense]
 
@@ -359,33 +317,3 @@ class WangPartitioner(Partitioner):
             if moved == 0:
                 break
         return community
-
-class _VertexBalancedMetis(MetisLikePartitioner):
-    """Multilevel partitioner variant balancing on supplied vertex weights."""
-
-    name = "metis-vertex-balanced"
-
-    def partition_with_weights(
-        self,
-        graph: UndirectedGraph,
-        num_partitions: int,
-        vertex_weights: dict[int, float],
-    ) -> dict[int, int]:
-        """Partition ``graph`` balancing the given per-vertex weights."""
-        if graph.num_vertices == 0:
-            return {}
-        rng = np.random.default_rng(self.seed)
-        weights = {v: float(max(vertex_weights.get(v, 1.0), 1e-9)) for v in graph.vertices()}
-        levels = self._coarsen(graph, weights, num_partitions, rng)
-        coarsest = levels[-1]
-        assignment = self._initial_partition(coarsest, num_partitions, rng)
-        assignment = self._refine(coarsest, assignment, num_partitions)
-        for level_index in range(len(levels) - 2, -1, -1):
-            finer = levels[level_index]
-            assert finer.parent is not None
-            assignment = {
-                vertex: assignment[finer.parent[vertex]]
-                for vertex in finer.graph.vertices()
-            }
-            assignment = self._refine(finer, assignment, num_partitions)
-        return assignment

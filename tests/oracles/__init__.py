@@ -18,6 +18,10 @@ it from here and assert bit-exact agreement:
   its frontier kernel;
 * :mod:`oracles.baselines` — the dictionary LDG/Fennel/Wang loops and
   scalar hash/modulo/random rules, reference for the CSR partitioners;
+* :mod:`oracles.metis` — the dictionary multilevel (METIS) code and the
+  canonical dictionary copy of a CSR graph it walks, reference for
+  :class:`~repro.partitioners.metis.MetisLikePartitioner` and Wang's
+  coarse step;
 * :mod:`oracles.generators` — the graph generators with one numpy
   ``Generator`` call per draw, reference for the raw-block draw stream;
 * :mod:`oracles.edge_list` — the per-line edge-list readers, reference

@@ -4,8 +4,9 @@ The production partitioners run on CSR arrays only.  These are the plain
 loops over an :class:`~repro.graph.undirected.UndirectedGraph` that their
 kernels must match assignment for assignment; each reads its parameters
 (seed, stream order, capacity, ...) off a production partitioner.
-:data:`DICT_PARTITIONS` maps registry names to them, including the scalar
-rules behind the vectorized ``hash``/``modulo``/``random``.
+:data:`DICT_PARTITIONS` maps partitioner names to them, including the
+scalar rules behind the vectorized ``hash``/``modulo``/``random`` and the
+multilevel code of :mod:`oracles.metis`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from collections import deque
 import numpy as np
 
 from repro.graph.conversion import ensure_undirected
+from repro.graph.csr import CSRGraph
 from repro.partitioners.hashing import hash_label
 
+from oracles.metis import canonical_undirected, metis_partition, wang_coarse_partition
 from oracles.metrics import locality, max_normalized_load
 
 
@@ -138,8 +141,8 @@ def wang_partition(partitioner, graph, num_partitions) -> dict[int, int]:
     community_sizes = {index: 0.0 for index in dense_of.values()}
     for cid in community.values():
         community_sizes[dense_of[cid]] += 1.0
-    coarse = partitioner._partition_coarse(
-        len(dense_of), edge_weights, community_sizes, num_partitions
+    coarse = wang_coarse_partition(
+        partitioner, len(dense_of), edge_weights, community_sizes, num_partitions
     )
     return {vertex: coarse[dense_of[community[vertex]]] for vertex in graph.vertices()}
 
@@ -161,6 +164,10 @@ DICT_PARTITIONS = {
     "ldg": ldg_partition,
     "fennel": fennel_partition,
     "wang": wang_partition,
+    # METIS walks the canonical copy of the graph's CSR view.
+    "metis-like": lambda partitioner, graph, k: metis_partition(
+        partitioner, canonical_undirected(CSRGraph.from_undirected(graph)), k
+    ),
 }
 
 

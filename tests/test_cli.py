@@ -14,7 +14,6 @@ from oracles.baselines import DICT_PARTITIONS, dict_run
 from oracles.edge_list import read_directed_edge_list, write_directed_edge_list
 
 import repro.graph.datasets as datasets_module
-import repro.partitioners.csr_stream as csr_stream_module
 from repro.cli import build_parser, main
 from repro.core.config import SpinnerConfig
 from repro.core.fast import FastSpinnerResult
@@ -32,6 +31,7 @@ from repro.graph.io import (
     write_partitioning_array,
 )
 from repro.graph.mmap_store import open_store
+from repro.graph.undirected import UndirectedGraph
 from repro.metrics.quality import locality, max_normalized_load
 from repro.metrics.reporting import format_table
 from repro.partitioners.registry import (
@@ -355,12 +355,12 @@ def test_recover_rejects_stale_dict_engine_snapshot(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # every input runs on CSR arrays: pinned against the dictionary oracles
 # ----------------------------------------------------------------------
-# Partitioners with a dictionary oracle (the streaming and trivial
-# baselines) are checked against it.  The others have none: Spinner,
-# METIS and the Pregel Spinner are checked against the library run on a
-# CSR graph built from the dictionary graph.  Only METIS still walks a
+# Partitioners with a dictionary oracle (the streaming, trivial and
+# multilevel baselines) are checked against it.  The others have none:
+# Spinner and the Pregel Spinner are checked against the library run on
+# a CSR graph built from the dictionary graph.  No partitioner walks a
 # dictionary graph.
-ARRAY_NATIVE_PARTITIONERS = sorted(set(available_partitioners()) - {"metis"})
+ARRAY_NATIVE_PARTITIONERS = available_partitioners()
 ORACLE_SCALE = 0.05
 ORACLE_SEED = 11
 
@@ -414,17 +414,13 @@ def _cli_partition(capsys, source, name, k, seed, output_path):
     return output_path.read_bytes(), capsys.readouterr().out
 
 
-# metis and spinner-pregel ride along on two datasets.
+# spinner-pregel rides along on two datasets.
 _ORACLE_CASES = [
     (dataset, name)
     for dataset in ("LJ", "TU", "TW", "Y!")
     for name in ARRAY_NATIVE_PARTITIONERS
     if name != "spinner-pregel"
-] + [
-    (dataset, name)
-    for dataset in ("LJ", "TU")
-    for name in ("metis", "spinner-pregel")
-]
+] + [(dataset, "spinner-pregel") for dataset in ("LJ", "TU")]
 
 
 @pytest.mark.parametrize(("dataset", "name"), _ORACLE_CASES)
@@ -468,7 +464,7 @@ def test_dataset_partition_builds_no_dict_graph(tmp_path, capsys, monkeypatch, n
 
     monkeypatch.setattr(datasets_module, "load_dataset", forbidden)
     monkeypatch.setattr(FastSpinnerResult, "to_assignment", forbidden)
-    monkeypatch.setattr(csr_stream_module, "canonical_undirected", forbidden)
+    monkeypatch.setattr(UndirectedGraph, "__init__", forbidden)
     source = ["--dataset", "LJ", "--scale", str(ORACLE_SCALE)]
     data, _ = _cli_partition(capsys, source, name, 4, 3, tmp_path / "out.txt")
     assert data.startswith(b"# partitioning: vertex_id partition\n")
@@ -612,6 +608,20 @@ def test_ingest_rejects_an_id_its_dense_id_space_cannot_hold(tmp_path, capsys, m
     assert "vertex id 12 too large" in _one_line_error(capsys, other)
     assert not (tmp_path / "other").exists()
     assert main([*other, "--num-vertices", "13"]) == 0
+
+
+def test_ingest_rejects_a_declared_vertex_count_memory_cannot_hold(tmp_path, capsys):
+    edge_list = tmp_path / "one.edges"
+    edge_list.write_text("0 1\n")
+    argv = _reading_commands(str(edge_list), tmp_path)["ingest"]
+    err = _one_line_error(capsys, [*argv, "--num-vertices", "1000000000000"])
+    assert "declared vertex count 1000000000000 needs" in err
+    assert not (tmp_path / "store").exists()
+
+    # A count that fits still ingests, as isolated vertices.
+    assert main([*argv, "--num-vertices", "1000000"]) == 0
+    with open_store(tmp_path / "store") as store:
+        assert store.num_vertices == 1000000 and store.num_edges == 1
 
 
 def test_ingest_rejects_a_store_path_that_is_a_file(tmp_path, capsys):

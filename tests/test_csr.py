@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from oracles.metis import canonical_undirected
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.undirected import UndirectedGraph
-from repro.partitioners.csr_stream import canonical_undirected
 
 
 def test_from_undirected_roundtrip(two_cliques):

@@ -15,14 +15,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import oracles.baselines as oracle
+from oracles.metis import metis_labels, wang_coarse_partition
 
+from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
+from repro.graph.io import ingest_edge_list
+from repro.graph.mmap_store import open_store
 from repro.graph.undirected import UndirectedGraph
-from repro.partitioners.csr_stream import canonical_undirected, stream_order
+from repro.partitioners.csr_stream import stream_order
 from repro.partitioners.fennel import FennelPartitioner
 from repro.partitioners.hashing import HashPartitioner, ModuloPartitioner, hash_label
 from repro.partitioners.ldg import LinearDeterministicGreedy
-from repro.partitioners.metis import MetisLikePartitioner
+from repro.partitioners.metis import Level, MetisLikePartitioner
 from repro.partitioners.random_part import RandomPartitioner
 from repro.partitioners.registry import make_partitioner
 from repro.partitioners.wang import WangPartitioner
@@ -257,14 +261,94 @@ def test_hash_modulo_random_arrays_match_dict():
         assert labels.tolist() == expected[partitioner.name], partitioner.name
 
 
-def test_metis_partition_array_uses_canonical_fallback():
-    _, csr = _random_graph(200, 800, seed=2)
-    partitioner = MetisLikePartitioner(seed=0)
-    labels = partitioner.partition_array(csr, 4)
-    assert labels.shape == (200,)
-    assert labels.min() >= 0 and labels.max() < 4
-    reference = partitioner._partition_dict(canonical_undirected(csr), 4)
-    assert np.array_equal(_dense_reference(reference, csr), labels)
+# ----------------------------------------------------------------------
+# METIS
+# ----------------------------------------------------------------------
+def _shuffled_ids(csr: CSRGraph, seed: int) -> CSRGraph:
+    """``csr`` with sparse original ids whose dense order is not ascending."""
+    ids = np.random.default_rng(seed).permutation(3 * csr.num_vertices)
+    return CSRGraph(csr.indptr, csr.indices, csr.weights, ids[: csr.num_vertices])
+
+
+def _metis_cases(tmp_path):
+    """``(graph, k, partitioner)`` triples per case name."""
+    cases = {}
+    for seed in (0, 1, 2):
+        _, csr = _random_graph(450, 1800, seed=seed, weighted=True)
+        for k in (2, 5, 40):
+            cases[f"shuffled-ids-{seed}-k{k}"] = (
+                _shuffled_ids(csr, seed),
+                k,
+                MetisLikePartitioner(balance_tolerance=(1.0, 1.03, 1.5)[seed], seed=seed),
+            )
+    _, sparse = _random_graph(300, 200, seed=4)
+    cases["isolated"] = (sparse, 4, MetisLikePartitioner(seed=1))
+    _, small = _random_graph(9, 12, seed=5)
+    cases["k-above-n"] = (small, 16, MetisLikePartitioner(seed=0))
+    empty = CSRGraph(np.zeros(1, dtype=np.int64), np.empty(0), np.empty(0))
+    cases["empty"] = (empty, 3, MetisLikePartitioner(seed=0))
+    star = CSRGraph.from_edge_list([(0, v) for v in range(1, 200)], 200)
+    cases["star"] = (star, 2, MetisLikePartitioner(seed=0))
+    # An ingested multigraph: repeated pairs (the first weight counts),
+    # reversed repeats and self-loops.
+    rng = np.random.default_rng(6)
+    ids = rng.choice(4000, size=350, replace=False)
+    pairs = ids[rng.integers(0, 350, size=(1400, 2))]
+    pairs = np.vstack([pairs, pairs[:200], pairs[:40, ::-1], np.stack([ids[:9]] * 2, axis=1)])
+    weights = rng.integers(1, 4, size=pairs.shape[0])
+    edge_file = tmp_path / "multi.edges"
+    edge_file.write_text(
+        "".join(f"{u} {v} {w}\n" for (u, v), w in zip(pairs.tolist(), weights.tolist()))
+    )
+    ingest_edge_list(edge_file, tmp_path / "store")
+    cases["ingested-store"] = (open_store(tmp_path / "store"), 6, MetisLikePartitioner(seed=3))
+    return cases
+
+
+def _wang_coarse_cases():
+    """Wang's coarse step: ascending community pairs, community sizes as
+    the balanced vertex weights.  Yields ``(level, k, wang, dict inputs)``."""
+    rng = np.random.default_rng(8)
+    for num_communities, k in ((40, 4), (600, 8), (700, 200)):
+        edges = rng.integers(num_communities, size=(4 * num_communities, 2))
+        lo, hi = edges.min(axis=1), edges.max(axis=1)
+        keys = np.unique((lo * num_communities + hi)[lo != hi])
+        pair_weights = rng.integers(1, 9, size=keys.shape[0])
+        sizes = rng.integers(1, 30, size=num_communities).astype(np.float64)
+        level = Level.from_edges(
+            keys // num_communities, keys % num_communities, pair_weights, sizes,
+            np.arange(num_communities),
+        )
+        edge_weights = {
+            (int(key) // num_communities, int(key) % num_communities): int(w)
+            for key, w in zip(keys.tolist(), pair_weights.tolist())
+        }
+        yield level, k, WangPartitioner(seed=num_communities), (
+            num_communities, edge_weights, dict(enumerate(sizes.tolist()))
+        )
+
+
+def test_metis_csr_matches_dict(tmp_path):
+    cases = _metis_cases(tmp_path)
+    for case, (graph, k, partitioner) in cases.items():
+        labels = partitioner.partition_array(graph, k)
+        assert labels.dtype == np.int64 and labels.shape == (graph.num_vertices,)
+        assert np.array_equal(labels, metis_labels(partitioner, graph, k)), case
+    cases["ingested-store"][0].close()
+    for level, k, wang, (num_communities, edge_weights, sizes) in _wang_coarse_cases():
+        labels = MetisLikePartitioner(seed=wang.seed).multilevel(level, k)
+        reference = wang_coarse_partition(wang, num_communities, edge_weights, sizes, k)
+        assert labels.tolist() == [reference[c] for c in range(num_communities)]
+
+
+def test_metis_rejects_non_positive_weight_like_dict():
+    csr = CSRGraph.from_edge_list([(0, 1), (1, 2), (2, 3)], 4, weights=[2, 0, -1])
+    partitioner = MetisLikePartitioner()
+    with pytest.raises(GraphError) as expected:
+        metis_labels(partitioner, csr, 2)
+    with pytest.raises(GraphError) as raised:
+        partitioner.partition_array(csr, 2)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_partition_array_maps_sparse_original_ids():

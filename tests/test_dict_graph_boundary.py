@@ -1,7 +1,6 @@
 """CSR arrays are the only graph the library runs on: outside a short
-allow-list (the dict dataset view the benchmark harness traces and
-METIS's coarsening) no module under ``src/repro`` imports the
-dictionary graph types."""
+allow-list (the dict dataset view the benchmark harness traces) no
+module under ``src/repro`` imports the dictionary graph types."""
 
 from __future__ import annotations
 
@@ -11,9 +10,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 DICT_MODULES = {"repro.graph.digraph", "repro.graph.undirected"}
 ALLOWED = {
-    *(f"graph/{name}.py" for name in ("undirected", "digraph", "conversion", "datasets",
-                                     "generators", "csr")),
-    *(f"partitioners/{name}.py" for name in ("metis", "wang", "csr_stream")),
+    f"graph/{name}.py"
+    for name in ("undirected", "digraph", "conversion", "datasets", "generators", "csr")
 }
 
 

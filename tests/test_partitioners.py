@@ -55,13 +55,7 @@ def test_run_reports_metrics(partitioner, two_cliques_csr):
     assert output.partitioner == partitioner.name
 
 
-# METIS has no dictionary oracle: its multilevel scheme is the dictionary
-# algorithm, run on a canonical copy of the CSR graph.
-@pytest.mark.parametrize(
-    "partitioner",
-    [p for p in ALL_BASELINES if not isinstance(p, MetisLikePartitioner)],
-    ids=lambda p: p.name,
-)
+@pytest.mark.parametrize("partitioner", ALL_BASELINES, ids=lambda p: p.name)
 def test_run_on_csr_matches_run_on_dict(partitioner, community_graph, community_csr):
     assignment, phi, rho = dict_run(partitioner, community_graph, 4)
     from_csr = partitioner.run(community_csr, 4)
