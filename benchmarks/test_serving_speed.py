@@ -355,11 +355,13 @@ def _stability_sweep() -> list[dict]:
             ServingConfig(num_partitions=NUM_PARTITIONS, spinner=SpinnerConfig(seed=SEED)),
         )
         before_report = pipeline.bootstrap()
-        before = store.current().to_assignment()
+        snapshot = store.current()
+        before = (snapshot.ids, snapshot.labels)
         delta = generator(graph, 0.05, seed=SEED)
         pipeline.ingest(delta)
         report = pipeline.repartition_now()
-        after = store.current().to_assignment()
+        snapshot = store.current()
+        after = (snapshot.ids, snapshot.labels)
         rows.append(
             {
                 "generator": name,

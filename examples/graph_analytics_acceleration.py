@@ -29,8 +29,8 @@ def main() -> None:
     print(f"graph: {graph.num_vertices} vertices, {graph.num_edges} edges, "
           f"{workers} workers")
 
-    # Partition once with Spinner; reuse the assignment for every workload.
-    assignment = FastSpinner(SpinnerConfig(seed=3)).partition(graph, workers).to_assignment()
+    # Partition once with Spinner; reuse the labels for every workload.
+    labels = FastSpinner(SpinnerConfig(seed=3)).partition(graph, workers).labels
 
     source = int(graph.original_ids[0])
     applications = {
@@ -44,7 +44,7 @@ def main() -> None:
         # A fresh program per run: programs are not shared between runs.
         hash_run = run_application(make_program(), graph, num_workers=workers)
         spinner_run = run_application(
-            make_program(), graph, num_workers=workers, assignment=assignment
+            make_program(), graph, num_workers=workers, labels=labels
         )
         rows.append(
             {

@@ -51,8 +51,9 @@ def main() -> None:
           f"({initial.iterations} iterations)")
 
     # --- the graph grows: adapt instead of repartitioning ------------------
+    # An assignment is the (vertex ids, labels) pair of a run.
     rows = []
-    assignment = initial.to_assignment()
+    assignment = (snapshot.original_ids, initial.labels)
     for growth in (0.01, 0.05, 0.10):
         grown = grow(snapshot, stream, growth)
         adapted = spinner.adapt_to_graph_changes(grown, assignment, servers)
@@ -61,10 +62,10 @@ def main() -> None:
             {
                 "new_friendships_pct": growth * 100,
                 "users_moved_adaptive_pct": 100 * partitioning_difference(
-                    assignment, adapted.to_assignment()
+                    assignment, (grown.original_ids, adapted.labels)
                 ),
                 "users_moved_scratch_pct": 100 * partitioning_difference(
-                    assignment, scratch.to_assignment()
+                    assignment, (grown.original_ids, scratch.labels)
                 ),
                 "time_saved_pct": improvement_percentage(
                     scratch.iterations, adapted.iterations
@@ -81,9 +82,9 @@ def main() -> None:
 
     new_servers = servers + 2
     elastic = spinner.adapt_to_partition_change(
-        grown, adapted.to_assignment(), servers, new_servers
+        grown, (grown.original_ids, adapted.labels), servers, new_servers
     )
-    moved = partitioning_difference(adapted.to_assignment(), elastic.to_assignment())
+    moved = partitioning_difference(adapted.labels, elastic.labels)
     print()
     print(
         f"scaling from {servers} to {new_servers} servers: "

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.incremental import Assignment, map_assignment_to_dense, place_least_loaded
+from repro.core.incremental import Assignment, lookup_labels, place_least_loaded
 from repro.core.state import validate_label_array
 from repro.errors import InvalidPartitionCountError
 from repro.graph.csr import CSRGraph
@@ -117,7 +117,7 @@ def elastic_initial_labels(
     :func:`resize_labels`, and vertices it misses go to the least loaded
     of the ``new_num_partitions`` partitions afterwards.
     """
-    labels, found = map_assignment_to_dense(csr, previous_assignment, old_num_partitions)
+    labels, found = lookup_labels(previous_assignment, csr.original_ids, old_num_partitions)
     if found.any():
         labels[found] = resize_labels(
             labels[found], old_num_partitions, new_num_partitions, seed=seed

@@ -80,7 +80,6 @@ equivalence suite and the speed benchmark
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,12 +87,9 @@ import numpy as np
 from repro.core.config import SpinnerConfig
 from repro.core.elastic import elastic_initial_labels
 from repro.core.halting import HaltingTracker, IterationRecord
-from repro.core.incremental import (
-    Assignment,
-    incremental_initial_labels,
-    map_assignment_to_dense,
-)
-from repro.errors import InvalidPartitionCountError, PartitioningError
+from repro.core.incremental import Assignment, incremental_initial_labels
+from repro.core.state import initial_label_array
+from repro.errors import InvalidPartitionCountError
 from repro.graph.csr import CSRGraph
 
 
@@ -212,8 +208,11 @@ def _local_weight(
 class FastSpinnerResult:
     """Outcome of a :class:`FastSpinner` run.
 
-    ``labels`` is indexed by dense vertex id; :meth:`to_assignment` maps it
-    back to the original vertex identifiers.
+    ``labels`` is indexed by dense vertex id and ``original_ids`` names
+    the vertices; on a graph with ascending ids (every CSR graph the
+    library builds) ``(original_ids, labels)`` is the
+    :data:`~repro.core.incremental.Assignment` an incremental or elastic
+    restart takes.  :meth:`to_assignment` renders it as a dictionary.
     """
 
     labels: np.ndarray
@@ -227,13 +226,11 @@ class FastSpinnerResult:
     original_ids: np.ndarray | None = None
 
     def to_assignment(self) -> dict[int, int]:
-        """Return the ``{original vertex id: partition}`` mapping."""
-        ids = (
-            self.original_ids
-            if self.original_ids is not None
-            else np.arange(self.labels.shape[0])
-        )
-        return {int(vertex): int(label) for vertex, label in zip(ids, self.labels)}
+        """Return the ``{original vertex id: partition}`` mapping (for display)."""
+        ids = self.original_ids
+        if ids is None:
+            ids = np.arange(self.labels.shape[0])
+        return dict(zip(ids.tolist(), self.labels.tolist()))
 
 
 class FastSpinner:
@@ -251,13 +248,13 @@ class FastSpinner:
         self,
         graph: CSRGraph,
         num_partitions: int,
-        initial_labels: np.ndarray | Mapping[int, int] | None = None,
+        initial_labels: np.ndarray | None = None,
     ) -> FastSpinnerResult:
         """Partition ``graph`` into ``num_partitions`` parts.
 
-        ``initial_labels`` may be a dense NumPy array (aligned with the CSR
-        vertex order) or a mapping keyed by original vertex ids; when
-        omitted every vertex starts with a uniformly random label.
+        ``initial_labels`` is a dense array aligned with the CSR vertex
+        order; when omitted every vertex starts with a uniformly random
+        label.
 
         An opened on-disk store (``graph.storage == "mmap"``) is streamed
         in its own ``chunk_half_edges`` pieces; any other graph runs in
@@ -268,7 +265,9 @@ class FastSpinner:
         """
         if num_partitions <= 0:
             raise InvalidPartitionCountError(num_partitions, "must be positive")
-        labels = self._resolve_initial_labels(graph, num_partitions, initial_labels)
+        labels = initial_label_array(
+            initial_labels, graph.num_vertices, num_partitions, self.config.seed
+        )
         return self._run(graph, num_partitions, labels)
 
     def adapt_to_graph_changes(
@@ -279,11 +278,10 @@ class FastSpinner:
     ) -> FastSpinnerResult:
         """Incremental repartitioning after graph changes (Section III-D).
 
-        ``previous_assignment`` is a ``{vertex: partition}`` mapping or a
-        sorted ``(ids, labels)`` array pair.  It is mapped straight onto
-        the CSR vertex order (no dictionary round-trip); vertices new to
-        the graph go to the least loaded partition before label
-        propagation restarts.
+        ``previous_assignment`` is a sorted ``(ids, labels)`` array pair.
+        It is mapped onto the CSR vertex order; vertices new to the graph
+        go to the least loaded partition before label propagation
+        restarts.
         """
         initial = incremental_initial_labels(graph, previous_assignment, num_partitions)
         return self.partition(graph, num_partitions, initial_labels=initial)
@@ -291,7 +289,7 @@ class FastSpinner:
     def adapt_to_partition_change(
         self,
         graph: CSRGraph,
-        previous_assignment: Mapping[int, int],
+        previous_assignment: Assignment,
         old_num_partitions: int,
         new_num_partitions: int,
     ) -> FastSpinnerResult:
@@ -311,31 +309,6 @@ class FastSpinner:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _resolve_initial_labels(
-        self,
-        csr: CSRGraph,
-        num_partitions: int,
-        initial_labels: np.ndarray | Mapping[int, int] | None,
-    ) -> np.ndarray:
-        n = csr.num_vertices
-        if initial_labels is None:
-            rng = np.random.default_rng(self.config.seed)
-            return rng.integers(num_partitions, size=n).astype(np.int64)
-        if isinstance(initial_labels, Mapping):
-            labels, found = map_assignment_to_dense(csr, initial_labels, num_partitions)
-            if not found.all():
-                vertex = int(csr.original_ids[np.argmax(~found)])
-                raise PartitioningError(f"initial labels miss vertex {vertex!r}")
-        else:
-            labels = np.asarray(initial_labels, dtype=np.int64).copy()
-            if labels.shape[0] != n:
-                raise PartitioningError(
-                    f"initial label array has {labels.shape[0]} entries for {n} vertices"
-                )
-        if labels.size and (labels.min() < 0 or labels.max() >= num_partitions):
-            raise PartitioningError("initial labels outside [0, num_partitions)")
-        return labels
-
     def _run(
         self,
         csr: CSRGraph,

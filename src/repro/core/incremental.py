@@ -10,17 +10,19 @@ This module produces that initial assignment; the iterative adaptation
 itself is the normal Spinner run seeded with it.
 
 The entry points (:func:`incremental_initial_labels`,
-:func:`map_assignment_to_dense`, :func:`place_least_loaded`) operate on a
+:func:`lookup_labels`, :func:`place_least_loaded`) operate on a
 :class:`~repro.graph.csr.CSRGraph` and return dense label arrays, for
-both Spinner runtimes; they take the previous assignment as a mapping or
-as a sorted ``(ids, labels)`` array pair (:data:`Assignment`), which the
-serving layer passes straight from its snapshot.  Equally heavy new
-vertices are placed in dense-id order.
+both Spinner runtimes.  An assignment is a dense label array while it
+stays on the graph it was computed on; across graphs (a restart after
+the graph changed, a serving snapshot) it is one type,
+:data:`Assignment`: the ``(ids, labels)`` array pair sorted by id.  A
+run on a graph with ascending ids (every CSR graph the library builds)
+gives it as ``(graph.original_ids, result.labels)``, the serving layer
+passes it straight from its snapshot, and :func:`lookup_labels` maps it
+onto any ids.  Equally heavy new vertices are placed in dense-id order.
 """
 
 from __future__ import annotations
-
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -29,54 +31,47 @@ from repro.errors import PartitioningError
 from repro.graph.csr import CSRGraph
 
 
-#: A previous assignment: a ``{vertex id: partition}`` mapping, or the
-#: ``(ids, labels)`` array pair of one with ``ids`` strictly increasing
-#: (e.g. a serving snapshot's arrays).
-Assignment = Mapping[int, int] | tuple[np.ndarray, np.ndarray]
+#: A previous assignment: the ``(ids, labels)`` array pair with ``ids``
+#: strictly increasing (e.g. a serving snapshot's arrays).
+Assignment = tuple[np.ndarray, np.ndarray]
 
 
-def _assignment_arrays(assignment: Assignment) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``assignment`` as ``(ids, labels)`` int64 arrays sorted by id.
+def assignment_arrays(
+    assignment: Assignment, num_partitions: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``assignment`` as ``(ids, labels)`` int64 arrays.
 
-    A mapping is sorted once; an array pair is checked to be parallel and
-    strictly increasing in id.
+    Raises :class:`~repro.errors.PartitioningError` unless the arrays are
+    parallel and strictly increasing in id, and, with ``num_partitions``,
+    every label lies in ``[0, num_partitions)``.
     """
-    if isinstance(assignment, Mapping):
-        count = len(assignment)
-        keys = np.fromiter(assignment.keys(), dtype=np.int64, count=count)
-        values = np.fromiter(assignment.values(), dtype=np.int64, count=count)
-        order = np.argsort(keys, kind="stable")
-        return keys[order], values[order]
     ids, labels = (np.asarray(array, dtype=np.int64) for array in assignment)
     if ids.ndim != 1 or ids.shape != labels.shape:
         raise PartitioningError("assignment ids and labels must be parallel 1-D arrays")
     if ids.size > 1 and not bool(np.all(ids[1:] > ids[:-1])):
         raise PartitioningError("assignment ids must be strictly increasing")
+    if num_partitions is not None:
+        validate_label_array(labels, num_partitions)
     return ids, labels
 
 
-def map_assignment_to_dense(
-    csr: CSRGraph,
-    assignment: Assignment,
-    num_partitions: int,
+def lookup_labels(
+    assignment: Assignment, query: np.ndarray, num_partitions: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map an original-id assignment onto dense CSR vertex ids.
+    """Labels of the ``query`` ids (e.g. a CSR graph's ``original_ids``).
 
-    Returns ``(labels, found)``: ``labels[dense]`` holds the previous
-    label for vertices covered by ``assignment`` and ``-1`` elsewhere;
-    ``found`` is the corresponding boolean mask.  Assignment entries for
-    vertices that no longer exist in the graph are ignored, but all label
-    values are validated.
+    Returns ``(labels, found)``: the label of each query id the
+    assignment covers and ``-1`` elsewhere, and the mask of covered ids.
+    Entries for ids not queried are ignored, but with ``num_partitions``
+    every label of the assignment is validated.
     """
-    ids, values = _assignment_arrays(assignment)
-    validate_label_array(values, num_partitions)
-    count = ids.shape[0]
-    n = csr.num_vertices
-    labels = np.full(n, -1, dtype=np.int64)
-    found = np.zeros(n, dtype=bool)
-    if count and n:
-        pos = np.minimum(np.searchsorted(ids, csr.original_ids), count - 1)
-        found = ids[pos] == csr.original_ids
+    ids, values = assignment_arrays(assignment, num_partitions)
+    query = np.asarray(query, dtype=np.int64)
+    labels = np.full(query.shape[0], -1, dtype=np.int64)
+    found = np.zeros(query.shape[0], dtype=bool)
+    if ids.size and query.size:
+        pos = np.minimum(np.searchsorted(ids, query), ids.size - 1)
+        found = ids[pos] == query
         labels[found] = values[pos[found]]
     return labels, found
 
@@ -122,6 +117,6 @@ def incremental_initial_labels(
     heaviest first).  Load sums are exact integer-valued floats, so
     accumulation order cannot introduce drift.
     """
-    labels, found = map_assignment_to_dense(csr, previous_assignment, num_partitions)
+    labels, found = lookup_labels(previous_assignment, csr.original_ids, num_partitions)
     place_least_loaded(labels, ~found, csr.weighted_degrees, num_partitions)
     return labels

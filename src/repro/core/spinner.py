@@ -11,7 +11,6 @@ statistics.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,14 +24,14 @@ from repro.core.batch_program import (
 from repro.core.config import SpinnerConfig
 from repro.core.elastic import elastic_initial_labels
 from repro.core.halting import IterationRecord
-from repro.core.incremental import incremental_initial_labels, map_assignment_to_dense
+from repro.core.incremental import Assignment, incremental_initial_labels
 from repro.core.program import SpinnerMasterCompute
-from repro.errors import InvalidPartitionCountError, PartitioningError
+from repro.core.state import initial_label_array
+from repro.errors import InvalidPartitionCountError
 from repro.graph.csr import CSRGraph
 from repro.metrics.quality import locality, max_normalized_load
 from repro.pregel.cost_model import ClusterCostModel
 from repro.pregel.vector_coordinator import VectorPregelEngine, VectorPregelResult
-from repro.pregel.worker import PlacementFn
 
 
 @dataclass
@@ -41,8 +40,12 @@ class SpinnerResult:
 
     Attributes
     ----------
-    assignment:
-        Final ``{vertex: partition}`` mapping.
+    labels:
+        Final partition of each vertex, indexed by dense vertex id.
+    original_ids:
+        The original id of each dense vertex (the graph's vertex order),
+        so ``(original_ids, labels)`` is the assignment a restart takes
+        when the ids ascend, as in :class:`~repro.core.fast.FastSpinnerResult`.
     num_partitions:
         The number of partitions ``k``.
     iterations:
@@ -57,7 +60,8 @@ class SpinnerResult:
         used by the cost-savings experiments.
     """
 
-    assignment: dict[int, int]
+    labels: np.ndarray
+    original_ids: np.ndarray
     num_partitions: int
     iterations: int
     history: list[IterationRecord] = field(default_factory=list)
@@ -93,9 +97,10 @@ class SpinnerPartitioner:
         Number of simulated workers executing the partitioning itself.
     cost_model:
         Cost model used when reporting simulated times.
-    placement:
-        Optional vertex-to-worker placement function; defaults to
-        Giraph-style hash placement.
+    placement_labels:
+        Optional dense label array aligned with the input's vertex order;
+        a vertex runs on worker ``label mod num_workers`` (Section V-F).
+        Defaults to Giraph-style hash placement, ``id mod num_workers``.
     """
 
     name = "spinner"
@@ -105,12 +110,12 @@ class SpinnerPartitioner:
         config: SpinnerConfig | None = None,
         num_workers: int = 4,
         cost_model: ClusterCostModel | None = None,
-        placement: PlacementFn | None = None,
+        placement_labels: np.ndarray | None = None,
     ) -> None:
         self.config = config if config is not None else SpinnerConfig()
         self.num_workers = num_workers
         self.cost_model = cost_model if cost_model is not None else ClusterCostModel()
-        self.placement = placement
+        self.placement_labels = placement_labels
 
     # ------------------------------------------------------------------
     # public API
@@ -119,38 +124,28 @@ class SpinnerPartitioner:
         self,
         graph: SpinnerInput,
         num_partitions: int,
-        initial_assignment: Mapping[int, int] | None = None,
+        initial_labels: np.ndarray | None = None,
     ) -> SpinnerResult:
         """Partition ``graph`` into ``num_partitions`` parts from scratch.
 
         ``graph`` is a :class:`~repro.graph.csr.CSRGraph` or a
         :class:`~repro.core.batch_program.DirectedEdges` array (converted
-        with eq. (3) in the first two supersteps).  ``initial_assignment``,
-        when given, seeds the labels instead of the random initialization
-        and must cover every vertex.
+        with eq. (3) in the first two supersteps).  ``initial_labels``,
+        when given, is a dense array aligned with the graph's vertex order
+        that seeds the labels instead of the random initialization.
         """
         if num_partitions <= 0:
             raise InvalidPartitionCountError(num_partitions, "must be positive")
         view = weighted_view(graph)
-        if initial_assignment is None:
-            rng = np.random.default_rng(self.config.seed)
-            labels = rng.integers(num_partitions, size=view.num_vertices)
-        else:
-            labels, found = map_assignment_to_dense(
-                view, initial_assignment, num_partitions
-            )
-            if not found.all():
-                missing = view.original_ids[~found]
-                raise PartitioningError(
-                    f"initial assignment misses {missing.shape[0]} vertices "
-                    f"(e.g. {missing[:3].tolist()})"
-                )
+        labels = initial_label_array(
+            initial_labels, view.num_vertices, num_partitions, self.config.seed
+        )
         return self._run(graph, view, num_partitions, labels)
 
     def adapt_to_graph_changes(
         self,
         graph: SpinnerInput,
-        previous_assignment: Mapping[int, int],
+        previous_assignment: Assignment,
         num_partitions: int,
     ) -> SpinnerResult:
         """Incrementally adapt a partitioning after the graph changed.
@@ -166,7 +161,7 @@ class SpinnerPartitioner:
     def adapt_to_partition_change(
         self,
         graph: SpinnerInput,
-        previous_assignment: Mapping[int, int],
+        previous_assignment: Assignment,
         old_num_partitions: int,
         new_num_partitions: int,
     ) -> SpinnerResult:
@@ -204,7 +199,8 @@ class SpinnerPartitioner:
         # _execute constructed.
         master = pregel_result.master
         return SpinnerResult(
-            assignment=dict(zip(view.original_ids.tolist(), labels.tolist())),
+            labels=labels,
+            original_ids=view.original_ids,
             num_partitions=num_partitions,
             iterations=len(master.history),
             history=master.history,
@@ -228,7 +224,7 @@ class SpinnerPartitioner:
         master = SpinnerMasterCompute(program)
         engine = VectorPregelEngine(
             num_workers=self.num_workers,
-            placement=self.placement,
+            placement_labels=self.placement_labels,
             cost_model=self.cost_model,
             max_supersteps=program.superstep_bound(),
             checkpoint_interval=self.config.checkpoint_interval,

@@ -42,7 +42,7 @@ def run_fig7(
     config = spinner_config(scale.seed)
     spinner = FastSpinner(config)
     initial = spinner.partition(snapshot, num_partitions)
-    initial_assignment = initial.to_assignment()
+    initial_assignment = (snapshot.original_ids, initial.labels)
 
     rows: list[dict] = []
     for fraction in change_fractions:
@@ -56,8 +56,8 @@ def run_fig7(
             changed, num_partitions
         )
 
-        adaptive_assignment = adaptive.to_assignment()
-        scratch_assignment = scratch.to_assignment()
+        adaptive_assignment = (changed.original_ids, adaptive.labels)
+        scratch_assignment = (changed.original_ids, scratch.labels)
         rows.append(
             {
                 "new_edges_pct": round(fraction * 100.0, 1),

@@ -46,7 +46,7 @@ def run_fig9(
     for dataset, num_partitions in workloads:
         graph = undirected_dataset(dataset, scale)
         spinner = FastSpinner(spinner_config(scale.seed))
-        assignment = spinner.partition(graph, num_partitions).to_assignment()
+        labels = spinner.partition(graph, num_partitions).labels
         source = int(graph.original_ids[0])
         for app in applications:
             hash_run = run_application(
@@ -58,7 +58,7 @@ def run_fig9(
                 _make_program(app, source),
                 graph,
                 num_workers=num_partitions,
-                assignment=assignment,
+                labels=labels,
             )
             rows.append(
                 {

@@ -8,7 +8,9 @@ two vertex-to-worker placements for the same application and graph:
 * **Spinner placement** — vertices sharing a Spinner label land on the
   same worker, exactly the integration described in Section V-F of the
   paper (a vertex id type carrying the computed partition plus a hash
-  function that only looks at the partition field).
+  function that only looks at the partition field).  On arrays that is
+  ``labels % W`` for the dense label array of a Spinner run on the same
+  graph.
 
 This module provides that plumbing and returns the per-superstep worker
 statistics the experiments summarize.
@@ -16,15 +18,15 @@ statistics the experiments summarize.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.faults import FaultPlan
 from repro.graph.csr import CSRGraph
 from repro.pregel.batch import BatchVertexProgram
 from repro.pregel.cost_model import ClusterCostModel, RunStats
 from repro.pregel.vector_coordinator import VectorPregelEngine, VectorPregelResult
-from repro.pregel.worker import hash_placement, partition_placement
 
 
 @dataclass
@@ -69,7 +71,7 @@ def run_application(
     program: BatchVertexProgram,
     graph: CSRGraph,
     num_workers: int,
-    assignment: Mapping[int, int] | None = None,
+    labels: np.ndarray | None = None,
     cost_model: ClusterCostModel | None = None,
     max_supersteps: int = 200,
     checkpoint_interval: int | None = None,
@@ -78,20 +80,15 @@ def run_application(
 ) -> ApplicationRun:
     """Run ``program`` on ``graph`` with hash or Spinner-driven placement.
 
-    ``assignment`` is a Spinner partitioning; when omitted the default hash
-    placement is used.  The checkpoint/fault knobs are forwarded to the
+    ``labels`` is a Spinner partitioning of ``graph``, a dense label array
+    aligned with its vertex order; when omitted the default hash placement
+    is used.  The checkpoint/fault knobs are forwarded to the
     :class:`~repro.pregel.vector_coordinator.VectorPregelEngine` unchanged.
     """
     cost_model = cost_model or ClusterCostModel()
-    if assignment is None:
-        placement = hash_placement(num_workers)
-        placement_name = "hash"
-    else:
-        placement = partition_placement(dict(assignment), num_workers)
-        placement_name = "spinner"
     engine = VectorPregelEngine(
         num_workers=num_workers,
-        placement=placement,
+        placement_labels=labels,
         cost_model=cost_model,
         max_supersteps=max_supersteps,
         checkpoint_interval=checkpoint_interval,
@@ -99,4 +96,5 @@ def run_application(
         fault_plan=fault_plan,
     )
     result = engine.run_on_csr(program, graph)
-    return ApplicationRun(placement=placement_name, result=result, cost_model=cost_model)
+    placement = "hash" if labels is None else "spinner"
+    return ApplicationRun(placement=placement, result=result, cost_model=cost_model)

@@ -34,15 +34,15 @@ def run_table4(
     graph = load_dataset_csr("TW", scale=scale.graph_scale, seed=scale.seed)
 
     spinner = FastSpinner(spinner_config(scale.seed))
-    assignment = spinner.partition(graph, num_partitions).to_assignment()
+    labels = spinner.partition(graph, num_partitions).labels
 
     rows: list[dict] = []
-    for approach, placement_assignment in (("random", None), ("spinner", assignment)):
+    for approach, placement_labels in (("random", None), ("spinner", labels)):
         run = run_application(
             make_app_program("pagerank", num_iterations=pagerank_iterations),
             graph,
             num_workers=num_workers,
-            assignment=placement_assignment,
+            labels=placement_labels,
         )
         per_superstep = run.superstep_times()
         means = np.array([row["mean"] for row in per_superstep])

@@ -8,14 +8,16 @@ implements the equivalent plain-file formats:
   pair per line, ``#`` comments allowed;
 * *partitioning file*: one ``vertex_id partition`` pair per line.
 
-Edge lists are read by one block reader: complete lines a few MiB at a
-time, each block decoded as strict UTF-8 and converted by one
+Both are read by one block reader: complete lines a few MiB at a time,
+each block decoded as strict UTF-8 and converted by one
 :func:`numpy.loadtxt` call.  A block the fast path cannot vouch for
 (inline ``#``, signs, non-ASCII digits, mixed column counts, values past
 int64, bad UTF-8) is re-parsed line by line, which accepts exactly the
 same input and reports a malformed line as
-:class:`~repro.errors.GraphFormatError` with its line number.  The rows
-feed three readings of a file, one per command:
+:class:`~repro.errors.GraphFormatError` with its line number.
+:func:`read_partitioning_array` reads a partitioning file into the
+sorted ``(ids, labels)`` pair the library takes as an assignment.  The
+rows of an edge list feed three readings of a file, one per command:
 
 * :func:`load_directed_edge_list` (``partition``/``compare``): directed
   pairs, weighted by eq. (3) into CSR arrays;
@@ -117,26 +119,6 @@ def write_partitioning(
             handle.write(f"{vertex_id} {assignment[vertex_id]}\n")
 
 
-def read_partitioning(path: str | os.PathLike) -> dict[int, int]:
-    """Read a partitioning file written by :func:`write_partitioning`."""
-    assignment: dict[int, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise GraphFormatError(
-                    f"line {line_number}: expected 2 fields, got {len(parts)}"
-                )
-            try:
-                assignment[int(parts[0])] = int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(f"line {line_number}: non-integer field") from exc
-    return assignment
-
-
 # ----------------------------------------------------------------------
 # edge-list reader (block-vectorized, with a per-line rescan)
 # ----------------------------------------------------------------------
@@ -181,11 +163,12 @@ def _read_blocks(path: str | os.PathLike) -> Iterator[tuple[bytes, int]]:
         yield carry, line_number
 
 
-def _plain_rows(block: bytes) -> np.ndarray | None:
-    """The block's ``(m, 3)`` rows in one numpy read, or ``None`` to rescan.
+def _plain_rows(block: bytes, width: int) -> np.ndarray | None:
+    """The block's ``(m, width)`` rows in one numpy read, or ``None`` to rescan.
 
     Only a block of strict UTF-8 whose non-comment lines hold nothing but
-    ASCII digits and blanks, in a uniform 2 or 3 columns that fit int64,
+    ASCII digits and blanks, in a uniform ``width`` columns that fit int64
+    (or 2 columns, padded with weight 1, for an edge list's ``width`` 3),
     is read here; anything else (inline ``#``, signs, ``_``, non-ASCII
     digits, lone ``\\r``, mixed column counts, overflow) goes to the
     per-line rule, which decides it.
@@ -203,30 +186,37 @@ def _plain_rows(block: bytes) -> np.ndarray | None:
     if block.translate(None, _PLAIN_BYTES):
         return None
     if not block.strip():
-        return np.empty((0, 3), dtype=np.int64)
+        return np.empty((0, width), dtype=np.int64)
     try:
         table = np.loadtxt(
             io.StringIO(block.decode("ascii")), dtype=np.int64, comments=None, ndmin=2
         )
     except ValueError:
         return None
-    if table.shape[1] == 3:
+    if table.shape[1] == width:
         return table
-    if table.shape[1] != 2:
+    if table.shape[1] != 2 or width != 3:
         return None
     rows = np.ones((table.shape[0], 3), dtype=np.int64)
     rows[:, :2] = table
     return rows
 
 
-def _parse_line(line: str, line_number: int) -> tuple[int, int, int] | None:
-    """The per-line rule: ``source target [weight]``, ``#`` comments."""
+def _parse_line(
+    line: str, line_number: int, counts: tuple[int, ...] = (2, 3)
+) -> tuple[int, ...] | None:
+    """The per-line rule: ``source target [weight]``, ``#`` comments.
+
+    A line holds one of ``counts`` int64 fields; a short row is padded
+    with weight 1 to ``counts[-1]`` fields.
+    """
     fields = line.split()
     if not fields or fields[0].startswith("#"):
         return None
-    if len(fields) not in (2, 3):
+    if len(fields) not in counts:
+        expected = " or ".join(map(str, counts))
         raise GraphFormatError(
-            f"line {line_number}: expected 2 or 3 fields, got {len(fields)}"
+            f"line {line_number}: expected {expected} fields, got {len(fields)}"
         )
     try:
         values = [int(field) for field in fields]
@@ -234,25 +224,31 @@ def _parse_line(line: str, line_number: int) -> tuple[int, int, int] | None:
         raise GraphFormatError(f"line {line_number}: non-integer field") from exc
     if not all(_INT64_MIN <= value <= _INT64_MAX for value in values):
         raise GraphFormatError(f"line {line_number}: integer field outside int64")
-    if len(values) == 2:
-        values.append(1)
-    return values[0], values[1], values[2]
+    return (*values, *[1] * (counts[-1] - len(values)))
+
+
+def _parse_partition_line(line: str, line_number: int) -> tuple[int, ...] | None:
+    """The per-line rule of a partitioning file: ``vertex_id partition``."""
+    row = _parse_line(line, line_number, (2,))
+    if row is not None and row[0] < 0:
+        raise GraphFormatError(f"line {line_number}: vertex id outside [0, 2**63)")
+    return row
 
 
 def _scanned_rows(
-    block: bytes, first_line: int
+    block: bytes, first_line: int, parse_line: Callable, width: int
 ) -> tuple[np.ndarray, GraphFormatError | None]:
     """Rows of ``block`` by the per-line rule, up to its first bad line.
 
     Returns the rows before the first malformed line and that line's
     error (``None`` when every line parses).
     """
-    rows: list[tuple[int, int, int]] = []
+    rows: list[tuple[int, ...]] = []
     error = None
     for offset, raw in enumerate(block.splitlines()):
         line_number = first_line + offset
         try:
-            parsed = _parse_line(raw.decode("utf-8"), line_number)
+            parsed = parse_line(raw.decode("utf-8"), line_number)
         except UnicodeDecodeError:
             error = GraphFormatError(f"line {line_number}: invalid UTF-8")
             break
@@ -261,25 +257,47 @@ def _scanned_rows(
             break
         if parsed is not None:
             rows.append(parsed)
-    return np.array(rows, dtype=np.int64).reshape(-1, 3), error
+    return np.array(rows, dtype=np.int64).reshape(-1, width), error
 
 
-def _iter_rows(path: str | os.PathLike) -> Iterator[np.ndarray]:
-    """Yield the file's ``(source, target, weight)`` rows, one block at a time.
+def _iter_rows(
+    path: str | os.PathLike, parse_line: Callable = _parse_line, width: int = 3
+) -> Iterator[np.ndarray]:
+    """Yield the file's rows, one block at a time.
 
-    A malformed line raises :class:`~repro.errors.GraphFormatError` with
-    its line number, once the rows before it have been yielded, so a
-    consumer sees the same prefix the per-line readers did.
+    By default the rows are an edge list's ``(source, target, weight)``;
+    ``parse_line`` and ``width`` give another line format.  A malformed
+    line raises :class:`~repro.errors.GraphFormatError` with its line
+    number, once the rows before it have been yielded, so a consumer sees
+    the same prefix the per-line readers did.
     """
     for block, first_line in _read_blocks(path):
-        rows = _plain_rows(block)
+        rows = _plain_rows(block, width)
         if rows is not None:
             yield rows
             continue
-        rows, error = _scanned_rows(block, first_line)
+        rows, error = _scanned_rows(block, first_line, parse_line, width)
         yield rows
         if error is not None:
             raise error
+
+
+def read_partitioning_array(path: str | os.PathLike) -> tuple[np.ndarray, np.ndarray]:
+    """Read a partitioning file into an ``(ids, labels)`` pair sorted by id.
+
+    Comments and blank lines are skipped and a repeated id keeps its last
+    label.  A malformed line (not two integers, an id outside
+    ``[0, 2**63)``, a partition outside int64, bad UTF-8) raises
+    :class:`~repro.errors.GraphFormatError` naming it.
+    """
+    rows = np.concatenate(
+        [np.empty((0, 2), dtype=np.int64), *_iter_rows(path, _parse_partition_line, 2)]
+    )
+    order = np.argsort(rows[:, 0], kind="stable")
+    ids, labels = rows[order, 0], rows[order, 1]
+    last = np.ones(ids.shape[0], dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=last[:-1])
+    return ids[last], labels[last]
 
 
 def iter_edge_list_chunks(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,9 +23,7 @@ class PartitioningOutput:
     """Assignment plus the metadata a comparison needs.
 
     The assignment is held as two aligned ``int64`` arrays: vertex
-    ``original_ids[i]`` lives in partition ``labels[i]``.  The
-    ``{vertex: partition}`` dictionary is only built when
-    :attr:`assignment` is read.
+    ``original_ids[i]`` lives in partition ``labels[i]``.
     """
 
     original_ids: np.ndarray
@@ -35,11 +32,6 @@ class PartitioningOutput:
     partitioner: str
     phi: float = 0.0
     rho: float = 1.0
-
-    @cached_property
-    def assignment(self) -> dict[int, int]:
-        """The ``{vertex: partition}`` mapping (built on first access)."""
-        return dict(zip(self.original_ids.tolist(), self.labels.tolist()))
 
 
 class Partitioner(ABC):

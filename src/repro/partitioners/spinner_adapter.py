@@ -54,9 +54,4 @@ class SpinnerPregelAdapter(Partitioner):
         from repro.core.spinner import SpinnerPartitioner
 
         spinner = SpinnerPartitioner(self.config, num_workers=self.num_workers)
-        assignment = spinner.partition(graph, num_partitions).assignment
-        return np.fromiter(
-            (assignment[v] for v in graph.original_ids.tolist()),
-            dtype=np.int64,
-            count=graph.num_vertices,
-        )
+        return spinner.partition(graph, num_partitions).labels

@@ -12,9 +12,12 @@ one batch compute per superstep over NumPy arrays:
 * **aggregators** (:mod:`repro.pregel.aggregators`) with the commutative /
   associative semantics of Pregel (values aggregated in superstep *S* are
   visible in superstep *S + 1*), mirroring Giraph's sharded aggregators;
-* **vertex placement** (:mod:`repro.pregel.worker`) onto simulated
-  workers, with per-worker shared stores, which Spinner uses for its
-  asynchronous per-worker load counters (paper Section IV-A4);
+* **vertex placement** onto simulated workers as one array rule,
+  ``worker = (placement label, else vertex id) mod workers``: hash
+  placement by default, and with a partitioning's dense label array the
+  paper's Section V-F placement, where vertices sharing a label share a
+  worker; per-worker shared stores hold Spinner's asynchronous load
+  counters (paper Section IV-A4);
 * a **master compute** hook executed between supersteps;
 * a **cost model** (:mod:`repro.pregel.cost_model`) that charges local and
   remote messages differently and derives a simulated superstep time as the

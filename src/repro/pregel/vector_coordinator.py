@@ -57,7 +57,6 @@ from repro.pregel.run_loop import (
     run_with_recovery,
     superstep_preamble,
 )
-from repro.pregel.worker import PlacementFn, hash_placement
 
 
 @dataclass
@@ -118,16 +117,21 @@ class VectorPregelResult:
 class VectorPregelEngine:
     """Sharded, array-native simulation of a Giraph cluster.
 
-    Takes vertex placement functions (:mod:`repro.pregel.worker`), a cost
-    model and an optional master compute, and runs
-    :class:`BatchVertexProgram` s: one batch compute per superstep
-    instead of one ``compute`` call per vertex.
+    Takes an optional vertex placement, a cost model and an optional
+    master compute, and runs :class:`BatchVertexProgram` s: one batch
+    compute per superstep instead of one ``compute`` call per vertex.
+
+    Vertex ``v`` runs on worker ``v mod num_workers`` (Giraph's hash
+    placement) unless ``placement_labels`` is given: a dense label array
+    aligned with the vertex order of the graph being sharded, which puts
+    vertex ``i`` on worker ``placement_labels[i] mod num_workers``, so
+    vertices sharing a partition label share a worker (Section V-F).
     """
 
     def __init__(
         self,
         num_workers: int = 4,
-        placement: PlacementFn | None = None,
+        placement_labels: np.ndarray | None = None,
         cost_model: ClusterCostModel | None = None,
         max_supersteps: int = 500,
         drop_unknown_targets: bool = False,
@@ -141,7 +145,9 @@ class VectorPregelEngine:
             raise PregelError("max_supersteps must be positive")
         _validate_fault_tolerance_args(checkpoint_interval, checkpoint_dir, fault_plan)
         self.num_workers = num_workers
-        self.placement = placement if placement is not None else hash_placement(num_workers)
+        self.placement_labels = (
+            None if placement_labels is None else np.asarray(placement_labels, dtype=np.int64)
+        )
         self.cost_model = cost_model if cost_model is not None else ClusterCostModel()
         self.max_supersteps = max_supersteps
         self.drop_unknown_targets = drop_unknown_targets
@@ -159,23 +165,25 @@ class VectorPregelEngine:
         weights: np.ndarray,
         original_ids: np.ndarray,
     ) -> ShardedGraph:
-        """Place every vertex and build the sharded adjacency."""
+        """Place every vertex and build the sharded adjacency.
+
+        Vertex ids and placement labels must be non-negative; a vertex's
+        worker is its placement label (else its id) mod ``num_workers``.
+        """
         original_ids = np.asarray(original_ids, dtype=np.int64)
         if original_ids.size and int(original_ids.min()) < 0:
             raise PregelError("vertex ids must be non-negative")
-        worker_of = np.fromiter(
-            (self.placement(v) for v in original_ids.tolist()),
-            dtype=np.int64,
-            count=original_ids.shape[0],
-        )
-        if worker_of.size and not (
-            0 <= int(worker_of.min()) and int(worker_of.max()) < self.num_workers
-        ):
-            raise PregelError(
-                f"placement returned a worker outside [0, {self.num_workers})"
-            )
+        keys = original_ids
+        if self.placement_labels is not None:
+            keys = self.placement_labels
+            if keys.shape != original_ids.shape:
+                raise PregelError(
+                    f"expected {original_ids.shape[0]} placement labels, got {keys.size}"
+                )
+            if keys.size and int(keys.min()) < 0:
+                raise PregelError("placement labels must be non-negative")
         return ShardedGraph(
-            indptr, targets, weights, original_ids, worker_of, self.num_workers
+            indptr, targets, weights, original_ids, keys % self.num_workers, self.num_workers
         )
 
     def shard_csr(self, csr: CSRGraph) -> ShardedGraph:
@@ -259,7 +267,7 @@ class VectorPregelEngine:
     def _engine_params(self) -> dict[str, Any]:
         """Constructor arguments a snapshot needs to rebuild this engine.
 
-        The placement function is excluded: the shard's ``worker_of`` array already encodes the placement.
+        The placement labels are excluded: the shard's ``worker_of`` array already encodes the placement.
         Snapshots written by older versions may carry extra keys (such
         as ``parallel``); :meth:`_resume_from_snapshot` reads only the
         keys it names, so they resume unchanged.

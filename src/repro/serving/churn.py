@@ -57,6 +57,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.delta_csr import DeltaCSR, FrozenGraph
 from repro.graph.dynamic import GraphDelta
 from repro.metrics.quality import locality, max_normalized_load
+from repro.metrics.stability import moved_vertices
 from repro.serving.metrics import ServingMetrics
 from repro.serving.store import AssignmentSnapshot, AssignmentStore
 
@@ -372,7 +373,10 @@ class ChurnPipeline:
         snapshot = self.store.publish(outcome.ids, outcome.labels)
         swap_seconds = time.perf_counter() - swap_start
 
-        migrations, fraction = self._migration_report(job.previous, snapshot)
+        # Vertices born since the previous snapshot had no location to move from.
+        migrations, fraction = moved_vertices(
+            (job.previous.ids, job.previous.labels), (snapshot.ids, snapshot.labels)
+        )
         # Rebase the estimator: the run's phi is exact on the merged
         # graph, which becomes the live base; edges that arrived after the
         # freeze stay pending and are re-scored against the fresh snapshot.
@@ -417,26 +421,3 @@ class ChurnPipeline:
             raise
         return self.publish(job, outcome)
 
-    @staticmethod
-    def _migration_report(
-        previous: AssignmentSnapshot, current: AssignmentSnapshot
-    ) -> tuple[int, float]:
-        """Count vertices whose partition changed between two snapshots.
-
-        Vertices present only in ``current`` (born since the previous
-        snapshot) are ignored — they had no previous location to move
-        from, matching :func:`repro.metrics.stability.partitioning_difference`.
-        """
-        if previous.num_vertices == 0 or current.num_vertices == 0:
-            return 0, 0.0
-        position = np.minimum(
-            np.searchsorted(current.ids, previous.ids), current.ids.shape[0] - 1
-        )
-        found = current.ids[position] == previous.ids
-        moved = int(
-            np.count_nonzero(current.labels[position[found]] != previous.labels[found])
-        )
-        common = int(np.count_nonzero(found))
-        if common == 0:
-            return 0, 0.0
-        return moved, moved / common

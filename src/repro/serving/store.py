@@ -32,24 +32,26 @@ after the snapshot was computed) is routed to
 is flagged as a fallback, so callers can distinguish an authoritative
 placement from a provisional one.
 
-Persistence reuses the :mod:`repro.graph.io` partitioning format and its
-atomic writers: :meth:`AssignmentStore.save` /
-:meth:`AssignmentStore.warm_start` round-trip byte-exactly, so a service
-can be restarted from its last persisted assignment without any
-re-partitioning work.
+Every assignment the store installs is one ``(ids, labels)`` array pair
+(:data:`~repro.core.incremental.Assignment`), and the same pair is what an
+incremental restart takes from a snapshot.  Persistence reuses the
+:mod:`repro.graph.io` partitioning format: :meth:`AssignmentStore.save`
+writes the pair with the atomic array writer and
+:meth:`AssignmentStore.warm_start` reads the file straight back into a
+pair, byte-exactly, so a service can be restarted from its last persisted
+assignment without any re-partitioning work.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Mapping
 
 import numpy as np
 
 from repro.core.state import validate_label_array
 from repro.errors import ServingError
-from repro.graph.io import read_partitioning, write_partitioning_array
+from repro.graph.io import read_partitioning_array, write_partitioning_array
 from repro.partitioners.hashing import hash_label, hash_labels_array
 
 
@@ -164,11 +166,8 @@ class AssignmentSnapshot:
         return hash_labels_array(query, self.num_partitions)
 
     def to_assignment(self) -> dict[int, int]:
-        """Render as a ``{vertex id: partition}`` dictionary."""
-        return {
-            int(vertex): int(label)
-            for vertex, label in zip(self.ids.tolist(), self.labels.tolist())
-        }
+        """Render as a ``{vertex id: partition}`` dictionary (for display)."""
+        return dict(zip(self.ids.tolist(), self.labels.tolist()))
 
 
 class AssignmentStore:
@@ -214,14 +213,6 @@ class AssignmentStore:
             self._snapshot = snapshot
         return snapshot
 
-    def publish_assignment(self, assignment: Mapping[int, int]) -> AssignmentSnapshot:
-        """Publish from a ``{vertex: partition}`` mapping (sorted by id)."""
-        count = len(assignment)
-        ids = np.fromiter(assignment.keys(), dtype=np.int64, count=count)
-        labels = np.fromiter(assignment.values(), dtype=np.int64, count=count)
-        order = np.argsort(ids, kind="stable")
-        return self.publish(ids[order], labels[order])
-
     def save(self, path: str | os.PathLike) -> None:
         """Persist the current snapshot as a partitioning file (atomic).
 
@@ -236,10 +227,12 @@ class AssignmentStore:
         """Load a persisted assignment as the next version.
 
         The file must have been written by :meth:`save` (or any
-        :mod:`repro.graph.io` partitioning writer).  Loading it into a
-        fresh store and saving again reproduces the file byte for byte.
+        :mod:`repro.graph.io` partitioning writer); a malformed line raises
+        :class:`~repro.errors.GraphFormatError` naming it
+        (:func:`~repro.graph.io.read_partitioning_array`).  Loading it into
+        a fresh store and saving again reproduces the file byte for byte.
         """
-        assignment = read_partitioning(path)
-        if not assignment:
+        ids, labels = read_partitioning_array(path)
+        if ids.size == 0:
             raise ServingError(f"partitioning file {os.fspath(path)!r} is empty")
-        return self.publish_assignment(assignment)
+        return self.publish(ids, labels)

@@ -39,12 +39,10 @@ from repro.pregel.cost_model import (
 )
 from repro.pregel.master import MasterCompute
 from repro.pregel.run_loop import record_aggregator_history, superstep_preamble
-from repro.pregel.worker import PlacementFn, hash_placement
-
 from oracles.messages import MessageCombiner, MessageStore
 from oracles.program import ComputeContext, VertexProgram
 from oracles.vertex import Vertex
-from oracles.worker import build_workers
+from oracles.worker import PlacementFn, build_workers, hash_placement
 
 
 @dataclass

@@ -37,6 +37,7 @@ from oracles.engine import PregelEngine, PregelResult
 from oracles.program import ComputeContext, VertexProgram
 from oracles.scoring import choose_label, label_frequencies, migration_probability
 from oracles.vertex import Vertex
+from oracles.worker import partition_placement
 
 #: Worker-store key holding the per-worker asynchronous load deltas.
 WORKER_LOAD_DELTA_KEY = "spinner_load_delta"
@@ -216,7 +217,8 @@ class DictSpinnerPartitioner(SpinnerPartitioner):
 
     Same constructor, entry points and result type; only the Pregel run
     differs (:class:`SpinnerProgram` on :class:`~oracles.engine.PregelEngine`
-    instead of the batch program on the vector engine).  It runs
+    instead of the batch program on the vector engine; the placement
+    labels become a :func:`~oracles.worker.partition_placement`).  It runs
     uninterrupted, so the checkpoint and fault knobs of the config are
     ignored.
     """
@@ -234,12 +236,6 @@ class DictSpinnerPartitioner(SpinnerPartitioner):
             convert_directed=convert_directed,
         )
         master = SpinnerMasterCompute(program)
-        engine = PregelEngine(
-            num_workers=self.num_workers,
-            placement=self.placement,
-            cost_model=self.cost_model,
-            max_supersteps=program.superstep_bound(),
-        )
         if convert_directed:
             # Giraph's data model: a vertex knows only its out-edges.
             ids, sources, targets = (np.asarray(part) for part in graph)
@@ -249,6 +245,16 @@ class DictSpinnerPartitioner(SpinnerPartitioner):
             sources, targets, weights = graph.edge_array()
             sources, targets = ids[sources], ids[targets]
         ids = ids.tolist()
+        placement = None
+        if self.placement_labels is not None:
+            labels = dict(zip(ids, np.asarray(self.placement_labels).tolist()))
+            placement = partition_placement(labels, self.num_workers)
+        engine = PregelEngine(
+            num_workers=self.num_workers,
+            placement=placement,
+            cost_model=self.cost_model,
+            max_supersteps=program.superstep_bound(),
+        )
         vertices = {
             vertex_id: Vertex(vertex_id, value=SpinnerVertexValue(int(label)))
             for vertex_id, label in zip(ids, initial_labels.tolist())

@@ -1,17 +1,63 @@
-"""Workers of the per-vertex reference engine.
+"""Workers and vertex placement of the per-vertex reference engine.
 
 Spinner relies on *per-worker shared state* (its asynchronous load
 counters, Section IV-A4), which the reference engine exposes as
 :attr:`Worker.shared_store`.
+
+The reference engine places vertices with a per-vertex callable
+(:data:`PlacementFn`): :func:`hash_placement` and
+:func:`partition_placement` are the rules the vector engine computes on
+arrays as ``(placement labels, else ids) mod workers``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
 from repro.errors import PregelError
-from repro.pregel.worker import PlacementFn
+
+#: Signature of a vertex placement function: vertex id -> worker index.
+PlacementFn = Callable[[int], int]
+
+
+def hash_placement(num_workers: int) -> PlacementFn:
+    """Default Giraph-style placement: ``worker = vertex_id mod workers``.
+
+    A negative id raises :class:`~repro.errors.PregelError` instead of
+    silently relying on Python's modulo semantics.
+    """
+    if num_workers <= 0:
+        raise PregelError("num_workers must be positive")
+
+    def place(vertex_id: int) -> int:
+        """Return ``vertex_id mod num_workers``, rejecting negative ids."""
+        if vertex_id < 0:
+            raise PregelError(
+                f"vertex ids must be non-negative, got {vertex_id}"
+            )
+        return vertex_id % num_workers
+
+    return place
+
+
+def partition_placement(
+    assignment: Mapping[int, int], num_workers: int
+) -> PlacementFn:
+    """Placement driven by a partitioning, as used in Section V-F.
+
+    Vertices with the same Spinner label land on the same worker
+    (``worker = label mod num_workers``); every placed vertex must be in
+    ``assignment``.
+    """
+    if num_workers <= 0:
+        raise PregelError("num_workers must be positive")
+
+    def place(vertex_id: int) -> int:
+        """Return the worker owning the vertex's partition label."""
+        return assignment[vertex_id] % num_workers
+
+    return place
 
 
 class Worker:

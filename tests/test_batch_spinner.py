@@ -20,33 +20,37 @@ from repro.core.spinner import SpinnerPartitioner
 from repro.errors import PartitioningError
 from repro.graph.datasets import load_dataset
 from repro.graph.delta_csr import DeltaCSR
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 from repro.graph.dynamic import EdgeArrivalStream
 from repro.graph.undirected import UndirectedGraph
 from repro.pregel.vector_coordinator import VectorPregelEngine
 
+from oracles.assignments import result_pair
 from oracles.graphs import powerlaw_cluster, spinner_input, watts_strogatz
 from oracles.spinner import DictSpinnerPartitioner
 
 
-def _stride_placement(num_workers: int):
+def _stride_labels(graph):
     """A non-hash placement: blocks of three consecutive ids per worker."""
-
-    def place(vertex_id: int) -> int:
-        return (vertex_id // 3) % num_workers
-
-    return place
+    ids = graph.original_ids if isinstance(graph, CSRGraph) else graph.ids
+    return ids // 3
 
 
-def _partitioners(config, num_workers=4, placement=None):
-    dict_part = DictSpinnerPartitioner(config, num_workers=num_workers, placement=placement)
-    vector_part = SpinnerPartitioner(config, num_workers=num_workers, placement=placement)
+def _partitioners(config, num_workers=4, placement_labels=None):
+    dict_part = DictSpinnerPartitioner(
+        config, num_workers=num_workers, placement_labels=placement_labels
+    )
+    vector_part = SpinnerPartitioner(
+        config, num_workers=num_workers, placement_labels=placement_labels
+    )
     return dict_part, vector_part
 
 
 def assert_equivalent(dict_result, vector_result):
     """Assert the full bit-exact equivalence contract between two runs."""
-    assert dict_result.assignment == vector_result.assignment
+    assert np.array_equal(dict_result.original_ids, vector_result.original_ids)
+    assert np.array_equal(dict_result.labels, vector_result.labels)
     assert dict_result.iterations == vector_result.iterations
     # IterationRecord is a frozen dataclass of floats; == is exact.
     assert dict_result.history == vector_result.history
@@ -77,9 +81,9 @@ def directed_graph():
 @pytest.mark.parametrize("graph_kind", ["undirected", "directed"])
 def test_scratch_equivalence(graph_kind, placement_name, undirected_graph, directed_graph):
     graph = undirected_graph if graph_kind == "undirected" else directed_graph
-    placement = None if placement_name == "hash" else _stride_placement(4)
+    placement_labels = None if placement_name == "hash" else _stride_labels(graph)
     config = SpinnerConfig(seed=3, max_iterations=25)
-    dict_part, vector_part = _partitioners(config, placement=placement)
+    dict_part, vector_part = _partitioners(config, placement_labels=placement_labels)
     assert_equivalent(dict_part.partition(graph, 4), vector_part.partition(graph, 4))
 
 
@@ -120,8 +124,8 @@ def test_incremental_restart_equivalence(undirected_graph):
     snapshot.append(stream.delta(fraction_of_snapshot=0.05))
     snapshot = snapshot.to_csr()
     assert_equivalent(
-        dict_part.adapt_to_graph_changes(snapshot, initial.assignment, 4),
-        vector_part.adapt_to_graph_changes(snapshot, initial.assignment, 4),
+        dict_part.adapt_to_graph_changes(snapshot, result_pair(initial), 4),
+        vector_part.adapt_to_graph_changes(snapshot, result_pair(initial), 4),
     )
 
 
@@ -131,18 +135,18 @@ def test_elastic_restart_equivalence(new_k, undirected_graph):
     dict_part, vector_part = _partitioners(config)
     base = dict_part.partition(undirected_graph, 4)
     assert_equivalent(
-        dict_part.adapt_to_partition_change(undirected_graph, base.assignment, 4, new_k),
-        vector_part.adapt_to_partition_change(undirected_graph, base.assignment, 4, new_k),
+        dict_part.adapt_to_partition_change(undirected_graph, result_pair(base), 4, new_k),
+        vector_part.adapt_to_partition_change(undirected_graph, result_pair(base), 4, new_k),
     )
 
 
 def test_initial_assignment_equivalence(undirected_graph):
     config = SpinnerConfig(seed=1, max_iterations=10)
     dict_part, vector_part = _partitioners(config)
-    initial = {v: v % 3 for v in undirected_graph.original_ids.tolist()}
+    initial = undirected_graph.original_ids % 3
     assert_equivalent(
-        dict_part.partition(undirected_graph, 3, initial_assignment=initial),
-        vector_part.partition(undirected_graph, 3, initial_assignment=initial),
+        dict_part.partition(undirected_graph, 3, initial_labels=initial),
+        vector_part.partition(undirected_graph, 3, initial_labels=initial),
     )
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import metrics as dict_metrics
+from oracles.assignments import as_mapping, read_partitioning
 from oracles.baselines import DICT_PARTITIONS, dict_run
 from oracles.edge_list import read_directed_edge_list, write_directed_edge_list
 
@@ -26,7 +27,6 @@ from repro.graph.io import (
     ingest_edge_list,
     load_directed_edge_list,
     load_undirected_edge_list,
-    read_partitioning,
     write_partitioning,
     write_partitioning_array,
 )
@@ -379,7 +379,7 @@ def _reference(partitioner, graph, k):
     undirected = ensure_undirected(graph)
     if partitioner.name in DICT_PARTITIONS:
         return dict_run(partitioner, undirected, k)
-    assignment = partitioner.run(CSRGraph.from_undirected(undirected), k).assignment
+    assignment = as_mapping(partitioner.run(CSRGraph.from_undirected(undirected), k))
     return (
         assignment,
         dict_metrics.locality(undirected, assignment),
@@ -571,6 +571,36 @@ def test_bad_edge_list_exits_2_with_one_line(tmp_path, capsys, command, content,
     argv = _reading_commands(str(edge_list), tmp_path)[command]
     assert fragment in _one_line_error(capsys, argv)
     assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize(
+    ("content", "fragment"),
+    [
+        (b"# ids\n0 1\n9223372036854775808 0\n", "line 3: integer field outside int64"),
+        (b"0 1\n1 0\n18446744073709551616 1\n", "line 3: integer field outside int64"),
+        (b"0 1\n-1 0\n", "line 2: vertex id outside [0, 2**63)"),
+        (b"0 1\n1 \xff\n", "line 2: invalid UTF-8"),
+        (b"# \xc3\xa9t\xc3\xa9\r\n0 1\r\n\xe9 0\r\n", "line 3: invalid UTF-8"),
+        (b"0 1\n1 x\n", "line 2: non-integer field"),
+        (b"0 1\n2\n", "line 2: expected 2 fields, got 1"),
+        (b"0 1\n1 1 1\n", "line 2: expected 2 fields, got 3"),
+        (b"0 1\n1 5\n", "label 5 outside [0, 2)"),
+    ],
+)
+def test_serve_rejects_a_bad_assignment_file_before_binding(
+    tmp_path, capsys, monkeypatch, content, fragment
+):
+    import asyncio
+
+    def no_bind(*args, **kwargs):
+        raise AssertionError("serve bound a port")
+
+    monkeypatch.setattr(asyncio, "start_server", no_bind)
+    assignment = tmp_path / "bad.txt"
+    assignment.write_bytes(content)
+    argv = ["serve", "--dataset", "LJ", "--scale", "0.01", "-k", "2", "--port", "0",
+            "--assignment", str(assignment)]
+    assert fragment in _one_line_error(capsys, argv)
 
 
 @pytest.mark.parametrize("command", ["ingest", "partition", "compare", "serve"])

@@ -224,7 +224,7 @@ def test_churn_pipeline_matches_dict_oracle(data):
 
         assert_pinned(pipeline.graph.base, at_freeze)
         direct = spinner.adapt_to_graph_changes(
-            CSRGraph.from_undirected(at_freeze), previous.to_assignment(), k
+            CSRGraph.from_undirected(at_freeze), (previous.ids, previous.labels), k
         )
         snapshot = service.store.current()
         assert np.array_equal(snapshot.ids, direct.original_ids)

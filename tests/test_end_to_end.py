@@ -29,11 +29,11 @@ def social_graph():
 
 def test_partition_then_accelerate_application(social_graph):
     config = SpinnerConfig(seed=5, max_iterations=60)
-    assignment = FastSpinner(config).partition(social_graph, 4).to_assignment()
+    labels = FastSpinner(config).partition(social_graph, 4).labels
 
     hash_run = run_application(BatchPageRank(5), social_graph, num_workers=4)
     spinner_run = run_application(
-        BatchPageRank(5), social_graph, num_workers=4, assignment=assignment
+        BatchPageRank(5), social_graph, num_workers=4, labels=labels
     )
     assert spinner_run.remote_messages < hash_run.remote_messages
     assert spinner_run.simulated_time < hash_run.simulated_time
@@ -53,12 +53,13 @@ def test_full_dynamic_lifecycle(social_graph):
     live = DeltaCSR(snapshot)
     live.append(stream.delta(fraction_of_snapshot=0.05))
     grown = live.to_csr()
-    adapted = spinner.adapt_to_graph_changes(grown, initial.to_assignment(), 4)
-    moved = partitioning_difference(initial.to_assignment(), adapted.to_assignment())
+    previous = (snapshot.original_ids, initial.labels)
+    adapted = spinner.adapt_to_graph_changes(grown, previous, 4)
+    moved = partitioning_difference(previous, (grown.original_ids, adapted.labels))
     assert moved < 0.7
 
     # Cluster grows: adapt elastically to 6 partitions.
-    elastic = spinner.adapt_to_partition_change(grown, adapted.to_assignment(), 4, 6)
+    elastic = spinner.adapt_to_partition_change(grown, (grown.original_ids, adapted.labels), 4, 6)
     assert elastic.num_partitions == 6
     assert max_normalized_load(grown, elastic.labels, 6) < 2.0
 

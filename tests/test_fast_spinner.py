@@ -72,8 +72,8 @@ def test_initial_labels_mapping_and_array(community_graph, quick_config):
     array_init = np.zeros(csr.num_vertices, dtype=np.int64)
     result = spinner.partition(csr, 2, initial_labels=array_init)
     assert result.labels.max() <= 1
-    mapping_init = {v: 0 for v in community_graph.original_ids.tolist()}
-    result2 = spinner.partition(community_graph, 2, initial_labels=mapping_init)
+    list_init = [0] * community_graph.num_vertices
+    result2 = spinner.partition(community_graph, 2, initial_labels=list_init)
     assert result2.labels.shape[0] == community_graph.num_vertices
 
 
@@ -82,7 +82,7 @@ def test_invalid_inputs_rejected(community_graph, quick_config):
     with pytest.raises(InvalidPartitionCountError):
         spinner.partition(community_graph, 0)
     with pytest.raises(PartitioningError):
-        spinner.partition(community_graph, 2, initial_labels={0: 0})  # incomplete
+        spinner.partition(community_graph, 2, initial_labels=np.zeros(1))  # incomplete
     with pytest.raises(PartitioningError):
         spinner.partition(
             community_graph,

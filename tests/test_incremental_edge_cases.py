@@ -17,6 +17,7 @@ from repro.errors import PartitioningError
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import GraphDelta
 
+from oracles.assignments import as_pair
 from oracles.dynamic import apply_delta
 from oracles.graphs import erdos_renyi
 from oracles.incremental import incremental_initial_assignment
@@ -34,7 +35,7 @@ def previous(graph):
 
 def _labels_via_csr(graph, previous, num_partitions):
     csr = CSRGraph.from_undirected(graph)
-    labels = incremental_initial_labels(csr, previous, num_partitions)
+    labels = incremental_initial_labels(csr, as_pair(previous), num_partitions)
     return {
         int(vertex): int(label)
         for vertex, label in zip(csr.original_ids.tolist(), labels.tolist())
@@ -104,7 +105,7 @@ def test_invalid_previous_labels_rejected(graph, previous):
     with pytest.raises(PartitioningError):
         incremental_initial_assignment(graph, bad, 4)
     with pytest.raises(PartitioningError):
-        incremental_initial_labels(CSRGraph.from_undirected(graph), bad, 4)
+        incremental_initial_labels(CSRGraph.from_undirected(graph), as_pair(bad), 4)
 
 
 def test_array_twin_matches_on_random_previous(graph):
@@ -130,7 +131,9 @@ def test_sorted_id_label_pair_matches_the_mapping(graph):
     ids = np.asarray(sorted(previous), dtype=np.int64)
     labels = np.asarray([previous[v] for v in ids.tolist()], dtype=np.int64)
     from_pair = incremental_initial_labels(csr, (ids, labels), 4)
-    assert np.array_equal(from_pair, incremental_initial_labels(csr, previous, 4))
+    assert dict(zip(csr.original_ids.tolist(), from_pair.tolist())) == (
+        incremental_initial_assignment(graph, previous, 4)
+    )
     with pytest.raises(PartitioningError):
         incremental_initial_labels(csr, (ids[::-1], labels[::-1]), 4)
     with pytest.raises(PartitioningError):

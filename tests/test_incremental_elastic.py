@@ -13,6 +13,7 @@ from repro.graph.delta_csr import DeltaCSR
 from repro.graph.dynamic import EdgeArrivalStream
 from repro.metrics.stability import partitioning_difference
 
+from oracles.assignments import as_mapping, as_pair, result_pair
 from oracles.incremental import incremental_initial_assignment
 
 
@@ -68,7 +69,7 @@ def test_fast_incremental_adaptation_is_stable(tiny_tuenti, quick_config):
     snapshot = stream.snapshot()
     spinner = FastSpinner(quick_config)
     initial = spinner.partition(snapshot, 4)
-    initial_assignment = initial.to_assignment()
+    initial_assignment = result_pair(initial)
 
     live = DeltaCSR(snapshot)
     live.append(stream.delta(fraction_of_snapshot=0.02))
@@ -76,8 +77,8 @@ def test_fast_incremental_adaptation_is_stable(tiny_tuenti, quick_config):
     adapted = spinner.adapt_to_graph_changes(changed, initial_assignment, 4)
     scratch = FastSpinner(quick_config.with_options(seed=99)).partition(changed, 4)
 
-    moved_adapted = partitioning_difference(initial_assignment, adapted.to_assignment())
-    moved_scratch = partitioning_difference(initial_assignment, scratch.to_assignment())
+    moved_adapted = partitioning_difference(initial_assignment, result_pair(adapted))
+    moved_scratch = partitioning_difference(initial_assignment, result_pair(scratch))
     assert moved_adapted < moved_scratch
     assert adapted.iterations <= scratch.iterations + 2
 
@@ -87,7 +88,7 @@ def test_fast_elastic_adaptation(tiny_tuenti, quick_config):
     spinner = FastSpinner(quick_config)
     initial = spinner.partition(tiny_tuenti, 4)
     elastic = spinner.adapt_to_partition_change(
-        tiny_tuenti, initial.to_assignment(), 4, 6
+        tiny_tuenti, result_pair(initial), 4, 6
     )
     assert elastic.num_partitions == 6
     assert elastic.labels.max() < 6
@@ -101,13 +102,13 @@ def test_pregel_incremental_and_elastic(tiny_tuenti):
     partitioner = SpinnerPartitioner(config, num_workers=2)
     initial = partitioner.partition(tiny_tuenti, 3)
     incremental = partitioner.adapt_to_graph_changes(
-        tiny_tuenti, initial.assignment, 3
+        tiny_tuenti, result_pair(initial), 3
     )
-    assert set(incremental.assignment) == vertices
+    assert set(as_mapping(incremental)) == vertices
     elastic = partitioner.adapt_to_partition_change(
-        tiny_tuenti, initial.assignment, 3, 4
+        tiny_tuenti, result_pair(initial), 3, 4
     )
-    assert max(elastic.assignment.values()) <= 3
+    assert max(as_mapping(elastic).values()) <= 3
 
 
 def test_both_spinners_start_elastic_runs_from_identical_labels(tiny_tuenti, monkeypatch):
@@ -116,6 +117,7 @@ def test_both_spinners_start_elastic_runs_from_identical_labels(tiny_tuenti, mon
     # Five vertices are new to the previous assignment, one has left the graph.
     previous = {v: v % 3 for v in ids[:-5]}
     previous[max(ids) + 1] = 2
+    previous = as_pair(previous)
     starts = {}
 
     fast_partition = FastSpinner.partition

@@ -13,7 +13,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.io import (
     atomic_open,
     atomic_write_text,
-    read_partitioning,
+    read_partitioning_array,
     write_partitioning,
 )
 from repro.graph.undirected import UndirectedGraph
@@ -61,14 +61,16 @@ def test_partitioning_roundtrip(tmp_path):
     assignment = {0: 1, 1: 0, 2: 1, 10: 3}
     path = tmp_path / "parts.txt"
     write_partitioning(assignment, path)
-    assert read_partitioning(path) == assignment
+    ids, labels = read_partitioning_array(path)
+    assert ids.tolist() == [0, 1, 2, 10]
+    assert labels.tolist() == [1, 0, 1, 3]
 
 
 def test_partitioning_bad_line(tmp_path):
     path = tmp_path / "parts.txt"
     path.write_text("0 1 2\n")
     with pytest.raises(GraphFormatError):
-        read_partitioning(path)
+        read_partitioning_array(path)
 
 
 def test_undirected_reader_skips_self_loops(tmp_path):

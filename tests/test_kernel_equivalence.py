@@ -21,6 +21,7 @@ from repro.graph.conversion import to_weighted_csr, to_weighted_undirected
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import DiGraph
 
+from oracles.assignments import as_mapping, as_pair, result_pair
 from oracles.dense_kernel import DenseSpinner
 from oracles.graphs import (
     as_csr,
@@ -95,7 +96,7 @@ def test_frontier_kernel_identical_without_ablation_switches(community_graph):
 def test_frontier_adaptation_matches_dense(tiny_tuenti, quick_config):
     tiny_tuenti = as_csr(tiny_tuenti)
     initial = FastSpinner(quick_config).partition(tiny_tuenti, 4)
-    assignment = initial.to_assignment()
+    assignment = result_pair(initial)
     dense = DenseSpinner(quick_config)
     frontier = FastSpinner(quick_config)
     dense_inc = dense.adapt_to_graph_changes(tiny_tuenti, assignment, 4)
@@ -110,7 +111,7 @@ def test_agrees_with_pregel_spinner_on_small_graphs(two_cliques):
     config = SpinnerConfig(seed=1, max_iterations=60, additional_capacity=1.3)
     fast = FastSpinner(config).partition(as_csr(two_cliques), 2)
     pregel = SpinnerPartitioner(config, num_workers=2).partition(spinner_input(two_cliques), 2)
-    pregel_phi = locality(two_cliques, pregel.assignment)
+    pregel_phi = locality(two_cliques, as_mapping(pregel))
     # Both implementations must separate the two cliques cleanly.
     assert fast.phi >= 0.85
     assert pregel_phi >= 0.85
@@ -122,7 +123,7 @@ def test_agreement_with_pregel_on_community_graph(community_graph):
     pregel = SpinnerPartitioner(config, num_workers=2).partition(
         spinner_input(community_graph), 4
     )
-    pregel_phi = locality(community_graph, pregel.assignment)
+    pregel_phi = locality(community_graph, as_mapping(pregel))
     # Same algorithm, different execution model: quality must agree closely.
     assert abs(fast.phi - pregel_phi) < 0.2
 
@@ -168,7 +169,7 @@ def test_array_incremental_initializer_matches_dict_path(tiny_tuenti):
     previous = {v: v % 3 for v in vertices[: len(vertices) // 2]}
     previous[10_000_000] = 1  # stale vertex: ignored by both paths
     expected = incremental_initial_assignment(tiny_tuenti, previous, 3)
-    got = incremental_initial_labels(csr, previous, 3)
+    got = incremental_initial_labels(csr, as_pair(previous), 3)
     assert {
         int(original): int(label)
         for original, label in zip(csr.original_ids, got)
@@ -178,7 +179,7 @@ def test_array_incremental_initializer_matches_dict_path(tiny_tuenti):
 def test_array_incremental_initializer_validates_labels():
     csr = CSRGraph.from_edge_list([(0, 1)], num_vertices=2)
     with pytest.raises(PartitioningError):
-        incremental_initial_labels(csr, {0: 5, 1: 0}, 2)
+        incremental_initial_labels(csr, as_pair({0: 5, 1: 0}), 2)
 
 
 def test_expand_labels_moves_expected_fraction():
@@ -216,13 +217,15 @@ def test_resize_labels_dispatch_and_validation():
 def test_vectorized_mapping_initializer_missing_vertex_message():
     graph = DiGraph.from_edges([(10, 20), (20, 30)])
     spinner = FastSpinner(SpinnerConfig(seed=0, max_iterations=2))
-    with pytest.raises(PartitioningError, match="initial labels miss vertex 30"):
-        spinner.partition(as_csr(graph), 2, initial_labels={10: 0, 20: 1})
+    with pytest.raises(PartitioningError, match="initial label array has 2 entries for 3"):
+        spinner.partition(as_csr(graph), 2, initial_labels=np.array([0, 1]))
 
 
 def test_vectorized_mapping_initializer_non_contiguous_ids(quick_config):
     graph = DiGraph.from_edges([(100, 7), (7, 100), (7, 55), (55, 200)])
     mapping = {100: 0, 7: 1, 55: 0, 200: 1}
-    result = FastSpinner(quick_config).partition(as_csr(graph), 2, initial_labels=mapping)
+    csr = as_csr(graph)
+    labels = np.array([mapping[v] for v in csr.original_ids.tolist()])
+    result = FastSpinner(quick_config).partition(csr, 2, initial_labels=labels)
     assert result.labels.shape[0] == 4
     assert set(result.to_assignment()) == set(mapping)

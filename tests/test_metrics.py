@@ -16,9 +16,10 @@ from repro.metrics.quality import (
     quality_summary,
 )
 from repro.metrics.reporting import format_series, format_table, improvement_percentage
-from repro.metrics.stability import migration_volume, partitioning_difference
+from repro.metrics.stability import moved_vertices, partitioning_difference
 
 from oracles import metrics as dict_metrics
+from oracles.assignments import as_pair
 
 
 @pytest.fixture
@@ -163,23 +164,26 @@ def test_quality_summary_row(two_cliques):
     assert 0 <= row["phi"] <= 1
 
 
-def test_partitioning_difference_dict_and_array():
-    before = {0: 0, 1: 1, 2: 1}
-    after = {0: 0, 1: 0, 2: 1, 3: 2}
+def test_partitioning_difference_pair_and_array():
+    before = as_pair({0: 0, 1: 1, 2: 1})
+    after = as_pair({0: 0, 1: 0, 2: 1, 3: 2})
     assert partitioning_difference(before, after) == pytest.approx(1 / 3)
     assert partitioning_difference(np.array([0, 1, 1]), np.array([0, 0, 1])) == pytest.approx(1 / 3)
+
+
+def test_moved_vertices_counts_common_ids_only():
+    before = as_pair({0: 0, 1: 1, 2: 1, 9: 0})  # 9 has left the graph
+    after = as_pair({0: 0, 1: 0, 2: 1, 3: 2})  # 3 is new
+    assert moved_vertices(before, after) == (1, 1 / 3)
+    assert moved_vertices(before, as_pair({7: 1})) == (0, 0.0)
+    assert moved_vertices(as_pair({}), after) == (0, 0.0)
+    with pytest.raises(PartitioningError):
+        moved_vertices((before[0][::-1], before[1][::-1]), after)
 
 
 def test_partitioning_difference_shape_mismatch():
     with pytest.raises(PartitioningError):
         partitioning_difference(np.array([0, 1]), np.array([0, 1, 2]))
-
-
-def test_migration_volume_with_weights():
-    before = {0: 0, 1: 1}
-    after = {0: 1, 1: 1}
-    assert migration_volume(before, after) == 1.0
-    assert migration_volume(before, after, weights={0: 7}) == 7.0
 
 
 def test_load_statistics():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles.assignments import as_mapping
 from oracles.baselines import dict_run
 from oracles.graphs import powerlaw_cluster
 
@@ -59,7 +60,7 @@ def test_run_reports_metrics(partitioner, two_cliques_csr):
 def test_run_on_csr_matches_run_on_dict(partitioner, community_graph, community_csr):
     assignment, phi, rho = dict_run(partitioner, community_graph, 4)
     from_csr = partitioner.run(community_csr, 4)
-    assert from_csr.assignment == assignment
+    assert as_mapping(from_csr) == assignment
     assert (from_csr.phi, from_csr.rho) == (phi, rho)
     assert from_csr.labels.dtype == np.int64
     assert from_csr.original_ids.shape == from_csr.labels.shape
@@ -144,7 +145,7 @@ def test_spinner_adapters_produce_assignments(two_cliques, two_cliques_csr):
         "spinner-pregel", config=SpinnerConfig(seed=1, max_iterations=15)
     )
     for adapter in (fast, pregel):
-        assignment = adapter.run(two_cliques_csr, 2).assignment
+        assignment = as_mapping(adapter.run(two_cliques_csr, 2))
         assert set(assignment) == set(two_cliques.vertices())
 
 

@@ -18,6 +18,7 @@ from repro.graph.undirected import UndirectedGraph
 from repro.metrics.quality import locality, max_normalized_load, partition_loads
 from repro.metrics.stability import partitioning_difference
 
+from oracles.assignments import as_pair
 from oracles.scoring import migration_probability
 
 
@@ -113,7 +114,7 @@ def test_single_partition_has_perfect_locality(graph):
 @given(undirected_graphs(), st.integers(min_value=2, max_value=5))
 @settings(max_examples=30, deadline=None)
 def test_partitioning_difference_identity(graph, k):
-    assignment = {v: v % k for v in graph.vertices()}
+    assignment = as_pair({v: v % k for v in graph.vertices()})
     assert partitioning_difference(assignment, assignment) == 0.0
 
 
@@ -186,7 +187,7 @@ def test_incremental_assignment_is_complete(graph, k):
     csr = CSRGraph.from_undirected(graph)
     vertices = csr.original_ids.tolist()
     previous = {v: v % k for v in vertices[: len(vertices) // 2]}
-    labels = incremental_initial_labels(csr, previous, k)
+    labels = incremental_initial_labels(csr, as_pair(previous), k)
     assignment = dict(zip(vertices, labels.tolist()))
     assert set(assignment) == set(vertices)
     assert all(0 <= label < k for label in assignment.values())

@@ -49,6 +49,7 @@ from repro.serving import (
     send_requests,
 )
 
+from oracles.assignments import as_pair
 from oracles.dynamic import apply_delta
 from oracles.graphs import erdos_renyi, powerlaw_cluster
 from oracles.metrics import locality, max_normalized_load
@@ -159,7 +160,7 @@ def test_fallback_semantics_match_hash_partitioner():
 
 def test_warm_start_round_trip_is_byte_exact(tmp_path):
     store = AssignmentStore(4)
-    store.publish_assignment({7: 1, 3: 0, 11: 3, 5: 2})
+    store.publish(*as_pair({7: 1, 3: 0, 11: 3, 5: 2}))
     first = tmp_path / "assignment.txt"
     store.save(first)
     raw = first.read_bytes()
@@ -219,7 +220,8 @@ def test_churn_triggered_run_matches_direct_adapt():
     graph = _graph(seed=seed)
     pipeline = _pipeline(graph, k=4, seed=seed)
     pipeline.bootstrap()
-    previous = pipeline.store.current().to_assignment()
+    current = pipeline.store.current()
+    previous = (current.ids, current.labels)
 
     delta = bursty_new_edges(_csr(graph), fraction=0.05, seed=seed)
     _ingest(pipeline, graph, delta)

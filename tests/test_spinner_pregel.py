@@ -21,6 +21,7 @@ from repro.metrics.quality import locality, max_normalized_load
 from repro.partitioners.hashing import HashPartitioner
 
 from oracles import metrics as dict_metrics
+from oracles.assignments import as_mapping
 from oracles.graphs import directed_edges
 from oracles.spinner import SpinnerProgram
 
@@ -58,7 +59,7 @@ def test_phase_schedule_without_conversion():
 def test_partition_undirected_graph(two_cliques, quick_config):
     partitioner = SpinnerPartitioner(quick_config, num_workers=2)
     result = partitioner.partition(two_cliques, 2)
-    assert set(result.assignment) == set(two_cliques.original_ids.tolist())
+    assert set(as_mapping(result)) == set(two_cliques.original_ids.tolist())
     assert result.phi >= 0.85
     assert result.iterations >= 1
     assert len(result.history) == result.iterations
@@ -68,7 +69,7 @@ def test_partition_directed_graph_runs_conversion(small_directed, quick_config):
     partitioner = SpinnerPartitioner(quick_config, num_workers=2)
     result = partitioner.partition(directed_edges(small_directed), 2)
     undirected = to_weighted_undirected(small_directed)
-    assert result.phi == pytest.approx(dict_metrics.locality(undirected, result.assignment))
+    assert result.phi == pytest.approx(dict_metrics.locality(undirected, as_mapping(result)))
 
 
 def test_pregel_spinner_beats_hash(community_graph, quick_config):
@@ -81,8 +82,8 @@ def test_pregel_spinner_beats_hash(community_graph, quick_config):
 def test_initial_assignment_is_respected(two_cliques):
     config = SpinnerConfig(seed=1, max_iterations=1, halt_window=1)
     partitioner = SpinnerPartitioner(config, num_workers=2)
-    initial = {v: 0 if v < 5 else 1 for v in two_cliques.original_ids.tolist()}
-    result = partitioner.partition(two_cliques, 2, initial_assignment=initial)
+    initial = (two_cliques.original_ids >= 5).astype(np.int64)
+    result = partitioner.partition(two_cliques, 2, initial_labels=initial)
     # Starting from the optimum, one bounded iteration should not destroy it.
     assert result.phi >= 0.85
 
@@ -90,7 +91,7 @@ def test_initial_assignment_is_respected(two_cliques):
 def test_incomplete_initial_assignment_rejected(two_cliques, quick_config):
     partitioner = SpinnerPartitioner(quick_config)
     with pytest.raises(PartitioningError):
-        partitioner.partition(two_cliques, 2, initial_assignment={0: 0})
+        partitioner.partition(two_cliques, 2, initial_labels=np.zeros(1))
 
 
 def test_history_metrics_track_partitioning_state(community_graph, quick_config):
@@ -127,7 +128,8 @@ def test_directed_run_reports_the_eq3_quality_it_optimized():
     result = SpinnerPartitioner(SpinnerConfig(seed=3, max_iterations=20)).partition(
         directed_edges(load_dataset("TW", scale=0.05)), 4
     )
-    labels = np.array([result.assignment[v] for v in weighted.original_ids.tolist()])
+    assignment = as_mapping(result)
+    labels = np.array([assignment[v] for v in weighted.original_ids.tolist()])
     assert (result.phi, result.rho) == (
         locality(weighted, labels), max_normalized_load(weighted, labels, 4)
     )

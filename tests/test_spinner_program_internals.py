@@ -20,6 +20,7 @@ from repro.core.spinner import SpinnerPartitioner
 from repro.graph.digraph import DiGraph
 from repro.pregel.aggregators import AggregatorRegistry
 
+from oracles.assignments import as_mapping
 from oracles.engine import PregelEngine
 from oracles.graphs import spinner_input
 from oracles.spinner import WORKER_LOAD_DELTA_KEY, SpinnerProgram, SpinnerVertexValue
@@ -114,5 +115,6 @@ def test_isolated_vertices_are_assigned(two_cliques):
     graph.add_vertex(42)  # isolated vertex, degree 0
     config = SpinnerConfig(seed=0, max_iterations=10)
     result = SpinnerPartitioner(config, num_workers=2).partition(spinner_input(graph), 2)
-    assert 42 in result.assignment
-    assert 0 <= result.assignment[42] < 2
+    assignment = as_mapping(result)
+    assert 42 in assignment
+    assert 0 <= assignment[42] < 2

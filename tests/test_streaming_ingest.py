@@ -29,7 +29,7 @@ from repro.graph.io import (
     ingest_edge_chunks,
     ingest_edge_list,
     iter_edge_list_chunks,
-    read_partitioning,
+    read_partitioning_array,
     write_partitioning_array,
 )
 from repro.graph.mmap_store import open_store
@@ -241,7 +241,8 @@ def test_write_partitioning_array_roundtrip(tmp_path):
     labels = np.array([2, 0, 1], dtype=np.int64)
     path = tmp_path / "assignment.txt"
     write_partitioning_array(ids, labels, path)
-    assert read_partitioning(path) == {10: 0, 20: 1, 30: 2}
+    read_ids, read_labels = read_partitioning_array(path)
+    assert (read_ids.tolist(), read_labels.tolist()) == ([10, 20, 30], [0, 1, 2])
     lines = path.read_text().splitlines()
     assert lines[1:] == ["10 0", "20 1", "30 2"]  # ascending id order
     with pytest.raises(GraphError):

@@ -17,10 +17,10 @@ from repro.graph.undirected import UndirectedGraph
 from repro.pregel.master import MasterCompute
 from repro.pregel.batch import BatchStep, BatchVertexProgram, Outbox
 from repro.pregel.vector_coordinator import VectorPregelEngine
-from repro.pregel.worker import partition_placement
 
 from oracles import apps as oracle_apps
 from oracles.engine import PregelEngine
+from oracles.worker import partition_placement
 from oracles.graphs import (
     barabasi_albert,
     run_on_digraph,
@@ -38,11 +38,16 @@ def _directed_graph():
     return barabasi_albert(50, 3, seed=9, directed=True)
 
 
-def _placements(num_workers):
+def _placements(num_workers, graph):
+    """``(reference engine placement, vector engine placement labels)``."""
     assignment = {v: v // 7 for v in range(200)}
+    ids = list(graph.vertices())
     return {
-        "hash": None,
-        "partition": partition_placement(assignment, num_workers),
+        "hash": (None, None),
+        "partition": (
+            partition_placement(assignment, num_workers),
+            np.array([assignment[v] for v in ids], dtype=np.int64),
+        ),
     }
 
 
@@ -57,9 +62,9 @@ def _program_kwargs(app, directed):
     }[app]
 
 
-def _run_both(app, graph, directed, placement, num_workers=3):
-    dict_engine = PregelEngine(num_workers=num_workers, placement=placement)
-    vector_engine = VectorPregelEngine(num_workers=num_workers, placement=placement)
+def _run_both(app, graph, directed, placement=(None, None), num_workers=3):
+    dict_engine = PregelEngine(num_workers=num_workers, placement=placement[0])
+    vector_engine = VectorPregelEngine(num_workers=num_workers, placement_labels=placement[1])
     kwargs = _program_kwargs(app, directed)
     dict_program = oracle_apps.make_app_program(app, **kwargs)
     vector_program = make_app_program(app, **kwargs)
@@ -96,7 +101,7 @@ def _assert_equivalent(dict_result, vector_result):
 @pytest.mark.parametrize("app", sorted(APP_PROGRAMS))
 def test_engines_equivalent_on_generator_graphs(app, directed, placement_name):
     graph = _directed_graph() if directed else _undirected_graph()
-    placement = _placements(num_workers=3)[placement_name]
+    placement = _placements(3, graph)[placement_name]
     dict_result, vector_result = _run_both(app, graph, directed, placement)
     assert dict_result.num_supersteps > 1
     _assert_equivalent(dict_result, vector_result)
@@ -269,7 +274,7 @@ def test_vector_engine_rejects_unknown_combine_mode():
 def test_vector_engine_simulated_time_matches_dict_engine():
     graph = _undirected_graph()
     dict_result, vector_result = _run_both(
-        "pagerank", graph, directed=False, placement=None
+        "pagerank", graph, directed=False
     )
     model = dict_result.stats  # same RunStats class on both sides
     assert isinstance(vector_result.stats, type(model))

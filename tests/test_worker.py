@@ -1,41 +1,68 @@
-"""Tests for workers and vertex placement."""
+"""Tests for workers and vertex placement.
 
+The vector engine places vertices with one array rule in
+``shard_graph``: ``worker = (placement label, else vertex id) mod W``.
+The per-vertex placement callables of the reference engine are checked
+against it.
+"""
+
+import numpy as np
 import pytest
 
 from repro.errors import PregelError
-from repro.pregel.worker import hash_placement, partition_placement
+from repro.pregel.vector_coordinator import VectorPregelEngine
 
-from oracles.worker import build_workers
+from oracles.worker import build_workers, hash_placement, partition_placement
+
+
+def _worker_of(engine, original_ids):
+    ids = np.asarray(original_ids, dtype=np.int64)
+    indptr = np.zeros(ids.shape[0] + 1, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    return engine.shard_graph(indptr, empty, empty, ids).worker_of
 
 
 def test_hash_placement_range():
+    worker_of = _worker_of(VectorPregelEngine(num_workers=4), range(100))
+    assert worker_of.tolist() == [v % 4 for v in range(100)]
     place = hash_placement(4)
-    assert all(0 <= place(v) < 4 for v in range(100))
+    assert worker_of.tolist() == [place(v) for v in range(100)]
 
 
 def test_hash_placement_rejects_zero_workers():
+    with pytest.raises(PregelError):
+        VectorPregelEngine(num_workers=0)
     with pytest.raises(PregelError):
         hash_placement(0)
 
 
 def test_hash_placement_rejects_negative_vertex_ids():
-    place = hash_placement(4)
     with pytest.raises(PregelError, match="non-negative"):
-        place(-1)
+        _worker_of(VectorPregelEngine(num_workers=4), [3, -1])
+    with pytest.raises(PregelError, match="non-negative"):
+        hash_placement(4)(-1)
 
 
-def test_partition_placement_uses_assignment():
+def test_partition_placement_uses_labels():
+    engine = VectorPregelEngine(num_workers=3, placement_labels=np.array([2, 2, 0]))
+    assert _worker_of(engine, [0, 1, 2]).tolist() == [2, 2, 0]
     place = partition_placement({0: 2, 1: 2, 2: 0}, num_workers=3)
-    assert place(0) == 2
-    assert place(1) == 2
-    assert place(2) == 0
-    # Unknown vertices fall back to hash placement.
-    assert 0 <= place(99) < 3
+    assert [place(v) for v in (0, 1, 2)] == [2, 2, 0]
 
 
 def test_partition_placement_wraps_large_labels():
-    place = partition_placement({0: 7}, num_workers=3)
-    assert place(0) == 7 % 3
+    engine = VectorPregelEngine(num_workers=3, placement_labels=np.array([7]))
+    assert _worker_of(engine, [0]).tolist() == [7 % 3]
+    assert partition_placement({0: 7}, num_workers=3)(0) == 7 % 3
+
+
+def test_partition_placement_rejects_bad_labels():
+    with pytest.raises(PregelError, match="non-negative"):
+        _worker_of(VectorPregelEngine(num_workers=3, placement_labels=np.array([1, -1])), [0, 1])
+    with pytest.raises(PregelError, match="placement labels"):
+        _worker_of(VectorPregelEngine(num_workers=3, placement_labels=np.array([1])), [0, 1])
+    with pytest.raises(PregelError, match="non-negative"):
+        _worker_of(VectorPregelEngine(num_workers=3, placement_labels=np.array([1])), [-4])
 
 
 def test_build_workers_places_every_vertex():
